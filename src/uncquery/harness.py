@@ -27,6 +27,7 @@ from .oracles import (
     GroundTruthOracle,
     HalvePolicy,
     Oracle,
+    OracleError,
     ScriptedOracle,
 )
 from .selection import (
@@ -516,11 +517,14 @@ def compete(config: ExperimentConfig) -> Tuple[List[TrialRecord], dict, int]:
 def _cmd_solve(args) -> int:
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
-    oracle = (
-        build_fixture(args.oracle.split(":", 1)[1]).fresh_oracle()
-        if args.oracle.startswith("adversary:")
-        else build_oracle(args.oracle, instance)
-    )
+    if args.oracle.startswith("adversary:"):
+        name = args.oracle.split(":", 1)[1]
+        fixture = build_fixture(name)
+        if (instance.model, instance.areas) != (fixture.instance.model, fixture.instance.areas):
+            raise ConfigError(f"adversary {name!r} plays only its own fixture instance")
+        oracle = fixture.fresh_oracle()
+    else:
+        oracle = build_oracle(args.oracle, instance)
     budget = args.budget or default_budget(len(instance.areas))
     if isinstance(instance.problem, UncertainGraph):
         report, answer = umst_solve(instance, oracle, budget)
@@ -675,10 +679,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StrategyModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except EngineError as exc:
+    except (ConfigError, StrategyModelError, ValueError, EngineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 

@@ -3,12 +3,29 @@
 Kruskal-style growth ordered by lower bounds under an index-breaking
 comparison operator; cycles are resolved either by deleting an edge whose
 lower bound dominates every other cycle edge's upper bound (the red rule) or,
-when no such edge exists, by querying a two-edge witness pair and restarting.
+when no such edge exists, by querying a two-edge witness pair.
+
+A pass decides with exact integers: each endpoint becomes the rank
+value·D·E + edge index, where D is the lcm of all endpoint denominators and E
+the edge count, so every comparison of the operator is one int comparison.
+In a pass ordered by lower bounds the red rule can only delete the edge that
+closes the cycle, so the forest only grows: tree labels tell whether an edge
+closes a cycle, and only then is the forest path walked.
+
+After a witness round the next pass resumes rather than restarts.  It replays
+the previous pass on the prefix of the edge order ahead of both queried
+edges, adding or deleting each edge without a path walk or a red-rule check,
+and continues from there.  This is exact: a response lies inside the queried
+area, so lower bounds never decrease and every edge ahead of the queried
+pair keeps its place in the order; processing such an edge reads only the
+forest built from that prefix and the prefix's weights, none of which
+changed.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,96 +108,155 @@ def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
     operator; g is the smallest-index other edge whose upper bound does not
     precede f's lower bound.
     """
-    candidates = [e for e in cycle if always_maximal(cycle, e, weights)]
-    if candidates:
-        pick = candidates[0]
-        for e in candidates[1:]:
-            if edge_prec(weights[pick].hi, pick, weights[e].hi, e):
-                pick = e
-        return ("delete", pick)
-    f = cycle[0]
-    for e in cycle[1:]:
-        if edge_prec(weights[f].hi, f, weights[e].hi, e):
-            f = e
-    partners = [
-        g for g in sorted(cycle)
-        if g != f and not edge_prec(weights[g].hi, g, weights[f].lo, f)
-    ]
-    if not partners:
-        raise AssertionError("no witness partner despite no always-maximal edge")
-    return ("witness", (f, partners[0]))
+    if len(cycle) < 2:
+        raise ValueError("a cycle needs at least two edges")
+    lo_rank, hi_rank = _ranks(weights)
+    return _witness_or_delete(cycle, lo_rank, hi_rank)
+
+
+def _ranks(weights: Sequence[Area]) -> Tuple[List[int], List[int]]:
+    """Exact integer ranks of every lo and hi endpoint: value·D·E + index,
+    where D is the lcm of all endpoint denominators and E = len(weights).
+    Two ranks of different edges compare exactly as edge_prec does on their
+    values, since the index term is below E and only breaks value ties."""
+    n = len(weights)
+    los = [w.lo.as_integer_ratio() for w in weights]
+    his = [w.hi.as_integer_ratio() for w in weights]
+    scale = math.lcm(*{q for _, q in los}, *{q for _, q in his}) * n
+    lo_rank = [p * scale // q + e for e, (p, q) in enumerate(los)]
+    hi_rank = [p * scale // q + e for e, (p, q) in enumerate(his)]
+    return lo_rank, hi_rank
+
+
+def _witness_or_delete(cycle: Sequence[int], lo_rank: List[int], hi_rank: List[int]):
+    """mst_witness_or_delete on integer ranks, in O(len(cycle)).
+
+    An edge is always maximal iff the largest other upper bound precedes its
+    lower bound.  Only f, the edge with the largest upper bound, can be: any
+    other edge has f's upper bound above its own upper bound, hence above its
+    lower bound.  And f is iff the second-largest upper bound precedes lo(f).
+    """
+    f = max(cycle, key=hi_rank.__getitem__)
+    lo_f = lo_rank[f]
+    if max(hi_rank[c] for c in cycle if c != f) < lo_f:
+        return ("delete", f)
+    return ("witness", (f, min(g for g in cycle if g != f and hi_rank[g] > lo_f)))
 
 
 class _Forest:
-    """Spanning forest with cycle extraction; small graphs, so plain BFS."""
+    """Kruskal forest with every tree rooted.  Parent pointers give the path
+    between two vertices of one tree in O(path length); a link hangs the
+    smaller tree below the larger one, re-rooted at its linked vertex, and
+    relabels it, so a vertex's label names its tree."""
 
-    def __init__(self) -> None:
-        self.adj: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    def __init__(self, vertices: int) -> None:
+        self.adj: List[List[Tuple[int, int]]] = [[] for _ in range(vertices)]
+        self.up = [-1] * vertices
+        self.up_edge = [-1] * vertices
+        self.depth = [0] * vertices
+        self.label = list(range(vertices))
+        self.size = [1] * vertices
 
-    def path_edges(self, u: int, v: int) -> Optional[List[int]]:
-        if u == v:
-            return []
-        prev: Dict[int, Tuple[int, int]] = {}
-        seen = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for x, e in self.adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    prev[x] = (w, e)
-                    if x == v:
-                        path = []
-                        while x != u:
-                            w2, e2 = prev[x]
-                            path.append(e2)
-                            x = w2
-                        return path
-                    stack.append(x)
-        return None
+    def connected(self, u: int, v: int) -> bool:
+        return self.label[u] == self.label[v]
 
-    def add(self, u: int, v: int, e: int) -> None:
+    def link(self, u: int, v: int, e: int) -> None:
+        label, size, up, up_edge, depth = self.label, self.size, self.up, self.up_edge, self.depth
+        if size[label[u]] > size[label[v]]:
+            u, v = v, u
+        c = label[v]
+        size[c] += size[label[u]]
         self.adj[u].append((v, e))
         self.adj[v].append((u, e))
+        up[u], up_edge[u], depth[u], label[u] = v, e, depth[v] + 1, c
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, f in self.adj[x]:
+                if label[y] != c:
+                    up[y], up_edge[y], depth[y], label[y] = x, f, depth[x] + 1, c
+                    stack.append(y)
 
-    def remove(self, u: int, v: int, e: int) -> None:
-        self.adj[u].remove((v, e))
-        self.adj[v].remove((u, e))
+    def path(self, u: int, v: int) -> List[int]:
+        """Edges of the path between two vertices of one tree."""
+        up, up_edge, depth = self.up, self.up_edge, self.depth
+        path = []
+        du, dv = depth[u], depth[v]
+        for _ in range(du - dv):
+            path.append(up_edge[u])
+            u = up[u]
+        for _ in range(dv - du):
+            path.append(up_edge[v])
+            v = up[v]
+        while u != v:
+            path.append(up_edge[u])
+            path.append(up_edge[v])
+            u, v = up[u], up[v]
+        return path
 
 
-def mst_pass(graph: UncertainGraph, weights: Sequence[Area]):
+@dataclass
+class PassLog:
+    """What the last pass read and how far it got, for the next pass to
+    replay: the weights, the edge order, and the number of edges processed
+    before the witness cycle (all of them when the pass finished)."""
+
+    weights: Tuple[Area, ...] = ()
+    order: List[int] = field(default_factory=list)
+    processed: int = 0
+
+
+def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassLog] = None):
     """One Kruskal pass over the current weights.
 
     Returns ('done', tree_indices, red_rule_count) when every cycle closed
     during growth had a red-rule deletion, or ('witness', (f, g)) at the
     first cycle that needs queries to resolve.
+
+    The red rule only ever deletes the edge closing the cycle: when e is
+    processed, every other cycle edge c has lo(c) before lo(e), and lo(e) is
+    not after hi(e), so hi(e) cannot precede lo(c) and c is never always
+    maximal.  The forest therefore only grows, and an edge joins it iff it
+    links two trees.
+
+    With a log from an earlier pass over the same graph, the pass replays
+    the longest processed prefix of that pass's order whose edges kept their
+    positions and their weights (compared by identity; areas are immutable).
+    Each of those edges was added or deleted without queries, so the replay
+    needs only the tree labels, no path or chooser.  The log is then
+    overwritten with this pass.  The result is the same as without a log.
     """
-    order = sorted(
-        range(graph.n_edges), key=lambda e: (weights[e].lo, e)
-    )
-    forest = _Forest()
-    in_tree: set = set()
+    edges = graph.edges
+    lo_rank, hi_rank = _ranks(weights)
+    order = sorted(range(graph.n_edges), key=lo_rank.__getitem__)
+    replay = 0
+    if log is not None:
+        for e, old in zip(order, log.order[: log.processed]):
+            if e != old or weights[e] is not log.weights[e]:
+                break
+            replay += 1
+        log.weights, log.order = tuple(weights), order
+    forest = _Forest(graph.vertices)
+    tree = []
     red = 0
-    for e in order:
-        u, v = graph.edges[e]
-        path = forest.path_edges(u, v)
-        if path is None:
-            forest.add(u, v, e)
-            in_tree.add(e)
+    for i, e in enumerate(order):
+        u, v = edges[e]
+        if not forest.connected(u, v):
+            forest.link(u, v, e)
+            tree.append(e)
             continue
-        cycle = path + [e]
-        action, payload = mst_witness_or_delete(cycle, weights)
-        if action == "witness":
-            return ("witness", payload)
+        if i >= replay:
+            cycle = forest.path(u, v)
+            cycle.append(e)
+            action, payload = _witness_or_delete(cycle, lo_rank, hi_rank)
+            if action == "witness":
+                if log is not None:
+                    log.processed = i
+                return ("witness", payload)
         red += 1
-        if payload == e:
-            continue
-        du, dv = graph.edges[payload]
-        forest.remove(du, dv, payload)
-        in_tree.discard(payload)
-        forest.add(u, v, e)
-        in_tree.add(e)
-    return ("done", frozenset(in_tree), red)
+    if log is not None:
+        log.processed = len(order)
+    return ("done", frozenset(tree), red)
 
 
 def mst_verifier(graph: UncertainGraph):
@@ -201,8 +277,11 @@ def umst_solve(
 ) -> Tuple[RunReport, Optional[MstAnswer]]:
     """Grow, resolve cycles, query witness pairs until a pass completes.
 
-    Reprocessing restarts from scratch after each witness query round; only
-    query counts matter for the competitive accounting.
+    Each pass after a witness round resumes from the previous one: the
+    actions taken on the edges ahead of both queried edges are replayed, not
+    recomputed.  Responses only shrink areas, so those edges keep their
+    places in the lo order and their weights, and the replayed forest, tree
+    and red-rule count equal those of a pass restarted from scratch.
     """
     graph = instance.problem
     if not isinstance(graph, UncertainGraph):
@@ -214,12 +293,13 @@ def umst_solve(
         raise EngineError(f"invalid instance: {violations[0].reason}")
 
     weights: List[Area] = list(instance.areas)
+    pass_log = PassLog()
     counts: Dict[int, int] = {}
     log: List[Tuple[int, Area]] = []
     trace: List[tuple] = []
 
     while True:
-        result = mst_pass(graph, weights)
+        result = mst_pass(graph, weights, pass_log)
         if result[0] == "done":
             _, tree, red = result
             report = RunReport(

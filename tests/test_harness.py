@@ -260,3 +260,54 @@ class TestCli:
         ]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 1 and payload["answer"] == 1
+
+    def test_missing_instance_file_exit_code(self, tmp_path, capsys):
+        code = main(["solve", "--instance", str(tmp_path / "absent.json")])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ground_oracle_without_hidden_exit_code(self, tmp_path, capsys):
+        inst = generate_graph_instance(
+            GraphGenParams(vertices=5, extra_edges=3, model=ModelSpec.parse("OC-OC")), 1
+        )
+        data = instance_to_json(inst)
+        del data["hidden"]
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        code = main(["solve", "--instance", str(inst_path), "--oracle", "ground:halve"])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, algorithm", [
+        ("min-tight", "min1-witness"), ("kmin-point", "kmin-witness"),
+        ("cp-anomaly", "min1-witness"), ("opo-counter", "min1-witness"),
+    ])
+    def test_adversary_plays_its_own_fixture(self, tmp_path, capsys, name, algorithm):
+        inst_path = tmp_path / "fixture.json"
+        assert main(["fixtures", "--name", name, "--out", str(inst_path)]) == EXIT_OK
+        assert main([
+            "solve", "--instance", str(inst_path), "--algorithm", algorithm,
+            "--oracle", f"adversary:{name}",
+        ]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "solved"
+
+    # Both instances ran to "solved" against the fixture's adversary before
+    # the refusal.
+    @pytest.mark.parametrize("gen_args", [
+        ["--model", "OC-OC", "--problem", "mst", "--vertices", "5", "--seed", "1"],
+        ["--model", "O-O", "--n", "4", "--seed", "1"],
+    ])
+    def test_adversary_refuses_unrelated_instance(self, tmp_path, capsys, gen_args):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", *gen_args, "--out", str(inst_path)]) == EXIT_OK
+        code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_adversary_refuses_resized_fixture(self, tmp_path, capsys):
+        inst_path = tmp_path / "fixture.json"
+        main(["fixtures", "--name", "min-tight", "--n", "4", "--out", str(inst_path)])
+        code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
+        assert code == EXIT_INVALID_CONFIG

@@ -4,11 +4,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_mst_pass, reference_umst, reference_witness_or_delete
 from uncquery.core import Area
 from uncquery.engine import EngineError, RunStatus
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
+    PassLog,
     UncertainGraph,
     always_maximal,
     edge_prec,
@@ -17,7 +21,7 @@ from uncquery.mst import (
     mst_witness_or_delete,
     umst_solve,
 )
-from uncquery.oracles import ExactPolicy, GroundTruthOracle
+from uncquery.oracles import GroundTruthOracle
 from uncquery.optbrute import opt_value
 
 
@@ -27,6 +31,17 @@ def O(lo, hi):
 
 def C(lo, hi):
     return Area.closed(lo, hi)
+
+
+F = Fraction
+# Weights for the exhaustive chooser grids: touching and nested bounds, points,
+# negative endpoints, and coprime denominators (1/3, 1/7, 1/11), so that the
+# pass's common-denominator integer ranks meet every tie that edge_prec breaks.
+GRID = [
+    O(1, 2), C(1, 2), O(2, 3), C(3, 4), Area.point(2),
+    O(F(-1, 3), F(1, 7)), C(-2, F(-1, 11)), Area.point(F(-1, 3)),
+    C(F(1, 7), 2), O(F(-1, 11), F(1, 3)), Area.point(F(1, 7)),
+]
 
 
 class TestEdgePrec:
@@ -59,8 +74,7 @@ class TestAlwaysMaximal:
 
     def test_at_most_one_per_cycle(self):
         # Two always-maximal edges on one cycle would each dominate the other.
-        grids = [O(1, 2), C(1, 2), O(2, 3), C(3, 4), Area.point(2)]
-        for combo in itertools.product(grids, repeat=3):
+        for combo in itertools.product(GRID, repeat=3):
             w = list(combo)
             cycle = [0, 1, 2]
             assert sum(always_maximal(cycle, e, w) for e in cycle) <= 1
@@ -80,6 +94,20 @@ class TestWitnessOrDelete:
     def test_parallel_certain_edges(self):
         action, payload = mst_witness_or_delete([0, 1], [Area.point(1), Area.point(2)])
         assert (action, payload) == ("delete", 1)
+
+    def test_short_cycle_rejected(self):
+        with pytest.raises(ValueError):
+            mst_witness_or_delete([0], [O(1, 2)])
+
+    def test_matches_definition_on_grid(self):
+        # The O(L) chooser on integer ranks against the O(L^2) definition on
+        # Fractions, for every cycle order and a cycle that skips an index.
+        for combo in itertools.product(GRID, repeat=3):
+            w = list(combo)
+            for cycle in ([0, 1, 2], [2, 0, 1], [1, 0]):
+                assert mst_witness_or_delete(cycle, w) == reference_witness_or_delete(cycle, w)
+            w.insert(1, C(-5, 5))
+            assert mst_witness_or_delete([3, 0, 2], w) == reference_witness_or_delete([3, 0, 2], w)
 
 
 def _triangle(weights, model="OC-OC", hidden=None):
@@ -181,3 +209,67 @@ class TestUmstSolve:
         )
         status, tree, red = mst_pass(graph, inst.areas)
         assert status == "done" and tree == frozenset({0})
+
+
+@st.composite
+def graph_instances(draw):
+    """Connected graphs on 3-10 vertices with parallel edges allowed.  Lower
+    bounds come from a small grid so they repeat; OCP-P instances also carry
+    point weights and are revealed exactly, OC-OC ones are halved."""
+    model = draw(st.sampled_from(["OC-OC", "OCP-P"]))
+    vertices = draw(st.integers(3, 10))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, vertices)]
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    edges += draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=2 * vertices))
+    edges = draw(st.permutations(edges))
+    areas, hidden = [], []
+    for _ in edges:
+        lo = F(draw(st.integers(-2, 3)), draw(st.sampled_from([1, 2, 3])))
+        length = F(draw(st.integers(0 if model == "OCP-P" else 1, 3)), draw(st.sampled_from([1, 7])))
+        if length == 0:
+            areas.append(Area.point(lo))
+            hidden.append(lo)
+            continue
+        closed = draw(st.booleans())
+        areas.append(C(lo, lo + length) if closed else O(lo, lo + length))
+        j = draw(st.integers(0 if closed else 1, 8 if closed else 7))
+        hidden.append(lo + length * F(j, 8))
+    return UncertainInstance(
+        model=ModelSpec.parse(model),
+        areas=tuple(areas),
+        problem=UncertainGraph(vertices, tuple(edges)),
+        hidden=tuple(hidden),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_instances())
+def test_resumed_passes_match_restarting_reference(inst):
+    oracle = GroundTruthOracle.for_instance(inst)
+    budget = 4 * inst.problem.n_edges
+    report, answer = umst_solve(inst, oracle.fork(), budget)
+    log, tree, red = reference_umst(inst, oracle.fork(), budget)
+    assert report.query_log == log
+    if tree is None:
+        assert report.status is RunStatus.BUDGET_EXCEEDED and answer is None
+    else:
+        assert report.status is RunStatus.SOLVED
+        assert (answer.tree, answer.red_rule_count) == (tree, red)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_instances(), st.data())
+def test_replayed_pass_matches_fresh_pass_after_any_change(inst, data):
+    # Changes a solve never makes (a lower bound dropping, an area swapped for
+    # another edge's) as well as ones it does (a hi shrinking at a fixed lo,
+    # a reveal) must all stop the replay where the fresh pass would differ.
+    graph, weights = inst.problem, list(inst.areas)
+    log = PassLog()
+    for _ in range(4):
+        assert mst_pass(graph, weights, log) == reference_mst_pass(graph, weights)
+        for e in data.draw(st.lists(st.integers(0, graph.n_edges - 1), min_size=1, max_size=2)):
+            w = weights[e]
+            weights[e] = data.draw(st.sampled_from([
+                Area.point(w.lo), Area.point(w.hi), C(w.lo - 1, w.hi),
+                weights[data.draw(st.integers(0, graph.n_edges - 1))],
+            ]))
