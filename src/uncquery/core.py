@@ -5,14 +5,22 @@ interval with per-endpoint open/closed kinds, or a single point (modelled as a
 degenerate closed interval).  Endpoints are exact rationals; there is no
 epsilon anywhere, which is what makes the closed-endpoint tie rules sound.
 
+Hot paths compare integer images instead of Fractions.  `int_images` scales
+every lo and hi endpoint of a vector by D, the lcm of all their denominators,
+so each image p·(D/q) is an int.  Scaling by one positive constant preserves
+order and equality, so any comparison between two endpoints of the same
+vector is exactly the comparison of their images, with no floats and no
+rounding.  Images of different vectors (different D) are not comparable.
+
 All values are immutable and all functions are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -185,34 +193,54 @@ def _check_subset(areas: AreaVector, subset: Optional[Iterable[int]]) -> list:
     return idx
 
 
+def int_images(areas: AreaVector) -> Tuple[List[int], List[int]]:
+    """lo·D and hi·D of every area as ints, D the lcm of all lo and hi
+    denominators: exactly the order and equality of the endpoints."""
+    los = [a.lo.as_integer_ratio() for a in areas]
+    his = [a.hi.as_integer_ratio() for a in areas]
+    d = math.lcm(*{q for _, q in los}, *{q for _, q in his})
+    return [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
+
+
 def order_l(
     areas: AreaVector,
     subset: Optional[Iterable[int]] = None,
     tie_rule: TieRule = TieRule.STABLE,
+    lo_image: Optional[Sequence[int]] = None,
 ) -> list:
     """Indices of `subset` sorted ascending by lo value.
 
     Stable ties keep index order.  Lex ties put an area that attains its lo
     endpoint (closed end or point) before one that does not; remaining ties
-    go to the smaller index.
+    go to the smaller index.  `lo_image` is the lo list of `int_images(areas)`
+    when the caller already has it.
     """
-    idx = _check_subset(areas, subset)
+    # Sorting the indices first makes the stable sorts break every remaining
+    # tie toward the smaller index.
+    idx = sorted(_check_subset(areas, subset))
+    if lo_image is None:
+        lo_image = int_images(areas)[0]
     if tie_rule is TieRule.STABLE:
-        return sorted(idx, key=lambda i: (areas[i].lo, i))
-    return sorted(idx, key=lambda i: (areas[i].lo, 0 if areas[i].attains_lo else 1, i))
+        return sorted(idx, key=lo_image.__getitem__)
+    return sorted(idx, key=lambda i: (lo_image[i], not areas[i].attains_lo))
 
 
 def order_u(
     areas: AreaVector,
     subset: Optional[Iterable[int]] = None,
     tie_rule: TieRule = TieRule.STABLE,
+    hi_image: Optional[Sequence[int]] = None,
 ) -> list:
     """Indices of `subset` sorted ascending by hi value.
 
     Lex ties are the mirror of order_l: an area attaining its hi endpoint
     orders after one that does not; remaining ties to the smaller index.
+    `hi_image` is the hi list of `int_images(areas)` when the caller already
+    has it.
     """
-    idx = _check_subset(areas, subset)
+    idx = sorted(_check_subset(areas, subset))
+    if hi_image is None:
+        hi_image = int_images(areas)[1]
     if tie_rule is TieRule.STABLE:
-        return sorted(idx, key=lambda i: (areas[i].hi, i))
-    return sorted(idx, key=lambda i: (areas[i].hi, 1 if areas[i].attains_hi else 0, i))
+        return sorted(idx, key=hi_image.__getitem__)
+    return sorted(idx, key=lambda i: (hi_image[i], areas[i].attains_hi))

@@ -79,6 +79,17 @@ def instance_to_json(instance: UncertainInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> UncertainInstance:
+    """The instance a JSON object describes; a missing key or a value of the
+    wrong shape raises ConfigError."""
+    try:
+        return _parse_instance(data)
+    except KeyError as exc:
+        raise ConfigError(f"malformed instance JSON: missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ConfigError(f"malformed instance JSON: {exc}") from None
+
+
+def _parse_instance(data: dict) -> UncertainInstance:
     model = ModelSpec.from_json(data["model"])
     pjson = data["problem"]
     if pjson["type"] == "kmin":

@@ -23,13 +23,12 @@ changed.
 """
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Area
+from .core import Area, int_images
 from .engine import EngineError, OracleResponseError, RunReport, RunStatus
 from .models import UncertainInstance, validate_instance, validate_response
 
@@ -116,16 +115,15 @@ def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
 
 def _ranks(weights: Sequence[Area]) -> Tuple[List[int], List[int]]:
     """Exact integer ranks of every lo and hi endpoint: value·D·E + index,
-    where D is the lcm of all endpoint denominators and E = len(weights).
+    where value·D is the integer image of `int_images` and E = len(weights).
     Two ranks of different edges compare exactly as edge_prec does on their
     values, since the index term is below E and only breaks value ties."""
     n = len(weights)
-    los = [w.lo.as_integer_ratio() for w in weights]
-    his = [w.hi.as_integer_ratio() for w in weights]
-    scale = math.lcm(*{q for _, q in los}, *{q for _, q in his}) * n
-    lo_rank = [p * scale // q + e for e, (p, q) in enumerate(los)]
-    hi_rank = [p * scale // q + e for e, (p, q) in enumerate(his)]
-    return lo_rank, hi_rank
+    lo_image, hi_image = int_images(weights)
+    return (
+        [v * n + e for e, v in enumerate(lo_image)],
+        [v * n + e for e, v in enumerate(hi_image)],
+    )
 
 
 def _witness_or_delete(cycle: Sequence[int], lo_rank: List[int], hi_rank: List[int]):

@@ -5,9 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence
 
-from .core import Area, AreaVector, TieRule, order_l, order_u, surely_leq, surely_lt
+# order_u is not called here; it stays importable from this module, where
+# callers look the orderings up next to the choosers.
+from .core import (  # noqa: F401
+    Area, AreaVector, TieRule, _check_subset, int_images, order_l, order_u,
+)
 
 
 class Objective(Enum):
@@ -28,22 +33,6 @@ class SelectionProblem:
             raise ValueError(f"k={self.k} out of range for n={n}")
 
 
-def _before_ok(candidate: int, competitor: int, areas: AreaVector, tie_rule: TieRule) -> bool:
-    """Competitor is surely ranked before the candidate answer."""
-    a, b = areas[competitor], areas[candidate]
-    if tie_rule is TieRule.LEX and competitor > candidate:
-        return surely_lt(a, b)
-    return surely_leq(a, b)
-
-
-def _after_ok(candidate: int, competitor: int, areas: AreaVector, tie_rule: TieRule) -> bool:
-    """Competitor is surely ranked after the candidate answer."""
-    a, b = areas[candidate], areas[competitor]
-    if tie_rule is TieRule.LEX and competitor < candidate:
-        return surely_lt(a, b)
-    return surely_leq(a, b)
-
-
 def kmin_verifier(
     areas: AreaVector, k: int, tie_rule: TieRule = TieRule.STABLE
 ) -> Optional[int]:
@@ -56,13 +45,28 @@ def kmin_verifier(
     n = len(areas)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    order = order_l(areas, None, tie_rule)
+    lo, hi = int_images(areas)
+    order = order_l(areas, None, tie_rule, lo)
     pk = order[k - 1]
+    lo_pk, hi_pk = lo[pk], hi[pk]
+    if tie_rule is TieRule.STABLE:
+        # Non-strict separations only; the tail's smallest lo is its head's.
+        if k > 1 and max(map(hi.__getitem__, order[: k - 1])) > lo_pk:
+            return None
+        if k < n and lo[order[k]] < hi_pk:
+            return None
+        return pk
+    # A strict separation fails on an equal endpoint value iff both areas
+    # attain it (surely_lt); a non-strict one never does.
     for i in order[: k - 1]:
-        if not _before_ok(pk, i, areas, tie_rule):
+        if hi[i] > lo_pk or (
+            hi[i] == lo_pk and i > pk and areas[i].attains_hi and areas[pk].attains_lo
+        ):
             return None
     for j in order[k:]:
-        if not _after_ok(pk, j, areas, tie_rule):
+        if lo[j] > hi_pk:
+            break  # the tail is sorted by lo, so the rest lies strictly above
+        if lo[j] < hi_pk or (j < pk and areas[pk].attains_hi and areas[j].attains_lo):
             return None
     return pk
 
@@ -71,14 +75,36 @@ def min1_verifier(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> Opti
     return kmin_verifier(areas, 1, tie_rule)
 
 
-def _first_nonpoints(areas: AreaVector, ordering: Sequence[int], limit: int) -> List[int]:
-    out = []
-    for i in ordering:
-        if not areas[i].is_point:
-            out.append(i)
-            if len(out) == limit:
-                break
-    return out
+def _first_nonpoints(
+    ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int], limit: int
+) -> List[int]:
+    return list(islice((i for i in ordering if lo[i] != hi[i]), limit))
+
+
+def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -> List[int]:
+    picked = _first_nonpoints(ordering, lo, hi, 2)
+    if not picked:
+        raise ValueError("no queriable area available for a witness set")
+    return picked
+
+
+def _max_u(areas: AreaVector, members: Sequence[int], hi: Sequence[int], tie_rule: TieRule) -> int:
+    """order_u(areas, members, tie_rule)[-1] in O(len(members)): the largest
+    hi; among ties, under lex an area attaining it, then the larger index."""
+    top = max(map(hi.__getitem__, members))
+    tied = [i for i in members if hi[i] == top]
+    if tie_rule is TieRule.LEX:
+        tied = [i for i in tied if areas[i].attains_hi] or tied
+    return max(tied)
+
+
+def _max_hi_head(members: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -> List[int]:
+    """The queriable member with the largest hi, ties to the smaller index."""
+    picked = [i for i in members if lo[i] != hi[i]]
+    if not picked:
+        raise ValueError("no queriable area available")
+    top = max(map(hi.__getitem__, picked))
+    return [min(i for i in picked if hi[i] == top)]
 
 
 def min1_witness(
@@ -87,11 +113,8 @@ def min1_witness(
     subset: Optional[Sequence[int]] = None,
 ) -> List[int]:
     """The two lo-order heads, skipping point areas (points are unqueriable)."""
-    ordering = order_l(areas, subset, tie_rule)
-    picked = _first_nonpoints(areas, ordering, 2)
-    if not picked:
-        raise ValueError("no queriable area available for a witness set")
-    return picked
+    lo, hi = int_images(areas)
+    return _two_heads(order_l(areas, subset, tie_rule, lo), lo, hi)
 
 
 def kmin_witness(
@@ -102,46 +125,39 @@ def kmin_witness(
     If the k-1 smallest-by-lo areas are surely below everything else, the
     problem reduces to 1-Min on the rest.  Otherwise pair the k-th head with
     the member of the prefix having the largest u value.
+
+    The separation test is O(n): every prefix area is surely at most every
+    tail area iff max(hi over the prefix) <= min(lo over the tail), and the
+    smallest lo of the tail is its head's.  An empty prefix is separated.
     """
-    order = order_l(areas, None, tie_rule)
-    prefix = order[: k - 1]
+    lo, hi = int_images(areas)
+    order = order_l(areas, None, tie_rule, lo)
     tail = order[k - 1 :]
     pk = tail[0]
-    if all(surely_leq(areas[i], areas[j]) for i in prefix for j in tail):
-        return min1_witness(areas, tie_rule, subset=tail)
-    q1 = order_u(areas, prefix, tie_rule)[-1]
-    picked = [i for i in (pk, q1) if not areas[i].is_point]
-    if len(picked) < 1:
-        # Both chosen heads are points; fall back to intervals actually
-        # blocking the verifier so the emitted set still hits every solution.
-        blockers = [
-            i
-            for i in order
-            if not areas[i].is_point
-            and (not surely_leq(areas[i], areas[pk]) or not surely_leq(areas[pk], areas[i]))
-        ]
-        picked = blockers[:2] or _first_nonpoints(areas, order, 2)
-    if not picked:
-        raise ValueError("no queriable area available for a witness set")
-    return picked
+    if k > 1:
+        q1 = _max_u(areas, order[: k - 1], hi, tie_rule)
+        if hi[q1] > lo[pk]:
+            # Not separated.  q1 is never a point: hi(q1) > lo(pk) >= lo(q1),
+            # since the prefix precedes pk in lo order.  Only pk can be one,
+            # so the pair always holds a queriable area.
+            return [q1] if lo[pk] == hi[pk] else [pk, q1]
+    return _two_heads(tail, lo, hi)
 
 
 def min1_bypass_witness(areas: AreaVector) -> List[int]:
     """Singleton lo-order head; additive (OPT+1) guarantee, OP-P only."""
-    picked = _first_nonpoints(areas, order_l(areas), 1)
+    lo, hi = int_images(areas)
+    picked = _first_nonpoints(order_l(areas, None, TieRule.STABLE, lo), lo, hi, 1)
     if not picked:
         raise ValueError("no queriable area available")
     return picked
 
 
 def max1_bypass_witness(areas: AreaVector, subset: Sequence[int]) -> List[int]:
-    """Mirror of the 1-Min bypass on a subset: the largest-hi queriable head."""
-    mirrored = [a.mirror() for a in areas]
-    ordering = order_l(mirrored, subset)
-    picked = _first_nonpoints(areas, ordering, 1)
-    if not picked:
-        raise ValueError("no queriable area available")
-    return picked
+    """Mirror of the 1-Min bypass on a subset: the largest-hi queriable head,
+    ties to the smaller index."""
+    lo, hi = int_images(areas)
+    return _max_hi_head(_check_subset(areas, subset), lo, hi)
 
 
 def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
@@ -150,21 +166,20 @@ def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
     While the k smallest-by-lo areas are not surely below the rest, query the
     one among them with the largest u value; once they are separated, run the
     1-Max bypass inside that prefix.
+
+    The separation test is O(n), as in kmin_witness: max(hi over the prefix)
+    <= the smallest lo of the rest, which is its head's.  An empty rest is
+    separated.
     """
-    order = order_l(areas)
+    lo, hi = int_images(areas)
+    order = order_l(areas, None, TieRule.STABLE, lo)
     prefix = order[:k]
-    rest = order[k:]
-    separated = all(surely_leq(areas[i], areas[j]) for i in prefix for j in rest)
-    if not separated:
-        by_u = order_u(areas, prefix)
-        for q in reversed(by_u):
-            if not areas[q].is_point:
-                return [q]
-        picked = _first_nonpoints(areas, order, 1)
-        if not picked:
-            raise ValueError("no queriable area available")
-        return picked
-    return max1_bypass_witness(areas, prefix)
+    if k < len(order):
+        q = _max_u(areas, prefix, hi, TieRule.STABLE)
+        if hi[q] > lo[order[k]]:
+            # Not separated, so q is not a point: hi(q) > lo(order[k]) >= lo(q).
+            return [q]
+    return _max_hi_head(prefix, lo, hi)
 
 
 def mirror_areas(areas: AreaVector) -> List[Area]:

@@ -1,11 +1,14 @@
-"""Shared test utilities: exhaustive realization checking, affine maps, and
-the restart-from-scratch uMST pass that the resumable one is checked against."""
+"""Shared test utilities: exhaustive realization checking, affine maps, the
+Fraction-based orderings and selection choosers, and the restart-from-scratch
+uMST pass that the integer-image code is checked against."""
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence
 
-from uncquery.core import Area, TieRule
+from hypothesis import strategies as st
+
+from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
 from uncquery.models import validate_response
 from uncquery.mst import always_maximal, edge_prec
 
@@ -55,6 +58,130 @@ def affine_map_area(area: Area, m: Fraction, b: Fraction) -> Area:
     """Strictly increasing affine image; preserves kinds and order relations."""
     assert m > 0
     return Area(m * area.lo + b, m * area.hi + b, area.lo_kind, area.hi_kind)
+
+
+# Endpoints on a small grid of coprime denominators: values repeat often
+# (1/1 = 7/7), share a denominator or need a large lcm, and go negative.
+grid_endpoints = st.builds(
+    Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 7, 11, 101, 7919))
+)
+
+
+@st.composite
+def grid_areas(draw):
+    """Open, closed, half-open and point areas on `grid_endpoints`."""
+    lo, hi = sorted((draw(grid_endpoints), draw(grid_endpoints)))
+    if lo == hi or draw(st.integers(0, 4)) == 0:
+        return Area.point(lo)
+    kinds = draw(st.sampled_from(list(product(EndpointKind, repeat=2))))
+    return Area(lo, hi, *kinds)
+
+
+grid_vectors = st.lists(grid_areas(), min_size=1, max_size=8)
+
+
+# ---------------------------------------------------------------------------
+# Selection on Fractions: the orderings, the verifier and the witness choosers
+# exactly as they read before they moved to integer images, including the
+# all-pairs separation test and the point fallbacks.
+
+
+def reference_order_l(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
+    idx = list(range(len(areas))) if subset is None else list(subset)
+    if tie_rule is TieRule.STABLE:
+        return sorted(idx, key=lambda i: (areas[i].lo, i))
+    return sorted(idx, key=lambda i: (areas[i].lo, 0 if areas[i].attains_lo else 1, i))
+
+
+def reference_order_u(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
+    idx = list(range(len(areas))) if subset is None else list(subset)
+    if tie_rule is TieRule.STABLE:
+        return sorted(idx, key=lambda i: (areas[i].hi, i))
+    return sorted(idx, key=lambda i: (areas[i].hi, 1 if areas[i].attains_hi else 0, i))
+
+
+def _reference_before_ok(candidate, competitor, areas, tie_rule) -> bool:
+    a, b = areas[competitor], areas[candidate]
+    if tie_rule is TieRule.LEX and competitor > candidate:
+        return surely_lt(a, b)
+    return surely_leq(a, b)
+
+
+def _reference_after_ok(candidate, competitor, areas, tie_rule) -> bool:
+    a, b = areas[candidate], areas[competitor]
+    if tie_rule is TieRule.LEX and competitor < candidate:
+        return surely_lt(a, b)
+    return surely_leq(a, b)
+
+
+def reference_kmin_verifier(areas, k, tie_rule=TieRule.STABLE) -> Optional[int]:
+    order = reference_order_l(areas, None, tie_rule)
+    pk = order[k - 1]
+    for i in order[: k - 1]:
+        if not _reference_before_ok(pk, i, areas, tie_rule):
+            return None
+    for j in order[k:]:
+        if not _reference_after_ok(pk, j, areas, tie_rule):
+            return None
+    return pk
+
+
+def _reference_first_nonpoints(areas, ordering, limit) -> List[int]:
+    out = []
+    for i in ordering:
+        if not areas[i].is_point:
+            out.append(i)
+            if len(out) == limit:
+                break
+    return out
+
+
+def reference_min1_witness(areas, tie_rule=TieRule.STABLE, subset=None) -> List[int]:
+    picked = _reference_first_nonpoints(areas, reference_order_l(areas, subset, tie_rule), 2)
+    if not picked:
+        raise ValueError("no queriable area available for a witness set")
+    return picked
+
+
+def reference_kmin_witness(areas, k, tie_rule=TieRule.STABLE) -> List[int]:
+    order = reference_order_l(areas, None, tie_rule)
+    prefix = order[: k - 1]
+    tail = order[k - 1 :]
+    pk = tail[0]
+    if all(surely_leq(areas[i], areas[j]) for i in prefix for j in tail):
+        return reference_min1_witness(areas, tie_rule, subset=tail)
+    q1 = reference_order_u(areas, prefix, tie_rule)[-1]
+    picked = [i for i in (pk, q1) if not areas[i].is_point]
+    if len(picked) < 1:
+        blockers = [
+            i
+            for i in order
+            if not areas[i].is_point
+            and (not surely_leq(areas[i], areas[pk]) or not surely_leq(areas[pk], areas[i]))
+        ]
+        picked = blockers[:2] or _reference_first_nonpoints(areas, order, 2)
+    if not picked:
+        raise ValueError("no queriable area available for a witness set")
+    return picked
+
+
+def reference_kmin_bypass_witness(areas, k) -> List[int]:
+    order = reference_order_l(areas)
+    prefix = order[:k]
+    rest = order[k:]
+    if not all(surely_leq(areas[i], areas[j]) for i in prefix for j in rest):
+        for q in reversed(reference_order_u(areas, prefix)):
+            if not areas[q].is_point:
+                return [q]
+        picked = _reference_first_nonpoints(areas, order, 1)
+        if not picked:
+            raise ValueError("no queriable area available")
+        return picked
+    mirrored = [a.mirror() for a in areas]
+    picked = _reference_first_nonpoints(areas, reference_order_l(mirrored, prefix), 1)
+    if not picked:
+        raise ValueError("no queriable area available")
+    return picked
 
 
 def reference_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_vectors, reference_order_l, reference_order_u
 from uncquery.core import (
     Area,
     EndpointKind,
     TieRule,
     contains,
     format_rational,
+    int_images,
     order_l,
     order_u,
     parse_rational,
@@ -216,3 +218,29 @@ def test_order_l_sorted_by_lo(vec):
     perm = order_l(vec)
     los = [vec[i].lo for i in perm]
     assert los == sorted(los)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_vectors)
+def test_int_images_order_endpoints_exactly(vec):
+    lo, hi = int_images(vec)
+    assert all(isinstance(v, int) for v in lo + hi)
+    values = [a.lo for a in vec] + [a.hi for a in vec]
+    images = lo + hi
+    for x, ix in zip(values, images):
+        for y, iy in zip(values, images):
+            assert (x < y, x == y) == (ix < iy, ix == iy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_vectors, st.sampled_from(list(TieRule)), st.data())
+def test_orderings_match_fraction_reference(vec, tie, data):
+    subset = data.draw(st.one_of(
+        st.none(), st.permutations(range(len(vec))).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda m: p[:m])),
+    ))
+    lo, hi = int_images(vec)
+    assert order_l(vec, subset, tie) == reference_order_l(vec, subset, tie)
+    assert order_l(vec, subset, tie, lo) == reference_order_l(vec, subset, tie)
+    assert order_u(vec, subset, tie) == reference_order_u(vec, subset, tie)
+    assert order_u(vec, subset, tie, hi) == reference_order_u(vec, subset, tie)

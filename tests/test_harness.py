@@ -280,6 +280,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("breakage", [
+        lambda data: data["problem"].pop("k"),
+        lambda data: data.pop("model"),
+        lambda data: data["areas"][0].pop("lo"),
+        lambda data: data.update(areas=5),
+    ], ids=["no-problem-k", "no-model", "no-area-lo", "areas-not-a-list"])
+    def test_malformed_instance_exit_code(self, tmp_path, capsys, breakage):
+        data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
+        breakage(data)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        code = main(["solve", "--instance", str(inst_path), "--algorithm", "kmin-witness"])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed instance JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("name, algorithm", [
         ("min-tight", "min1-witness"), ("kmin-point", "kmin-witness"),
         ("cp-anomaly", "min1-witness"), ("opo-counter", "min1-witness"),

@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import realizations, kth_min_valid, verifier_answer_sound
-from uncquery.core import Area, TieRule
+from helpers import (
+    grid_vectors,
+    kth_min_valid,
+    realizations,
+    reference_kmin_bypass_witness,
+    reference_kmin_verifier,
+    reference_kmin_witness,
+    reference_min1_witness,
+    reference_order_l,
+    reference_order_u,
+    verifier_answer_sound,
+)
+from uncquery.core import Area, TieRule, surely_leq
 from uncquery.selection import (
     Objective,
     SelectionProblem,
@@ -229,3 +240,42 @@ def test_witness_subsets_are_queriable(vec):
     w = min1_witness(vec)
     assert 1 <= len(w) <= 2
     assert all(not vec[i].is_point for i in w)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_vectors, st.sampled_from(list(TieRule)), st.booleans())
+def test_integer_choosers_match_fraction_reference(vec, tie, kmax):
+    """Verifier and witness choosers on integer images against the Fraction
+    code they replaced, for every k; kmax runs both on the mirrored vector,
+    as the max objective does."""
+    if kmax:
+        vec = mirror_areas(vec)
+    assert _outcome(min1_witness, vec, tie) == _outcome(reference_min1_witness, vec, tie)
+    for k in range(1, len(vec) + 1):
+        assert kmin_verifier(vec, k, tie) == reference_kmin_verifier(vec, k, tie)
+        assert _outcome(kmin_witness, vec, k, tie) == _outcome(
+            reference_kmin_witness, vec, k, tie)
+        if tie is TieRule.STABLE:
+            assert _outcome(kmin_bypass_witness, vec, k) == _outcome(
+                reference_kmin_bypass_witness, vec, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_vectors, st.sampled_from(list(TieRule)))
+def test_unseparated_max_u_member_is_never_a_point(vec, tie):
+    """Why the choosers need no point fallback: when a lo-order prefix is not
+    surely below the rest, the prefix member with the largest u value is an
+    interval (hi(q) > lo of the rest's head >= lo(q))."""
+    order = reference_order_l(vec, None, tie)
+    for cut in range(1, len(vec)):
+        prefix, rest = order[:cut], order[cut:]
+        if all(surely_leq(vec[i], vec[j]) for i in prefix for j in rest):
+            continue
+        assert not vec[reference_order_u(vec, prefix, tie)[-1]].is_point
