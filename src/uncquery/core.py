@@ -11,6 +11,11 @@ so each image p·(D/q) is an int.  Scaling by one positive constant preserves
 order and equality, so any comparison between two endpoints of the same
 vector is exactly the comparison of their images, with no floats and no
 rounding.  Images of different vectors (different D) are not comparable.
+The scaling pays off while the vector has a small common denominator, as
+with halving oracles (powers of two) or decimal inputs.  Many coprime
+denominators make D, and every image, thousands of digits long; above
+SCALE_BITS_LIMIT bits the images are instead the ranks of the values among
+the vector's endpoints, which cost one sort and keep the same exactness.
 
 All values are immutable and all functions are pure.
 """
@@ -193,13 +198,48 @@ def _check_subset(areas: AreaVector, subset: Optional[Iterable[int]]) -> list:
     return idx
 
 
+# Above this size of D, int_images ranks the endpoint values instead.  Scaling
+# costs time in proportion to D's size and ranking does not; at n=1600 the two
+# cost the same near 4000 bits.
+SCALE_BITS_LIMIT = 1024
+
+
 def int_images(areas: AreaVector) -> Tuple[List[int], List[int]]:
-    """lo·D and hi·D of every area as ints, D the lcm of all lo and hi
-    denominators: exactly the order and equality of the endpoints."""
+    """Integer images of every lo and hi endpoint, in exactly the order and
+    equality of the endpoint values.
+
+    The images are lo·D and hi·D, D the lcm of all lo and hi denominators,
+    while D has at most SCALE_BITS_LIMIT bits.  Otherwise they are the ranks
+    of the values among all distinct endpoints of the vector, so many coprime
+    denominators cost one sort of the values, not arithmetic on huge ints.
+    """
     los = [a.lo.as_integer_ratio() for a in areas]
     his = [a.hi.as_integer_ratio() for a in areas]
-    d = math.lcm(*{q for _, q in los}, *{q for _, q in his})
+    d = 1
+    for q in {q for _, q in los} | {q for _, q in his}:
+        d = math.lcm(d, q)
+        if d.bit_length() > SCALE_BITS_LIMIT:
+            return _value_ranks(areas)
     return [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
+
+
+def _value_ranks(areas: AreaVector) -> Tuple[List[int], List[int]]:
+    values = [a.lo for a in areas] + [a.hi for a in areas]
+    order = list(range(len(values)))
+    try:
+        # Rounding to float is monotone, so this leaves the values nearly
+        # sorted and the exact sort below makes one linear pass over them.
+        order.sort(key=lambda i: float(values[i]))
+    except OverflowError:
+        pass
+    order.sort(key=values.__getitem__)
+    ranks = [0] * len(values)
+    r = 0
+    for prev, i in zip(order, order[1:]):
+        if values[i] != values[prev]:
+            r += 1
+        ranks[i] = r
+    return ranks[: len(areas)], ranks[len(areas) :]
 
 
 def order_l(
@@ -229,18 +269,14 @@ def order_u(
     areas: AreaVector,
     subset: Optional[Iterable[int]] = None,
     tie_rule: TieRule = TieRule.STABLE,
-    hi_image: Optional[Sequence[int]] = None,
 ) -> list:
     """Indices of `subset` sorted ascending by hi value.
 
     Lex ties are the mirror of order_l: an area attaining its hi endpoint
     orders after one that does not; remaining ties to the smaller index.
-    `hi_image` is the hi list of `int_images(areas)` when the caller already
-    has it.
     """
     idx = sorted(_check_subset(areas, subset))
-    if hi_image is None:
-        hi_image = int_images(areas)[1]
+    hi = int_images(areas)[1]
     if tie_rule is TieRule.STABLE:
-        return sorted(idx, key=hi_image.__getitem__)
-    return sorted(idx, key=lambda i: (hi_image[i], areas[i].attains_hi))
+        return sorted(idx, key=hi.__getitem__)
+    return sorted(idx, key=lambda i: (hi[i], areas[i].attains_hi))

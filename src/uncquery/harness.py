@@ -85,7 +85,7 @@ def instance_from_json(data: dict) -> UncertainInstance:
         return _parse_instance(data)
     except KeyError as exc:
         raise ConfigError(f"malformed instance JSON: missing key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed instance JSON: {exc}") from None
 
 

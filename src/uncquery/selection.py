@@ -8,8 +8,9 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence
 
-# order_u is not called here; it stays importable from this module, where
-# callers look the orderings up next to the choosers.
+# Nothing here calls order_u.  It stays importable from this module because
+# bench/tracer.py binds uncquery.selection.order_u (tests/test_tooling.py
+# checks that every tracer target resolves).
 from .core import (  # noqa: F401
     Area, AreaVector, TieRule, _check_subset, int_images, order_l, order_u,
 )
@@ -49,24 +50,22 @@ def kmin_verifier(
     order = order_l(areas, None, tie_rule, lo)
     pk = order[k - 1]
     lo_pk, hi_pk = lo[pk], hi[pk]
-    if tie_rule is TieRule.STABLE:
-        # Non-strict separations only; the tail's smallest lo is its head's.
-        if k > 1 and max(map(hi.__getitem__, order[: k - 1])) > lo_pk:
-            return None
-        if k < n and lo[order[k]] < hi_pk:
-            return None
-        return pk
-    # A strict separation fails on an equal endpoint value iff both areas
-    # attain it (surely_lt); a non-strict one never does.
+    # Separations are non-strict except, under lex, against the competitors
+    # that need a strict one; a strict separation fails on an equal endpoint
+    # value iff both areas attain it (surely_lt).
+    lex = tie_rule is TieRule.LEX
     for i in order[: k - 1]:
         if hi[i] > lo_pk or (
-            hi[i] == lo_pk and i > pk and areas[i].attains_hi and areas[pk].attains_lo
+            lex and hi[i] == lo_pk and i > pk
+            and areas[i].attains_hi and areas[pk].attains_lo
         ):
             return None
     for j in order[k:]:
         if lo[j] > hi_pk:
             break  # the tail is sorted by lo, so the rest lies strictly above
-        if lo[j] < hi_pk or (j < pk and areas[pk].attains_hi and areas[j].attains_lo):
+        if lo[j] < hi_pk or (
+            lex and j < pk and areas[pk].attains_hi and areas[j].attains_lo
+        ):
             return None
     return pk
 

@@ -285,7 +285,9 @@ class TestCli:
         lambda data: data.pop("model"),
         lambda data: data["areas"][0].pop("lo"),
         lambda data: data.update(areas=5),
-    ], ids=["no-problem-k", "no-model", "no-area-lo", "areas-not-a-list"])
+        lambda data: data["model"].update(input=5),
+    ], ids=["no-problem-k", "no-model", "no-area-lo", "areas-not-a-list",
+            "model-type-set-not-a-string"])
     def test_malformed_instance_exit_code(self, tmp_path, capsys, breakage):
         data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
         breakage(data)
