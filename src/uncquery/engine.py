@@ -1,11 +1,13 @@
 """The generic solve loop: verify, pick a witness set, query its members,
-repeat.  Strategies plug in a verifier and a witness chooser; the engine owns
-budgets, response validation, the query log, and the alternation counter."""
+repeat.  Strategies plug in a verifier, a witness chooser and the order in
+which a witness set's members are queried; the engine owns budgets, response
+validation, the query counts and the query log.  Selection and the
+uncertain spanning tree (`mst.umst_solve`) both run on it."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Area, AreaVector
 from .models import ModelSpec, UncertainInstance, validate_instance, validate_response
@@ -30,11 +32,11 @@ class RunStatus(Enum):
 
 @dataclass
 class SolverStrategy:
-    """Verifier returns the answer index or None; witness returns a nonempty
-    index set of at most k_bound queriable areas."""
+    """Verifier returns the answer (an area index for selection) or None;
+    witness returns a nonempty index set of at most k_bound queriable areas."""
 
     name: str
-    verifier: Callable[[AreaVector], Optional[int]]
+    verifier: Callable[[AreaVector], object]
     witness: Callable[[AreaVector], Sequence[int]]
     k_bound: int = 2
     model_check: Optional[Callable[[ModelSpec], Optional[str]]] = None
@@ -43,6 +45,17 @@ class SolverStrategy:
         reset = getattr(self.witness, "reset", None)
         if reset is not None:
             reset()
+
+    def queries(self, areas: List[Area], witness: List[int]) -> Iterable[int]:
+        """The members of a witness set to query this round, in ascending
+        index order.  The engine queries each one it is handed before asking
+        for the next, so `areas` already holds the earlier responses; the
+        verifier is re-checked before each later member, and the round stops
+        as soon as a response settles the answer."""
+        for pos, idx in enumerate(witness):
+            if pos > 0 and self.verifier(areas) is not None:
+                return
+            yield idx
 
 
 class AlternatingWitness:
@@ -80,10 +93,6 @@ class RunReport:
     counts: Dict[int, int]
     total: int
     status: RunStatus
-    final_areas: Tuple[Area, ...]
-    # (witness indices, areas snapshot, counts snapshot) per iteration;
-    # consumed by the brute-force witness validity checks, not serialized.
-    witness_trace: List[tuple] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -107,9 +116,8 @@ def solve(
 ) -> RunReport:
     """Run the verify/witness/query loop until solved or out of budget.
 
-    Witness members are queried once per iteration in ascending index order;
-    the verifier is re-checked before each query so a run stops as soon as a
-    response settles the answer.  Point areas are never queriable.
+    Each round queries the members of one witness set in the order the
+    strategy's `queries` hands them out.  Point areas are never queriable.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -125,14 +133,11 @@ def solve(
     areas: List[Area] = list(instance.areas)
     counts: Dict[int, int] = {}
     log: List[Tuple[int, Area]] = []
-    trace: List[tuple] = []
 
     while True:
         answer = strategy.verifier(areas)
         if answer is not None:
-            return RunReport(
-                answer, log, counts, len(log), RunStatus.SOLVED, tuple(areas), trace
-            )
+            return RunReport(answer, log, counts, len(log), RunStatus.SOLVED)
         witness = sorted(set(strategy.witness(areas)))
         if not witness:
             raise EngineError(f"strategy {strategy.name} returned an empty witness set")
@@ -140,16 +145,12 @@ def solve(
             raise EngineError(
                 f"witness set {witness} exceeds k_bound={strategy.k_bound}"
             )
-        trace.append((tuple(witness), tuple(areas), dict(counts)))
-        for pos, idx in enumerate(witness):
+        for idx in witness:
             if areas[idx].is_point:
                 raise EngineError(f"witness set names unqueriable point area {idx + 1}")
-            if pos > 0 and strategy.verifier(areas) is not None:
-                break
+        for idx in strategy.queries(areas, witness):
             if len(log) >= budget:
-                return RunReport(
-                    None, log, counts, len(log), RunStatus.BUDGET_EXCEEDED, tuple(areas), trace
-                )
+                return RunReport(None, log, counts, len(log), RunStatus.BUDGET_EXCEEDED)
             counts[idx] = counts.get(idx, 0) + 1
             response = oracle.respond(idx, counts[idx], areas[idx])
             err = validate_response(instance.model, areas[idx], response)

@@ -11,13 +11,13 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, EndpointKind, TieRule, format_rational, parse_rational
+from .core import Area, TieRule, format_rational, parse_rational
 from .engine import EngineError, RunStatus, StrategyModelError, default_budget, solve
-from .models import ModelSpec, UncertainInstance, validate_instance
+from .models import ModelSpec, UncertainInstance
 from .mst import UncertainGraph, mst_verifier, umst_solve
 from .optbrute import minimal_solutions, opt_value
 from .oracles import (
@@ -34,8 +34,9 @@ from .selection import (
     Objective,
     SelectionProblem,
     STRATEGY_NAMES,
-    kmin_verifier,
     make_strategy,
+    require_op_p,
+    selection_verifier,
 )
 
 EXIT_OK = 0
@@ -149,7 +150,7 @@ def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
     raise ConfigError("could not place a distinct hidden value")
 
 
-def generate_instance(params: GenParams, seed: int) -> UncertainInstance:
+def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
     """Deterministic seeded instance honoring overlap density, point fraction
     and the model's admitted input shapes."""
     model = params.model
@@ -199,7 +200,7 @@ class GraphGenParams:
     scale: int = 4
 
 
-def generate_graph_instance(params: GraphGenParams, seed: int) -> UncertainInstance:
+def generate_graph_instance(params: GraphGenParams, seed: int | str) -> UncertainInstance:
     """Connected graph (random spanning tree plus extras) with uncertain
     edge weights drawn like selection areas."""
     rng = random.Random(f"uncquery-graph:{seed}")
@@ -256,11 +257,7 @@ def build_fixture(name: str, n: int = 3, k: int = 2) -> Fixture:
         raise ConfigError(
             f"unknown fixture {name!r}; known: {', '.join(FIXTURE_BUILDERS)}"
         )
-    if name == "kmin-point":
-        return FIXTURE_BUILDERS[name](k=k)
-    if name == "opo-counter":
-        return FIXTURE_BUILDERS[name]()
-    return FIXTURE_BUILDERS[name](n=n)
+    return FIXTURE_BUILDERS[name](n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +416,10 @@ class ExperimentConfig:
             raise ConfigError("mst problems run the 'umst' algorithm")
         if self.problem_type == "kmin" and self.algorithm == "umst":
             raise ConfigError("'umst' needs an mst problem")
-        if self.algorithm in ("min1-bypass", "kmin-bypass") and str(self.model) != "OP-P":
-            raise ConfigError(
-                f"{self.algorithm} is only valid under OP-P, got {self.model}"
-            )
+        if self.algorithm in ("min1-bypass", "kmin-bypass"):
+            err = require_op_p(self.model)
+            if err:
+                raise ConfigError(f"{self.algorithm}: {err}")
         if self.oracle.startswith("adversary:"):
             name = self.oracle.split(":", 1)[1]
             if name not in ADVERSARY_NAMES:
@@ -434,9 +431,34 @@ def _default_max_total(instance: UncertainInstance) -> int:
     return 2 * n if "P" in instance.model.returns else 4 * n
 
 
-def run_trial(
-    config: ExperimentConfig, trial: int
-) -> TrialRecord:
+def trial_instance(config: ExperimentConfig, trial: int) -> UncertainInstance:
+    """The generated instance of one trial: the configured generator, seeded
+    with the string f"{config.seed}:{trial}"."""
+    seed = f"{config.seed}:{trial}"
+    if config.problem_type == "mst":
+        return generate_graph_instance(
+            GraphGenParams(
+                vertices=config.vertices,
+                extra_edges=config.extra_edges,
+                model=config.model,
+                overlap=config.overlap,
+            ),
+            seed,
+        )
+    return generate_instance(
+        GenParams(
+            n=config.n,
+            model=config.model,
+            k=config.k,
+            tie_rule=config.tie_rule,
+            overlap=config.overlap,
+            point_fraction=config.point_fraction,
+        ),
+        seed,
+    )
+
+
+def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     if config.oracle.startswith("adversary:"):
         name = config.oracle.split(":", 1)[1]
         fixture = build_fixture(name, n=config.n, k=config.k)
@@ -444,29 +466,7 @@ def run_trial(
         oracle = fixture.fresh_oracle()
         opt: Optional[int] = fixture.opt_value
     else:
-        fixture = None
-        if config.problem_type == "mst":
-            instance = generate_graph_instance(
-                GraphGenParams(
-                    vertices=config.vertices,
-                    extra_edges=config.extra_edges,
-                    model=config.model,
-                    overlap=config.overlap,
-                ),
-                seed=hash((config.seed, trial)) % (2**31),
-            )
-        else:
-            instance = generate_instance(
-                GenParams(
-                    n=config.n,
-                    model=config.model,
-                    k=config.k,
-                    tie_rule=config.tie_rule,
-                    overlap=config.overlap,
-                    point_fraction=config.point_fraction,
-                ),
-                seed=hash((config.seed, trial)) % (2**31),
-            )
+        instance = trial_instance(config, trial)
         oracle = build_oracle(config.oracle, instance)
         opt = None
 
@@ -477,9 +477,7 @@ def run_trial(
     else:
         strategy = make_strategy(config.algorithm, instance.problem)
         report = solve(instance, oracle.fork(), strategy, budget)
-        problem = instance.problem
-        tie = TieRule.LEX if config.algorithm.endswith("-lex") else problem.tie_rule
-        verifier = lambda areas: kmin_verifier(areas, problem.k, tie)
+        verifier = strategy.verifier
 
     if opt is None:
         max_total = config.max_total or _default_max_total(instance)
@@ -563,8 +561,7 @@ def _cmd_opt(args) -> int:
     if isinstance(instance.problem, UncertainGraph):
         verifier = mst_verifier(instance.problem)
     else:
-        problem = instance.problem
-        verifier = lambda areas: kmin_verifier(areas, problem.k, problem.tie_rule)
+        verifier = selection_verifier(instance.problem, instance.problem.tie_rule)
     max_total = args.max_total or _default_max_total(instance)
     result = opt_value(list(instance.areas), oracle, verifier, max_total)
     minima = minimal_solutions(list(instance.areas), oracle, verifier, max_total)

@@ -20,17 +20,25 @@ area, so lower bounds never decrease and every edge ahead of the queried
 pair keeps its place in the order; processing such an edge reads only the
 forest built from that prefix and the prefix's weights, none of which
 changed.
+
+`umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
+and the witness is the pair that pass stopped at.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import Area, int_images
-from .engine import EngineError, OracleResponseError, RunReport, RunStatus
-from .models import UncertainInstance, validate_instance, validate_response
+from .engine import EngineError, RunReport, SolverStrategy, solve
+from .models import UncertainInstance
+# Nothing here calls validate_response; engine.solve validates every
+# response.  It stays importable from this module because bench/tracer.py
+# binds uncquery.mst.validate_response (tests/test_tooling.py checks that
+# every tracer target resolves).
+from .models import validate_response  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -270,56 +278,47 @@ def mst_verifier(graph: UncertainGraph):
     return verify
 
 
+class UmstStrategy(SolverStrategy):
+    """The uncertain-MST algorithm as an engine strategy.  The verifier runs
+    one pass, resumed from the previous one, and keeps its result; the
+    witness is the queriable part of the pair that pass stopped at.  The
+    engine calls the witness right after the verifier on the same weights.
+
+    Both edges of a pair are queried with no pass in between.  A pass between
+    them would about double the passes per solve and save about 1 % of the
+    queries, and it would change the query sequence."""
+
+    def __init__(self, graph: UncertainGraph) -> None:
+        super().__init__("umst", self._verify, self._witness)
+        self.graph = graph
+        self.pass_log = PassLog()
+        self.result: tuple = ()
+
+    def _verify(self, weights: Sequence[Area]) -> Optional[MstAnswer]:
+        self.result = mst_pass(self.graph, weights, self.pass_log)
+        if self.result[0] == "done":
+            return MstAnswer(self.result[1], self.result[2])
+        return None
+
+    def _witness(self, weights: Sequence[Area]) -> List[int]:
+        return [e for e in self.result[1] if not weights[e].is_point]
+
+    def queries(self, weights: List[Area], witness: List[int]) -> List[int]:
+        return witness
+
+
 def umst_solve(
     instance: UncertainInstance, oracle, budget: int
 ) -> Tuple[RunReport, Optional[MstAnswer]]:
     """Grow, resolve cycles, query witness pairs until a pass completes.
 
-    Each pass after a witness round resumes from the previous one: the
-    actions taken on the edges ahead of both queried edges are replayed, not
-    recomputed.  Responses only shrink areas, so those edges keep their
-    places in the lo order and their weights, and the replayed forest, tree
-    and red-rule count equal those of a pass restarted from scratch.
+    The report's answer is None; the certified tree and its red-rule count
+    come back as the MstAnswer, or None when the budget runs out.
     """
     graph = instance.problem
     if not isinstance(graph, UncertainGraph):
         raise EngineError("instance problem is not an uncertain graph")
     if not graph.is_connected():
         raise EngineError("graph must be connected")
-    violations = validate_instance(instance)
-    if violations:
-        raise EngineError(f"invalid instance: {violations[0].reason}")
-
-    weights: List[Area] = list(instance.areas)
-    pass_log = PassLog()
-    counts: Dict[int, int] = {}
-    log: List[Tuple[int, Area]] = []
-    trace: List[tuple] = []
-
-    while True:
-        result = mst_pass(graph, weights, pass_log)
-        if result[0] == "done":
-            _, tree, red = result
-            report = RunReport(
-                None, log, counts, len(log), RunStatus.SOLVED, tuple(weights), trace
-            )
-            return report, MstAnswer(tree, red)
-        f, g = result[1]
-        queriable = [e for e in sorted((f, g)) if not weights[e].is_point]
-        if not queriable:
-            raise EngineError("witness pair contains no queriable edge")
-        trace.append((tuple(queriable), tuple(weights), dict(counts)))
-        for e in queriable:
-            if len(log) >= budget:
-                report = RunReport(
-                    None, log, counts, len(log), RunStatus.BUDGET_EXCEEDED,
-                    tuple(weights), trace,
-                )
-                return report, None
-            counts[e] = counts.get(e, 0) + 1
-            response = oracle.respond(e, counts[e], weights[e])
-            err = validate_response(instance.model, weights[e], response)
-            if err is not None:
-                raise OracleResponseError(f"edge {e + 1}: {err}")
-            weights[e] = response
-            log.append((e, response))
+    report = solve(instance, oracle, UmstStrategy(graph), budget)
+    return replace(report, answer=None), report.answer

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, EndpointKind, parse_rational
-from .models import ModelSpec, TypeSet, UncertainInstance, validate_response
-from .selection import Objective, SelectionProblem
-from .core import TieRule
+from .core import Area, EndpointKind, TieRule
+from .models import ModelSpec, TypeSet, UncertainInstance
+from .selection import SelectionProblem
 
 GROUND_TRUTH = "ground-truth"
 SCRIPTED = "scripted"
@@ -89,7 +88,7 @@ def _halve_window(hidden: Fraction, current: Area, shrink: Fraction):
 
 
 def ground_truth_respond(
-    policy, hidden: Fraction, current: Area, count: int, returns: TypeSet
+    policy, hidden: Fraction, current: Area, returns: TypeSet
 ) -> Area:
     """Deterministic refinement of `current` toward `hidden`.
 
@@ -141,9 +140,7 @@ class GroundTruthOracle(Oracle):
         return GroundTruthOracle(policy, instance.hidden, instance.model.returns)
 
     def respond(self, index: int, count: int, current: Area) -> Area:
-        return ground_truth_respond(
-            self.policy, self.hidden[index], current, count, self.returns
-        )
+        return ground_truth_respond(self.policy, self.hidden[index], current, self.returns)
 
 
 class ScriptedOracle(Oracle):
@@ -437,9 +434,10 @@ def opo_counterexample_fixture() -> Fixture:
     )
 
 
+# Every builder takes the CLI's (n, k) and uses what its construction needs.
 FIXTURE_BUILDERS = {
-    "min-tight": lambda n=3, **kw: min_tight_fixture(n, **kw),
-    "kmin-point": lambda k=2, **kw: kmin_point_fixture(k, **kw),
-    "cp-anomaly": lambda n=3, **kw: cp_anomaly_fixture(n, **kw),
-    "opo-counter": lambda **kw: opo_counterexample_fixture(**kw),
+    "min-tight": lambda n, k: min_tight_fixture(n),
+    "kmin-point": lambda n, k: kmin_point_fixture(k),
+    "cp-anomaly": lambda n, k: cp_anomaly_fixture(n),
+    "opo-counter": lambda n, k: opo_counterexample_fixture(),
 }

@@ -12,8 +12,9 @@ from typing import Iterable, List, Optional, Sequence
 # bench/tracer.py binds uncquery.selection.order_u (tests/test_tooling.py
 # checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    Area, AreaVector, TieRule, _check_subset, int_images, order_l, order_u,
+    Area, AreaVector, TieRule, int_images, order_l, order_u,
 )
+from .models import ModelCategory, ModelSpec, classify_model
 
 
 class Objective(Enum):
@@ -152,13 +153,6 @@ def min1_bypass_witness(areas: AreaVector) -> List[int]:
     return picked
 
 
-def max1_bypass_witness(areas: AreaVector, subset: Sequence[int]) -> List[int]:
-    """Mirror of the 1-Min bypass on a subset: the largest-hi queriable head,
-    ties to the smaller index."""
-    lo, hi = int_images(areas)
-    return _max_hi_head(_check_subset(areas, subset), lo, hi)
-
-
 def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
     """Singleton chooser for k-Min with an OPT + min{k, n-k} guarantee.
 
@@ -201,8 +195,10 @@ def mirror_to_max(fn):
 from .engine import SolverStrategy, alternate  # noqa: E402
 
 
-def _require_op_p(spec) -> Optional[str]:
-    if str(spec) != "OP-P":
+def require_op_p(spec: ModelSpec) -> Optional[str]:
+    """The bypass strategies' model restriction: None under OP-P, else why
+    the model is refused."""
+    if classify_model(spec) is not ModelCategory.OP_P:
         return (
             f"bypass strategies diverge once queries may return intervals; "
             f"model {spec} is refused (OP-P only)"
@@ -210,8 +206,8 @@ def _require_op_p(spec) -> Optional[str]:
     return None
 
 
-def _require_op_family(spec) -> Optional[str]:
-    if str(spec) not in ("OP-OP", "OP-P"):
+def _require_op_family(spec: ModelSpec) -> Optional[str]:
+    if classify_model(spec) not in (ModelCategory.OP_OP, ModelCategory.OP_P):
         return f"alternation is defined for the OP-OP model, got {spec}"
     return None
 
@@ -220,6 +216,13 @@ def _orient(fn, objective: Objective):
     if objective is Objective.KTH_MAX:
         return mirror_to_max(fn)
     return fn
+
+
+def selection_verifier(problem: SelectionProblem, tie_rule: TieRule):
+    """The problem's verifier under a tie rule: k-th smallest, or k-th
+    largest through the mirror."""
+    k = problem.k
+    return _orient(lambda areas: kmin_verifier(areas, k, tie_rule), problem.objective)
 
 
 STRATEGY_NAMES = (
@@ -242,7 +245,7 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
     if name.endswith("-lex"):
         tie = TieRule.LEX
 
-    verifier = _orient(lambda areas: kmin_verifier(areas, k, tie), problem.objective)
+    verifier = selection_verifier(problem, tie)
 
     if name in ("min1-witness", "min1-lex"):
         witness = _orient(lambda areas: min1_witness(areas, tie), problem.objective)
@@ -252,15 +255,16 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
         return SolverStrategy(name, verifier, witness, k_bound=2)
     if name == "min1-bypass":
         witness = _orient(min1_bypass_witness, problem.objective)
-        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=_require_op_p)
+        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
     if name == "kmin-bypass":
         witness = _orient(lambda areas: kmin_bypass_witness(areas, k), problem.objective)
-        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=_require_op_p)
+        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
     if name == "opop-alternate":
         bypass_name = "min1-bypass" if k == 1 else "kmin-bypass"
         witness_name = "min1-witness" if k == 1 else "kmin-witness"
+        # alternate() drops the bypass's OP-P restriction: lifting it is the
+        # point of alternation.
         bypass = make_strategy(bypass_name, problem)
-        bypass.model_check = None  # the restriction is what alternation lifts
         paired = make_strategy(witness_name, problem)
         combined = alternate(bypass, paired, name="opop-alternate")
         combined.model_check = _require_op_family

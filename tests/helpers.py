@@ -1,6 +1,8 @@
-"""Shared test utilities: exhaustive realization checking, affine maps, the
-Fraction-based orderings and selection choosers, and the restart-from-scratch
-uMST pass that the integer-image code is checked against."""
+"""Shared test utilities: exhaustive realization checking, affine maps, a
+witness-state recorder around the solve loop, the Fraction-based orderings and
+selection choosers, and the restart-from-scratch uMST pass that the
+integer-image code is checked against."""
+import copy
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
@@ -9,6 +11,7 @@ from typing import List, Optional, Sequence
 from hypothesis import strategies as st
 
 from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
+from uncquery.engine import solve
 from uncquery.models import validate_response
 from uncquery.mst import always_maximal, edge_prec
 
@@ -58,6 +61,33 @@ def affine_map_area(area: Area, m: Fraction, b: Fraction) -> Area:
     """Strictly increasing affine image; preserves kinds and order relations."""
     assert m > 0
     return Area(m * area.lo + b, m * area.hi + b, area.lo_kind, area.hi_kind)
+
+
+def recorded_solve(instance, oracle, strategy, budget: int):
+    """engine.solve, plus one (witness, areas, counts) state per witness set
+    the strategy emits: the set as the engine queries it (sorted, without
+    repeats), the areas it was chosen on, and the query count of every index
+    queried so far.  The states are taken from outside the loop, by wrapping
+    the strategy's witness chooser and the oracle."""
+    states = []
+    counts = {}
+    choose = strategy.witness
+
+    def witness(areas):
+        chosen = choose(areas)
+        states.append((tuple(sorted(set(chosen))), tuple(areas), dict(counts)))
+        return chosen
+
+    witness.reset = getattr(choose, "reset", lambda: None)
+
+    class CountingOracle:
+        def respond(self, index, count, current):
+            counts[index] = count
+            return oracle.respond(index, count, current)
+
+    recorded = copy.copy(strategy)
+    recorded.witness = witness
+    return solve(instance, CountingOracle(), recorded, budget), states
 
 
 # Endpoints on a small grid of coprime denominators: values repeat often

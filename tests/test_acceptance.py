@@ -23,7 +23,7 @@ from itertools import combinations
 import pytest
 
 from conftest import record_criterion
-from helpers import affine_map_area
+from helpers import affine_map_area, recorded_solve
 from uncquery.core import Area, TieRule
 from uncquery.engine import RunStatus, StrategyModelError, default_budget, solve
 from uncquery.harness import (
@@ -242,12 +242,12 @@ def test_criterion_6_cp_anomaly_and_lex_fix():
     assert ok, failures
 
 
-def _check_trace_witnesses(report, oracle, verifier, max_total):
+def _check_trace_witnesses(trace, oracle, verifier, max_total):
     """Every recorded witness set must intersect every minimal solution of the
     state it was emitted at; returns (violations, solved_states)."""
     bad = 0
     nonempty = 0
-    for witness, areas_snap, counts_snap in report.witness_trace:
+    for witness, areas_snap, counts_snap in trace:
         base = [counts_snap.get(i, 0) for i in range(len(areas_snap))]
         sols = minimal_solutions(list(areas_snap), oracle, verifier, max_total, base)
         if sols:
@@ -275,10 +275,10 @@ def test_criterion_7_witness_validity():
         strategy = make_strategy(name, inst.problem)
         # Exact responses under point returns.
         exact = _exact(inst)
-        report = solve(inst, exact.fork(), strategy, default_budget(n))
-        b, s = _check_trace_witnesses(report, exact, verifier, n)
+        _report, trace = recorded_solve(inst, exact.fork(), strategy, default_budget(n))
+        b, s = _check_trace_witnesses(trace, exact, verifier, n)
         bad += b
-        states += len(report.witness_trace)
+        states += len(trace)
         solvable_states += s
         # Interval responses over the same hidden configuration.
         halve_inst = UncertainInstance(
@@ -288,10 +288,10 @@ def test_criterion_7_witness_validity():
             hidden=inst.hidden,
         )
         halve = GroundTruthOracle.for_instance(halve_inst, HalvePolicy(Fraction(1, 2)))
-        h_report = solve(halve_inst, halve.fork(), strategy, default_budget(n))
-        b, s = _check_trace_witnesses(h_report, halve, verifier, 10)
+        _report, trace = recorded_solve(halve_inst, halve.fork(), strategy, default_budget(n))
+        b, s = _check_trace_witnesses(trace, halve, verifier, 10)
         bad += b
-        states += len(h_report.witness_trace)
+        states += len(trace)
         solvable_states += s
     ok = bad == 0 and solvable_states > states // 2
     record_criterion(
@@ -416,10 +416,12 @@ def test_criterion_10_order_invariance():
         )
         oracle = GroundTruthOracle.for_instance(inst, HalvePolicy(Fraction(1, 2)))
         strategy = make_strategy("min1-witness", inst.problem)
-        base_report = solve(inst, oracle.fork(), strategy, default_budget(n))
+        base_report, base_trace = recorded_solve(
+            inst, oracle.fork(), strategy, default_budget(n)
+        )
         base_indices = [i for i, _ in base_report.query_log]
         base_verdict = kmin_verifier(list(inst.areas), 1)
-        base_witnesses = [w for w, _, _ in base_report.witness_trace]
+        base_witnesses = [w for w, _, _ in base_trace]
         for _ in range(10):
             m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
@@ -434,10 +436,10 @@ def test_criterion_10_order_invariance():
                 failures.append((seed, "verifier", str(m), str(b)))
                 continue
             m_oracle = GroundTruthOracle.for_instance(mapped, HalvePolicy(Fraction(1, 2)))
-            m_report = solve(mapped, m_oracle, strategy, default_budget(n))
+            m_report, m_trace = recorded_solve(mapped, m_oracle, strategy, default_budget(n))
             if [i for i, _ in m_report.query_log] != base_indices:
                 failures.append((seed, "queries", str(m), str(b)))
-            if [w for w, _, _ in m_report.witness_trace] != base_witnesses:
+            if [w for w, _, _ in m_trace] != base_witnesses:
                 failures.append((seed, "witnesses", str(m), str(b)))
     ok = not failures
     record_criterion(

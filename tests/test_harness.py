@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from helpers import reference_umst
 from uncquery.core import Area, TieRule
+from uncquery.engine import default_budget, solve
 from uncquery.harness import (
     ConfigError,
     EXIT_INVALID_CONFIG,
@@ -22,9 +24,12 @@ from uncquery.harness import (
     main,
     records_from_csv,
     report_emit,
+    run_trial,
+    trial_instance,
 )
-from uncquery.models import ModelSpec, validate_instance
+from uncquery.models import ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
+from uncquery.selection import Objective, SelectionProblem, make_strategy
 from uncquery.core import surely_leq
 
 
@@ -186,6 +191,29 @@ class TestCompete:
         with pytest.raises(ConfigError):
             compete(cfg)
 
+    def test_trial_instances_seeded_by_string(self):
+        # Trial t of a run seeded s solves the generator's instance for the
+        # seed string "s:t".
+        cfg = ExperimentConfig(
+            algorithm="kmin-witness", model=OPP, oracle="ground:exact",
+            seed=5, n=5, k=2, point_fraction=0.2,
+        )
+        params = GenParams(n=5, model=OPP, k=2, point_fraction=0.2)
+        for t in range(4):
+            inst = generate_instance(params, f"5:{t}")
+            assert trial_instance(cfg, t) == inst
+            report = solve(
+                inst, build_oracle("ground:exact", inst),
+                make_strategy("kmin-witness", inst.problem), default_budget(5),
+            )
+            assert run_trial(cfg, t).queries == report.total
+        graph_cfg = ExperimentConfig(
+            algorithm="umst", model=ModelSpec.parse("OC-OC"), problem_type="mst",
+            seed=5, vertices=5, extra_edges=3,
+        )
+        graph_params = GraphGenParams(vertices=5, extra_edges=3, model=ModelSpec.parse("OC-OC"))
+        assert trial_instance(graph_cfg, 2) == generate_graph_instance(graph_params, "5:2")
+
     def test_bypass_requires_opp(self):
         cfg = ExperimentConfig(algorithm="min1-bypass", model=ModelSpec.parse("O-O"))
         with pytest.raises(ConfigError):
@@ -260,6 +288,41 @@ class TestCli:
         ]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 1 and payload["answer"] == 1
+
+    def test_opt_honours_kmax(self, tmp_path, capsys):
+        # The largest value is the point 50, known from the start: solve
+        # answers it with no query, so OPT is 0.
+        inst = UncertainInstance(
+            model=OPP,
+            areas=(Area.open(0, 10), Area.open(1, 3), Area.point(50)),
+            problem=SelectionProblem(k=1, objective=Objective.KTH_MAX),
+            hidden=(5, 2, 50),
+        )
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(dump_json(instance_to_json(inst)))
+        assert main(["solve", "--instance", str(inst_path), "--oracle", "ground:exact"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["answer"], payload["total"]) == (3, 0)
+        assert main(["opt", "--instance", str(inst_path), "--oracle", "ground:exact"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["opt"] == 0
+
+    def test_solve_mst_payload(self, tmp_path, capsys):
+        inst = generate_graph_instance(
+            GraphGenParams(vertices=6, extra_edges=6, model=ModelSpec.parse("OC-OC")), 1
+        )
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(dump_json(instance_to_json(inst)))
+        assert main(["solve", "--instance", str(inst_path), "--oracle", "ground:halve"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        log, tree, red = reference_umst(
+            inst, build_oracle("ground:halve", inst), default_budget(inst.n)
+        )
+        assert len(log) == 12 and red == 6
+        assert payload["status"] == "solved" and payload["answer"] is None
+        assert payload["tree"] == sorted(e + 1 for e in tree)
+        assert payload["red_rule_count"] == red
+        assert payload["queries"] == [[e + 1, a.to_json()] for e, a in log]
+        assert payload["total"] == len(log)
 
     def test_missing_instance_file_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "absent.json")])

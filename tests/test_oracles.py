@@ -28,13 +28,13 @@ from uncquery.oracles import (
 class TestGroundTruthRespond:
     def test_exact_reveals_point(self):
         out = ground_truth_respond(
-            ExactPolicy(), Fraction(3), Area.open(2, 6), 1, TypeSet.parse("P")
+            ExactPolicy(), Fraction(3), Area.open(2, 6), TypeSet.parse("P")
         )
         assert out == Area.point(3)
 
     def test_halve_centered(self):
         out = ground_truth_respond(
-            HalvePolicy(Fraction(1, 2)), Fraction(3), Area.open(0, 10), 1, TypeSet.parse("O")
+            HalvePolicy(Fraction(1, 2)), Fraction(3), Area.open(0, 10), TypeSet.parse("O")
         )
         assert out == Area.open(Fraction(1, 2), Fraction(11, 2))
 
@@ -43,7 +43,6 @@ class TestGroundTruthRespond:
             HalvePolicy(Fraction(1, 2)),
             Fraction(1, 2),
             Area.open(0, 10),
-            1,
             TypeSet.parse("O"),
         )
         assert out == Area.open(Fraction(1, 20), 5 + Fraction(1, 20))
@@ -51,18 +50,18 @@ class TestGroundTruthRespond:
     def test_hidden_outside_rejected(self):
         with pytest.raises(OracleError):
             ground_truth_respond(
-                ExactPolicy(), Fraction(7), Area.open(2, 6), 1, TypeSet.parse("P")
+                ExactPolicy(), Fraction(7), Area.open(2, 6), TypeSet.parse("P")
             )
 
     def test_point_current_rejected(self):
         with pytest.raises(OracleError):
             ground_truth_respond(
-                ExactPolicy(), Fraction(3), Area.point(3), 1, TypeSet.parse("P")
+                ExactPolicy(), Fraction(3), Area.point(3), TypeSet.parse("P")
             )
 
     def test_point_only_returns_force_point(self):
         out = ground_truth_respond(
-            HalvePolicy(Fraction(1, 2)), Fraction(3), Area.open(0, 10), 1, TypeSet.parse("P")
+            HalvePolicy(Fraction(1, 2)), Fraction(3), Area.open(0, 10), TypeSet.parse("P")
         )
         assert out == Area.point(3)
 
@@ -73,7 +72,6 @@ class TestGroundTruthRespond:
             HalvePolicy(Fraction(1, 2)),
             Fraction(0),
             Area.closed(0, 10),
-            1,
             TypeSet.parse("OC"),
         )
         assert out.contains_value(0) and out.length == 5
@@ -87,7 +85,7 @@ class TestGroundTruthRespond:
         cur = Area.open(0, 10)
         hidden = cur.lo + cur.length * rel
         out = ground_truth_respond(
-            HalvePolicy(shrink), hidden, cur, 1, TypeSet.parse("O")
+            HalvePolicy(shrink), hidden, cur, TypeSet.parse("O")
         )
         assert out.contains_value(hidden)
         assert out.length == cur.length * shrink
