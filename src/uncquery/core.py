@@ -17,7 +17,15 @@ denominators make D, and every image, thousands of digits long; above
 SCALE_BITS_LIMIT bits the images are instead the ranks of the values among
 the vector's endpoints, which cost one sort and keep the same exactness.
 
-All values are immutable and all functions are pure.
+A solve changes one area per query, so `IntImages` keeps the images of the
+vector it last saw and patches them.  The images of one such state share one
+D, which only grows between rebuilds: a new denominator that does not divide
+D rescales every image by D'/D.  They order exactly as the values do, but
+need not equal `int_images` of the same vector, whose D is the lcm of the
+denominators present now.
+
+Areas are immutable and every function is pure; `IntImages` is the one
+object that changes.
 """
 from __future__ import annotations
 
@@ -25,19 +33,38 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
+from operator import is_not
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or decimal notation into an exact rational."""
-    return Fraction(str(text).strip())
+    """Parse 'p/q', integer, or decimal notation into an exact rational.
+
+    Accepts and rejects exactly what Fraction(text.strip()) does.  Plain
+    ASCII 'p/q' and integers, the canonical form format_rational writes, are
+    decoded with int(); everything else goes through Fraction's own parser.
+    """
+    text = str(text).strip()
+    num, slash, den = text.partition("/")
+    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: 'p/q' with gcd-normalized terms (q > 0)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def _fraction(value) -> Fraction:
+    # Fraction(value) on a Fraction rebuilds it after an ABC instance check.
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class EndpointKind(Enum):
@@ -72,16 +99,16 @@ class Area:
 
     @staticmethod
     def point(value) -> "Area":
-        v = Fraction(value)
+        v = _fraction(value)
         return Area(v, v, EndpointKind.CLOSED, EndpointKind.CLOSED)
 
     @staticmethod
     def open(lo, hi) -> "Area":
-        return Area(Fraction(lo), Fraction(hi), EndpointKind.OPEN, EndpointKind.OPEN)
+        return Area(_fraction(lo), _fraction(hi), EndpointKind.OPEN, EndpointKind.OPEN)
 
     @staticmethod
     def closed(lo, hi) -> "Area":
-        return Area(Fraction(lo), Fraction(hi), EndpointKind.CLOSED, EndpointKind.CLOSED)
+        return Area(_fraction(lo), _fraction(hi), EndpointKind.CLOSED, EndpointKind.CLOSED)
 
     @property
     def is_point(self) -> bool:
@@ -100,7 +127,7 @@ class Area:
         return self.hi - self.lo
 
     def contains_value(self, x) -> bool:
-        x = Fraction(x)
+        x = _fraction(x)
         if x < self.lo or x > self.hi:
             return False
         if x == self.lo and not self.attains_lo:
@@ -203,6 +230,10 @@ def _check_subset(areas: AreaVector, subset: Optional[Iterable[int]]) -> list:
 # cost the same near 4000 bits.
 SCALE_BITS_LIMIT = 1024
 
+# IntImages.update re-images only the changed entries while at most one in
+# this many changed; past that a rebuild costs about as much as the patch.
+REBUILD_SHARE = 4
+
 
 def int_images(areas: AreaVector) -> Tuple[List[int], List[int]]:
     """Integer images of every lo and hi endpoint, in exactly the order and
@@ -213,14 +244,28 @@ def int_images(areas: AreaVector) -> Tuple[List[int], List[int]]:
     of the values among all distinct endpoints of the vector, so many coprime
     denominators cost one sort of the values, not arithmetic on huge ints.
     """
+    return _images(areas)[1:]
+
+
+def _images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
+    """(D, lo images, hi images), with D = 0 when the images are ranks."""
     los = [a.lo.as_integer_ratio() for a in areas]
     his = [a.hi.as_integer_ratio() for a in areas]
-    d = 1
-    for q in {q for _, q in los} | {q for _, q in his}:
-        d = math.lcm(d, q)
-        if d.bit_length() > SCALE_BITS_LIMIT:
-            return _value_ranks(areas)
-    return [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
+    d = _grow_scale(1, {q for _, q in los + his})
+    if not d:
+        return (0, *_value_ranks(areas))
+    return d, [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
+
+
+def _grow_scale(d: int, denominators: Iterable[int]) -> int:
+    """The lcm of d and the denominators, or 0 once it passes
+    SCALE_BITS_LIMIT bits."""
+    for q in denominators:
+        if d % q:
+            d = math.lcm(d, q)
+            if d.bit_length() > SCALE_BITS_LIMIT:
+                return 0
+    return d
 
 
 def _value_ranks(areas: AreaVector) -> Tuple[List[int], List[int]]:
@@ -242,6 +287,74 @@ def _value_ranks(areas: AreaVector) -> Tuple[List[int], List[int]]:
     return ranks[: len(areas)], ranks[len(areas) :]
 
 
+class IntImages:
+    """The lo and hi images of the vector last seen, patched from call to
+    call.
+
+    `update` compares the new vector with the last one by identity (areas
+    are immutable, so an unchanged entry is the same object) and re-images
+    only the entries that changed.  A new denominator that does not divide D
+    rescales every image by D'/D.  The images are rebuilt by `int_images`'s
+    rule when the length changed, when more than one entry in REBUILD_SHARE
+    changed, when D would pass SCALE_BITS_LIMIT bits, or when they are
+    ranks, which cannot be patched.
+    """
+
+    __slots__ = ("areas", "lo", "hi", "scale", "renumbered")
+
+    def __init__(self) -> None:
+        self.areas: List[Area] = []
+        self.lo: List[int] = []
+        self.hi: List[int] = []
+        self.scale = 0  # D, or 0 while the images are ranks
+        # True when the last update changed images of unchanged entries too
+        # (a rescale or a rebuild); their order among themselves never moves.
+        self.renumbered = False
+
+    def update(self, areas: AreaVector) -> Sequence[int]:
+        """Bring the images up to `areas`; the indices whose area changed."""
+        n = len(areas)
+        if n == len(self.areas):
+            changed = list(compress(range(n), map(is_not, areas, self.areas)))
+            if not changed:
+                self.renumbered = False
+                return changed
+        else:
+            changed = range(n)
+        if not (self.scale and REBUILD_SHARE * len(changed) <= n and self._patch(areas, changed)):
+            self.areas = list(areas)
+            self.scale, self.lo, self.hi = _images(self.areas)
+            self.renumbered = True
+        return changed
+
+    def _patch(self, areas: AreaVector, changed: List[int]) -> bool:
+        los = [areas[i].lo.as_integer_ratio() for i in changed]
+        his = [areas[i].hi.as_integer_ratio() for i in changed]
+        d = _grow_scale(self.scale, [q for _, q in los + his])
+        if not d:
+            return False
+        self.renumbered = d != self.scale
+        if self.renumbered:
+            f = d // self.scale
+            self.lo = [v * f for v in self.lo]
+            self.hi = [v * f for v in self.hi]
+            self.scale = d
+        for i, (p, q), (r, s) in zip(changed, los, his):
+            self.lo[i] = p * (d // q)
+            self.hi[i] = r * (d // s)
+            self.areas[i] = areas[i]
+        return True
+
+
+def lo_rank(lo_image: int, attains_lo: bool, tie_rule: TieRule) -> int:
+    """order_l's sort rank of an area; equal ranks go to the smaller index.
+    Under lex an area that attains its lo sorts before one that does not at
+    the same value."""
+    if tie_rule is TieRule.LEX:
+        return 2 * lo_image + (not attains_lo)
+    return lo_image
+
+
 def order_l(
     areas: AreaVector,
     subset: Optional[Iterable[int]] = None,
@@ -255,14 +368,12 @@ def order_l(
     go to the smaller index.  `lo_image` is the lo list of `int_images(areas)`
     when the caller already has it.
     """
-    # Sorting the indices first makes the stable sorts break every remaining
+    # Sorting the indices first makes the stable sort break every remaining
     # tie toward the smaller index.
     idx = sorted(_check_subset(areas, subset))
     if lo_image is None:
         lo_image = int_images(areas)[0]
-    if tie_rule is TieRule.STABLE:
-        return sorted(idx, key=lo_image.__getitem__)
-    return sorted(idx, key=lambda i: (lo_image[i], not areas[i].attains_lo))
+    return sorted(idx, key=lambda i: lo_rank(lo_image[i], areas[i].attains_lo, tie_rule))
 
 
 def order_u(

@@ -19,7 +19,7 @@ from .core import Area, TieRule, format_rational, parse_rational
 from .engine import EngineError, RunStatus, StrategyModelError, default_budget, solve
 from .models import ModelSpec, UncertainInstance
 from .mst import UncertainGraph, mst_verifier, umst_solve
-from .optbrute import minimal_solutions, opt_value
+from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
 from .oracles import (
     FIXTURE_BUILDERS,
     ExactPolicy,
@@ -563,6 +563,12 @@ def _cmd_opt(args) -> int:
     else:
         verifier = selection_verifier(instance.problem, instance.problem.tie_rule)
     max_total = args.max_total or _default_max_total(instance)
+    size = search_size(list(instance.areas), oracle, max_total)
+    if size > MAX_SEARCH_VECTORS:
+        raise ConfigError(
+            f"the OPT search could visit {size} count vectors, more than "
+            f"{MAX_SEARCH_VECTORS}; lower --max-total (now {max_total})"
+        )
     result = opt_value(list(instance.areas), oracle, verifier, max_total)
     minima = minimal_solutions(list(instance.areas), oracle, verifier, max_total)
     payload = {

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, int_images
+from .core import Area, IntImages, int_images
 from .engine import EngineError, RunReport, SolverStrategy, solve
 from .models import UncertainInstance
 # Nothing here calls validate_response; engine.solve validates every
@@ -117,17 +117,17 @@ def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
     """
     if len(cycle) < 2:
         raise ValueError("a cycle needs at least two edges")
-    lo_rank, hi_rank = _ranks(weights)
+    lo_rank, hi_rank = _ranks(*int_images(weights))
     return _witness_or_delete(cycle, lo_rank, hi_rank)
 
 
-def _ranks(weights: Sequence[Area]) -> Tuple[List[int], List[int]]:
+def _ranks(lo_image: List[int], hi_image: List[int]) -> Tuple[List[int], List[int]]:
     """Exact integer ranks of every lo and hi endpoint: value·D·E + index,
-    where value·D is the integer image of `int_images` and E = len(weights).
-    Two ranks of different edges compare exactly as edge_prec does on their
-    values, since the index term is below E and only breaks value ties."""
-    n = len(weights)
-    lo_image, hi_image = int_images(weights)
+    where value·D is the integer image (`int_images` or `IntImages`) and E
+    the edge count.  Two ranks of different edges compare exactly as
+    edge_prec does on their values, since the index term is below E and only
+    breaks value ties."""
+    n = len(lo_image)
     return (
         [v * n + e for e, v in enumerate(lo_image)],
         [v * n + e for e, v in enumerate(hi_image)],
@@ -204,10 +204,11 @@ class _Forest:
 @dataclass
 class PassLog:
     """What the last pass read and how far it got, for the next pass to
-    replay: the weights, the edge order, and the number of edges processed
-    before the witness cycle (all of them when the pass finished)."""
+    replay: the integer images of its weights (patched, not rebuilt, by the
+    next pass), the edge order, and the number of edges processed before the
+    witness cycle (all of them when the pass finished)."""
 
-    weights: Tuple[Area, ...] = ()
+    images: IntImages = field(default_factory=IntImages)
     order: List[int] = field(default_factory=list)
     processed: int = 0
 
@@ -229,19 +230,24 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     the longest processed prefix of that pass's order whose edges kept their
     positions and their weights (compared by identity; areas are immutable).
     Each of those edges was added or deleted without queries, so the replay
-    needs only the tree labels, no path or chooser.  The log is then
-    overwritten with this pass.  The result is the same as without a log.
+    needs only the tree labels, no path or chooser.  The log's images are
+    patched for the changed weights, and the log is then overwritten with
+    this pass.  The result is the same as without a log.
     """
     edges = graph.edges
-    lo_rank, hi_rank = _ranks(weights)
+    if log is None:
+        lo_rank, hi_rank = _ranks(*int_images(weights))
+    else:
+        changed = set(log.images.update(weights))
+        lo_rank, hi_rank = _ranks(log.images.lo, log.images.hi)
     order = sorted(range(graph.n_edges), key=lo_rank.__getitem__)
     replay = 0
     if log is not None:
         for e, old in zip(order, log.order[: log.processed]):
-            if e != old or weights[e] is not log.weights[e]:
+            if e != old or e in changed:
                 break
             replay += 1
-        log.weights, log.order = tuple(weights), order
+        log.order = order
     forest = _Forest(graph.vertices)
     tree = []
     red = 0

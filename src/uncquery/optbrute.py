@@ -10,6 +10,7 @@ n up to about 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import Area
@@ -93,6 +94,22 @@ def _level_vectors(caps: Sequence[int], total: int):
             acc.pop(i, None)
 
     yield from rec(0, total, {})
+
+
+# The most count vectors `uncquery opt` agrees to search; past this it asks
+# for a lower max_total instead of running for hours.
+MAX_SEARCH_VECTORS = 200_000
+
+
+def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
+    """How many count vectors with total <= max_total the search could visit:
+    each index counts from 0 up to the length of its response chain."""
+    _chains, caps = _prepare(areas, oracle, max_total, None)
+    ways = [1] + [0] * max_total  # vectors over the indices so far, by total
+    for cap in caps:
+        below = list(accumulate(ways, initial=0))
+        ways = [below[t + 1] - below[max(0, t - cap)] for t in range(max_total + 1)]
+    return sum(ways)
 
 
 def _dominates(vector: Dict[int, int], found: List[Dict[int, int]]) -> bool:

@@ -1,18 +1,21 @@
 """Selection verifiers and witness choosers: the plain and lexicographic
-1-Min / k-Min witness pairs, the additive-guarantee bypass choosers, and the
-mirror that turns k-th-max questions into k-th-min ones."""
+1-Min / k-Min witness pairs and the additive-guarantee bypass choosers.  The
+rules read a SelectionState, which a strategy patches across one solve and
+which, mirrored, turns k-th-max questions into k-th-min ones."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence
 
-# Nothing here calls order_u.  It stays importable from this module because
-# bench/tracer.py binds uncquery.selection.order_u (tests/test_tooling.py
-# checks that every tracer target resolves).
+# Nothing here calls order_l or order_u.  They stay importable from this
+# module because bench/tracer.py binds uncquery.selection.order_l and
+# order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    Area, AreaVector, TieRule, int_images, order_l, order_u,
+    REBUILD_SHARE, AreaVector, IntImages, TieRule, _check_subset, lo_rank, order_l,
+    order_u,
 )
 from .models import ModelCategory, ModelSpec, classify_model
 
@@ -35,6 +38,99 @@ class SelectionProblem:
             raise ValueError(f"k={self.k} out of range for n={n}")
 
 
+class SelectionState:
+    """A vector's integer images and its lo order, patched across the
+    verifier and witness calls of one solve.
+
+    `update(areas)` brings the state up to a vector and returns it; the
+    verifier and the witness choosers accept the result in place of the
+    vector.  Only the entries whose area changed are re-imaged (see
+    core.IntImages), taken out of the lo order and inserted again by
+    bisection.  The order is sorted afresh only when the length changed or
+    more than one entry in REBUILD_SHARE did.
+
+    Under the max objective the state describes the mirrored vector, so the
+    k-min rules answer the k-max question: the images are negated and
+    swapped, and so are the attains flags.
+    """
+
+    __slots__ = ("images", "tie_rule", "kmax", "lo", "hi", "rank", "order")
+
+    def __init__(
+        self, tie_rule: TieRule = TieRule.STABLE, objective: Objective = Objective.KTH_MIN
+    ) -> None:
+        self.images = IntImages()
+        self.tie_rule = tie_rule
+        self.kmax = objective is Objective.KTH_MAX
+        self.lo: List[int] = []
+        self.hi: List[int] = []
+        self.rank: List[int] = []  # core.lo_rank by index
+        self.order: List[int] = []  # ascending by rank, ties to the smaller index
+
+    def attains_lo(self, i: int) -> bool:
+        a = self.images.areas[i]
+        return a.attains_hi if self.kmax else a.attains_lo
+
+    def attains_hi(self, i: int) -> bool:
+        a = self.images.areas[i]
+        return a.attains_lo if self.kmax else a.attains_hi
+
+    def _rank(self, i: int) -> int:
+        return lo_rank(self.lo[i], self.attains_lo(i), self.tie_rule)
+
+    def _key(self, i: int) -> int:
+        return self.rank[i] * len(self.rank) + i
+
+    def update(self, areas: AreaVector) -> "SelectionState":
+        changed = self.images.update(areas)
+        n = len(self.images.lo)
+        if len(self.order) != n or REBUILD_SHARE * len(changed) > n:
+            self._read_images()
+            # A stable sort of ascending indices breaks rank ties by index.
+            self.order = sorted(range(n), key=self.rank.__getitem__)
+            return self
+        order = self.order
+        for i in changed:
+            order.remove(i)
+        # Unchanged entries keep their order even when the images are
+        # renumbered, since the images always order as the values do.
+        if self.images.renumbered:
+            self._read_images()
+        else:
+            for i in changed:
+                if self.kmax:
+                    self.lo[i], self.hi[i] = -self.images.hi[i], -self.images.lo[i]
+                self.rank[i] = self._rank(i)
+        for i in changed:
+            order.insert(bisect_left(order, self._key(i), key=self._key), i)
+        return self
+
+    def _read_images(self) -> None:
+        self.lo, self.hi = self.images.lo, self.images.hi
+        if self.kmax:
+            self.lo, self.hi = [-v for v in self.hi], [-v for v in self.lo]
+        # Under the stable rule lo_rank is the image itself.
+        if self.tie_rule is TieRule.STABLE:
+            self.rank = self.lo
+        else:
+            self.rank = [self._rank(i) for i in range(len(self.lo))]
+
+    def lo_order(self, subset: Optional[Iterable[int]]) -> List[int]:
+        if subset is None:
+            return self.order
+        return sorted(_check_subset(self.lo, subset), key=self._key)
+
+
+def _state(areas, tie_rule: TieRule) -> SelectionState:
+    """The state a rule reads: `areas` itself when a strategy passes its
+    patched state, else one built from scratch."""
+    if isinstance(areas, SelectionState):
+        if areas.tie_rule is not tie_rule:
+            raise ValueError(f"state ordered by {areas.tie_rule}, asked for {tie_rule}")
+        return areas
+    return SelectionState(tie_rule).update(areas)
+
+
 def kmin_verifier(
     areas: AreaVector, k: int, tie_rule: TieRule = TieRule.STABLE
 ) -> Optional[int]:
@@ -44,29 +140,29 @@ def kmin_verifier(
     competitors with a smaller index need only a non-strict separation, those
     with a larger index a strict one.
     """
-    n = len(areas)
+    s = _state(areas, tie_rule)
+    order, lo, hi = s.order, s.lo, s.hi
+    n = len(order)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    lo, hi = int_images(areas)
-    order = order_l(areas, None, tie_rule, lo)
     pk = order[k - 1]
     lo_pk, hi_pk = lo[pk], hi[pk]
     # Separations are non-strict except, under lex, against the competitors
     # that need a strict one; a strict separation fails on an equal endpoint
     # value iff both areas attain it (surely_lt).
     lex = tie_rule is TieRule.LEX
-    for i in order[: k - 1]:
-        if hi[i] > lo_pk or (
-            lex and hi[i] == lo_pk and i > pk
-            and areas[i].attains_hi and areas[pk].attains_lo
+    prefix = order[: k - 1]
+    if prefix:
+        top = max(map(hi.__getitem__, prefix))
+        if top > lo_pk or (
+            lex and top == lo_pk and s.attains_lo(pk)
+            and any(i > pk and hi[i] == lo_pk and s.attains_hi(i) for i in prefix)
         ):
             return None
-    for j in order[k:]:
+    for j in islice(order, k, None):
         if lo[j] > hi_pk:
             break  # the tail is sorted by lo, so the rest lies strictly above
-        if lo[j] < hi_pk or (
-            lex and j < pk and areas[pk].attains_hi and areas[j].attains_lo
-        ):
+        if lo[j] < hi_pk or (lex and j < pk and s.attains_hi(pk) and s.attains_lo(j)):
             return None
     return pk
 
@@ -88,13 +184,14 @@ def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) ->
     return picked
 
 
-def _max_u(areas: AreaVector, members: Sequence[int], hi: Sequence[int], tie_rule: TieRule) -> int:
+def _max_u(s: SelectionState, members: Sequence[int], tie_rule: TieRule) -> int:
     """order_u(areas, members, tie_rule)[-1] in O(len(members)): the largest
     hi; among ties, under lex an area attaining it, then the larger index."""
+    hi = s.hi
     top = max(map(hi.__getitem__, members))
     tied = [i for i in members if hi[i] == top]
     if tie_rule is TieRule.LEX:
-        tied = [i for i in tied if areas[i].attains_hi] or tied
+        tied = [i for i in tied if s.attains_hi(i)] or tied
     return max(tied)
 
 
@@ -113,8 +210,8 @@ def min1_witness(
     subset: Optional[Sequence[int]] = None,
 ) -> List[int]:
     """The two lo-order heads, skipping point areas (points are unqueriable)."""
-    lo, hi = int_images(areas)
-    return _two_heads(order_l(areas, subset, tie_rule, lo), lo, hi)
+    s = _state(areas, tie_rule)
+    return _two_heads(s.lo_order(subset), s.lo, s.hi)
 
 
 def kmin_witness(
@@ -126,28 +223,27 @@ def kmin_witness(
     problem reduces to 1-Min on the rest.  Otherwise pair the k-th head with
     the member of the prefix having the largest u value.
 
-    The separation test is O(n): every prefix area is surely at most every
+    The separation test is O(k): every prefix area is surely at most every
     tail area iff max(hi over the prefix) <= min(lo over the tail), and the
     smallest lo of the tail is its head's.  An empty prefix is separated.
     """
-    lo, hi = int_images(areas)
-    order = order_l(areas, None, tie_rule, lo)
-    tail = order[k - 1 :]
-    pk = tail[0]
+    s = _state(areas, tie_rule)
+    order, lo, hi = s.order, s.lo, s.hi
+    pk = order[k - 1]
     if k > 1:
-        q1 = _max_u(areas, order[: k - 1], hi, tie_rule)
+        q1 = _max_u(s, order[: k - 1], tie_rule)
         if hi[q1] > lo[pk]:
             # Not separated.  q1 is never a point: hi(q1) > lo(pk) >= lo(q1),
             # since the prefix precedes pk in lo order.  Only pk can be one,
             # so the pair always holds a queriable area.
             return [q1] if lo[pk] == hi[pk] else [pk, q1]
-    return _two_heads(tail, lo, hi)
+    return _two_heads(islice(order, k - 1, None), lo, hi)
 
 
 def min1_bypass_witness(areas: AreaVector) -> List[int]:
     """Singleton lo-order head; additive (OPT+1) guarantee, OP-P only."""
-    lo, hi = int_images(areas)
-    picked = _first_nonpoints(order_l(areas, None, TieRule.STABLE, lo), lo, hi, 1)
+    s = _state(areas, TieRule.STABLE)
+    picked = _first_nonpoints(s.order, s.lo, s.hi, 1)
     if not picked:
         raise ValueError("no queriable area available")
     return picked
@@ -160,33 +256,19 @@ def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
     one among them with the largest u value; once they are separated, run the
     1-Max bypass inside that prefix.
 
-    The separation test is O(n), as in kmin_witness: max(hi over the prefix)
+    The separation test is O(k), as in kmin_witness: max(hi over the prefix)
     <= the smallest lo of the rest, which is its head's.  An empty rest is
     separated.
     """
-    lo, hi = int_images(areas)
-    order = order_l(areas, None, TieRule.STABLE, lo)
+    s = _state(areas, TieRule.STABLE)
+    order, lo, hi = s.order, s.lo, s.hi
     prefix = order[:k]
     if k < len(order):
-        q = _max_u(areas, prefix, hi, TieRule.STABLE)
+        q = _max_u(s, prefix, TieRule.STABLE)
         if hi[q] > lo[order[k]]:
             # Not separated, so q is not a point: hi(q) > lo(order[k]) >= lo(q).
             return [q]
     return _max_hi_head(prefix, lo, hi)
-
-
-def mirror_areas(areas: AreaVector) -> List[Area]:
-    """Negate every area; k-th max of the originals is k-th min of these."""
-    return [a.mirror() for a in areas]
-
-
-def mirror_to_max(fn):
-    """Lift a min-oriented verifier/witness to the max objective."""
-
-    def wrapped(areas: AreaVector, *args, **kwargs):
-        return fn(mirror_areas(areas), *args, **kwargs)
-
-    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +294,20 @@ def _require_op_family(spec: ModelSpec) -> Optional[str]:
     return None
 
 
-def _orient(fn, objective: Objective):
-    if objective is Objective.KTH_MAX:
-        return mirror_to_max(fn)
-    return fn
+def _states(objective: Objective) -> dict:
+    """One SelectionState per tie rule, shared by the rules of a strategy."""
+    return {tie_rule: SelectionState(tie_rule, objective) for tie_rule in TieRule}
+
+
+def _verifier(states: dict, k: int, tie_rule: TieRule):
+    state = states[tie_rule]
+    return lambda areas: kmin_verifier(state.update(areas), k, tie_rule)
 
 
 def selection_verifier(problem: SelectionProblem, tie_rule: TieRule):
     """The problem's verifier under a tie rule: k-th smallest, or k-th
-    largest through the mirror."""
-    k = problem.k
-    return _orient(lambda areas: kmin_verifier(areas, k, tie_rule), problem.objective)
+    largest on the mirrored state.  It patches its state from call to call."""
+    return _verifier(_states(problem.objective), problem.k, tie_rule)
 
 
 STRATEGY_NAMES = (
@@ -237,7 +322,12 @@ STRATEGY_NAMES = (
 
 
 def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
-    """Build a named selection strategy bound to the problem's parameters."""
+    """Build a named selection strategy bound to the problem's parameters.
+    Its verifier and witness chooser share one state per tie rule."""
+    return _make_strategy(name, problem, _states(problem.objective))
+
+
+def _make_strategy(name: str, problem: SelectionProblem, states: dict) -> SolverStrategy:
     k = problem.k
     if name.startswith("min1") and k != 1:
         raise ValueError(f"{name} requires k=1, got k={k}")
@@ -245,27 +335,28 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
     if name.endswith("-lex"):
         tie = TieRule.LEX
 
-    verifier = selection_verifier(problem, tie)
+    verifier = _verifier(states, k, tie)
+    state, stable = states[tie], states[TieRule.STABLE]
 
     if name in ("min1-witness", "min1-lex"):
-        witness = _orient(lambda areas: min1_witness(areas, tie), problem.objective)
+        witness = lambda areas: min1_witness(state.update(areas), tie)  # noqa: E731
         return SolverStrategy(name, verifier, witness, k_bound=2)
     if name in ("kmin-witness", "kmin-lex"):
-        witness = _orient(lambda areas: kmin_witness(areas, k, tie), problem.objective)
+        witness = lambda areas: kmin_witness(state.update(areas), k, tie)  # noqa: E731
         return SolverStrategy(name, verifier, witness, k_bound=2)
     if name == "min1-bypass":
-        witness = _orient(min1_bypass_witness, problem.objective)
+        witness = lambda areas: min1_bypass_witness(stable.update(areas))  # noqa: E731
         return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
     if name == "kmin-bypass":
-        witness = _orient(lambda areas: kmin_bypass_witness(areas, k), problem.objective)
+        witness = lambda areas: kmin_bypass_witness(stable.update(areas), k)  # noqa: E731
         return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
     if name == "opop-alternate":
         bypass_name = "min1-bypass" if k == 1 else "kmin-bypass"
         witness_name = "min1-witness" if k == 1 else "kmin-witness"
         # alternate() drops the bypass's OP-P restriction: lifting it is the
         # point of alternation.
-        bypass = make_strategy(bypass_name, problem)
-        paired = make_strategy(witness_name, problem)
+        bypass = _make_strategy(bypass_name, problem, states)
+        paired = _make_strategy(witness_name, problem, states)
         combined = alternate(bypass, paired, name="opop-alternate")
         combined.model_check = _require_op_family
         return combined

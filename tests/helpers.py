@@ -114,6 +114,53 @@ def grid_areas(draw):
 grid_vectors = st.lists(grid_areas(), min_size=1, max_size=8)
 
 
+# Denominators a refinement may bring in.  5, 13 and 17 divide no grid
+# denominator, so images patched from call to call must rescale; 2^607 - 1
+# next to the grid's 2^521 - 1, or squared by a second refinement of the
+# same area, takes the common denominator past core.SCALE_BITS_LIMIT.
+refine_denominators = (2, 3, 5, 13, 17, 2**607 - 1)
+
+
+@st.composite
+def sub_areas(draw, area: Area):
+    """A query response to an interval `area`: a revealed point strictly
+    inside it or a sub-interval, on a grid of a drawn denominator."""
+    q = draw(st.sampled_from(refine_denominators))
+    if draw(st.integers(0, 3)) == 0:
+        return Area.point(area.lo + area.length * Fraction(draw(st.integers(1, q - 1)), q))
+    a = draw(st.integers(0, q - 1))
+    b = draw(st.integers(a + 1, q))
+    kinds = list(EndpointKind)
+    lo_kind = area.lo_kind if a == 0 else draw(st.sampled_from(kinds))
+    hi_kind = area.hi_kind if b == q else draw(st.sampled_from(kinds))
+    return Area(
+        area.lo + area.length * Fraction(a, q), area.lo + area.length * Fraction(b, q),
+        lo_kind, hi_kind,
+    )
+
+
+@st.composite
+def refinement_runs(draw):
+    """A vector of grid areas and the vectors after each of a few steps.  A
+    step refines one to three intervals (`sub_areas`), mostly one as a solve
+    does, or now and then swaps in an unrelated vector of the same length.
+    Vectors run to 12 areas, so that a single change stays below the share
+    past which patched state is rebuilt (core.REBUILD_SHARE)."""
+    first = draw(st.lists(grid_areas(), min_size=1, max_size=12))
+    cur = list(first)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        intervals = [i for i, a in enumerate(cur) if not a.is_point]
+        if not intervals or draw(st.integers(0, 9)) == 0:
+            cur = draw(st.lists(grid_areas(), min_size=len(cur), max_size=len(cur)))
+        else:
+            count = min(len(intervals), draw(st.sampled_from((1, 1, 1, 2, 3))))
+            for i in draw(st.permutations(intervals))[:count]:
+                cur[i] = draw(sub_areas(cur[i]))
+        steps.append(list(cur))
+    return first, steps
+
+
 # ---------------------------------------------------------------------------
 # Selection on Fractions: the orderings, the verifier and the witness choosers
 # exactly as they read before they moved to integer images, including the

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_vectors, reference_order_l, reference_order_u
+from helpers import grid_vectors, reference_order_l, reference_order_u, refinement_runs
 from uncquery.core import (
     Area,
     EndpointKind,
+    IntImages,
     TieRule,
     contains,
     format_rational,
@@ -27,6 +28,34 @@ def test_parse_and_format_rational():
     assert parse_rational(" 7 ") == Fraction(7)
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+
+def _parsed(fn, text):
+    try:
+        value = fn(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return type(value), value
+
+
+PARSE_CASES = (
+    "-6/8", "+2/1", " 5/10 ", "1.5", "1e3", "1/0", "1_000", "1 / 2", "", "/2",
+    "-/2", "\uff11/2", "\u0663/4", "\u00b2/3", "3/4", "007/08", "-0", "-12",
+    "1/-2", "--1/2", "1/+2", "1/", "-", " 7 ", "1/2/3", "0/0",
+)
+
+
+def test_parse_rational_accepts_what_fraction_does():
+    # The fast path takes plain ASCII p/q and integers; every other text,
+    # including fullwidth and Arabic-Indic digits, is Fraction's to judge.
+    for text in PARSE_CASES:
+        assert _parsed(parse_rational, text) == _parsed(lambda t: Fraction(t.strip()), text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/._e \uff11", max_size=7))
+def test_parse_rational_matches_fraction_on_any_text(text):
+    assert _parsed(parse_rational, text) == _parsed(lambda t: Fraction(t.strip()), text)
 
 
 class TestArea:
@@ -262,3 +291,29 @@ def test_orderings_match_fraction_reference(vec, tie, data):
     assert order_l(vec, subset, tie) == reference_order_l(vec, subset, tie)
     assert order_l(vec, subset, tie, lo) == reference_order_l(vec, subset, tie)
     assert order_u(vec, subset, tie) == reference_order_u(vec, subset, tie)
+
+
+@settings(max_examples=200, deadline=None)
+@given(refinement_runs())
+def test_patched_images_order_endpoints_exactly(run):
+    """IntImages across refinements: the changed indices are those whose
+    area object changed, and the images order exactly as the values do
+    (checked between neighbours in value order); while they are scaled, not
+    ranks, each is its value times the one scale D."""
+    first, steps = run
+    images = IntImages()
+    prev = []
+    for vec in [first] + steps:
+        changed = images.update(vec)
+        if len(prev) == len(vec):
+            assert list(changed) == [i for i, a in enumerate(vec) if a is not prev[i]]
+        assert all(a is b for a, b in zip(images.areas, vec)) and len(images.areas) == len(vec)
+        values = [a.lo for a in vec] + [a.hi for a in vec]
+        ints = images.lo + images.hi
+        if images.scale:
+            assert ints == [v * images.scale for v in values]
+        by_value = sorted(range(len(values)), key=values.__getitem__)
+        for a, b in zip(by_value, by_value[1:]):
+            assert (values[a] < values[b], values[a] == values[b]) == (
+                ints[a] < ints[b], ints[a] == ints[b])
+        prev = list(vec)

@@ -306,6 +306,24 @@ class TestCli:
         assert main(["opt", "--instance", str(inst_path), "--oracle", "ground:exact"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["opt"] == 0
 
+    def test_opt_refuses_a_search_past_the_limit(self, tmp_path, capsys):
+        # 11 edges and the default max_total of 44 would mean about 1.2e11
+        # count vectors; the search used to run without end.
+        inst_path = tmp_path / "inst.json"
+        assert main([
+            "gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "6",
+            "--extra-edges", "6", "--seed", "1", "--out", str(inst_path),
+        ]) == EXIT_OK
+        code = main(["opt", "--instance", str(inst_path), "--oracle", "ground:halve"])
+        assert code == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--max-total" in lines[0]
+        assert main([
+            "opt", "--instance", str(inst_path), "--oracle", "ground:halve", "--max-total", "3",
+        ]) == EXIT_OK
+
     def test_solve_mst_payload(self, tmp_path, capsys):
         inst = generate_graph_instance(
             GraphGenParams(vertices=6, extra_edges=6, model=ModelSpec.parse("OC-OC")), 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_mst_pass, reference_umst, reference_witness_or_delete
+from helpers import reference_mst_pass, reference_umst, reference_witness_or_delete, sub_areas
 from uncquery.core import Area
 from uncquery.engine import EngineError, RunStatus
 from uncquery.models import ModelSpec, UncertainInstance
@@ -262,14 +262,19 @@ def test_resumed_passes_match_restarting_reference(inst):
 def test_replayed_pass_matches_fresh_pass_after_any_change(inst, data):
     # Changes a solve never makes (a lower bound dropping, an area swapped for
     # another edge's) as well as ones it does (a hi shrinking at a fixed lo,
-    # a reveal) must all stop the replay where the fresh pass would differ.
+    # a reveal, a refinement whose new denominator rescales the log's
+    # images) must all stop the replay where the fresh pass would differ.
     graph, weights = inst.problem, list(inst.areas)
     log = PassLog()
-    for _ in range(4):
-        assert mst_pass(graph, weights, log) == reference_mst_pass(graph, weights)
+    for _ in range(5):
+        fresh = reference_mst_pass(graph, weights)
+        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights)
         for e in data.draw(st.lists(st.integers(0, graph.n_edges - 1), min_size=1, max_size=2)):
             w = weights[e]
-            weights[e] = data.draw(st.sampled_from([
+            changes = [
                 Area.point(w.lo), Area.point(w.hi), C(w.lo - 1, w.hi),
                 weights[data.draw(st.integers(0, graph.n_edges - 1))],
-            ]))
+            ]
+            if not w.is_point:
+                changes.append(data.draw(sub_areas(w)))
+            weights[e] = data.draw(st.sampled_from(changes))

@@ -17,8 +17,10 @@ from uncquery.optbrute import (
     minimal_solutions,
     opt_value,
     response_chain,
+    search_size,
     witness_check,
 )
+from uncquery.optbrute import _level_vectors, _prepare
 from uncquery.selection import SelectionProblem, kmin_verifier, min1_witness
 
 
@@ -59,6 +61,18 @@ class TestResponseChain:
         full = response_chain(oracle, 0, O(0, 8), 4)
         tail = response_chain(oracle, 0, full[1], 2, base_count=2)
         assert tail == full[2:]
+
+
+def test_search_size_counts_every_vector_of_every_level():
+    # Exact reveals cap an interval at one query and a point at none; halving
+    # never reaches a point, so its chains run to max_total.
+    areas = [O(1, 5), Area.point(3), O(2, 9), O(0, 4)]
+    for returns, hidden in (("P", [2, 3, 4, 1]), ("O", [2, 3, 5, 1])):
+        oracle = _oracle(areas, hidden, returns=returns)
+        for max_total in range(6):
+            _chains, caps = _prepare(areas, oracle, max_total, None)
+            visited = sum(1 for t in range(max_total + 1) for _ in _level_vectors(caps, t))
+            assert search_size(areas, oracle, max_total) == visited
 
 
 class TestOptValue:

@@ -1,5 +1,6 @@
 """Selection verifiers and witness choosers, checked against exhaustive
 realization sampling and the frozen step-through examples."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,18 @@ from helpers import (
     reference_min1_witness,
     reference_order_l,
     reference_order_u,
+    refinement_runs,
     verifier_answer_sound,
 )
 from uncquery.core import Area, TieRule, surely_leq
+from uncquery.engine import solve
+from uncquery.harness import GenParams, build_oracle, generate_instance
+from uncquery.models import ModelSpec
 from uncquery.selection import (
+    STRATEGY_NAMES,
     Objective,
     SelectionProblem,
+    SelectionState,
     kmin_bypass_witness,
     kmin_verifier,
     kmin_witness,
@@ -29,7 +36,6 @@ from uncquery.selection import (
     min1_bypass_witness,
     min1_verifier,
     min1_witness,
-    mirror_areas,
 )
 
 
@@ -110,9 +116,6 @@ class TestBypassWitnesses:
 
 
 class TestMirror:
-    def test_mirror_areas(self):
-        assert mirror_areas([O(2, 5)]) == [O(-5, -2)]
-
     def test_max1_via_mirror(self):
         problem = SelectionProblem(k=1, objective=Objective.KTH_MAX)
         strategy = make_strategy("min1-witness", problem)
@@ -256,7 +259,7 @@ def test_integer_choosers_match_fraction_reference(vec, tie, kmax):
     code they replaced, for every k; kmax runs both on the mirrored vector,
     as the max objective does."""
     if kmax:
-        vec = mirror_areas(vec)
+        vec = [a.mirror() for a in vec]
     assert _outcome(min1_witness, vec, tie) == _outcome(reference_min1_witness, vec, tie)
     for k in range(1, len(vec) + 1):
         assert kmin_verifier(vec, k, tie) == reference_kmin_verifier(vec, k, tie)
@@ -279,3 +282,60 @@ def test_unseparated_max_u_member_is_never_a_point(vec, tie):
         if all(surely_leq(vec[i], vec[j]) for i in prefix for j in rest):
             continue
         assert not vec[reference_order_u(vec, prefix, tie)[-1]].is_point
+
+
+def _from_scratch_witness(name, vec, k, tie):
+    """The public chooser a named strategy runs, called on a plain vector."""
+    if name in ("min1-witness", "min1-lex"):
+        return _outcome(min1_witness, vec, tie)
+    if name in ("kmin-witness", "kmin-lex"):
+        return _outcome(kmin_witness, vec, k, tie)
+    if name == "min1-bypass":
+        return _outcome(min1_bypass_witness, vec)
+    return _outcome(kmin_bypass_witness, vec, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinement_runs(), st.sampled_from(list(TieRule)), st.sampled_from(list(Objective)),
+       st.data())
+def test_patched_strategies_match_from_scratch(run, tie, objective, data):
+    """Strategies keep their state across calls; after every refinement their
+    verdicts and witness sets equal the public functions computed from
+    scratch (on the mirrored vector for kmax), and a patched state's lo order
+    equals the Fraction reference's."""
+    first, steps = run
+    k = data.draw(st.integers(1, len(first)))
+    problem = SelectionProblem(k=k, objective=objective, tie_rule=tie)
+    names = [n for n in STRATEGY_NAMES if n != "opop-alternate"
+             and not (n.startswith("min1") and k != 1)]
+    strategies = {name: make_strategy(name, problem) for name in names}
+    states = {t: SelectionState(t, objective) for t in TieRule}
+    for vec in [first] + steps:
+        oriented = [a.mirror() for a in vec] if objective is Objective.KTH_MAX else vec
+        for t, state in states.items():
+            assert state.update(vec).order == reference_order_l(oriented, None, t)
+        for name, strategy in strategies.items():
+            t = TieRule.LEX if name.endswith("-lex") else tie
+            assert strategy.verifier(vec) == kmin_verifier(oriented, k, t), name
+            assert _outcome(strategy.witness, vec) == _from_scratch_witness(
+                name, oriented, k, t), name
+
+
+def test_strategy_reused_on_another_instance_answers_like_a_fresh_one():
+    for objective in Objective:
+        for n, k in ((9, 1), (14, 3)):
+            problem = SelectionProblem(k=k, objective=objective)
+            insts = [
+                replace(generate_instance(GenParams(m, ModelSpec.parse("OP-P"), k), seed),
+                        problem=problem)
+                for m, seed in ((n, 1), (n, 2), (n + 3, 3))
+            ]
+            for name in STRATEGY_NAMES:
+                if name.startswith("min1") and k != 1:
+                    continue
+                reused = make_strategy(name, problem)
+                for inst in insts:
+                    oracle = build_oracle("ground:exact", inst)
+                    fresh = solve(inst, oracle.fork(), make_strategy(name, problem), 10 * n)
+                    again = solve(inst, oracle.fork(), reused, 10 * n)
+                    assert (again.answer, again.query_log) == (fresh.answer, fresh.query_log)
