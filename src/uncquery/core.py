@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress
 from operator import is_not
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -90,9 +90,13 @@ class Area:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             object.__setattr__(self, "lo", Fraction(self.lo))
             object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        # Denominators are positive, so p/q vs r/s is p·s vs r·q on ints.
+        p, q = self.lo.as_integer_ratio()
+        r, s = self.hi.as_integer_ratio()
+        width = r * q - p * s  # sign of hi - lo
+        if width < 0:
             raise ValueError(f"empty area: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and (
+        if width == 0 and (
             self.lo_kind is not EndpointKind.CLOSED or self.hi_kind is not EndpointKind.CLOSED
         ):
             raise ValueError("a degenerate area is a point and must be closed at both ends")
@@ -112,7 +116,8 @@ class Area:
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        # Fractions are normalised, so equal values have equal ratios.
+        return self.lo.as_integer_ratio() == self.hi.as_integer_ratio()
 
     @property
     def attains_lo(self) -> bool:
@@ -127,14 +132,14 @@ class Area:
         return self.hi - self.lo
 
     def contains_value(self, x) -> bool:
-        x = _fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.attains_lo:
-            return False
-        if x == self.hi and not self.attains_hi:
-            return False
-        return True
+        a, b = _fraction(x).as_integer_ratio()
+        p, q = self.lo.as_integer_ratio()
+        r, s = self.hi.as_integer_ratio()
+        above_lo = a * q - p * b  # sign of x - lo
+        below_hi = r * b - a * s  # sign of hi - x
+        return (above_lo > 0 or (above_lo == 0 and self.lo_kind is EndpointKind.CLOSED)) and (
+            below_hi > 0 or (below_hi == 0 and self.hi_kind is EndpointKind.CLOSED)
+        )
 
     def mirror(self) -> "Area":
         """Negate endpoints; maps k-th max questions onto k-th min ones."""
@@ -164,11 +169,17 @@ class Area:
 
     @staticmethod
     def from_json(data: dict) -> "Area":
+        return Area._from_json(data, parse_rational)
+
+    @staticmethod
+    def _from_json(data: dict, parse: Callable[[object], Fraction]) -> "Area":
+        """from_json with the endpoint parser passed in, so a reader of many
+        areas can parse each distinct endpoint text once."""
         kind = data["kind"]
         if kind == "point":
-            return Area.point(parse_rational(data["value"]))
-        lo = parse_rational(data["lo"])
-        hi = parse_rational(data["hi"])
+            return Area.point(parse(data["value"]))
+        lo = parse(data["lo"])
+        hi = parse(data["hi"])
         if kind == "open":
             return Area.open(lo, hi)
         if kind == "closed":
@@ -346,13 +357,21 @@ class IntImages:
         return True
 
 
-def lo_rank(lo_image: int, attains_lo: bool, tie_rule: TieRule) -> int:
-    """order_l's sort rank of an area; equal ranks go to the smaller index.
-    Under lex an area that attains its lo sorts before one that does not at
-    the same value."""
+def lo_ranks(
+    lo_image: Sequence[int], lo_kinds: Iterable[EndpointKind], tie_rule: TieRule
+) -> Sequence[int]:
+    """order_l's sort ranks of areas with these lo images and lo endpoint
+    kinds; equal ranks go to the smaller index.  Under stable a rank is the
+    image itself, and `lo_image` is returned as it is.  Under lex an area that
+    attains its lo sorts before one that does not at the same value."""
     if tie_rule is TieRule.LEX:
-        return 2 * lo_image + (not attains_lo)
+        return [2 * v + (kind is not EndpointKind.CLOSED) for v, kind in zip(lo_image, lo_kinds)]
     return lo_image
+
+
+def lo_rank(lo_image: int, lo_kind: EndpointKind, tie_rule: TieRule) -> int:
+    """lo_ranks of one area."""
+    return lo_ranks((lo_image,), (lo_kind,), tie_rule)[0]
 
 
 def order_l(
@@ -373,7 +392,8 @@ def order_l(
     idx = sorted(_check_subset(areas, subset))
     if lo_image is None:
         lo_image = int_images(areas)[0]
-    return sorted(idx, key=lambda i: lo_rank(lo_image[i], areas[i].attains_lo, tie_rule))
+    rank = lo_ranks(lo_image, (a.lo_kind for a in areas), tie_rule)
+    return sorted(idx, key=rank.__getitem__)
 
 
 def order_u(

@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -79,18 +80,38 @@ def instance_to_json(instance: UncertainInstance) -> dict:
     return out
 
 
+@contextmanager
+def _malformed(what: str):
+    """Turn the errors of reading JSON of the wrong shape into ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"malformed {what} JSON: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed {what} JSON: {exc}") from None
+
+
 def instance_from_json(data: dict) -> UncertainInstance:
     """The instance a JSON object describes; a missing key or a value of the
     wrong shape raises ConfigError."""
-    try:
+    with _malformed("instance"):
         return _parse_instance(data)
-    except KeyError as exc:
-        raise ConfigError(f"malformed instance JSON: missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ConfigError(f"malformed instance JSON: {exc}") from None
 
 
 def _parse_instance(data: dict) -> UncertainInstance:
+    # Endpoint texts repeat across areas and hidden values; each distinct
+    # text is parsed once and its Fraction shared, which is safe because
+    # Fractions are immutable.  Other JSON values go to parse_rational as is.
+    parsed: dict = {}
+
+    def parse(text) -> Fraction:
+        if type(text) is not str:
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
     model = ModelSpec.from_json(data["model"])
     pjson = data["problem"]
     if pjson["type"] == "kmin":
@@ -99,19 +120,19 @@ def _parse_instance(data: dict) -> UncertainInstance:
             objective=Objective(pjson.get("objective", "kmin")),
             tie_rule=TieRule(pjson.get("tie_rule", "stable")),
         )
-        areas = tuple(Area.from_json(a) for a in data["areas"])
+        areas = tuple(Area._from_json(a, parse) for a in data["areas"])
     elif pjson["type"] == "mst":
         edges = [(e["u"], e["v"]) for e in pjson["edges"]]
         problem = UncertainGraph(int(pjson["vertices"]), tuple(edges))
         if "areas" in data:
-            areas = tuple(Area.from_json(a) for a in data["areas"])
+            areas = tuple(Area._from_json(a, parse) for a in data["areas"])
         else:  # graph-style JSON with inline weights
-            areas = tuple(Area.from_json(e["weight"]) for e in pjson["edges"])
+            areas = tuple(Area._from_json(e["weight"], parse) for e in pjson["edges"])
     else:
         raise ConfigError(f"unknown problem type {pjson['type']!r}")
     hidden = None
     if data.get("hidden") is not None:
-        hidden = tuple(parse_rational(h) for h in data["hidden"])
+        hidden = tuple(map(parse, data["hidden"]))
     return UncertainInstance(model=model, areas=areas, problem=problem, hidden=hidden)
 
 
@@ -243,7 +264,10 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
         return GroundTruthOracle.for_instance(instance, ExactPolicy())
     if spec.startswith("ground:halve"):
         parts = spec.split(":")
-        shrink = parse_rational(parts[2]) if len(parts) > 2 else Fraction(1, 2)
+        try:
+            shrink = parse_rational(parts[2]) if len(parts) > 2 else Fraction(1, 2)
+        except ZeroDivisionError:
+            raise ConfigError(f"oracle spec {spec!r}: zero denominator") from None
         return GroundTruthOracle.for_instance(instance, HalvePolicy(shrink))
     if spec == "ground":
         return GroundTruthOracle.for_instance(instance)
@@ -386,29 +410,35 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
-        problem = data.get("problem", {"type": "kmin", "k": 1})
-        cfg = ExperimentConfig(
-            algorithm=data["algorithm"],
-            model=ModelSpec.parse(data["model"]),
-            oracle=data.get("oracle", "ground"),
-            trials=int(data.get("trials", 20)),
-            seed=int(data.get("seed", 0)),
-            n=int(data.get("n", 6)),
-            k=int(problem.get("k", 1)),
-            tie_rule=TieRule(problem.get("tie_rule", "stable")),
-            problem_type=problem.get("type", "kmin"),
-            overlap=float(data.get("overlap", 0.6)),
-            point_fraction=float(data.get("point_fraction", 0.0)),
-            vertices=int(problem.get("vertices", 5)),
-            extra_edges=int(problem.get("extra_edges", 3)),
-            budget=data.get("budget"),
-            max_total=data.get("max_total"),
-            out=data.get("out"),
-            out_format=data.get("format", "csv"),
-        )
-        return cfg
+        """The configuration a JSON object describes; a missing key or a value
+        of the wrong shape raises ConfigError."""
+        with _malformed("config"):
+            problem = data.get("problem", {"type": "kmin", "k": 1})
+            return ExperimentConfig(
+                algorithm=data["algorithm"],
+                model=ModelSpec.parse(data["model"]),
+                oracle=data.get("oracle", "ground"),
+                trials=int(data.get("trials", 20)),
+                seed=int(data.get("seed", 0)),
+                n=int(data.get("n", 6)),
+                k=int(problem.get("k", 1)),
+                tie_rule=TieRule(problem.get("tie_rule", "stable")),
+                problem_type=problem.get("type", "kmin"),
+                overlap=float(data.get("overlap", 0.6)),
+                point_fraction=float(data.get("point_fraction", 0.0)),
+                vertices=int(problem.get("vertices", 5)),
+                extra_edges=int(problem.get("extra_edges", 3)),
+                budget=data.get("budget"),
+                max_total=data.get("max_total"),
+                out=data.get("out"),
+                out_format=data.get("format", "csv"),
+            )
 
     def validate(self) -> None:
+        for name in ("budget", "max_total"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         known = set(STRATEGY_NAMES) | {"umst"}
         if self.algorithm not in known:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")

@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .core import Area, EndpointKind, contains
+from .core import Area, EndpointKind, _fraction, contains
 
 SHAPE_ORDER = "OCP"
 
@@ -121,7 +121,7 @@ class UncertainInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "areas", tuple(self.areas))
         if self.hidden is not None:
-            object.__setattr__(self, "hidden", tuple(Fraction(h) for h in self.hidden))
+            object.__setattr__(self, "hidden", tuple(map(_fraction, self.hidden)))
 
     @property
     def n(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, EndpointKind, TieRule
+from .core import Area, EndpointKind, TieRule, _fraction
 from .models import ModelSpec, TypeSet, UncertainInstance
 from .selection import SelectionProblem
 
@@ -94,7 +94,7 @@ def ground_truth_respond(
 
     Point-only return sets force the exact point whatever the policy says.
     """
-    hidden = Fraction(hidden)
+    hidden = _fraction(hidden)
     if not current.contains_value(hidden):
         raise OracleError(f"hidden value {hidden} not inside current area {current}")
     if current.is_point:
@@ -124,7 +124,7 @@ class GroundTruthOracle(Oracle):
 
     def __init__(self, policy, hidden: Sequence, returns: TypeSet):
         self.policy = policy
-        self.hidden = tuple(Fraction(h) for h in hidden)
+        self.hidden = tuple(map(_fraction, hidden))
         self.returns = returns
 
     @staticmethod

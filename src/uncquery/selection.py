@@ -8,13 +8,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 # Nothing here calls order_l or order_u.  They stay importable from this
 # module because bench/tracer.py binds uncquery.selection.order_l and
 # order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    REBUILD_SHARE, AreaVector, IntImages, TieRule, _check_subset, lo_rank, order_l,
+    REBUILD_SHARE, AreaVector, IntImages, TieRule, _check_subset, lo_rank, lo_ranks, order_l,
     order_u,
 )
 from .models import ModelCategory, ModelSpec, classify_model
@@ -64,7 +65,7 @@ class SelectionState:
         self.kmax = objective is Objective.KTH_MAX
         self.lo: List[int] = []
         self.hi: List[int] = []
-        self.rank: List[int] = []  # core.lo_rank by index
+        self.rank: List[int] = []  # core.lo_ranks by index
         self.order: List[int] = []  # ascending by rank, ties to the smaller index
 
     def attains_lo(self, i: int) -> bool:
@@ -76,7 +77,8 @@ class SelectionState:
         return a.attains_lo if self.kmax else a.attains_hi
 
     def _rank(self, i: int) -> int:
-        return lo_rank(self.lo[i], self.attains_lo(i), self.tie_rule)
+        a = self.images.areas[i]
+        return lo_rank(self.lo[i], a.hi_kind if self.kmax else a.lo_kind, self.tie_rule)
 
     def _key(self, i: int) -> int:
         return self.rank[i] * len(self.rank) + i
@@ -109,11 +111,8 @@ class SelectionState:
         self.lo, self.hi = self.images.lo, self.images.hi
         if self.kmax:
             self.lo, self.hi = [-v for v in self.hi], [-v for v in self.lo]
-        # Under the stable rule lo_rank is the image itself.
-        if self.tie_rule is TieRule.STABLE:
-            self.rank = self.lo
-        else:
-            self.rank = [self._rank(i) for i in range(len(self.lo))]
+        kinds = map(attrgetter("hi_kind" if self.kmax else "lo_kind"), self.images.areas)
+        self.rank = lo_ranks(self.lo, kinds, self.tie_rule)
 
     def lo_order(self, subset: Optional[Iterable[int]]) -> List[int]:
         if subset is None:

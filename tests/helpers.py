@@ -1,7 +1,7 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
-witness-state recorder around the solve loop, the Fraction-based orderings and
-selection choosers, and the restart-from-scratch uMST pass that the
-integer-image code is checked against."""
+witness-state recorder around the solve loop, the Fraction-based area
+predicates, instance validation, orderings and selection choosers, and the
+restart-from-scratch uMST pass that the integer code is checked against."""
 import copy
 from collections import defaultdict
 from fractions import Fraction
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
-from uncquery.models import validate_response
+from uncquery.models import Violation, validate_response
 from uncquery.mst import always_maximal, edge_prec
 
 
@@ -159,6 +159,70 @@ def refinement_runs(draw):
                 cur[i] = draw(sub_areas(cur[i]))
         steps.append(list(cur))
     return first, steps
+
+
+# ---------------------------------------------------------------------------
+# Area predicates and instance validation on Fractions, as they read before
+# they moved to integer cross products.
+
+
+def reference_area_error(lo, hi, lo_kind, hi_kind) -> Optional[str]:
+    """The message of the ValueError `Area.__post_init__` raised for these
+    endpoints and kinds, or None when it accepted them."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        return f"empty area: lo={lo} > hi={hi}"
+    if lo == hi and (lo_kind is not EndpointKind.CLOSED or hi_kind is not EndpointKind.CLOSED):
+        return "a degenerate area is a point and must be closed at both ends"
+    return None
+
+
+def reference_is_point(area: Area) -> bool:
+    return area.lo == area.hi
+
+
+def reference_contains_value(area: Area, x) -> bool:
+    x = Fraction(x)
+    if x < area.lo or x > area.hi:
+        return False
+    if x == area.lo and not area.attains_lo:
+        return False
+    if x == area.hi and not area.attains_hi:
+        return False
+    return True
+
+
+def _reference_shape(area: Area) -> Optional[str]:
+    if reference_is_point(area):
+        return "P"
+    if area.lo_kind is EndpointKind.OPEN and area.hi_kind is EndpointKind.OPEN:
+        return "O"
+    if area.lo_kind is EndpointKind.CLOSED and area.hi_kind is EndpointKind.CLOSED:
+        return "C"
+    return None
+
+
+def reference_validate_instance(instance) -> list:
+    """models.validate_instance on the Fraction shape and containment tests."""
+    if not instance.areas:
+        return [Violation(None, "instance has no areas")]
+    out = []
+    for i, area in enumerate(instance.areas):
+        shape = _reference_shape(area)
+        if shape is None or shape not in instance.model.input:
+            out.append(Violation(
+                i,
+                f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
+                f"type set {instance.model.input}",
+            ))
+    if instance.hidden is not None:
+        if len(instance.hidden) != len(instance.areas):
+            out.append(Violation(None, "hidden configuration length differs from areas"))
+        else:
+            for i, (area, value) in enumerate(zip(instance.areas, instance.hidden)):
+                if not reference_contains_value(area, value):
+                    out.append(Violation(i, f"hidden value {value} outside area {area}"))
+    return out
 
 
 # ---------------------------------------------------------------------------

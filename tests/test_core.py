@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_vectors, reference_order_l, reference_order_u, refinement_runs
+from helpers import (
+    grid_endpoints,
+    grid_vectors,
+    reference_area_error,
+    reference_contains_value,
+    reference_is_point,
+    reference_order_l,
+    reference_order_u,
+    refinement_runs,
+)
 from uncquery.core import (
     Area,
     EndpointKind,
@@ -171,6 +180,29 @@ def areas(draw):
     if kinds == "oc":
         return Area(lo, hi, EndpointKind.OPEN, EndpointKind.CLOSED)
     return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.OPEN)
+
+
+# Endpoints on the grid, with negatives, zero and the 2^521 - 1 and
+# 2^607 - 1 denominators, or plain ints, which the constructor converts.
+endpoint_values = st.one_of(grid_endpoints, st.integers(-3, 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(endpoint_values, st.data(), st.sampled_from(EndpointKind), st.sampled_from(EndpointKind))
+def test_integer_area_predicates_match_fraction_reference(lo, data, lo_kind, hi_kind):
+    # hi equals lo, or its negation, often enough to reach every branch.
+    hi = data.draw(st.one_of(st.just(lo), st.just(-lo), endpoint_values))
+    expected = reference_area_error(lo, hi, lo_kind, hi_kind)
+    try:
+        area = Area(lo, hi, lo_kind, hi_kind)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert area.is_point == reference_is_point(area)
+    xs = data.draw(st.lists(endpoint_values, max_size=4))
+    for x in [lo, hi, Fraction(lo + hi) / 2, *xs]:
+        assert area.contains_value(x) == reference_contains_value(area, x), x
 
 
 @settings(max_examples=60, deadline=None)

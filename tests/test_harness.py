@@ -1,5 +1,6 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.models import ModelSpec, UncertainInstance, validate_instance
+from uncquery.models import ModelSpec, UncertainInstance, Violation, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.selection import Objective, SelectionProblem, make_strategy
 from uncquery.core import surely_leq
@@ -113,6 +114,34 @@ class TestInstanceJson:
         }
         inst = instance_from_json(data)
         assert inst.areas == (Area.open(1, 2),)
+
+    def test_non_canonical_endpoint_texts(self):
+        # Each distinct endpoint text is parsed once and its Fraction shared;
+        # the instance must equal the one read text by text.
+        data = {
+            "model": {"input": "OC", "returns": "OC"},
+            "problem": {"type": "kmin", "k": 1},
+            "areas": [
+                {"kind": "closed", "lo": "2/4", "hi": " 1 "},
+                {"kind": "open", "lo": "0.5", "hi": "1e3"},
+                {"kind": "closed", "lo": "1/2", "hi": "1000/1"},
+                {"kind": "open", "lo": " 1 ", "hi": "1e3"},
+                {"kind": "closed", "lo": "1", "hi": "1e3"},
+            ],
+            "hidden": ["2/4", "1/2", "1e3", "3", " 1 "],
+        }
+        inst = instance_from_json(data)
+        half, one, thousand = Fraction(1, 2), Fraction(1), Fraction(1000)
+        assert inst.areas == (
+            Area.closed(half, one), Area.open(half, thousand), Area.closed(half, thousand),
+            Area.open(one, thousand), Area.closed(one, thousand),
+        )
+        assert inst.areas == tuple(Area.from_json(a) for a in data["areas"])
+        assert inst.hidden == (half, half, thousand, Fraction(3), one)
+        assert all(type(v) is Fraction for a in inst.areas for v in (a.lo, a.hi))
+        assert validate_instance(inst) == [
+            Violation(1, "hidden value 1/2 outside area (1/2, 1000)")
+        ]
 
 
 class TestBuildOracle:
@@ -410,3 +439,46 @@ class TestCli:
         main(["fixtures", "--name", "min-tight", "--n", "4", "--out", str(inst_path)])
         code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
         assert code == EXIT_INVALID_CONFIG
+
+    @pytest.mark.parametrize("config", [
+        {"model": "OP-P"},
+        {"algorithm": "min1-witness", "model": 5},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem": 5},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem": ["kmin"]},
+        {"algorithm": "min1-witness", "model": "OP-P", "budget": "x"},
+        {"algorithm": "min1-witness", "model": "OP-P", "max_total": [4]},
+        {"algorithm": "min1-witness", "model": "OP-P", "budget": 2.9},
+        {"algorithm": "min1-witness", "model": "OP-P", "max_total": 7.5},
+    ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
+            "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "n": 4, **config}))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [[1, 2], None, {"p": 1}, "1/0"],
+                             ids=["list", "null", "object", "zero-denominator"])
+    @pytest.mark.parametrize("field", ["lo", "hidden"])
+    def test_bad_endpoint_value_exit_code(self, tmp_path, capsys, value, field):
+        data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
+        if field == "hidden":
+            data["hidden"][1] = value
+        else:
+            data["areas"][1] = {"kind": "open", "lo": value, "hi": "1000"}
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        code = main(["solve", "--instance", str(inst_path), "--algorithm", "kmin-witness"])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_oracle_shrink_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OC-OC", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
+        code = main(["solve", "--instance", str(inst_path), "--oracle", "ground:halve:1/0"])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+

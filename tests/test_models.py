@@ -2,7 +2,10 @@
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import grid_endpoints, grid_vectors, reference_validate_instance
 from uncquery.core import Area, EndpointKind
 from uncquery.models import (
     ModelCategory,
@@ -143,6 +146,30 @@ class TestValidateInstance:
     def test_empty_instance(self):
         inst = _instance("O-O", [])
         assert validate_instance(inst)
+
+
+def _hidden_values(area: Area):
+    """Values on, inside and beyond an area's endpoints."""
+    return st.one_of(
+        st.sampled_from((area.lo, area.hi, (area.lo + area.hi) / 2)), grid_endpoints
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_vectors, st.sets(st.sampled_from("OCP"), min_size=1), st.data())
+def test_validate_instance_matches_fraction_reference(areas, letters, data):
+    hidden = data.draw(st.one_of(
+        st.none(),
+        st.tuples(*map(_hidden_values, areas)),
+        st.lists(grid_endpoints, max_size=3),
+    ))
+    inst = UncertainInstance(
+        model=ModelSpec(TypeSet(frozenset(letters)), TypeSet.parse("P")),
+        areas=tuple(areas),
+        problem=SelectionProblem(k=1),
+        hidden=hidden,
+    )
+    assert validate_instance(inst) == reference_validate_instance(inst)
 
 
 class TestValidateResponse:
