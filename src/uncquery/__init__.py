@@ -49,7 +49,6 @@ from .engine import (
     RunStatus,
     SolverStrategy,
     StrategyModelError,
-    alternate,
     default_budget,
     solve,
 )
@@ -70,8 +69,6 @@ from .oracles import (
 from .mst import (
     MstAnswer,
     UncertainGraph,
-    always_maximal,
-    edge_prec,
     mst_pass,
     mst_verifier,
     umst_solve,

@@ -141,10 +141,6 @@ class Area:
             below_hi > 0 or (below_hi == 0 and self.hi_kind is EndpointKind.CLOSED)
         )
 
-    def mirror(self) -> "Area":
-        """Negate endpoints; maps k-th max questions onto k-th min ones."""
-        return Area(-self.hi, -self.lo, self.hi_kind, self.lo_kind)
-
     def __str__(self) -> str:
         if self.is_point:
             return str(self.lo)

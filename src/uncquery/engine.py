@@ -30,6 +30,18 @@ class RunStatus(Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
+@dataclass(frozen=True)
+class Algorithm:
+    """What the paper proves of one algorithm, declared once: the most areas
+    one witness set names, the model restriction (None, or a check returning
+    why a model is refused, else None), and the competitive bound, true iff
+    q queries keep to it against an optimum of opt on a k-of-n instance."""
+
+    k_bound: int
+    model_check: Optional[Callable[[ModelSpec], Optional[str]]]
+    bound: Callable[[int, int, int, int], bool]
+
+
 @dataclass
 class SolverStrategy:
     """Verifier returns the answer (an area index for selection) or None;
@@ -73,17 +85,6 @@ class AlternatingWitness:
         chooser = self.first if self.turn % 2 == 0 else self.second
         self.turn += 1
         return chooser(areas)
-
-
-def alternate(a: SolverStrategy, b: SolverStrategy, name: Optional[str] = None) -> SolverStrategy:
-    """Combine two strategies sharing one verifier semantics by alternating
-    their witness choosers, A first."""
-    return SolverStrategy(
-        name=name or f"alternate({a.name},{b.name})",
-        verifier=a.verifier,
-        witness=AlternatingWitness(a.witness, b.witness),
-        k_bound=max(a.k_bound, b.k_bound),
-    )
 
 
 @dataclass

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Area, TieRule, format_rational, parse_rational
-from .engine import EngineError, RunStatus, StrategyModelError, default_budget, solve
+from .engine import Algorithm, EngineError, RunStatus, StrategyModelError, default_budget, solve
 from .models import ModelSpec, UncertainInstance
-from .mst import UncertainGraph, mst_verifier, umst_solve
+from .mst import MST_ALGORITHMS, UncertainGraph, mst_verifier, umst_solve
 from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
 from .oracles import (
     FIXTURE_BUILDERS,
@@ -31,14 +31,7 @@ from .oracles import (
     OracleError,
     ScriptedOracle,
 )
-from .selection import (
-    Objective,
-    SelectionProblem,
-    STRATEGY_NAMES,
-    make_strategy,
-    require_op_p,
-    selection_verifier,
-)
+from .selection import SELECTION_ALGORITHMS, Objective, SelectionProblem, make_strategy
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 2
@@ -256,9 +249,6 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
 # Oracles from CLI strings
 
 
-ADVERSARY_NAMES = tuple(FIXTURE_BUILDERS)
-
-
 def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     if spec == "ground:exact":
         return GroundTruthOracle.for_instance(instance, ExactPolicy())
@@ -355,37 +345,24 @@ def report_emit(records: Sequence[TrialRecord], fmt: str, path: Optional[str] = 
     return text
 
 
-def records_from_csv(text: str) -> List[TrialRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = dict(zip(CSV_COLUMNS.split(","), cells))
-        out.append(
-            TrialRecord(
-                trial=int(row["trial"]),
-                algorithm=row["algorithm"],
-                model=row["model"],
-                n=int(row["n"]),
-                k=int(row["k"]),
-                queries=int(row["queries"]),
-                opt=int(row["opt"]) if row["opt"] else None,
-                status=row["status"],
-            )
-        )
-    return out
+# The algorithms of each problem type, keyed by the type's name in instance
+# JSON.  The first algorithm of a table is the problem's default for `solve`.
+ALGORITHMS = {"kmin": SELECTION_ALGORITHMS, "mst": MST_ALGORITHMS}
+
+BOUNDS = {name: alg.bound for table in ALGORITHMS.values() for name, alg in table.items()}
 
 
-BOUNDS = {
-    "min1-witness": lambda q, opt, k, n: q <= 2 * opt,
-    "kmin-witness": lambda q, opt, k, n: q <= 2 * opt,
-    "min1-lex": lambda q, opt, k, n: q <= 2 * opt,
-    "kmin-lex": lambda q, opt, k, n: q <= 2 * opt,
-    "min1-bypass": lambda q, opt, k, n: q <= opt + 1,
-    "kmin-bypass": lambda q, opt, k, n: q <= opt + min(k, n - k),
-    "opop-alternate": lambda q, opt, k, n: q <= 2 * (opt + k),
-    "umst": lambda q, opt, k, n: q <= 2 * opt,
-}
+def paired_algorithm(problem_type: str, name: Optional[str]) -> Tuple[str, Algorithm]:
+    """The named algorithm, or the problem type's default when name is None,
+    with its declaration; ConfigError unless it solves that problem type."""
+    table = ALGORITHMS.get(problem_type)
+    if table is None:
+        raise ConfigError(f"unknown problem type {problem_type!r}")
+    if name is None:
+        name = next(iter(table))
+    if name not in table:
+        raise ConfigError(f"no {problem_type} algorithm {name!r}; known: {', '.join(table)}")
+    return name, table[name]
 
 
 @dataclass
@@ -439,20 +416,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        known = set(STRATEGY_NAMES) | {"umst"}
-        if self.algorithm not in known:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.problem_type == "mst" and self.algorithm != "umst":
-            raise ConfigError("mst problems run the 'umst' algorithm")
-        if self.problem_type == "kmin" and self.algorithm == "umst":
-            raise ConfigError("'umst' needs an mst problem")
-        if self.algorithm in ("min1-bypass", "kmin-bypass"):
-            err = require_op_p(self.model)
+        _, algorithm = paired_algorithm(self.problem_type, self.algorithm)
+        if algorithm.model_check is not None:
+            err = algorithm.model_check(self.model)
             if err:
                 raise ConfigError(f"{self.algorithm}: {err}")
+        report_emit([], self.out_format)  # raises ConfigError on an unknown format
         if self.oracle.startswith("adversary:"):
             name = self.oracle.split(":", 1)[1]
-            if name not in ADVERSARY_NAMES:
+            if name not in FIXTURE_BUILDERS:
                 raise ConfigError(f"unknown adversary {name!r}")
 
 
@@ -461,31 +433,32 @@ def _default_max_total(instance: UncertainInstance) -> int:
     return 2 * n if "P" in instance.model.returns else 4 * n
 
 
+def _generate(spec, seed) -> UncertainInstance:
+    """The instance that `spec`, an ExperimentConfig or the `gen` command's
+    arguments, describes, generated from `seed`."""
+    if spec.problem_type == "mst":
+        graph_params = GraphGenParams(
+            vertices=spec.vertices,
+            extra_edges=spec.extra_edges,
+            model=spec.model,
+            overlap=spec.overlap,
+        )
+        return generate_graph_instance(graph_params, seed)
+    params = GenParams(
+        n=spec.n,
+        model=spec.model,
+        k=spec.k,
+        tie_rule=spec.tie_rule,
+        overlap=spec.overlap,
+        point_fraction=spec.point_fraction,
+    )
+    return generate_instance(params, seed)
+
+
 def trial_instance(config: ExperimentConfig, trial: int) -> UncertainInstance:
     """The generated instance of one trial: the configured generator, seeded
     with the string f"{config.seed}:{trial}"."""
-    seed = f"{config.seed}:{trial}"
-    if config.problem_type == "mst":
-        return generate_graph_instance(
-            GraphGenParams(
-                vertices=config.vertices,
-                extra_edges=config.extra_edges,
-                model=config.model,
-                overlap=config.overlap,
-            ),
-            seed,
-        )
-    return generate_instance(
-        GenParams(
-            n=config.n,
-            model=config.model,
-            k=config.k,
-            tie_rule=config.tie_rule,
-            overlap=config.overlap,
-            point_fraction=config.point_fraction,
-        ),
-        seed,
-    )
+    return _generate(config, f"{config.seed}:{trial}")
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
@@ -553,6 +526,15 @@ def compete(config: ExperimentConfig) -> Tuple[List[TrialRecord], dict, int]:
 # CLI
 
 
+def _write(text: str, path: Optional[str]) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_solve(args) -> int:
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
@@ -564,6 +546,7 @@ def _cmd_solve(args) -> int:
         oracle = fixture.fresh_oracle()
     else:
         oracle = build_oracle(args.oracle, instance)
+    name, _ = paired_algorithm(instance.problem.kind, args.algorithm)
     budget = args.budget or default_budget(len(instance.areas))
     if isinstance(instance.problem, UncertainGraph):
         report, answer = umst_solve(instance, oracle, budget)
@@ -572,15 +555,10 @@ def _cmd_solve(args) -> int:
             payload["tree"] = sorted(e + 1 for e in answer.tree)
             payload["red_rule_count"] = answer.red_rule_count
     else:
-        strategy = make_strategy(args.algorithm, instance.problem)
+        strategy = make_strategy(name, instance.problem)
         report = solve(instance, oracle, strategy, budget)
         payload = report.to_json()
-    text = dump_json(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(dump_json(payload), args.out)
     return EXIT_OK
 
 
@@ -591,7 +569,7 @@ def _cmd_opt(args) -> int:
     if isinstance(instance.problem, UncertainGraph):
         verifier = mst_verifier(instance.problem)
     else:
-        verifier = selection_verifier(instance.problem, instance.problem.tie_rule)
+        verifier = make_strategy("kmin-witness", instance.problem).verifier
     max_total = args.max_total or _default_max_total(instance)
     size = search_size(list(instance.areas), oracle, max_total)
     if size > MAX_SEARCH_VECTORS:
@@ -613,34 +591,8 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    model = ModelSpec.parse(args.model)
-    if args.problem == "mst":
-        instance = generate_graph_instance(
-            GraphGenParams(
-                vertices=args.vertices,
-                extra_edges=args.extra_edges,
-                model=model,
-                overlap=args.overlap,
-            ),
-            seed=args.seed,
-        )
-    else:
-        instance = generate_instance(
-            GenParams(
-                n=args.n,
-                model=model,
-                k=args.k,
-                overlap=args.overlap,
-                point_fraction=args.point_fraction,
-            ),
-            seed=args.seed,
-        )
-    text = dump_json(instance_to_json(instance))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.model = ModelSpec.parse(args.model)
+    _write(dump_json(instance_to_json(_generate(args, args.seed))), args.out)
     return EXIT_OK
 
 
@@ -662,12 +614,7 @@ def _cmd_fixtures(args) -> int:
         "opt": fixture.opt_value,
         "provenance": "asserted",
     }
-    text = dump_json(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(dump_json(payload), args.out)
     return EXIT_OK
 
 
@@ -680,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algorithm", default="min1-witness")
+    p.add_argument("--algorithm")
     p.add_argument("--oracle", default="ground")
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
@@ -694,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--model", required=True)
-    p.add_argument("--problem", choices=["kmin", "mst"], default="kmin")
+    p.add_argument("--problem", choices=sorted(ALGORITHMS), default="kmin", dest="problem_type")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--vertices", type=int, default=5)
@@ -703,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point-fraction", type=float, default=0.0, dest="point_fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, tie_rule=TieRule.STABLE)
 
     p = sub.add_parser("compete", help="run an algorithm-vs-OPT competition")
     p.add_argument("--config", required=True)

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Area, IntImages, int_images
-from .engine import EngineError, RunReport, SolverStrategy, solve
+from .engine import Algorithm, EngineError, RunReport, SolverStrategy, solve
 from .models import UncertainInstance
 # Nothing here calls validate_response; engine.solve validates every
 # response.  It stays importable from this module because bench/tracer.py
@@ -88,26 +87,6 @@ class MstAnswer:
     red_rule_count: int
 
 
-def edge_prec(x: Fraction, e: int, y: Fraction, f: int) -> bool:
-    """x (an endpoint value of edge e) precedes y (of edge f): smaller value
-    first, equal values broken toward the smaller edge index."""
-    if e == f:
-        raise ValueError("cannot compare an edge with itself")
-    return x < y or (x == y and e < f)
-
-
-def always_maximal(cycle: Sequence[int], e: int, weights: Sequence[Area]) -> bool:
-    """True iff every other cycle edge's upper bound precedes e's lower bound,
-    so e can never be part of a minimum tree using this cycle."""
-    if e not in cycle:
-        raise ValueError("edge not on the cycle")
-    if len(cycle) < 2:
-        raise ValueError("a cycle needs at least two edges")
-    return all(
-        edge_prec(weights[c].hi, c, weights[e].lo, e) for c in cycle if c != e
-    )
-
-
 def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
     """('delete', edge) when the red rule applies, else ('witness', (f, g)).
 
@@ -124,9 +103,10 @@ def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
 def _ranks(lo_image: List[int], hi_image: List[int]) -> Tuple[List[int], List[int]]:
     """Exact integer ranks of every lo and hi endpoint: value·D·E + index,
     where value·D is the integer image (`int_images` or `IntImages`) and E
-    the edge count.  Two ranks of different edges compare exactly as
-    edge_prec does on their values, since the index term is below E and only
-    breaks value ties."""
+    the edge count.  Two ranks of different edges compare as the comparison
+    operator does on their values (smaller value first, equal values toward
+    the smaller edge index), since the index term is below E and only breaks
+    value ties."""
     n = len(lo_image)
     return (
         [v * n + e for e, v in enumerate(lo_image)],
@@ -284,6 +264,10 @@ def mst_verifier(graph: UncertainGraph):
     return verify
 
 
+# The uncertain-MST algorithm's witness size, model restriction and bound.
+MST_ALGORITHMS = {"umst": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt)}
+
+
 class UmstStrategy(SolverStrategy):
     """The uncertain-MST algorithm as an engine strategy.  The verifier runs
     one pass, resumed from the previous one, and keeps its result; the
@@ -295,7 +279,8 @@ class UmstStrategy(SolverStrategy):
     queries, and it would change the query sequence."""
 
     def __init__(self, graph: UncertainGraph) -> None:
-        super().__init__("umst", self._verify, self._witness)
+        umst = MST_ALGORITHMS["umst"]
+        super().__init__("umst", self._verify, self._witness, umst.k_bound, umst.model_check)
         self.graph = graph
         self.pass_log = PassLog()
         self.result: tuple = ()

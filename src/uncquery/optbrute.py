@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import Area
-from .oracles import ADVERSARY, Oracle
+from .oracles import Oracle
 
 
 class OptSearchError(Exception):
@@ -51,7 +51,7 @@ def response_chain(
 
 
 def _prepare(areas, oracle, max_total, base_counts):
-    if oracle.kind == ADVERSARY or not oracle.update_independent:
+    if not oracle.update_independent:
         raise OptSearchError(
             "the brute-force search needs update independence; adversary "
             "optima are fixture values, not searchable objects"

@@ -19,17 +19,11 @@ from .core import Area, EndpointKind, TieRule, _fraction
 from .models import ModelSpec, TypeSet, UncertainInstance
 from .selection import SelectionProblem
 
-GROUND_TRUTH = "ground-truth"
-SCRIPTED = "scripted"
-ADVERSARY = "adversary"
-
-
 class OracleError(Exception):
     pass
 
 
 class Oracle:
-    kind: str = SCRIPTED
     update_independent: bool = True
 
     def respond(self, index: int, count: int, current: Area) -> Area:
@@ -119,9 +113,6 @@ def ground_truth_respond(
 
 
 class GroundTruthOracle(Oracle):
-    kind = GROUND_TRUTH
-    update_independent = True
-
     def __init__(self, policy, hidden: Sequence, returns: TypeSet):
         self.policy = policy
         self.hidden = tuple(map(_fraction, hidden))
@@ -144,9 +135,6 @@ class GroundTruthOracle(Oracle):
 
 
 class ScriptedOracle(Oracle):
-    kind = SCRIPTED
-    update_independent = True
-
     def __init__(self, responses: Dict[int, List[Area]]):
         self.responses = {int(i): list(rs) for i, rs in responses.items()}
 
@@ -193,7 +181,6 @@ class MinTightAdversary(Oracle):
     other side then lets the run finish at exactly 2n queries.
     """
 
-    kind = ADVERSARY
     update_independent = False
 
     def __init__(self, n: int, a0_index: int = 0):
@@ -242,17 +229,12 @@ class MinTightAdversary(Oracle):
             raise ValueError("case must be 1 or 2")
         return ScriptedOracle(responses)
 
-    @property
-    def opt_value(self) -> int:
-        return self.n
-
 
 class KMinPointAdversary(Oracle):
     """The 2k-area lower bound for k-Min under point-capable inputs: the
     first k-1 distinct intervals queried resolve low, the k-th resolves high,
     while the colluding optimum only ever needed the high one."""
 
-    kind = ADVERSARY
     update_independent = False
 
     def __init__(self, k: int, point_returns: bool = True):
@@ -280,14 +262,11 @@ class KMinPointAdversary(Oracle):
             return self._low()
         return self._high()
 
-    opt_value = 1
-
 
 class CpAnomalyAdversary(Oracle):
     """Identical closed intervals answered 2 until the last distinct index,
     which gets 1; the colluding optimum queries that index straight away."""
 
-    kind = ADVERSARY
     update_independent = False
 
     def __init__(self, n: int, designated: Optional[int] = None):
@@ -319,16 +298,11 @@ class CpAnomalyAdversary(Oracle):
             Fraction(1) if i == self.designated else Fraction(2) for i in range(self.n)
         )
 
-    opt_value = 1
-
 
 class OpoCounterOracle(Oracle):
     """Two-interval schedule showing the 1-Min bypass diverges once queries
     may return intervals: the low interval never separates, the high one
     resolves in a single query."""
-
-    kind = SCRIPTED
-    update_independent = True
 
     def respond(self, index: int, count: int, current: Area) -> Area:
         if index == 0:
@@ -336,8 +310,6 @@ class OpoCounterOracle(Oracle):
         if index == 1:
             return Area.open(21 - Fraction(1, 2 * count), 21)
         raise OracleError(f"index {index + 1} outside the fixed instance")
-
-    opt_value = 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +322,6 @@ class Fixture:
     instance: UncertainInstance
     oracle: Oracle
     opt_value: int
-    opt_oracle: Optional[Oracle] = None
-    notes: str = ""
 
     def fresh_oracle(self) -> Oracle:
         return self.oracle.fork()
@@ -380,7 +350,6 @@ def min_tight_fixture(n: int, a0_last: bool = False) -> Fixture:
         instance=instance,
         oracle=adversary,
         opt_value=n,
-        notes="fixture OPT asserted from the collusion argument",
     )
 
 
@@ -399,24 +368,22 @@ def kmin_point_fixture(k: int, point_returns: bool = True) -> Fixture:
         instance=instance,
         oracle=KMinPointAdversary(k, point_returns),
         opt_value=1,
-        notes="fixture OPT asserted from the collusion argument",
     )
 
 
 def cp_anomaly_fixture(n: int, tie_rule: TieRule = TieRule.STABLE) -> Fixture:
+    """n identical closed intervals; the fixture OPT of 1 holds for the
+    non-lex reading."""
     instance = UncertainInstance(
         model=ModelSpec.parse("CP-P"),
         areas=tuple(Area.closed(1, 3) for _ in range(n)),
         problem=SelectionProblem(k=1, tie_rule=tie_rule),
     )
-    adversary = CpAnomalyAdversary(n)
     return Fixture(
         name="cp-anomaly",
         instance=instance,
-        oracle=adversary,
+        oracle=CpAnomalyAdversary(n),
         opt_value=1,
-        opt_oracle=adversary.opt_script(),
-        notes="fixture OPT asserted for the non-lex reading",
     )
 
 

@@ -15,8 +15,7 @@ from typing import Iterable, List, Optional, Sequence
 # module because bench/tracer.py binds uncquery.selection.order_l and
 # order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    REBUILD_SHARE, AreaVector, IntImages, TieRule, _check_subset, lo_rank, lo_ranks, order_l,
-    order_u,
+    REBUILD_SHARE, AreaVector, IntImages, TieRule, lo_rank, lo_ranks, order_l, order_u,
 )
 from .models import ModelCategory, ModelSpec, classify_model
 
@@ -114,11 +113,6 @@ class SelectionState:
         kinds = map(attrgetter("hi_kind" if self.kmax else "lo_kind"), self.images.areas)
         self.rank = lo_ranks(self.lo, kinds, self.tie_rule)
 
-    def lo_order(self, subset: Optional[Iterable[int]]) -> List[int]:
-        if subset is None:
-            return self.order
-        return sorted(_check_subset(self.lo, subset), key=self._key)
-
 
 def _state(areas, tie_rule: TieRule) -> SelectionState:
     """The state a rule reads: `areas` itself when a strategy passes its
@@ -203,14 +197,10 @@ def _max_hi_head(members: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -
     return [min(i for i in picked if hi[i] == top)]
 
 
-def min1_witness(
-    areas: AreaVector,
-    tie_rule: TieRule = TieRule.STABLE,
-    subset: Optional[Sequence[int]] = None,
-) -> List[int]:
+def min1_witness(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> List[int]:
     """The two lo-order heads, skipping point areas (points are unqueriable)."""
     s = _state(areas, tie_rule)
-    return _two_heads(s.lo_order(subset), s.lo, s.hi)
+    return _two_heads(s.order, s.lo, s.hi)
 
 
 def kmin_witness(
@@ -271,9 +261,9 @@ def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Strategy registry for the engine and the CLI.
+# The selection algorithms for the engine and the CLI.
 
-from .engine import SolverStrategy, alternate  # noqa: E402
+from .engine import Algorithm, AlternatingWitness, SolverStrategy  # noqa: E402
 
 
 def require_op_p(spec: ModelSpec) -> Optional[str]:
@@ -293,70 +283,58 @@ def _require_op_family(spec: ModelSpec) -> Optional[str]:
     return None
 
 
-def _states(objective: Objective) -> dict:
-    """One SelectionState per tie rule, shared by the rules of a strategy."""
-    return {tie_rule: SelectionState(tie_rule, objective) for tie_rule in TieRule}
+# Each selection algorithm's witness size, model restriction and bound.
+# Alternation lifts the bypass's OP-P restriction: that is its point.
+SELECTION_ALGORITHMS = {
+    "min1-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
+    "kmin-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
+    "min1-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + 1),
+    "kmin-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + min(k, n - k)),
+    "min1-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
+    "kmin-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
+    "opop-alternate": Algorithm(2, _require_op_family, lambda q, opt, k, n: q <= 2 * (opt + k)),
+}
+
+STRATEGY_NAMES = tuple(SELECTION_ALGORITHMS)
 
 
-def _verifier(states: dict, k: int, tie_rule: TieRule):
-    state = states[tie_rule]
+def _verifier(state: SelectionState, k: int, tie_rule: TieRule):
     return lambda areas: kmin_verifier(state.update(areas), k, tie_rule)
 
 
-def selection_verifier(problem: SelectionProblem, tie_rule: TieRule):
-    """The problem's verifier under a tie rule: k-th smallest, or k-th
-    largest on the mirrored state.  It patches its state from call to call."""
-    return _verifier(_states(problem.objective), problem.k, tie_rule)
-
-
-STRATEGY_NAMES = (
-    "min1-witness",
-    "kmin-witness",
-    "min1-bypass",
-    "kmin-bypass",
-    "min1-lex",
-    "kmin-lex",
-    "opop-alternate",
-)
+def _witness(name: str, k: int, tie: TieRule, states: dict):
+    """The named strategy's witness chooser.  It looks its rule up by name
+    on every call, so a rule rebound on this module is the one that runs."""
+    state, stable = states[tie], states[TieRule.STABLE]
+    if name in ("min1-witness", "min1-lex"):
+        return lambda areas: min1_witness(state.update(areas), tie)
+    if name in ("kmin-witness", "kmin-lex"):
+        return lambda areas: kmin_witness(state.update(areas), k, tie)
+    if name == "min1-bypass":
+        return lambda areas: min1_bypass_witness(stable.update(areas))
+    if name == "kmin-bypass":
+        return lambda areas: kmin_bypass_witness(stable.update(areas), k)
+    # opop-alternate: the bypass and the witness pair of its family in turn.
+    family = "min1" if k == 1 else "kmin"
+    return AlternatingWitness(
+        _witness(f"{family}-bypass", k, tie, states), _witness(f"{family}-witness", k, tie, states)
+    )
 
 
 def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
-    """Build a named selection strategy bound to the problem's parameters.
-    Its verifier and witness chooser share one state per tie rule."""
-    return _make_strategy(name, problem, _states(problem.objective))
-
-
-def _make_strategy(name: str, problem: SelectionProblem, states: dict) -> SolverStrategy:
+    """Build a named selection strategy bound to the problem's parameters:
+    the k-th smallest, or the k-th largest on the mirrored state.  Its
+    verifier and witness chooser share one state per tie rule, patched from
+    call to call."""
+    algorithm = SELECTION_ALGORITHMS.get(name)
+    if algorithm is None:
+        raise ValueError(f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}")
     k = problem.k
     if name.startswith("min1") and k != 1:
         raise ValueError(f"{name} requires k=1, got k={k}")
-    tie = problem.tie_rule
-    if name.endswith("-lex"):
-        tie = TieRule.LEX
-
-    verifier = _verifier(states, k, tie)
-    state, stable = states[tie], states[TieRule.STABLE]
-
-    if name in ("min1-witness", "min1-lex"):
-        witness = lambda areas: min1_witness(state.update(areas), tie)  # noqa: E731
-        return SolverStrategy(name, verifier, witness, k_bound=2)
-    if name in ("kmin-witness", "kmin-lex"):
-        witness = lambda areas: kmin_witness(state.update(areas), k, tie)  # noqa: E731
-        return SolverStrategy(name, verifier, witness, k_bound=2)
-    if name == "min1-bypass":
-        witness = lambda areas: min1_bypass_witness(stable.update(areas))  # noqa: E731
-        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
-    if name == "kmin-bypass":
-        witness = lambda areas: kmin_bypass_witness(stable.update(areas), k)  # noqa: E731
-        return SolverStrategy(name, verifier, witness, k_bound=1, model_check=require_op_p)
-    if name == "opop-alternate":
-        bypass_name = "min1-bypass" if k == 1 else "kmin-bypass"
-        witness_name = "min1-witness" if k == 1 else "kmin-witness"
-        # alternate() drops the bypass's OP-P restriction: lifting it is the
-        # point of alternation.
-        bypass = _make_strategy(bypass_name, problem, states)
-        paired = _make_strategy(witness_name, problem, states)
-        combined = alternate(bypass, paired, name="opop-alternate")
-        combined.model_check = _require_op_family
-        return combined
-    raise ValueError(f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}")
+    tie = TieRule.LEX if name.endswith("-lex") else problem.tie_rule
+    states = {tie_rule: SelectionState(tie_rule, problem.objective) for tie_rule in TieRule}
+    return SolverStrategy(
+        name, _verifier(states[tie], k, tie), _witness(name, k, tie, states),
+        algorithm.k_bound, algorithm.model_check,
+    )

@@ -1,7 +1,8 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
 witness-state recorder around the solve loop, the Fraction-based area
-predicates, instance validation, orderings and selection choosers, and the
-restart-from-scratch uMST pass that the integer code is checked against."""
+predicates, instance validation, orderings and selection choosers, the
+mirror of an area, and the uMST comparison operator, red rule and
+restart-from-scratch pass that the integer code is checked against."""
 import copy
 from collections import defaultdict
 from fractions import Fraction
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
 from uncquery.models import Violation, validate_response
-from uncquery.mst import always_maximal, edge_prec
 
 
 def sample_values(area: Area) -> List[Fraction]:
@@ -231,6 +231,11 @@ def reference_validate_instance(instance) -> list:
 # all-pairs separation test and the point fallbacks.
 
 
+def mirror(area: Area) -> Area:
+    """Negate endpoints; maps k-th max questions onto k-th min ones."""
+    return Area(-area.hi, -area.lo, area.hi_kind, area.lo_kind)
+
+
 def reference_order_l(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
     idx = list(range(len(areas))) if subset is None else list(subset)
     if tie_rule is TieRule.STABLE:
@@ -322,11 +327,31 @@ def reference_kmin_bypass_witness(areas, k) -> List[int]:
         if not picked:
             raise ValueError("no queriable area available")
         return picked
-    mirrored = [a.mirror() for a in areas]
+    mirrored = [mirror(a) for a in areas]
     picked = _reference_first_nonpoints(areas, reference_order_l(mirrored, prefix), 1)
     if not picked:
         raise ValueError("no queriable area available")
     return picked
+
+
+def edge_prec(x: Fraction, e: int, y: Fraction, f: int) -> bool:
+    """x (an endpoint value of edge e) precedes y (of edge f): smaller value
+    first, equal values broken toward the smaller edge index."""
+    if e == f:
+        raise ValueError("cannot compare an edge with itself")
+    return x < y or (x == y and e < f)
+
+
+def always_maximal(cycle: Sequence[int], e: int, weights: Sequence[Area]) -> bool:
+    """True iff every other cycle edge's upper bound precedes e's lower bound,
+    so e can never be part of a minimum tree using this cycle."""
+    if e not in cycle:
+        raise ValueError("edge not on the cycle")
+    if len(cycle) < 2:
+        raise ValueError("a cycle needs at least two edges")
+    return all(
+        edge_prec(weights[c].hi, c, weights[e].lo, e) for c in cycle if c != e
+    )
 
 
 def reference_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):

@@ -5,11 +5,11 @@ import pytest
 
 from uncquery.core import Area, TieRule
 from uncquery.engine import (
+    AlternatingWitness,
     EngineError,
     OracleResponseError,
     RunStatus,
     SolverStrategy,
-    alternate,
     default_budget,
     solve,
 )
@@ -149,7 +149,7 @@ class TestAlternate:
         inst = _instance("O-O", [Area.open(0, 4), Area.open(1, 5)])
         a = make("A", [0])
         b = make("B", [1])
-        combined = alternate(a, b)
+        combined = SolverStrategy("A|B", a.verifier, AlternatingWitness(a.witness, b.witness))
         oracle = ScriptedOracle(
             {0: [Area.open(1, 4), Area.open(2, 4)], 1: [Area.open(2, 5)]}
         )

@@ -8,6 +8,8 @@ from helpers import reference_umst
 from uncquery.core import Area, TieRule
 from uncquery.engine import default_budget, solve
 from uncquery.harness import (
+    BOUNDS,
+    CSV_COLUMNS,
     ConfigError,
     EXIT_INVALID_CONFIG,
     EXIT_OK,
@@ -23,7 +25,6 @@ from uncquery.harness import (
     instance_from_json,
     instance_to_json,
     main,
-    records_from_csv,
     report_emit,
     run_trial,
     trial_instance,
@@ -158,6 +159,28 @@ class TestBuildOracle:
             build_oracle("nope", inst)
 
 
+def records_from_csv(text: str):
+    """The trial records of a CSV report, read back."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    out = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        row = dict(zip(CSV_COLUMNS.split(","), cells))
+        out.append(
+            TrialRecord(
+                trial=int(row["trial"]),
+                algorithm=row["algorithm"],
+                model=row["model"],
+                n=int(row["n"]),
+                k=int(row["k"]),
+                queries=int(row["queries"]),
+                opt=int(row["opt"]) if row["opt"] else None,
+                status=row["status"],
+            )
+        )
+    return out
+
+
 class TestReports:
     def _records(self):
         return [
@@ -248,6 +271,39 @@ class TestCompete:
         with pytest.raises(ConfigError):
             compete(cfg)
 
+    def test_alternation_refused_on_oo_before_any_trial(self):
+        cfg = ExperimentConfig(algorithm="opop-alternate", model=ModelSpec.parse("O-O"))
+        with pytest.raises(ConfigError, match="alternation"):
+            cfg.validate()
+
+    def test_unknown_report_format_refused_before_any_trial(self):
+        cfg = ExperimentConfig(algorithm="min1-witness", model=OPP, out_format="xml")
+        with pytest.raises(ConfigError, match="xml"):
+            cfg.validate()
+
+
+# The competitive bounds as the paper states them, written out apart from the
+# package's algorithm tables.
+PAPER_BOUNDS = {
+    "min1-witness": lambda q, opt, k, n: q <= 2 * opt,
+    "kmin-witness": lambda q, opt, k, n: q <= 2 * opt,
+    "min1-lex": lambda q, opt, k, n: q <= 2 * opt,
+    "kmin-lex": lambda q, opt, k, n: q <= 2 * opt,
+    "min1-bypass": lambda q, opt, k, n: q <= opt + 1,
+    "kmin-bypass": lambda q, opt, k, n: q <= opt + min(k, n - k),
+    "opop-alternate": lambda q, opt, k, n: q <= 2 * (opt + k),
+    "umst": lambda q, opt, k, n: q <= 2 * opt,
+}
+
+
+def test_bounds_are_the_papers():
+    assert set(BOUNDS) == set(PAPER_BOUNDS)
+    for name, bound in PAPER_BOUNDS.items():
+        for q in range(12):
+            for opt in range(6):
+                for k, n in ((1, 6), (2, 6), (3, 5)):
+                    assert BOUNDS[name](q, opt, k, n) == bound(q, opt, k, n), (name, q, opt, k, n)
+
 
 class TestCli:
     def test_gen_solve_opt(self, tmp_path, capsys):
@@ -285,6 +341,34 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"algorithm": "nope", "model": "OP-P"}))
         assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+
+    def test_unknown_problem_type_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "algorithm": "min1-witness", "model": "OP-P", "oracle": "ground:exact",
+            "problem": {"type": "graph"}, "trials": 3,
+        }))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown problem type 'graph'\n"
+
+    def test_solve_pairs_algorithm_with_problem(self, tmp_path, capsys):
+        graph, sel = tmp_path / "graph.json", tmp_path / "sel.json"
+        main(["gen", "--model", "OC-OC", "--problem", "mst", "--seed", "2", "--out", str(graph)])
+        main(["gen", "--model", "OP-P", "--n", "4", "--seed", "2", "--out", str(sel)])
+        for path, kind, foreign in ((graph, "mst", "kmin-bypass"), (sel, "kmin", "umst")):
+            code = main(["solve", "--instance", str(path), "--algorithm", foreign])
+            assert code == EXIT_INVALID_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"no {kind} algorithm {foreign!r}" in err
+        # Without --algorithm a graph runs umst and a selection min1-witness.
+        for path, default in ((graph, "umst"), (sel, "min1-witness")):
+            assert main(["solve", "--instance", str(path)]) == EXIT_OK
+            implicit = capsys.readouterr().out
+            assert main(["solve", "--instance", str(path), "--algorithm", default]) == EXIT_OK
+            assert capsys.readouterr().out == implicit
+            assert ("tree" in json.loads(implicit)) == (default == "umst")
 
     def test_bypass_refused_on_bad_model_instance(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

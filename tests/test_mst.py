@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_mst_pass, reference_umst, reference_witness_or_delete, sub_areas
+from helpers import (
+    always_maximal,
+    edge_prec,
+    reference_mst_pass,
+    reference_umst,
+    reference_witness_or_delete,
+    sub_areas,
+)
 from uncquery.core import Area
 from uncquery.engine import EngineError, RunStatus
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
     PassLog,
     UncertainGraph,
-    always_maximal,
-    edge_prec,
     mst_pass,
     mst_verifier,
     mst_witness_or_delete,

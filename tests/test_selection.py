@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     grid_vectors,
     kth_min_valid,
+    mirror,
     realizations,
     reference_kmin_bypass_witness,
     reference_kmin_verifier,
@@ -259,7 +260,7 @@ def test_integer_choosers_match_fraction_reference(vec, tie, kmax):
     code they replaced, for every k; kmax runs both on the mirrored vector,
     as the max objective does."""
     if kmax:
-        vec = [a.mirror() for a in vec]
+        vec = [mirror(a) for a in vec]
     assert _outcome(min1_witness, vec, tie) == _outcome(reference_min1_witness, vec, tie)
     for k in range(1, len(vec) + 1):
         assert kmin_verifier(vec, k, tie) == reference_kmin_verifier(vec, k, tie)
@@ -311,7 +312,7 @@ def test_patched_strategies_match_from_scratch(run, tie, objective, data):
     strategies = {name: make_strategy(name, problem) for name in names}
     states = {t: SelectionState(t, objective) for t in TieRule}
     for vec in [first] + steps:
-        oriented = [a.mirror() for a in vec] if objective is Objective.KTH_MAX else vec
+        oriented = [mirror(a) for a in vec] if objective is Objective.KTH_MAX else vec
         for t, state in states.items():
             assert state.update(vec).order == reference_order_l(oriented, None, t)
         for name, strategy in strategies.items():
