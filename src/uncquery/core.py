@@ -374,21 +374,17 @@ def order_l(
     areas: AreaVector,
     subset: Optional[Iterable[int]] = None,
     tie_rule: TieRule = TieRule.STABLE,
-    lo_image: Optional[Sequence[int]] = None,
 ) -> list:
     """Indices of `subset` sorted ascending by lo value.
 
     Stable ties keep index order.  Lex ties put an area that attains its lo
     endpoint (closed end or point) before one that does not; remaining ties
-    go to the smaller index.  `lo_image` is the lo list of `int_images(areas)`
-    when the caller already has it.
+    go to the smaller index.
     """
     # Sorting the indices first makes the stable sort break every remaining
     # tie toward the smaller index.
     idx = sorted(_check_subset(areas, subset))
-    if lo_image is None:
-        lo_image = int_images(areas)[0]
-    rank = lo_ranks(lo_image, (a.lo_kind for a in areas), tie_rule)
+    rank = lo_ranks(int_images(areas)[0], (a.lo_kind for a in areas), tie_rule)
     return sorted(idx, key=rank.__getitem__)
 
 

@@ -105,8 +105,8 @@ class RunReport:
         }
 
 
-def default_budget(n: int, max_refinements: int = 16) -> int:
-    return 4 * n * max_refinements
+def default_budget(n: int) -> int:
+    return 4 * n * 16  # four queries per area for each of 16 refinements
 
 
 def solve(

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .core import Area, TieRule, format_rational, parse_rational
 from .engine import Algorithm, EngineError, RunStatus, StrategyModelError, default_budget, solve
 from .models import ModelSpec, UncertainInstance
-from .mst import MST_ALGORITHMS, UncertainGraph, mst_verifier, umst_solve
+from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
 from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
 from .oracles import (
     FIXTURE_BUILDERS,
@@ -36,6 +36,9 @@ from .selection import SELECTION_ALGORITHMS, Objective, SelectionProblem, make_s
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 2
 EXIT_INVALID_CONFIG = 3
+
+# The widest area the generators draw, in units of the value grid.
+SCALE = 4
 
 
 class ConfigError(Exception):
@@ -145,7 +148,6 @@ class GenParams:
     tie_rule: TieRule = TieRule.STABLE
     overlap: float = 0.6
     point_fraction: float = 0.0
-    scale: int = 4
 
 
 def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
@@ -183,12 +185,12 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
             and (not interval_kinds or rng.random() < params.point_fraction)
         )
         if params.overlap <= 0:
-            lo = Fraction(i * (params.scale + 2))
-            length = Fraction(rng.randint(1, params.scale))
+            lo = Fraction(i * (SCALE + 2))
+            length = Fraction(rng.randint(1, SCALE))
         else:
-            width = max(1, round((1 - params.overlap) * params.n * params.scale))
+            width = max(1, round((1 - params.overlap) * params.n * SCALE))
             lo = Fraction(rng.randint(0, 2 * width), 2)
-            length = Fraction(rng.randint(2, 2 * params.scale), 2)
+            length = Fraction(rng.randint(2, 2 * SCALE), 2)
         if make_point:
             value = _pick_hidden(rng, Area.closed(lo, lo + length), used)
             areas.append(Area.point(value))
@@ -211,7 +213,6 @@ class GraphGenParams:
     extra_edges: int
     model: ModelSpec
     overlap: float = 0.6
-    scale: int = 4
 
 
 def generate_graph_instance(params: GraphGenParams, seed: int | str) -> UncertainInstance:
@@ -233,9 +234,9 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
     areas: List[Area] = []
     hidden: List[Fraction] = []
     for _ in range(graph.n_edges):
-        width = max(1, round((1 - params.overlap) * graph.n_edges * params.scale))
+        width = max(1, round((1 - params.overlap) * graph.n_edges * SCALE))
         lo = Fraction(rng.randint(0, 2 * width), 2)
-        length = Fraction(rng.randint(2, 2 * params.scale), 2)
+        length = Fraction(rng.randint(2, 2 * SCALE), 2)
         kind = rng.choice(interval_kinds)
         area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
         areas.append(area)
@@ -266,12 +267,21 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
-def build_fixture(name: str, n: int = 3, k: int = 2) -> Fixture:
+def adversary_fixture(spec: str, model, problem, areas=None, n=3, k=2) -> Optional[Fixture]:
+    """The fixture an `adversary:NAME` oracle spec plays, built for (n, k), or
+    None for any other spec.  An adversary plays only its own fixture, so
+    ConfigError unless it has this model and problem, and these areas if any."""
+    if not spec.startswith("adversary:"):
+        return None
+    name = spec.split(":", 1)[1]
     if name not in FIXTURE_BUILDERS:
-        raise ConfigError(
-            f"unknown fixture {name!r}; known: {', '.join(FIXTURE_BUILDERS)}"
-        )
-    return FIXTURE_BUILDERS[name](n, k)
+        raise ConfigError(f"unknown adversary {name!r}; known: {', '.join(FIXTURE_BUILDERS)}")
+    fixture = FIXTURE_BUILDERS[name](n, k)
+    own = fixture.instance
+    if (model, problem) != (own.model, own.problem) or areas not in (None, own.areas):
+        raise ConfigError(f"adversary {name!r} plays only its own fixture instance: "
+                          f"{own.model}, k={own.problem.k}, {own.problem.tie_rule.value} ties")
+    return fixture
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +337,8 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def report_emit(records: Sequence[TrialRecord], fmt: str, path: Optional[str] = None) -> str:
-    """Byte-stable CSV or JSON rendering; optionally written to `path`."""
+def report_emit(records: Sequence[TrialRecord], fmt: str) -> str:
+    """Byte-stable CSV or JSON rendering."""
     if fmt == "csv":
         lines = [CSV_COLUMNS]
         for r in records:
@@ -339,14 +349,11 @@ def report_emit(records: Sequence[TrialRecord], fmt: str, path: Optional[str] = 
         text = dump_json({"records": [r.to_json() for r in records]})
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
 
 
 # The algorithms of each problem type, keyed by the type's name in instance
-# JSON.  The first algorithm of a table is the problem's default for `solve`.
+# JSON.  The first of a table solves every instance and is `solve`'s default.
 ALGORITHMS = {"kmin": SELECTION_ALGORITHMS, "mst": MST_ALGORITHMS}
 
 BOUNDS = {name: alg.bound for table in ALGORITHMS.values() for name, alg in table.items()}
@@ -422,10 +429,14 @@ class ExperimentConfig:
             if err:
                 raise ConfigError(f"{self.algorithm}: {err}")
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
-        if self.oracle.startswith("adversary:"):
-            name = self.oracle.split(":", 1)[1]
-            if name not in FIXTURE_BUILDERS:
-                raise ConfigError(f"unknown adversary {name!r}")
+        self.fixture()
+
+    def fixture(self) -> Optional[Fixture]:
+        """The fixture an adversary oracle plays, or None for any other
+        oracle; ConfigError unless it has the configured model and problem."""
+        kmin = self.problem_type == "kmin"
+        problem = SelectionProblem(self.k, tie_rule=self.tie_rule) if kmin else None
+        return adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
 
 
 def _default_max_total(instance: UncertainInstance) -> int:
@@ -461,31 +472,32 @@ def trial_instance(config: ExperimentConfig, trial: int) -> UncertainInstance:
     return _generate(config, f"{config.seed}:{trial}")
 
 
+def run_algorithm(instance: UncertainInstance, oracle: Oracle, algorithm, budget) -> tuple:
+    """(report, answer, verifier for the OPT search) of the named algorithm,
+    or the problem's default, within the budget or the default one.  The
+    answer is an MstAnswer on a graph.  bench/tracer.py rebinds this
+    module's `solve` and `umst_solve`, so both are looked up at each call."""
+    name, _ = paired_algorithm(instance.problem.kind, algorithm)
+    budget = budget or default_budget(len(instance.areas))
+    if isinstance(instance.problem, UncertainGraph):
+        report, answer = umst_solve(instance, oracle, budget)
+        return report, answer, mst_verifier(instance.problem)
+    strategy = make_strategy(name, instance.problem)
+    report = solve(instance, oracle, strategy, budget)
+    return report, report.answer, strategy.verifier
+
+
 def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
-    if config.oracle.startswith("adversary:"):
-        name = config.oracle.split(":", 1)[1]
-        fixture = build_fixture(name, n=config.n, k=config.k)
-        instance = fixture.instance
-        oracle = fixture.fresh_oracle()
-        opt: Optional[int] = fixture.opt_value
+    fixture = config.fixture()
+    if fixture is not None:
+        instance, oracle, opt = fixture.instance, fixture.fresh_oracle(), fixture.opt_value
     else:
         instance = trial_instance(config, trial)
-        oracle = build_oracle(config.oracle, instance)
-        opt = None
-
-    budget = config.budget or default_budget(len(instance.areas))
-    if config.problem_type == "mst":
-        report, _answer = umst_solve(instance, oracle.fork(), budget)
-        verifier = mst_verifier(instance.problem)
-    else:
-        strategy = make_strategy(config.algorithm, instance.problem)
-        report = solve(instance, oracle.fork(), strategy, budget)
-        verifier = strategy.verifier
-
+        oracle, opt = build_oracle(config.oracle, instance), None
+    report, _, verifier = run_algorithm(instance, oracle.fork(), config.algorithm, config.budget)
     if opt is None:
         max_total = config.max_total or _default_max_total(instance)
-        opt_res = opt_value(list(instance.areas), oracle, verifier, max_total)
-        opt = opt_res.opt
+        opt = opt_value(list(instance.areas), oracle, verifier, max_total).opt
 
     status = "ok"
     if report.status is RunStatus.BUDGET_EXCEEDED:
@@ -538,26 +550,13 @@ def _write(text: str, path: Optional[str]) -> None:
 def _cmd_solve(args) -> int:
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
-    if args.oracle.startswith("adversary:"):
-        name = args.oracle.split(":", 1)[1]
-        fixture = build_fixture(name)
-        if (instance.model, instance.areas) != (fixture.instance.model, fixture.instance.areas):
-            raise ConfigError(f"adversary {name!r} plays only its own fixture instance")
-        oracle = fixture.fresh_oracle()
-    else:
-        oracle = build_oracle(args.oracle, instance)
-    name, _ = paired_algorithm(instance.problem.kind, args.algorithm)
-    budget = args.budget or default_budget(len(instance.areas))
-    if isinstance(instance.problem, UncertainGraph):
-        report, answer = umst_solve(instance, oracle, budget)
-        payload = report.to_json()
-        if answer is not None:
-            payload["tree"] = sorted(e + 1 for e in answer.tree)
-            payload["red_rule_count"] = answer.red_rule_count
-    else:
-        strategy = make_strategy(name, instance.problem)
-        report = solve(instance, oracle, strategy, budget)
-        payload = report.to_json()
+    fixture = adversary_fixture(args.oracle, instance.model, instance.problem, instance.areas)
+    oracle = build_oracle(args.oracle, instance) if fixture is None else fixture.fresh_oracle()
+    report, answer, _ = run_algorithm(instance, oracle, args.algorithm, args.budget)
+    payload = report.to_json()
+    if isinstance(answer, MstAnswer):
+        payload["tree"] = sorted(e + 1 for e in answer.tree)
+        payload["red_rule_count"] = answer.red_rule_count
     _write(dump_json(payload), args.out)
     return EXIT_OK
 
@@ -577,15 +576,11 @@ def _cmd_opt(args) -> int:
             f"the OPT search could visit {size} count vectors, more than "
             f"{MAX_SEARCH_VECTORS}; lower --max-total (now {max_total})"
         )
-    result = opt_value(list(instance.areas), oracle, verifier, max_total)
     minima = minimal_solutions(list(instance.areas), oracle, verifier, max_total)
-    payload = {
-        "opt": result.opt,
-        "vector": None
-        if result.vector is None
-        else {str(i + 1): c for i, c in sorted(result.vector.items())},
-        "minimal_count": len(minima),
-    }
+    payload = {"opt": None, "vector": None, "minimal_count": len(minima)}
+    if minima:  # the first minimal solution is the one opt_value reports
+        payload.update(opt=sum(minima[0].values()),
+                       vector={str(i + 1): c for i, c in sorted(minima[0].items())})
     sys.stdout.write(dump_json(payload))
     return EXIT_OK
 
@@ -601,13 +596,13 @@ def _cmd_compete(args) -> int:
         config = ExperimentConfig.from_json(json.load(fh))
     records, aggregate, code = compete(config)
     if config.out:
-        report_emit(records, config.out_format, config.out)
+        _write(report_emit(records, config.out_format), config.out)
     sys.stdout.write(dump_json(aggregate))
     return code
 
 
 def _cmd_fixtures(args) -> int:
-    fixture = build_fixture(args.name, n=args.n, k=args.k)
+    fixture = FIXTURE_BUILDERS[args.name](args.n, args.k)  # argparse checked the name
     payload = instance_to_json(fixture.instance)
     payload["fixture"] = {
         "name": fixture.name,

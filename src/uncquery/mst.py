@@ -206,28 +206,25 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     maximal.  The forest therefore only grows, and an edge joins it iff it
     links two trees.
 
-    With a log from an earlier pass over the same graph, the pass replays
-    the longest processed prefix of that pass's order whose edges kept their
-    positions and their weights (compared by identity; areas are immutable).
-    Each of those edges was added or deleted without queries, so the replay
-    needs only the tree labels, no path or chooser.  The log's images are
-    patched for the changed weights, and the log is then overwritten with
-    this pass.  The result is the same as without a log.
+    The pass replays the longest processed prefix of the log's pass whose
+    edges kept their positions and their weights (compared by identity;
+    areas are immutable).  Each of those edges was added or deleted without
+    queries, so the replay needs only the tree labels, no path or chooser.
+    The log's images are patched for the changed weights, and the log is
+    then overwritten with this pass.  A fresh log, the default, replays
+    nothing; the result is the same with any log.
     """
+    log = log or PassLog()
     edges = graph.edges
-    if log is None:
-        lo_rank, hi_rank = _ranks(*int_images(weights))
-    else:
-        changed = set(log.images.update(weights))
-        lo_rank, hi_rank = _ranks(log.images.lo, log.images.hi)
+    changed = set(log.images.update(weights))
+    lo_rank, hi_rank = _ranks(log.images.lo, log.images.hi)
     order = sorted(range(graph.n_edges), key=lo_rank.__getitem__)
     replay = 0
-    if log is not None:
-        for e, old in zip(order, log.order[: log.processed]):
-            if e != old or e in changed:
-                break
-            replay += 1
-        log.order = order
+    for e, old in zip(order, log.order[: log.processed]):
+        if e != old or e in changed:
+            break
+        replay += 1
+    log.order = order
     forest = _Forest(graph.vertices)
     tree = []
     red = 0
@@ -242,18 +239,17 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
             cycle.append(e)
             action, payload = _witness_or_delete(cycle, lo_rank, hi_rank)
             if action == "witness":
-                if log is not None:
-                    log.processed = i
+                log.processed = i
                 return ("witness", payload)
         red += 1
-    if log is not None:
-        log.processed = len(order)
+    log.processed = len(order)
     return ("done", frozenset(tree), red)
 
 
 def mst_verifier(graph: UncertainGraph):
     """Verifier closure for the brute-force optimum search: the answer (the
-    certified tree) once a pass needs no witness queries, else None."""
+    certified tree) once a pass needs no witness queries, else None.  Each
+    call's pass runs on a fresh log, so no call replays another."""
 
     def verify(weights: Sequence[Area]):
         result = mst_pass(graph, weights)

@@ -118,36 +118,11 @@ def _dominates(vector: Dict[int, int], found: List[Dict[int, int]]) -> bool:
     )
 
 
-def opt_value(
-    areas: Sequence[Area],
-    oracle: Oracle,
-    verifier: Callable,
-    max_total: int,
-    base_counts: Optional[Sequence[int]] = None,
-) -> OptResult:
-    """Smallest verifying query total and the lexicographically smallest
-    vector achieving it; OptResult(None, None) when nothing verifies within
-    the budget."""
-    chains, caps = _prepare(areas, oracle, max_total, base_counts)
-    for total in range(0, max_total + 1):
-        for vector in _level_vectors(caps, total):
-            if verifier(_areas_for(areas, chains, vector)) is not None:
-                return OptResult(total, vector)
-    return OptResult(None, None)
-
-
-def minimal_solutions(
-    areas: Sequence[Area],
-    oracle: Oracle,
-    verifier: Callable,
-    max_total: int,
-    base_counts: Optional[Sequence[int]] = None,
-) -> List[Dict[int, int]]:
-    """All inclusion-minimal verifying count vectors with total <= max_total.
-
-    Supersets of an already-found solution verify by monotonicity and are
-    pruned; once a whole level is dominated the search stops early.
-    """
+def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
+    """The inclusion-minimal verifying count vectors with total <= max_total,
+    in search order.  Supersets of a found one verify by monotonicity and
+    are pruned, so nothing is pruned before the first; once a whole level
+    is dominated the search stops."""
     chains, caps = _prepare(areas, oracle, max_total, base_counts)
     found: List[Dict[int, int]] = []
     for total in range(0, max_total + 1):
@@ -158,9 +133,35 @@ def minimal_solutions(
             level_open = True
             if verifier(_areas_for(areas, chains, vector)) is not None:
                 found.append(vector)
+                yield vector
         if not level_open and total > 0:
-            break
-    return found
+            return
+
+
+def opt_value(
+    areas: Sequence[Area],
+    oracle: Oracle,
+    verifier: Callable,
+    max_total: int,
+    base_counts: Optional[Sequence[int]] = None,
+) -> OptResult:
+    """Smallest verifying query total and the lexicographically smallest
+    vector achieving it, the first minimal solution; OptResult(None, None)
+    when nothing verifies within the budget."""
+    vector = next(_minimal_vectors(areas, oracle, verifier, max_total, base_counts), None)
+    return OptResult(None, None) if vector is None else OptResult(sum(vector.values()), vector)
+
+
+def minimal_solutions(
+    areas: Sequence[Area],
+    oracle: Oracle,
+    verifier: Callable,
+    max_total: int,
+    base_counts: Optional[Sequence[int]] = None,
+) -> List[Dict[int, int]]:
+    """All inclusion-minimal verifying count vectors with total <= max_total,
+    in search order."""
+    return list(_minimal_vectors(areas, oracle, verifier, max_total, base_counts))
 
 
 def witness_check(witness: Sequence[int], solutions: List[Dict[int, int]]) -> bool:

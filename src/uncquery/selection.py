@@ -286,8 +286,8 @@ def _require_op_family(spec: ModelSpec) -> Optional[str]:
 # Each selection algorithm's witness size, model restriction and bound.
 # Alternation lifts the bypass's OP-P restriction: that is its point.
 SELECTION_ALGORITHMS = {
-    "min1-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "kmin-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
+    "min1-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "min1-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + 1),
     "kmin-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + min(k, n - k)),
     "min1-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),

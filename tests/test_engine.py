@@ -192,4 +192,3 @@ def test_alternation_bound_on_opop_instances():
 
 def test_default_budget_scales_with_n():
     assert default_budget(3) == 192
-    assert default_budget(3, max_refinements=1) == 12

@@ -362,8 +362,12 @@ class TestCli:
             assert code == EXIT_INVALID_CONFIG
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"no {kind} algorithm {foreign!r}" in err
-        # Without --algorithm a graph runs umst and a selection min1-witness.
-        for path, default in ((graph, "umst"), (sel, "min1-witness")):
+        # Without --algorithm a graph runs umst and a selection kmin-witness,
+        # which at k=1 reports as min1-witness does and also solves k > 1.
+        sel_k3 = tmp_path / "sel_k3.json"
+        main(["gen", "--model", "OP-P", "--n", "6", "--k", "3", "--seed", "7",
+              "--out", str(sel_k3)])
+        for path, default in ((graph, "umst"), (sel, "min1-witness"), (sel_k3, "kmin-witness")):
             assert main(["solve", "--instance", str(path)]) == EXIT_OK
             implicit = capsys.readouterr().out
             assert main(["solve", "--instance", str(path), "--algorithm", default]) == EXIT_OK
@@ -523,6 +527,36 @@ class TestCli:
         main(["fixtures", "--name", "min-tight", "--n", "4", "--out", str(inst_path)])
         code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
         assert code == EXIT_INVALID_CONFIG
+
+    @pytest.mark.parametrize("mismatch", [
+        {"model": "OP-P"},
+        {"problem": {"type": "kmin", "k": 3}},
+        {"problem": {"type": "kmin", "k": 1, "tie_rule": "lex"}},
+        {"problem": {"type": "mst"}, "algorithm": "umst"},
+    ], ids=["model", "k", "tie-rule", "problem-type"])
+    def test_compete_adversary_refuses_foreign_config(self, tmp_path, capsys, mismatch):
+        # min-tight's fixture is an O-O k=1 stable selection instance.
+        out = tmp_path / "report.csv"
+        config = {"algorithm": "min1-witness", "model": "O-O", "oracle": "adversary:min-tight",
+                  "trials": 1, "n": 3, "out": str(out), **mismatch}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "plays only its own fixture" in err
+        assert not out.exists()
+
+    def test_compete_adversary_plays_matching_config(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "algorithm": "min1-witness", "model": "O-O", "oracle": "adversary:min-tight",
+            "problem": {"type": "kmin", "k": 1, "tie_rule": "stable"},
+            "trials": 1, "n": 3, "out": str(out),
+        }))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["violations"] == 0
+        assert out.read_text().splitlines()[1] == "0,min1-witness,O-O,4,1,6,3,2,3,ok"
 
     @pytest.mark.parametrize("config", [
         {"model": "OP-P"},

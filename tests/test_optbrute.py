@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from uncquery.core import Area, TieRule
+from uncquery.harness import (
+    GenParams, GraphGenParams, build_oracle, generate_graph_instance, generate_instance,
+)
 from uncquery.models import ModelSpec, UncertainInstance
+from uncquery.mst import mst_verifier
 from uncquery.oracles import (
     ExactPolicy,
     GroundTruthOracle,
@@ -21,7 +25,7 @@ from uncquery.optbrute import (
     witness_check,
 )
 from uncquery.optbrute import _level_vectors, _prepare
-from uncquery.selection import SelectionProblem, kmin_verifier, min1_witness
+from uncquery.selection import SelectionProblem, kmin_verifier, make_strategy, min1_witness
 
 
 def O(lo, hi):
@@ -159,3 +163,46 @@ class TestWitnessCheck:
 
     def test_uncovered_solution_detected(self):
         assert not witness_check([0], [{0: 1}, {1: 1}])
+
+
+def _recording(verifier, calls):
+    def verify(areas):
+        answer = verifier(areas)
+        calls.append((tuple(areas), answer is not None))
+        return answer
+
+    return verify
+
+
+@pytest.mark.parametrize("oracle_spec", ["ground:exact", "ground:halve"])
+@pytest.mark.parametrize("problem", ["kmin", "mst"])
+def test_opt_value_is_the_first_minimal_solution(problem, oracle_spec):
+    """opt_value makes minimal_solutions' verifier calls, in the same order,
+    up to and including the first hit, and reports that first solution."""
+    model = ModelSpec.parse("OC-P" if oracle_spec == "ground:exact" else "OC-OC")
+    for seed in range(6):
+        if problem == "mst":
+            params = GraphGenParams(vertices=3 + seed % 3, extra_edges=3, model=model)
+            inst = generate_graph_instance(params, seed)
+            verifier = mst_verifier(inst.problem)
+        else:
+            inst = generate_instance(GenParams(n=3 + seed % 4, model=model, k=1 + seed % 3), seed)
+            verifier = make_strategy("kmin-witness", inst.problem).verifier
+        n = len(inst.areas)
+        assert n <= 8
+        oracle = build_oracle(oracle_spec, inst)
+        # The smaller budget leaves some searches without any solution.
+        for max_total in (1, n if oracle_spec == "ground:halve" else 2 * n):
+            opt_calls, all_calls = [], []
+            result = opt_value(list(inst.areas), oracle, _recording(verifier, opt_calls), max_total)
+            minima = minimal_solutions(
+                list(inst.areas), oracle, _recording(verifier, all_calls), max_total
+            )
+            assert opt_calls == all_calls[: len(opt_calls)]
+            hits = [i for i, (_areas, hit) in enumerate(all_calls) if hit]
+            if minima:
+                assert len(opt_calls) == hits[0] + 1
+                assert (result.opt, result.vector) == (sum(minima[0].values()), minima[0])
+            else:
+                assert opt_calls == all_calls and not hits
+                assert (result.opt, result.vector) == (None, None)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from uncquery.core import Area
 from uncquery.engine import solve
-from uncquery.harness import build_oracle
+from uncquery.harness import build_oracle, main
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
 
@@ -46,3 +46,29 @@ def test_tracer_sees_every_selection_strategy():
             assert {"selection.witness", "selection.verify"} <= spans, strategy.name
     finally:
         tracer.uninstall()
+
+
+def test_tracer_sees_the_cli_solve_layers(tmp_path, capsys):
+    """`uncquery solve` parses, solves and emits through the harness names
+    the tracer rebinds: `solve` for a selection instance, `umst_solve` for a
+    graph, both looked up on the harness module at each call."""
+    sel, graph = tmp_path / "sel.json", tmp_path / "graph.json"
+    assert main(["gen", "--model", "OP-P", "--n", "5", "--k", "2", "--seed", "3",
+                 "--out", str(sel)]) == 0
+    assert main(["gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "5",
+                 "--seed", "3", "--out", str(graph)]) == 0
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    tracer.install()
+    try:
+        spans = {}
+        for path in (sel, graph):
+            start = len(tracer.kind)
+            assert main(["solve", "--instance", str(path)]) == 0
+            spans[path] = {tracer.names[k] for k in tracer.kind[start:]}
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for path in (sel, graph):
+        assert {"harness.parse", "harness.emit"} <= spans[path], path
+    assert "engine.solve" in spans[sel]
+    assert "mst.solve" in spans[graph]
