@@ -216,7 +216,7 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     """
     log = log or PassLog()
     edges = graph.edges
-    changed = set(log.images.update(weights))
+    changed = log.images.update(weights)
     lo_rank, hi_rank = _ranks(log.images.lo, log.images.hi)
     order = sorted(range(graph.n_edges), key=lo_rank.__getitem__)
     replay = 0

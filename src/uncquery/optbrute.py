@@ -6,6 +6,11 @@ in order of increasing total.  The same search yields the full family of
 inclusion-minimal verifying vectors, which is what witness-set validity is
 checked against.  This module is a test oracle, not a solver: it is meant for
 n up to about 10.
+
+Response chains are built only as deep as the level reached: a vector of
+total t counts at most t on one index, so level t reads each chain to at most
+t entries, and the search asks the oracle for nothing beyond that.  Capping
+every chain at t leaves the vectors of level t and their order unchanged.
 """
 from __future__ import annotations
 
@@ -50,28 +55,37 @@ def response_chain(
     return out
 
 
-def _prepare(areas, oracle, max_total, base_counts):
-    if not oracle.update_independent:
-        raise OptSearchError(
-            "the brute-force search needs update independence; adversary "
-            "optima are fixture values, not searchable objects"
-        )
-    oracle = oracle.fork()
-    n = len(areas)
-    base = [0] * n if base_counts is None else list(base_counts)
-    chains = [
-        response_chain(oracle, i, areas[i], max_total, base[i]) for i in range(n)
-    ]
-    caps = [len(chain) for chain in chains]
-    return chains, caps
+class _Chains:
+    """Each index's response chain on a fork of the oracle, grown on demand."""
 
+    def __init__(self, areas, oracle, base_counts):
+        if not oracle.update_independent:
+            raise OptSearchError(
+                "the brute-force search needs update independence; adversary "
+                "optima are fixture values, not searchable objects"
+            )
+        self.areas = list(areas)
+        self.oracle = oracle.fork()
+        self.base = [0] * len(areas) if base_counts is None else list(base_counts)
+        self.chains: List[List[Area]] = [[] for _ in areas]
 
-def _areas_for(areas, chains, vector) -> List[Area]:
-    out = list(areas)
-    for i, c in vector.items():
-        if c:
-            out[i] = chains[i][c - 1]
-    return out
+    def extend(self, depth: int) -> List[int]:
+        """Grow every chain that has not ended at a point to `depth` entries;
+        the chain lengths."""
+        for i, chain in enumerate(self.chains):
+            if len(chain) < depth:
+                last = chain[-1] if chain else self.areas[i]
+                if not last.is_point:
+                    chain += response_chain(
+                        self.oracle, i, last, depth - len(chain), self.base[i] + len(chain)
+                    )
+        return [len(chain) for chain in self.chains]
+
+    def areas_for(self, vector: Dict[int, int]) -> List[Area]:
+        out = list(self.areas)
+        for i, c in vector.items():
+            out[i] = self.chains[i][c - 1]
+        return out
 
 
 def _level_vectors(caps: Sequence[int], total: int):
@@ -79,15 +93,17 @@ def _level_vectors(caps: Sequence[int], total: int):
     smaller indices come first, so the first verifying vector found is the
     canonical one reported by opt_value."""
     n = len(caps)
+    tails = [0] * n  # tails[i] = sum(caps[i + 1:])
+    for i in range(n - 1, 0, -1):
+        tails[i - 1] = tails[i] + caps[i]
+    if total > sum(caps):
+        return
 
     def rec(i: int, remaining: int, acc: Dict[int, int]):
-        if i == n:
-            if remaining == 0:
-                yield dict(acc)
+        if not remaining:
+            yield dict(acc)
             return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, remaining - tail_cap)
-        for c in range(min(caps[i], remaining), lo - 1, -1):
+        for c in range(min(caps[i], remaining), max(0, remaining - tails[i]) - 1, -1):
             if c:
                 acc[i] = c
             yield from rec(i + 1, remaining - c, acc)
@@ -104,7 +120,7 @@ MAX_SEARCH_VECTORS = 200_000
 def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
     """How many count vectors with total <= max_total the search could visit:
     each index counts from 0 up to the length of its response chain."""
-    _chains, caps = _prepare(areas, oracle, max_total, None)
+    caps = _Chains(areas, oracle, None).extend(max_total)
     ways = [1] + [0] * max_total  # vectors over the indices so far, by total
     for cap in caps:
         below = list(accumulate(ways, initial=0))
@@ -123,15 +139,15 @@ def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
     in search order.  Supersets of a found one verify by monotonicity and
     are pruned, so nothing is pruned before the first; once a whole level
     is dominated the search stops."""
-    chains, caps = _prepare(areas, oracle, max_total, base_counts)
+    chains = _Chains(areas, oracle, base_counts)
     found: List[Dict[int, int]] = []
     for total in range(0, max_total + 1):
         level_open = False
-        for vector in _level_vectors(caps, total):
+        for vector in _level_vectors(chains.extend(total), total):
             if _dominates(vector, found):
                 continue
             level_open = True
-            if verifier(_areas_for(areas, chains, vector)) is not None:
+            if verifier(chains.areas_for(vector)) is not None:
                 found.append(vector)
                 yield vector
         if not level_open and total > 0:

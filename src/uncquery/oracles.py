@@ -30,7 +30,9 @@ class Oracle:
         raise NotImplementedError
 
     def fork(self) -> "Oracle":
-        """Fresh copy with pristine history; replays are deterministic."""
+        """Fresh copy with pristine history; replays are deterministic.  A
+        deep copy, so scripted oracles and adversaries never share state with
+        their forks; GroundTruthOracle keeps no state and copies shallowly."""
         return copy.deepcopy(self)
 
 
@@ -132,6 +134,11 @@ class GroundTruthOracle(Oracle):
 
     def respond(self, index: int, count: int, current: Area) -> Area:
         return ground_truth_respond(self.policy, self.hidden[index], current, self.returns)
+
+    def fork(self) -> "GroundTruthOracle":
+        """A shallow copy: there is no history, and the policy, the hidden
+        values and the return set are immutable, so nothing needs copying."""
+        return copy.copy(self)
 
 
 class ScriptedOracle(Oracle):

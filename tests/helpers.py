@@ -1,8 +1,9 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
 witness-state recorder around the solve loop, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
-mirror of an area, and the uMST comparison operator, red rule and
-restart-from-scratch pass that the integer code is checked against."""
+mirror of an area, the uMST comparison operator, red rule and
+restart-from-scratch pass that the integer code is checked against, and the
+brute-force OPT search with eagerly built response chains."""
 import copy
 from collections import defaultdict
 from fractions import Fraction
@@ -450,3 +451,58 @@ def reference_umst(instance, oracle, budget: int):
             assert validate_response(instance.model, weights[e], response) is None
             weights[e] = response
             log.append((e, response))
+
+
+def _reference_level_vectors(caps: Sequence[int], total: int):
+    n = len(caps)
+
+    def rec(i: int, remaining: int, acc: dict):
+        if i == n:
+            if remaining == 0:
+                yield dict(acc)
+            return
+        tail_cap = sum(caps[i + 1 :])
+        lo = max(0, remaining - tail_cap)
+        for c in range(min(caps[i], remaining), lo - 1, -1):
+            if c:
+                acc[i] = c
+            yield from rec(i + 1, remaining - c, acc)
+            acc.pop(i, None)
+
+    yield from rec(0, total, {})
+
+
+def reference_minimal_vectors(areas, oracle, verifier, max_total: int, base_counts=None):
+    """optbrute's search as first written: every index's response chain is
+    built to max_total entries up front on a deep copy of the oracle, then
+    the count vectors are visited level by level, each level recursing over
+    every index.  Yields the inclusion-minimal verifying vectors in search
+    order."""
+    oracle = copy.deepcopy(oracle)
+    n = len(areas)
+    base = [0] * n if base_counts is None else list(base_counts)
+    chains = []
+    for i in range(n):
+        chain, cur = [], areas[i]
+        for c in range(base[i] + 1, base[i] + max_total + 1):
+            if cur.is_point:
+                break
+            cur = oracle.respond(i, c, cur)
+            chain.append(cur)
+        chains.append(chain)
+    caps = [len(chain) for chain in chains]
+    found = []
+    for total in range(0, max_total + 1):
+        level_open = False
+        for vector in _reference_level_vectors(caps, total):
+            if any(all(vector.get(i, 0) >= c for i, c in sol.items()) for sol in found):
+                continue
+            level_open = True
+            trial = list(areas)
+            for i, c in vector.items():
+                trial[i] = chains[i][c - 1]
+            if verifier(trial) is not None:
+                found.append(vector)
+                yield vector
+        if not level_open and total > 0:
+            return

@@ -1,11 +1,15 @@
 """Brute-force optimum search and minimal-solution enumeration."""
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from helpers import reference_minimal_vectors
 from uncquery.core import Area, TieRule
 from uncquery.harness import (
-    GenParams, GraphGenParams, build_oracle, generate_graph_instance, generate_instance,
+    EXIT_INVALID_CONFIG, GenParams, GraphGenParams, build_oracle, generate_graph_instance,
+    generate_instance, instance_to_json, main,
 )
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import mst_verifier
@@ -14,6 +18,8 @@ from uncquery.oracles import (
     GroundTruthOracle,
     HalvePolicy,
     MinTightAdversary,
+    Oracle,
+    OracleError,
     ScriptedOracle,
 )
 from uncquery.optbrute import (
@@ -24,8 +30,10 @@ from uncquery.optbrute import (
     search_size,
     witness_check,
 )
-from uncquery.optbrute import _level_vectors, _prepare
-from uncquery.selection import SelectionProblem, kmin_verifier, make_strategy, min1_witness
+from uncquery.optbrute import _Chains, _level_vectors
+from uncquery.selection import (
+    Objective, SelectionProblem, kmin_verifier, make_strategy, min1_witness,
+)
 
 
 def O(lo, hi):
@@ -74,7 +82,7 @@ def test_search_size_counts_every_vector_of_every_level():
     for returns, hidden in (("P", [2, 3, 4, 1]), ("O", [2, 3, 5, 1])):
         oracle = _oracle(areas, hidden, returns=returns)
         for max_total in range(6):
-            _chains, caps = _prepare(areas, oracle, max_total, None)
+            caps = _Chains(areas, oracle, None).extend(max_total)
             visited = sum(1 for t in range(max_total + 1) for _ in _level_vectors(caps, t))
             assert search_size(areas, oracle, max_total) == visited
 
@@ -166,9 +174,10 @@ class TestWitnessCheck:
 
 
 def _recording(verifier, calls):
+    """The verifier, recording every input and the answer it gave."""
     def verify(areas):
         answer = verifier(areas)
-        calls.append((tuple(areas), answer is not None))
+        calls.append((tuple(areas), answer))
         return answer
 
     return verify
@@ -199,10 +208,180 @@ def test_opt_value_is_the_first_minimal_solution(problem, oracle_spec):
                 list(inst.areas), oracle, _recording(verifier, all_calls), max_total
             )
             assert opt_calls == all_calls[: len(opt_calls)]
-            hits = [i for i, (_areas, hit) in enumerate(all_calls) if hit]
+            hits = [i for i, (_areas, answer) in enumerate(all_calls) if answer is not None]
             if minima:
                 assert len(opt_calls) == hits[0] + 1
                 assert (result.opt, result.vector) == (sum(minima[0].values()), minima[0])
             else:
                 assert opt_calls == all_calls and not hits
                 assert (result.opt, result.vector) == (None, None)
+
+
+def _assert_same_search(areas, oracle, verifier, max_total, base_counts=None):
+    """opt_value and minimal_solutions call the verifier on the same inputs,
+    in the same order, and return the same results as the search with eager
+    chains and the recursive enumerator."""
+    got, want = [], []
+    minima = minimal_solutions(areas, oracle, _recording(verifier, got), max_total, base_counts)
+    reference = list(
+        reference_minimal_vectors(areas, oracle, _recording(verifier, want), max_total, base_counts)
+    )
+    assert got == want and minima == reference
+    assert all(list(v) == sorted(v) for v in minima)  # keys in index order
+    got, want = [], []
+    result = opt_value(areas, oracle, _recording(verifier, got), max_total, base_counts)
+    first = next(
+        reference_minimal_vectors(areas, oracle, _recording(verifier, want), max_total, base_counts),
+        None,
+    )
+    assert got == want
+    assert (result.opt, result.vector) == (
+        (None, None) if first is None else (sum(first.values()), first)
+    )
+    return len(want)
+
+
+def _resumed(areas, oracle, max_total, seed):
+    """The state after a few queries on some indices, with a script that
+    continues each index's responses from there: base counts shift the
+    counts the search asks for, so a wrong offset reads the wrong response."""
+    base = [(seed + i) % 3 for i in range(len(areas))]
+    script, state = {}, []
+    for i, area in enumerate(areas):
+        chain = response_chain(oracle, i, area, base[i] + max_total)
+        script[i] = chain
+        done = min(base[i], len(chain))
+        base[i] = done
+        state.append(chain[done - 1] if done else area)
+    return state, ScriptedOracle(script), base
+
+
+SEARCH_ORACLES = (("ground:exact", "OC-P"), ("ground:halve", "OC-OC"))
+
+
+@pytest.mark.parametrize("oracle_spec,model", SEARCH_ORACLES)
+@pytest.mark.parametrize("objective", [Objective.KTH_MIN, Objective.KTH_MAX])
+@pytest.mark.parametrize("tie_rule", [TieRule.STABLE, TieRule.LEX])
+def test_search_matches_eager_reference_on_selection(oracle_spec, model, objective, tie_rule):
+    visited = 0
+    for seed in range(5):
+        n = 3 + seed
+        params = GenParams(n=n, model=ModelSpec.parse(model), k=1 + seed % 3, tie_rule=tie_rule)
+        inst = generate_instance(params, seed)
+        inst = replace(inst, problem=replace(inst.problem, objective=objective))
+        verifier = make_strategy("kmin-witness", inst.problem).verifier
+        oracle = build_oracle(oracle_spec, inst)
+        max_total = min(n, 5) if oracle_spec == "ground:halve" else 2 * n
+        areas = list(inst.areas)
+        visited += _assert_same_search(areas, oracle, verifier, max_total)
+        visited += _assert_same_search(areas, oracle, verifier, max_total, [seed % 2] * n)
+        state, script, base = _resumed(areas, oracle, max_total, seed)
+        visited += _assert_same_search(state, script, verifier, max_total, base)
+    assert visited > 100
+
+
+@pytest.mark.parametrize("oracle_spec,model", SEARCH_ORACLES)
+def test_search_matches_eager_reference_on_graphs(oracle_spec, model):
+    visited = 0
+    for seed in range(6):
+        params = GraphGenParams(vertices=3 + seed % 3, extra_edges=2 + seed % 3,
+                                model=ModelSpec.parse(model))
+        inst = generate_graph_instance(params, seed)
+        n = len(inst.areas)
+        assert n <= 8
+        verifier = mst_verifier(inst.problem)
+        oracle = build_oracle(oracle_spec, inst)
+        max_total = min(n, 5) if oracle_spec == "ground:halve" else 2 * n
+        areas = list(inst.areas)
+        visited += _assert_same_search(areas, oracle, verifier, max_total)
+        state, script, base = _resumed(areas, oracle, max_total, seed)
+        visited += _assert_same_search(state, script, verifier, max_total, base)
+    assert visited > 100
+
+
+class _CountingOracle(Oracle):
+    """A ground-truth oracle that logs every (index, count) it is asked for;
+    its forks log to the same list."""
+
+    def __init__(self, inner, asked):
+        self.inner, self.asked = inner, asked
+
+    def respond(self, index, count, current):
+        self.asked.append((index, count))
+        return self.inner.respond(index, count, current)
+
+    def fork(self):
+        return _CountingOracle(self.inner, self.asked)
+
+
+@pytest.mark.parametrize("oracle_spec,model", SEARCH_ORACLES)
+def test_opt_value_asks_nothing_past_the_optimum(oracle_spec, model):
+    """Chains grow only as deep as the level reached: after opt_value finds
+    OPT = t, no index was asked for a count past base + t (past base +
+    max_total when nothing verifies)."""
+    opts = set()
+    for seed in range(12):
+        inst = generate_instance(GenParams(n=3 + seed % 4, model=ModelSpec.parse(model),
+                                           k=1 + seed % 2), seed)
+        n = len(inst.areas)
+        verifier = make_strategy("kmin-witness", inst.problem).verifier
+        for base in (None, [seed % 3] * n):
+            asked = []
+            oracle = _CountingOracle(build_oracle(oracle_spec, inst), asked)
+            result = opt_value(list(inst.areas), oracle, verifier, 2 * n, base)
+            opts.add(result.opt)
+            depth = result.opt if result.bounded else 2 * n
+            offset = 0 if base is None else base[0]
+            assert all(count <= offset + depth for _i, count in asked)
+            if oracle_spec == "ground:halve":  # halving never ends at a point
+                assert len(asked) == n * depth
+    assert len(opts - {None}) > 2
+
+
+def test_resolved_instance_asks_the_oracle_nothing():
+    areas = [O(2, 5), O(6, 8), O(9, 11)]
+    asked = []
+    oracle = _CountingOracle(_oracle(areas, [3, 7, 10], returns="O"), asked)
+    res = opt_value(areas, oracle, _v1, 6)
+    assert res.opt == 0 and res.vector == {} and asked == []
+
+
+# Three areas and one scripted response each: the first query on index 1
+# separates it below the others.
+SHORT_SCRIPT_AREAS = [O(1, 5), O(3, 7), O(4, 8)]
+SHORT_SCRIPT = {0: [O(1, 2)], 1: [O(3, 6)], 2: [O(5, 8)]}
+
+
+def test_short_script_is_enough_for_the_levels_visited():
+    """The search asks a script only for the counts of the levels it visits:
+    with OPT = 1, a budget of 4 needs no second response on any index."""
+    res = opt_value(SHORT_SCRIPT_AREAS, ScriptedOracle(SHORT_SCRIPT), _v1, 4)
+    assert res.opt == 1 and res.vector == {0: 1}
+
+
+def test_short_script_fails_at_the_level_that_needs_more():
+    # The single responses separate nothing, so level 2 needs second ones.
+    script = {0: [O(1, 4)], 1: [O(2, 5)]}
+    with pytest.raises(OracleError, match="query #2"):
+        opt_value([O(1, 5), O(1, 5)], ScriptedOracle(script), _v1, 4)
+
+
+def test_cli_opt_refuses_a_short_script_up_front(tmp_path, capsys):
+    """`uncquery opt` sizes the whole search before running it, which reads
+    every chain to --max-total: a short script ends it with exit 3 and one
+    line, before any verifier call."""
+    inst = UncertainInstance(
+        model=ModelSpec.parse("O-O"),
+        areas=tuple(SHORT_SCRIPT_AREAS),
+        problem=SelectionProblem(k=1),
+    )
+    inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+    inst_path.write_text(json.dumps(instance_to_json(inst)))
+    script_path.write_text(json.dumps({"responses": {
+        str(i + 1): [a.to_json() for a in rs] for i, rs in SHORT_SCRIPT.items()
+    }}))
+    code = main(["opt", "--instance", str(inst_path), "--oracle", f"script:{script_path}",
+                 "--max-total", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID_CONFIG and captured.out == ""
+    assert captured.err == "error: script has no response for index 1, query #2\n"

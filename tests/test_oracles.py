@@ -126,6 +126,26 @@ class TestGroundTruthOracle:
         b2 = b.respond(0, 2, b1)
         assert (a1, a2, a3) == (b1, b2, b3)
 
+    def test_fork_answers_like_the_original(self):
+        """The shallow fork and the original, queried in turns on their own
+        states, give the same response to every query, and the original stays
+        usable after the fork is made."""
+        areas = (Area.open(0, 8), Area.closed(1, 9), Area.open(2, 4))
+        hidden = (Fraction(3), Fraction(9), Fraction(7, 2))
+        for policy in (HalvePolicy(Fraction(1, 2)), HalvePolicy(Fraction(1, 3))):
+            oracle = GroundTruthOracle(policy, hidden, ModelSpec.parse("OC-OC").returns)
+            fork = oracle.fork()
+            assert type(fork) is GroundTruthOracle and fork is not oracle
+            mine, theirs = list(areas), list(areas)
+            counts = [0, 0, 0]
+            for step, index in enumerate((0, 2, 0, 1, 1, 2, 0, 1, 2, 2)):
+                counts[index] += 1
+                first, second = (oracle, fork) if step % 2 else (fork, oracle)
+                mine[index] = first.respond(index, counts[index], mine[index])
+                theirs[index] = second.respond(index, counts[index], theirs[index])
+                assert mine[index] == theirs[index]
+            assert oracle.respond(0, 1, areas[0]) == fork.respond(0, 1, areas[0])
+
 
 def _with_hidden(instance, hidden):
     from dataclasses import replace

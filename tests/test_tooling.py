@@ -5,9 +5,10 @@ import runpy
 from fractions import Fraction
 from pathlib import Path
 
+import uncquery
 from uncquery.core import Area
 from uncquery.engine import solve
-from uncquery.harness import build_oracle, main
+from uncquery.harness import GenParams, build_oracle, generate_instance, main
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
 
@@ -72,3 +73,25 @@ def test_tracer_sees_the_cli_solve_layers(tmp_path, capsys):
         assert {"harness.parse", "harness.emit"} <= spans[path], path
     assert "engine.solve" in spans[sel]
     assert "mst.solve" in spans[graph]
+
+
+def test_tracer_times_every_oracle_call_of_the_opt_search():
+    """The OPT search asks the oracle only through `response_chain`, which
+    the tracer times as `optbrute.chain`: every `respond` span of the search
+    sits inside a chain span, and there are as many as the chain entries the
+    search built, one per index and level for halving reveals."""
+    inst = generate_instance(GenParams(n=5, model=ModelSpec.parse("OC-OC"), k=2), 3)
+    oracle = build_oracle("ground:halve", inst)
+    verifier = make_strategy("kmin-witness", inst.problem).verifier
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    tracer.install()
+    try:
+        result = uncquery.opt_value(list(inst.areas), oracle, verifier, 10)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[k] for k in tracer.kind]
+    assert result.opt and names.count("optbrute.opt") == 1
+    chains = {i for i, name in enumerate(names) if name == "optbrute.chain"}
+    responds = [i for i, name in enumerate(names) if name == "oracles.respond"]
+    assert chains and all(tracer.parent[i] in chains for i in responds)
+    assert len(responds) == len(inst.areas) * result.opt
