@@ -9,7 +9,6 @@ from .core import (
     Area,
     AreaVector,
     EndpointKind,
-    Rational,
     TieRule,
     contains,
     format_rational,

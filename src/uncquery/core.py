@@ -5,39 +5,37 @@ interval with per-endpoint open/closed kinds, or a single point (modelled as a
 degenerate closed interval).  Endpoints are exact rationals; there is no
 epsilon anywhere, which is what makes the closed-endpoint tie rules sound.
 
-Hot paths compare integer images instead of Fractions.  `int_images` scales
-every lo and hi endpoint of a vector by D, the lcm of all their denominators,
-so each image p·(D/q) is an int.  Scaling by one positive constant preserves
-order and equality, so any comparison between two endpoints of the same
-vector is exactly the comparison of their images, with no floats and no
-rounding.  Images of different vectors (different D) are not comparable.
+Hot paths compare integer images instead of Fractions.  A `VectorState`
+scales every lo and hi endpoint of a vector by D, the lcm of all their
+denominators, so each image p·(D/q) is an int.  Scaling by one positive
+constant preserves order and equality, so any comparison between two
+endpoints of the same vector is exactly the comparison of their images, with
+no floats and no rounding.  Images of different states are not comparable.
 The scaling pays off while the vector has a small common denominator, as
 with halving oracles (powers of two) or decimal inputs.  Many coprime
 denominators make D, and every image, thousands of digits long; above
 SCALE_BITS_LIMIT bits the images are instead the ranks of the values among
 the vector's endpoints, which cost one sort and keep the same exactness.
 
-A solve changes one area per query, so `IntImages` keeps the images of the
-vector it last saw and patches them.  The images of one such state share one
-D, which only grows between rebuilds: a new denominator that does not divide
-D rescales every image by D'/D.  They order exactly as the values do, but
-need not equal `int_images` of the same vector, whose D is the lcm of the
-denominators present now.
+A solve changes one area per query, so a `VectorState` keeps the images of
+the vector it last saw, with the lo ranks and the lo order read from them,
+and patches all three.  Its D only grows between rebuilds: a new denominator
+that does not divide D rescales every image by D'/D.  The selection rules,
+uMST passes and `order_l`/`order_u` all read such a state.
 
-Areas are immutable and every function is pure; `IntImages` is the one
+Areas are immutable and every function is pure; a `VectorState` is the one
 object that changes.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
-
-Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
@@ -232,26 +230,14 @@ def _check_subset(areas: AreaVector, subset: Optional[Iterable[int]]) -> list:
     return idx
 
 
-# Above this size of D, int_images ranks the endpoint values instead.  Scaling
-# costs time in proportion to D's size and ranking does not; at n=1600 the two
-# cost the same near 4000 bits.
+# Above this size of D, a VectorState ranks the endpoint values instead.
+# Scaling costs time in proportion to D's size and ranking does not; at n=1600
+# the two cost the same near 4000 bits.
 SCALE_BITS_LIMIT = 1024
 
-# IntImages.update re-images only the changed entries while at most one in
+# VectorState.update patches only the changed entries while at most one in
 # this many changed; past that a rebuild costs about as much as the patch.
 REBUILD_SHARE = 4
-
-
-def int_images(areas: AreaVector) -> Tuple[List[int], List[int]]:
-    """Integer images of every lo and hi endpoint, in exactly the order and
-    equality of the endpoint values.
-
-    The images are lo·D and hi·D, D the lcm of all lo and hi denominators,
-    while D has at most SCALE_BITS_LIMIT bits.  Otherwise they are the ranks
-    of the values among all distinct endpoints of the vector, so many coprime
-    denominators cost one sort of the values, not arithmetic on huge ints.
-    """
-    return _images(areas)[1:]
 
 
 def _images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
@@ -260,7 +246,7 @@ def _images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
     his = [a.hi.as_integer_ratio() for a in areas]
     d = _grow_scale(1, {q for _, q in los + his})
     if not d:
-        return (0, *_value_ranks(areas))
+        return (0, *_rank_values(areas))
     return d, [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
 
 
@@ -275,7 +261,7 @@ def _grow_scale(d: int, denominators: Iterable[int]) -> int:
     return d
 
 
-def _value_ranks(areas: AreaVector) -> Tuple[List[int], List[int]]:
+def _rank_values(areas: AreaVector) -> Tuple[List[int], List[int]]:
     values = [a.lo for a in areas] + [a.hi for a in areas]
     order = list(range(len(values)))
     try:
@@ -294,80 +280,104 @@ def _value_ranks(areas: AreaVector) -> Tuple[List[int], List[int]]:
     return ranks[: len(areas)], ranks[len(areas) :]
 
 
-class IntImages:
-    """The lo and hi images of the vector last seen, patched from call to
-    call.
+class VectorState:
+    """The integer images, lo ranks and lo order of the vector last seen,
+    patched from one vector to the next.
 
     `update` compares the new vector with the last one by identity (areas
-    are immutable, so an unchanged entry is the same object) and re-images
-    only the entries that changed.  A new denominator that does not divide D
-    rescales every image by D'/D.  The images are rebuilt by `int_images`'s
-    rule when the length changed, when more than one entry in REBUILD_SHARE
-    changed, when D would pass SCALE_BITS_LIMIT bits, or when they are
-    ranks, which cannot be patched.
+    are immutable, so an unchanged entry is the same object) and keeps the
+    indices whose area changed in `changed`.  Only those are re-imaged,
+    taken out of the lo order and inserted again by bisection.  A new
+    denominator that does not divide D rescales every image by D'/D, which
+    keeps their order.  Everything is rebuilt when the length changed, when
+    more than one entry in REBUILD_SHARE changed, when D would pass
+    SCALE_BITS_LIMIT bits, or while the images are ranks, which cannot be
+    patched.
+
+    `rank[i]` is order_l's sort rank of entry i: its lo image under the
+    stable tie rule; under lex twice that, plus one when the area does not
+    attain its lo, so an attained lo sorts first.  `order` lists the indices
+    ascending by rank·n + index, so ties go to the smaller index.
+
+    A mirrored state describes the vector with every value negated: the
+    images are negated and swapped, and so are the attains flags, so that
+    the k-min rules answer the k-max question.
     """
 
-    __slots__ = ("areas", "lo", "hi", "scale", "renumbered")
+    __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed")
 
-    def __init__(self) -> None:
+    def __init__(self, tie_rule: TieRule = TieRule.STABLE, mirror: bool = False) -> None:
+        self.tie_rule = tie_rule
+        self.mirror = mirror
         self.areas: List[Area] = []
+        self.scale = 0  # D, or 0 while the images are ranks
         self.lo: List[int] = []
         self.hi: List[int] = []
-        self.scale = 0  # D, or 0 while the images are ranks
-        # True when the last update changed images of unchanged entries too
-        # (a rescale or a rebuild); their order among themselves never moves.
-        self.renumbered = False
+        self.rank: List[int] = []
+        self.order: List[int] = []
+        self.changed: Sequence[int] = ()
 
-    def update(self, areas: AreaVector) -> Sequence[int]:
-        """Bring the images up to `areas`; the indices whose area changed."""
+    def attains_lo(self, i: int) -> bool:
+        a = self.areas[i]
+        return a.attains_hi if self.mirror else a.attains_lo
+
+    def attains_hi(self, i: int) -> bool:
+        a = self.areas[i]
+        return a.attains_lo if self.mirror else a.attains_hi
+
+    def update(self, areas: AreaVector) -> "VectorState":
+        """Bring the state up to `areas` and return it."""
         n = len(areas)
         if n == len(self.areas):
-            changed = list(compress(range(n), map(is_not, areas, self.areas)))
-            if not changed:
-                self.renumbered = False
-                return changed
+            self.changed = list(compress(range(n), map(is_not, areas, self.areas)))
+            if not self.changed:
+                return self
         else:
-            changed = range(n)
-        if not (self.scale and REBUILD_SHARE * len(changed) <= n and self._patch(areas, changed)):
+            self.changed = range(n)
+        if not (self.scale and REBUILD_SHARE * len(self.changed) <= n and self._patch(areas)):
             self.areas = list(areas)
-            self.scale, self.lo, self.hi = _images(self.areas)
-            self.renumbered = True
-        return changed
+            self.scale, lo, hi = _images(self.areas)
+            if self.mirror:
+                lo, hi = [-v for v in hi], [-v for v in lo]
+            self._read(lo, hi)
+            # A stable sort of ascending indices breaks rank ties by index.
+            self.order = sorted(range(n), key=self.rank.__getitem__)
+        return self
 
-    def _patch(self, areas: AreaVector, changed: List[int]) -> bool:
+    def _read(self, lo: List[int], hi: List[int]) -> None:
+        """Take these oriented images and rank them."""
+        self.lo, self.hi = lo, hi
+        if self.tie_rule is TieRule.LEX:
+            kinds = map(attrgetter("hi_kind" if self.mirror else "lo_kind"), self.areas)
+            self.rank = [2 * v + (kind is not EndpointKind.CLOSED) for v, kind in zip(lo, kinds)]
+        else:
+            self.rank = lo
+
+    def _patch(self, areas: AreaVector) -> bool:
+        changed = self.changed
         los = [areas[i].lo.as_integer_ratio() for i in changed]
         his = [areas[i].hi.as_integer_ratio() for i in changed]
         d = _grow_scale(self.scale, [q for _, q in los + his])
         if not d:
             return False
-        self.renumbered = d != self.scale
-        if self.renumbered:
-            f = d // self.scale
-            self.lo = [v * f for v in self.lo]
-            self.hi = [v * f for v in self.hi]
-            self.scale = d
-        for i, (p, q), (r, s) in zip(changed, los, his):
-            self.lo[i] = p * (d // q)
-            self.hi[i] = r * (d // s)
+        order = self.order
+        for i in changed:
+            order.remove(i)
             self.areas[i] = areas[i]
+        if d != self.scale:
+            f = d // self.scale
+            self.scale = d
+            self._read([v * f for v in self.lo], [v * f for v in self.hi])
+        lo, hi, rank = self.lo, self.hi, self.rank
+        for i, (p, q), (r, s) in zip(changed, los, his):
+            a, b = p * (d // q), r * (d // s)
+            lo[i], hi[i] = (-b, -a) if self.mirror else (a, b)
+            if self.tie_rule is TieRule.LEX:
+                rank[i] = 2 * lo[i] + (not self.attains_lo(i))
+        n = len(rank)
+        for i in changed:
+            order.insert(bisect_left(order, rank[i] * n + i, key=lambda j: rank[j] * n + j), i)
         return True
-
-
-def lo_ranks(
-    lo_image: Sequence[int], lo_kinds: Iterable[EndpointKind], tie_rule: TieRule
-) -> Sequence[int]:
-    """order_l's sort ranks of areas with these lo images and lo endpoint
-    kinds; equal ranks go to the smaller index.  Under stable a rank is the
-    image itself, and `lo_image` is returned as it is.  Under lex an area that
-    attains its lo sorts before one that does not at the same value."""
-    if tie_rule is TieRule.LEX:
-        return [2 * v + (kind is not EndpointKind.CLOSED) for v, kind in zip(lo_image, lo_kinds)]
-    return lo_image
-
-
-def lo_rank(lo_image: int, lo_kind: EndpointKind, tie_rule: TieRule) -> int:
-    """lo_ranks of one area."""
-    return lo_ranks((lo_image,), (lo_kind,), tie_rule)[0]
 
 
 def order_l(
@@ -384,7 +394,7 @@ def order_l(
     # Sorting the indices first makes the stable sort break every remaining
     # tie toward the smaller index.
     idx = sorted(_check_subset(areas, subset))
-    rank = lo_ranks(int_images(areas)[0], (a.lo_kind for a in areas), tie_rule)
+    rank = VectorState(tie_rule).update(areas).rank
     return sorted(idx, key=rank.__getitem__)
 
 
@@ -399,7 +409,7 @@ def order_u(
     orders after one that does not; remaining ties to the smaller index.
     """
     idx = sorted(_check_subset(areas, subset))
-    hi = int_images(areas)[1]
+    hi = VectorState().update(areas).hi
     if tie_rule is TieRule.STABLE:
         return sorted(idx, key=hi.__getitem__)
     return sorted(idx, key=lambda i: (hi[i], areas[i].attains_hi))

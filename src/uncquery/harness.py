@@ -419,10 +419,8 @@ class ExperimentConfig:
             )
 
     def validate(self) -> None:
-        for name in ("budget", "max_total"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_limit("budget", self.budget, 1)
+        _check_limit("max_total", self.max_total, 0)
         _, algorithm = paired_algorithm(self.problem_type, self.algorithm)
         if algorithm.model_check is not None:
             err = algorithm.model_check(self.model)
@@ -439,7 +437,21 @@ class ExperimentConfig:
         return adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
 
 
-def _default_max_total(instance: UncertainInstance) -> int:
+def _check_limit(name: str, value, least: int) -> None:
+    """ConfigError unless `value` is None (the default) or an int of at
+    least `least`."""
+    if value is None:
+        return
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
+    """`max_total`, or the instance's default when it is None."""
+    if max_total is not None:
+        return max_total
     n = len(instance.areas)
     return 2 * n if "P" in instance.model.returns else 4 * n
 
@@ -478,7 +490,8 @@ def run_algorithm(instance: UncertainInstance, oracle: Oracle, algorithm, budget
     answer is an MstAnswer on a graph.  bench/tracer.py rebinds this
     module's `solve` and `umst_solve`, so both are looked up at each call."""
     name, _ = paired_algorithm(instance.problem.kind, algorithm)
-    budget = budget or default_budget(len(instance.areas))
+    if budget is None:
+        budget = default_budget(len(instance.areas))
     if isinstance(instance.problem, UncertainGraph):
         report, answer = umst_solve(instance, oracle, budget)
         return report, answer, mst_verifier(instance.problem)
@@ -496,7 +509,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         oracle, opt = build_oracle(config.oracle, instance), None
     report, _, verifier = run_algorithm(instance, oracle.fork(), config.algorithm, config.budget)
     if opt is None:
-        max_total = config.max_total or _default_max_total(instance)
+        max_total = _max_total(instance, config.max_total)
         opt = opt_value(list(instance.areas), oracle, verifier, max_total).opt
 
     status = "ok"
@@ -548,6 +561,7 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _check_limit("--budget", args.budget, 1)
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
     fixture = adversary_fixture(args.oracle, instance.model, instance.problem, instance.areas)
@@ -562,6 +576,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_opt(args) -> int:
+    _check_limit("--max-total", args.max_total, 0)
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
     oracle = build_oracle(args.oracle, instance)
@@ -569,7 +584,7 @@ def _cmd_opt(args) -> int:
         verifier = mst_verifier(instance.problem)
     else:
         verifier = make_strategy("kmin-witness", instance.problem).verifier
-    max_total = args.max_total or _default_max_total(instance)
+    max_total = _max_total(instance, args.max_total)
     size = search_size(list(instance.areas), oracle, max_total)
     if size > MAX_SEARCH_VECTORS:
         raise ConfigError(

@@ -5,12 +5,14 @@ comparison operator; cycles are resolved either by deleting an edge whose
 lower bound dominates every other cycle edge's upper bound (the red rule) or,
 when no such edge exists, by querying a two-edge witness pair.
 
-A pass decides with exact integers: each endpoint becomes the rank
-value·D·E + edge index, where D is the lcm of all endpoint denominators and E
-the edge count, so every comparison of the operator is one int comparison.
-In a pass ordered by lower bounds the red rule can only delete the edge that
-closes the cycle, so the forest only grows: tree labels tell whether an edge
-closes a cycle, and only then is the forest path walked.
+A pass decides with exact integers.  It reads a `core.VectorState` of the
+weights, whose lo order is the operator's order of lower bounds (equal values
+toward the smaller index).  A cycle's chooser ranks only the cycle's edges,
+as image·E + edge index with E the edge count, so every comparison of the
+operator is one int comparison.  In a pass ordered by lower bounds the red
+rule can only delete the edge that closes the cycle, so the forest only
+grows: tree labels tell whether an edge closes a cycle, and only then is the
+forest path walked.
 
 After a witness round the next pass resumes rather than restarts.  It replays
 the previous pass on the prefix of the edge order ahead of both queried
@@ -19,7 +21,8 @@ and continues from there.  This is exact: a response lies inside the queried
 area, so lower bounds never decrease and every edge ahead of the queried
 pair keeps its place in the order; processing such an edge reads only the
 forest built from that prefix and the prefix's weights, none of which
-changed.
+changed.  The state patches its order for the queried edges by bisection,
+so no pass sorts the edges again.
 
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
 and the witness is the pair that pass stopped at.
@@ -30,7 +33,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, IntImages, int_images
+from .core import Area, VectorState
 from .engine import Algorithm, EngineError, RunReport, SolverStrategy, solve
 from .models import UncertainInstance
 # Nothing here calls validate_response; engine.solve validates every
@@ -96,37 +99,33 @@ def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
     """
     if len(cycle) < 2:
         raise ValueError("a cycle needs at least two edges")
-    lo_rank, hi_rank = _ranks(*int_images(weights))
-    return _witness_or_delete(cycle, lo_rank, hi_rank)
+    state = VectorState().update(weights)
+    return _witness_or_delete(cycle, state.lo, state.hi)
 
 
-def _ranks(lo_image: List[int], hi_image: List[int]) -> Tuple[List[int], List[int]]:
-    """Exact integer ranks of every lo and hi endpoint: value·D·E + index,
-    where value·D is the integer image (`int_images` or `IntImages`) and E
-    the edge count.  Two ranks of different edges compare as the comparison
-    operator does on their values (smaller value first, equal values toward
-    the smaller edge index), since the index term is below E and only breaks
-    value ties."""
-    n = len(lo_image)
-    return (
-        [v * n + e for e, v in enumerate(lo_image)],
-        [v * n + e for e, v in enumerate(hi_image)],
-    )
+def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
+    """mst_witness_or_delete on the integer images of the weights, in
+    O(len(cycle)).
 
-
-def _witness_or_delete(cycle: Sequence[int], lo_rank: List[int], hi_rank: List[int]):
-    """mst_witness_or_delete on integer ranks, in O(len(cycle)).
+    Each cycle edge c's upper bound is ranked as hi(c)·E + c, E the edge
+    count, and f's lower bound as lo(f)·E + f.  Two ranks of different edges
+    compare as the comparison operator does on their values, since the index
+    term is below E and only breaks value ties; c is the rank mod E.
 
     An edge is always maximal iff the largest other upper bound precedes its
     lower bound.  Only f, the edge with the largest upper bound, can be: any
     other edge has f's upper bound above its own upper bound, hence above its
     lower bound.  And f is iff the second-largest upper bound precedes lo(f).
     """
-    f = max(cycle, key=hi_rank.__getitem__)
-    lo_f = lo_rank[f]
-    if max(hi_rank[c] for c in cycle if c != f) < lo_f:
+    n = len(lo)
+    hi_rank = [hi[c] * n + c for c in cycle]
+    top = max(hi_rank)
+    f = top % n
+    lo_f = lo[f] * n + f
+    rest = [r for r in hi_rank if r != top]
+    if max(rest) < lo_f:
         return ("delete", f)
-    return ("witness", (f, min(g for g in cycle if g != f and hi_rank[g] > lo_f)))
+    return ("witness", (f, min(r % n for r in rest if r > lo_f)))
 
 
 class _Forest:
@@ -184,11 +183,12 @@ class _Forest:
 @dataclass
 class PassLog:
     """What the last pass read and how far it got, for the next pass to
-    replay: the integer images of its weights (patched, not rebuilt, by the
-    next pass), the edge order, and the number of edges processed before the
-    witness cycle (all of them when the pass finished)."""
+    replay: the state of its weights, whose lo order is the pass's edge order
+    (patched, not rebuilt, by the next pass), a copy of that order, and the
+    number of edges processed before the witness cycle (all of them when the
+    pass finished)."""
 
-    images: IntImages = field(default_factory=IntImages)
+    state: VectorState = field(default_factory=VectorState)
     order: List[int] = field(default_factory=list)
     processed: int = 0
 
@@ -210,21 +210,20 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     edges kept their positions and their weights (compared by identity;
     areas are immutable).  Each of those edges was added or deleted without
     queries, so the replay needs only the tree labels, no path or chooser.
-    The log's images are patched for the changed weights, and the log is
+    The log's state is patched for the changed weights, and the log is
     then overwritten with this pass.  A fresh log, the default, replays
     nothing; the result is the same with any log.
     """
     log = log or PassLog()
     edges = graph.edges
-    changed = log.images.update(weights)
-    lo_rank, hi_rank = _ranks(log.images.lo, log.images.hi)
-    order = sorted(range(graph.n_edges), key=lo_rank.__getitem__)
+    state = log.state.update(weights)
+    order, changed = state.order, state.changed
     replay = 0
     for e, old in zip(order, log.order[: log.processed]):
         if e != old or e in changed:
             break
         replay += 1
-    log.order = order
+    log.order = order[:]
     forest = _Forest(graph.vertices)
     tree = []
     red = 0
@@ -237,7 +236,7 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
         if i >= replay:
             cycle = forest.path(u, v)
             cycle.append(e)
-            action, payload = _witness_or_delete(cycle, lo_rank, hi_rank)
+            action, payload = _witness_or_delete(cycle, state.lo, state.hi)
             if action == "witness":
                 log.processed = i
                 return ("witness", payload)

@@ -1,21 +1,19 @@
 """Selection verifiers and witness choosers: the plain and lexicographic
 1-Min / k-Min witness pairs and the additive-guarantee bypass choosers.  The
-rules read a SelectionState, which a strategy patches across one solve and
+rules read a core.VectorState, which a strategy patches across one solve and
 which, mirrored, turns k-th-max questions into k-th-min ones."""
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 # Nothing here calls order_l or order_u.  They stay importable from this
 # module because bench/tracer.py binds uncquery.selection.order_l and
 # order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    REBUILD_SHARE, AreaVector, IntImages, TieRule, lo_rank, lo_ranks, order_l, order_u,
+    AreaVector, TieRule, VectorState, order_l, order_u,
 )
 from .models import ModelCategory, ModelSpec, classify_model
 
@@ -38,90 +36,14 @@ class SelectionProblem:
             raise ValueError(f"k={self.k} out of range for n={n}")
 
 
-class SelectionState:
-    """A vector's integer images and its lo order, patched across the
-    verifier and witness calls of one solve.
-
-    `update(areas)` brings the state up to a vector and returns it; the
-    verifier and the witness choosers accept the result in place of the
-    vector.  Only the entries whose area changed are re-imaged (see
-    core.IntImages), taken out of the lo order and inserted again by
-    bisection.  The order is sorted afresh only when the length changed or
-    more than one entry in REBUILD_SHARE did.
-
-    Under the max objective the state describes the mirrored vector, so the
-    k-min rules answer the k-max question: the images are negated and
-    swapped, and so are the attains flags.
-    """
-
-    __slots__ = ("images", "tie_rule", "kmax", "lo", "hi", "rank", "order")
-
-    def __init__(
-        self, tie_rule: TieRule = TieRule.STABLE, objective: Objective = Objective.KTH_MIN
-    ) -> None:
-        self.images = IntImages()
-        self.tie_rule = tie_rule
-        self.kmax = objective is Objective.KTH_MAX
-        self.lo: List[int] = []
-        self.hi: List[int] = []
-        self.rank: List[int] = []  # core.lo_ranks by index
-        self.order: List[int] = []  # ascending by rank, ties to the smaller index
-
-    def attains_lo(self, i: int) -> bool:
-        a = self.images.areas[i]
-        return a.attains_hi if self.kmax else a.attains_lo
-
-    def attains_hi(self, i: int) -> bool:
-        a = self.images.areas[i]
-        return a.attains_lo if self.kmax else a.attains_hi
-
-    def _rank(self, i: int) -> int:
-        a = self.images.areas[i]
-        return lo_rank(self.lo[i], a.hi_kind if self.kmax else a.lo_kind, self.tie_rule)
-
-    def _key(self, i: int) -> int:
-        return self.rank[i] * len(self.rank) + i
-
-    def update(self, areas: AreaVector) -> "SelectionState":
-        changed = self.images.update(areas)
-        n = len(self.images.lo)
-        if len(self.order) != n or REBUILD_SHARE * len(changed) > n:
-            self._read_images()
-            # A stable sort of ascending indices breaks rank ties by index.
-            self.order = sorted(range(n), key=self.rank.__getitem__)
-            return self
-        order = self.order
-        for i in changed:
-            order.remove(i)
-        # Unchanged entries keep their order even when the images are
-        # renumbered, since the images always order as the values do.
-        if self.images.renumbered:
-            self._read_images()
-        else:
-            for i in changed:
-                if self.kmax:
-                    self.lo[i], self.hi[i] = -self.images.hi[i], -self.images.lo[i]
-                self.rank[i] = self._rank(i)
-        for i in changed:
-            order.insert(bisect_left(order, self._key(i), key=self._key), i)
-        return self
-
-    def _read_images(self) -> None:
-        self.lo, self.hi = self.images.lo, self.images.hi
-        if self.kmax:
-            self.lo, self.hi = [-v for v in self.hi], [-v for v in self.lo]
-        kinds = map(attrgetter("hi_kind" if self.kmax else "lo_kind"), self.images.areas)
-        self.rank = lo_ranks(self.lo, kinds, self.tie_rule)
-
-
-def _state(areas, tie_rule: TieRule) -> SelectionState:
+def _state(areas, tie_rule: TieRule) -> VectorState:
     """The state a rule reads: `areas` itself when a strategy passes its
     patched state, else one built from scratch."""
-    if isinstance(areas, SelectionState):
+    if isinstance(areas, VectorState):
         if areas.tie_rule is not tie_rule:
             raise ValueError(f"state ordered by {areas.tie_rule}, asked for {tie_rule}")
         return areas
-    return SelectionState(tie_rule).update(areas)
+    return VectorState(tie_rule).update(areas)
 
 
 def kmin_verifier(
@@ -177,7 +99,7 @@ def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) ->
     return picked
 
 
-def _max_u(s: SelectionState, members: Sequence[int], tie_rule: TieRule) -> int:
+def _max_u(s: VectorState, members: Sequence[int], tie_rule: TieRule) -> int:
     """order_u(areas, members, tie_rule)[-1] in O(len(members)): the largest
     hi; among ties, under lex an area attaining it, then the larger index."""
     hi = s.hi
@@ -298,7 +220,7 @@ SELECTION_ALGORITHMS = {
 STRATEGY_NAMES = tuple(SELECTION_ALGORITHMS)
 
 
-def _verifier(state: SelectionState, k: int, tie_rule: TieRule):
+def _verifier(state: VectorState, k: int, tie_rule: TieRule):
     return lambda areas: kmin_verifier(state.update(areas), k, tie_rule)
 
 
@@ -333,7 +255,8 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
     if name.startswith("min1") and k != 1:
         raise ValueError(f"{name} requires k=1, got k={k}")
     tie = TieRule.LEX if name.endswith("-lex") else problem.tie_rule
-    states = {tie_rule: SelectionState(tie_rule, problem.objective) for tie_rule in TieRule}
+    kmax = problem.objective is Objective.KTH_MAX
+    states = {tie_rule: VectorState(tie_rule, kmax) for tie_rule in TieRule}
     return SolverStrategy(
         name, _verifier(states[tie], k, tie), _witness(name, k, tie, states),
         algorithm.k_bound, algorithm.model_check,

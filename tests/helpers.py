@@ -94,7 +94,7 @@ def recorded_solve(instance, oracle, strategy, budget: int):
 # Endpoints on a small grid of coprime denominators: values repeat often
 # (1/1 = 7/7), share a denominator or need a large lcm, and go negative.  The
 # two Mersenne primes have an lcm above core.SCALE_BITS_LIMIT bits, so a vector
-# holding both takes the ranked path of int_images.
+# holding both takes the ranked path of core.VectorState.
 grid_endpoints = st.builds(
     Fraction,
     st.integers(-8, 8),

@@ -19,11 +19,10 @@ from helpers import (
 from uncquery.core import (
     Area,
     EndpointKind,
-    IntImages,
     TieRule,
+    VectorState,
     contains,
     format_rational,
-    int_images,
     order_l,
     order_u,
     parse_rational,
@@ -282,10 +281,15 @@ def test_order_l_sorted_by_lo(vec):
     assert los == sorted(los)
 
 
+def _fresh_images(vec):
+    state = VectorState().update(vec)
+    return state.lo, state.hi
+
+
 @settings(max_examples=200, deadline=None)
 @given(grid_vectors)
 def test_int_images_order_endpoints_exactly(vec):
-    lo, hi = int_images(vec)
+    lo, hi = _fresh_images(vec)
     assert all(isinstance(v, int) for v in lo + hi)
     values = [a.lo for a in vec] + [a.hi for a in vec]
     images = lo + hi
@@ -303,14 +307,14 @@ def test_int_images_rank_values_above_the_scale_limit():
         Area.open(Fraction(-2, b1), Fraction(2)),
         Area.point(Fraction(1)),
     ]
-    assert int_images(vec) == ([0, 1, 2], [3, 4, 2])
+    assert _fresh_images(vec) == ([0, 1, 2], [3, 4, 2])
     huge = Fraction(10**500, b1)
     vec = [
         Area.closed(Fraction(-1, b0), huge),
         Area.open(Fraction(-2, b1), huge),
         Area.point(Fraction(0)),
     ]
-    assert int_images(vec) == ([0, 1, 2], [3, 3, 2])
+    assert _fresh_images(vec) == ([0, 1, 2], [3, 3, 2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,22 +331,22 @@ def test_orderings_match_fraction_reference(vec, tie, data):
 @settings(max_examples=200, deadline=None)
 @given(refinement_runs())
 def test_patched_images_order_endpoints_exactly(run):
-    """IntImages across refinements: the changed indices are those whose
+    """A VectorState across refinements: the changed indices are those whose
     area object changed, and the images order exactly as the values do
     (checked between neighbours in value order); while they are scaled, not
     ranks, each is its value times the one scale D."""
     first, steps = run
-    images = IntImages()
+    state = VectorState()
     prev = []
     for vec in [first] + steps:
-        changed = images.update(vec)
+        state.update(vec)
         if len(prev) == len(vec):
-            assert list(changed) == [i for i, a in enumerate(vec) if a is not prev[i]]
-        assert all(a is b for a, b in zip(images.areas, vec)) and len(images.areas) == len(vec)
+            assert list(state.changed) == [i for i, a in enumerate(vec) if a is not prev[i]]
+        assert all(a is b for a, b in zip(state.areas, vec)) and len(state.areas) == len(vec)
         values = [a.lo for a in vec] + [a.hi for a in vec]
-        ints = images.lo + images.hi
-        if images.scale:
-            assert ints == [v * images.scale for v in values]
+        ints = state.lo + state.hi
+        if state.scale:
+            assert ints == [v * state.scale for v in values]
         by_value = sorted(range(len(values)), key=values.__getitem__)
         for a, b in zip(by_value, by_value[1:]):
             assert (values[a] < values[b], values[a] == values[b]) == (

@@ -567,14 +567,39 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "max_total": [4]},
         {"algorithm": "min1-witness", "model": "OP-P", "budget": 2.9},
         {"algorithm": "min1-witness", "model": "OP-P", "max_total": 7.5},
+        {"algorithm": "min1-witness", "model": "OP-P", "budget": 0},
+        {"algorithm": "min1-witness", "model": "OP-P", "budget": -1},
+        {"algorithm": "min1-witness", "model": "OP-P", "max_total": -1},
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
-            "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float"])
+            "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
+            "budget-zero", "budget-negative", "max-total-negative"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 1, "n": 4, **config}))
         assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--budget", "0"], ["solve", "--budget", "-1"], ["opt", "--max-total", "-1"],
+    ], ids=["solve-budget-zero", "solve-budget-negative", "opt-max-total-negative"])
+    def test_limit_below_its_least_exit_code(self, tmp_path, capsys, args):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OP-P", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
+        assert main([*args, "--instance", str(inst_path)]) == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_opt_max_total_zero_searches_only_the_start(self, tmp_path, capsys):
+        # A max_total of 0 is a limit, not the default: the start vector does
+        # not verify, so there is no solution within it.
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OP-P", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["opt", "--instance", str(inst_path), "--max-total", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["opt"] is None
+        assert main(["opt", "--instance", str(inst_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["opt"] > 0
 
     @pytest.mark.parametrize("value", [[1, 2], None, {"p": 1}, "1/0"],
                              ids=["list", "null", "object", "zero-denominator"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     always_maximal,
     edge_prec,
+    grid_areas,
     reference_mst_pass,
     reference_umst,
     reference_witness_or_delete,
@@ -283,3 +284,25 @@ def test_replayed_pass_matches_fresh_pass_after_any_change(inst, data):
             if not w.is_point:
                 changes.append(data.draw(sub_areas(w)))
             weights[e] = data.draw(st.sampled_from(changes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_instances(), st.data())
+def test_pass_on_value_ranks_matches_reference(inst, data):
+    """Grid weights, with edge 0 carrying both Mersenne-prime denominators:
+    their lcm passes core.SCALE_BITS_LIMIT bits, so the pass orders and
+    decides on the ranks of the values.  Fresh, and with a log carried
+    across refinements and reveals of the other edges, it agrees with the
+    Fraction reference."""
+    graph = inst.problem
+    weights = data.draw(st.lists(grid_areas(), min_size=graph.n_edges, max_size=graph.n_edges))
+    weights[0] = O(F(-1, 2**521 - 1), F(1, 2**607 - 1))
+    log = PassLog()
+    for _ in range(4):
+        fresh = reference_mst_pass(graph, weights)
+        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights)
+        assert log.state.scale == 0
+        e = data.draw(st.integers(1, graph.n_edges - 1))
+        w = weights[e]
+        if not w.is_point:
+            weights[e] = data.draw(st.one_of(st.just(Area.point(w.hi)), sub_areas(w)))

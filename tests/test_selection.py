@@ -21,7 +21,7 @@ from helpers import (
     refinement_runs,
     verifier_answer_sound,
 )
-from uncquery.core import Area, TieRule, surely_leq
+from uncquery.core import Area, TieRule, VectorState, surely_leq
 from uncquery.engine import solve
 from uncquery.harness import GenParams, build_oracle, generate_instance
 from uncquery.models import ModelSpec
@@ -29,7 +29,6 @@ from uncquery.selection import (
     STRATEGY_NAMES,
     Objective,
     SelectionProblem,
-    SelectionState,
     kmin_bypass_witness,
     kmin_verifier,
     kmin_witness,
@@ -310,7 +309,7 @@ def test_patched_strategies_match_from_scratch(run, tie, objective, data):
     names = [n for n in STRATEGY_NAMES if n != "opop-alternate"
              and not (n.startswith("min1") and k != 1)]
     strategies = {name: make_strategy(name, problem) for name in names}
-    states = {t: SelectionState(t, objective) for t in TieRule}
+    states = {t: VectorState(t, objective is Objective.KTH_MAX) for t in TieRule}
     for vec in [first] + steps:
         oriented = [mirror(a) for a in vec] if objective is Objective.KTH_MAX else vec
         for t, state in states.items():

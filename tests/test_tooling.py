@@ -1,6 +1,7 @@
 """The benchmark's layer tracer rebinds package functions by name; every name
 it targets must still exist where it looks, or a traced run silently loses
 that layer."""
+import ast
 import runpy
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,16 @@ from uncquery.harness import GenParams, build_oracle, generate_instance, main
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+
+# Names a package module imports but never reads: the tracer rebinds each at
+# that module, so it must stay importable there.  Each maps to its target.
+TRACER_ONLY_IMPORTS = {
+    "selection.order_l": ("uncquery.selection", "order_l"),
+    "selection.order_u": ("uncquery.selection", "order_u"),
+    "mst.validate_response": ("uncquery.mst", "validate_response"),
+}
 
 
 def test_tracer_targets_resolve():
@@ -24,6 +34,29 @@ def test_tracer_targets_resolve():
         if not callable(vars(obj).get(attr)):
             missing.append(f"{owner}.{attr}")
     assert not missing, f"tracer targets not found: {missing}"
+
+
+def test_every_import_is_used_or_a_tracer_target():
+    """Every name a package module other than __init__ imports is read in
+    that module, except the tracer-only imports, each of which the tracer
+    still targets."""
+    unused = set()
+    for path in sorted((ROOT / "src" / "uncquery").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in imported - read}
+    assert unused == set(TRACER_ONLY_IMPORTS)
+    targets = {(owner, attr) for owner, attr, _, _ in runpy.run_path(str(TRACER))["TARGETS"]}
+    assert set(TRACER_ONLY_IMPORTS.values()) <= targets
 
 
 def test_tracer_sees_every_selection_strategy():
