@@ -23,6 +23,13 @@ and patches all three.  Its D only grows between rebuilds: a new denominator
 that does not divide D rescales every image by D'/D.  The selection rules,
 uMST passes and `order_l`/`order_u` all read such a state.
 
+A vector may bring its own images: an `ImagedVector` is a list of areas with
+the images of all its endpoints at one common scale, which need not be the
+smallest one, since any common multiple of the denominators orders the
+endpoints the same way.  A state rebuilt from such a vector takes its images
+instead of imaging the areas again.  The OPT search hands its verifier these,
+imaged once per area it holds.
+
 Areas are immutable and every function is pure; a `VectorState` is the one
 object that changes.
 """
@@ -240,6 +247,15 @@ SCALE_BITS_LIMIT = 1024
 REBUILD_SHARE = 4
 
 
+class ImagedVector(list):
+    """A list of areas carrying `images` = (D, lo images, hi images), set
+    after construction: each image is p·(D/q) for an endpoint p/q, with D a
+    common multiple of every endpoint's denominator of at most
+    SCALE_BITS_LIMIT bits."""
+
+    __slots__ = ("images",)
+
+
 def _images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
     """(D, lo images, hi images), with D = 0 when the images are ranks."""
     los = [a.lo.as_integer_ratio() for a in areas]
@@ -292,7 +308,9 @@ class VectorState:
     keeps their order.  Everything is rebuilt when the length changed, when
     more than one entry in REBUILD_SHARE changed, when D would pass
     SCALE_BITS_LIMIT bits, or while the images are ranks, which cannot be
-    patched.
+    patched.  An `ImagedVector` is always rebuilt from the images it
+    brings, at whatever common scale they are: copying them costs less than
+    a patch.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area does not
@@ -334,9 +352,15 @@ class VectorState:
                 return self
         else:
             self.changed = range(n)
-        if not (self.scale and REBUILD_SHARE * len(self.changed) <= n and self._patch(areas)):
+        images = getattr(areas, "images", None)
+        if images is not None or not (
+            self.scale and REBUILD_SHARE * len(self.changed) <= n and self._patch(areas)
+        ):
             self.areas = list(areas)
-            self.scale, lo, hi = _images(self.areas)
+            if images is None:
+                self.scale, lo, hi = _images(self.areas)
+            else:
+                self.scale, lo, hi = images[0], images[1][:], images[2][:]
             if self.mirror:
                 lo, hi = [-v for v in hi], [-v for v in lo]
             self._read(lo, hi)

@@ -448,12 +448,18 @@ def _check_limit(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
-def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
-    """`max_total`, or the instance's default when it is None."""
+def _max_total(instance: UncertainInstance, oracle: Oracle, max_total: Optional[int]) -> int:
+    """`max_total`, or the default when it is None: 2n when every response
+    is a point, so no index is queried twice, else 4n.  Responses are points
+    under an ExactPolicy or a return set of exactly {P}; a halving policy
+    under a model such as OP-OP returns intervals, though P is admitted."""
     if max_total is not None:
         return max_total
     n = len(instance.areas)
-    return 2 * n if "P" in instance.model.returns else 4 * n
+    points = isinstance(getattr(oracle, "policy", None), ExactPolicy) or (
+        instance.model.returns.letters == {"P"}
+    )
+    return 2 * n if points else 4 * n
 
 
 def _generate(spec, seed) -> UncertainInstance:
@@ -509,7 +515,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         oracle, opt = build_oracle(config.oracle, instance), None
     report, _, verifier = run_algorithm(instance, oracle.fork(), config.algorithm, config.budget)
     if opt is None:
-        max_total = _max_total(instance, config.max_total)
+        max_total = _max_total(instance, oracle, config.max_total)
         opt = opt_value(list(instance.areas), oracle, verifier, max_total).opt
 
     status = "ok"
@@ -584,7 +590,7 @@ def _cmd_opt(args) -> int:
         verifier = mst_verifier(instance.problem)
     else:
         verifier = make_strategy("kmin-witness", instance.problem).verifier
-    max_total = _max_total(instance, args.max_total)
+    max_total = _max_total(instance, oracle, args.max_total)
     size = search_size(list(instance.areas), oracle, max_total)
     if size > MAX_SEARCH_VECTORS:
         raise ConfigError(

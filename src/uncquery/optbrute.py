@@ -11,6 +11,14 @@ Response chains are built only as deep as the level reached: a vector of
 total t counts at most t on one index, so level t reads each chain to at most
 t entries, and the search asks the oracle for nothing beyond that.  Capping
 every chain at t leaves the vectors of level t and their order unchanged.
+
+The verifier calls are the search's real work, so the rest is kept lean.
+Each chain entry is imaged once, at one scale common to every area the
+chains hold, and from level 2 on each verifier call gets its vector as a
+`core.ImagedVector` assembled from those images by lookup.  A level's count
+vectors come from an iterative walk that steps from one vector to the next
+in place, and a found solution is compared with a vector only when a bit
+mask shows its support inside the vector's.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .core import Area
+from .core import Area, ImagedVector, _grow_scale
 from .oracles import Oracle
 
 
@@ -56,7 +64,19 @@ def response_chain(
 
 
 class _Chains:
-    """Each index's response chain on a fork of the oracle, grown on demand."""
+    """Each index's response chain on a fork of the oracle, grown on demand,
+    with the integer images of every area it holds.
+
+    `columns[i][c]` is index i's area after c queries of the search (c = 0:
+    its start area), and `lo[i][c]`, `hi[i][c]` are that area's endpoint
+    images at the common scale `scale`.  The areas are first imaged when the
+    chains grow to depth 2.  Levels 0 and 1 hold at most n + 1 vectors, each
+    at most one entry away from the start areas, and opt_value often stops
+    early in level 1, so images made ahead of them cost about what they
+    save.  After that each new area is imaged once, when its column grows.
+    A new denominator that does not divide the scale rescales every stored
+    image by D'/D; past SCALE_BITS_LIMIT bits the scale is 0 and the chains
+    keep no images."""
 
     def __init__(self, areas, oracle, base_counts):
         if not oracle.update_independent:
@@ -64,52 +84,107 @@ class _Chains:
                 "the brute-force search needs update independence; adversary "
                 "optima are fixture values, not searchable objects"
             )
-        self.areas = list(areas)
         self.oracle = oracle.fork()
         self.base = [0] * len(areas) if base_counts is None else list(base_counts)
-        self.chains: List[List[Area]] = [[] for _ in areas]
+        self.columns: List[List[Area]] = [[a] for a in areas]
+        self.scale: Optional[int] = None  # None until depth 2
+        self.lo: List[List[int]] = []
+        self.hi: List[List[int]] = []
 
     def extend(self, depth: int) -> List[int]:
         """Grow every chain that has not ended at a point to `depth` entries;
         the chain lengths."""
-        for i, chain in enumerate(self.chains):
-            if len(chain) < depth:
-                last = chain[-1] if chain else self.areas[i]
-                if not last.is_point:
-                    chain += response_chain(
-                        self.oracle, i, last, depth - len(chain), self.base[i] + len(chain)
-                    )
-        return [len(chain) for chain in self.chains]
+        indices: List[int] = []
+        grown: List[Area] = []
+        for i, column in enumerate(self.columns):
+            held = len(column) - 1
+            if held < depth and not column[-1].is_point:
+                new = response_chain(self.oracle, i, column[-1], depth - held, self.base[i] + held)
+                column += new
+                indices += [i] * len(new)
+                grown += new
+        if self.scale is None and depth > 1:  # image every area held so far
+            self.scale = 1
+            self.lo, self.hi = [[] for _ in self.columns], [[] for _ in self.columns]
+            indices = [i for i, column in enumerate(self.columns) for _ in column]
+            grown = [a for column in self.columns for a in column]
+        if self.scale and grown:
+            self._image(indices, grown)
+        return [len(column) - 1 for column in self.columns]
 
-    def areas_for(self, vector: Dict[int, int]) -> List[Area]:
-        out = list(self.areas)
-        for i, c in vector.items():
-            out[i] = self.chains[i][c - 1]
-        return out
-
-
-def _level_vectors(caps: Sequence[int], total: int):
-    """All count vectors of the given total; vectors placing queries on
-    smaller indices come first, so the first verifying vector found is the
-    canonical one reported by opt_value."""
-    n = len(caps)
-    tails = [0] * n  # tails[i] = sum(caps[i + 1:])
-    for i in range(n - 1, 0, -1):
-        tails[i - 1] = tails[i] + caps[i]
-    if total > sum(caps):
-        return
-
-    def rec(i: int, remaining: int, acc: Dict[int, int]):
-        if not remaining:
-            yield dict(acc)
+    def _image(self, indices: Sequence[int], grown: Sequence[Area]) -> None:
+        """Append the images of the areas `grown` to the image columns of
+        `indices`, one index per area, rescaling the stored images if the
+        scale grows."""
+        los = [a.lo.as_integer_ratio() for a in grown]
+        his = [a.hi.as_integer_ratio() for a in grown]
+        d = _grow_scale(self.scale, [q for _, q in los + his])
+        if not d:
+            self.scale, self.lo, self.hi = 0, [], []
             return
-        for c in range(min(caps[i], remaining), max(0, remaining - tails[i]) - 1, -1):
-            if c:
-                acc[i] = c
-            yield from rec(i + 1, remaining - c, acc)
-            acc.pop(i, None)
+        if d != self.scale:
+            f = d // self.scale
+            self.lo = [list(map(f.__mul__, col)) for col in self.lo]
+            self.hi = [list(map(f.__mul__, col)) for col in self.hi]
+            self.scale = d
+        lo, hi = self.lo, self.hi
+        for i, (p, q), (r, s) in zip(indices, los, his):
+            lo[i].append(p * (d // q))
+            hi[i].append(r * (d // s))
 
-    yield from rec(0, total, {})
+    def areas_for(self, counts: Sequence[int]) -> List[Area]:
+        """The areas after `counts[i]` queries on each index i, as an
+        ImagedVector while the chains keep images."""
+        if not self.scale:
+            return list(map(list.__getitem__, self.columns, counts))
+        areas = ImagedVector(map(list.__getitem__, self.columns, counts))
+        areas.images = (
+            self.scale, list(map(list.__getitem__, self.lo, counts)),
+            list(map(list.__getitem__, self.hi, counts)),
+        )
+        return areas
+
+
+def _count_vectors(caps: Sequence[int], total: int):
+    """All count vectors with 0 <= counts[i] <= caps[i] summing to `total`,
+    in descending lexicographic order, so that vectors placing queries on
+    smaller indices come first.  Yields one list, changed in place, with the
+    bit mask of its support.
+
+    Each step finds the last index whose count can drop by one while the
+    indices after it still hold the rest, lowers it, and refills those
+    indices greedily from the left: the next vector down in the order."""
+    n = len(caps)
+    tails = list(accumulate(reversed(caps), initial=0))[::-1]  # tails[i] = sum(caps[i:])
+    if total > tails[0]:
+        return
+    counts, mask, i, rest = [0] * n, 0, -1, total
+    while True:
+        mask &= (1 << (i + 1)) - 1
+        for j in range(i + 1, n):
+            c = caps[j] if caps[j] < rest else rest
+            counts[j] = c
+            rest -= c
+            if c:
+                mask |= 1 << j
+        yield counts, mask
+        # Find the last index i with a count to give and room after it.
+        for i in range(n - 1, -1, -1):
+            c = counts[i]
+            if c and tails[i + 1] > rest:
+                break
+            rest += c
+        else:
+            return
+        counts[i] = c - 1
+        if c == 1:
+            mask &= ~(1 << i)
+        rest += 1
+
+
+def _vector(counts: Sequence[int]) -> Dict[int, int]:
+    """The nonzero counts as a dict, keys ascending: a vector as reported."""
+    return {i: c for i, c in enumerate(counts) if c}
 
 
 # The most count vectors `uncquery opt` agrees to search; past this it asks
@@ -128,27 +203,28 @@ def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
     return sum(ways)
 
 
-def _dominates(vector: Dict[int, int], found: List[Dict[int, int]]) -> bool:
-    return any(
-        all(vector.get(i, 0) >= c for i, c in sol.items()) for sol in found
-    )
-
-
 def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
     """The inclusion-minimal verifying count vectors with total <= max_total,
     in search order.  Supersets of a found one verify by monotonicity and
     are pruned, so nothing is pruned before the first; once a whole level
-    is dominated the search stops."""
+    is dominated the search stops.  A found vector can dominate only a
+    vector whose support holds its own, which one mask test rules out
+    before any count is compared."""
     chains = _Chains(areas, oracle, base_counts)
-    found: List[Dict[int, int]] = []
+    found: List[tuple] = []  # (support mask, (index, count) pairs)
     for total in range(0, max_total + 1):
         level_open = False
-        for vector in _level_vectors(chains.extend(total), total):
-            if _dominates(vector, found):
+        for counts, mask in _count_vectors(chains.extend(total), total):
+            outside = ~mask
+            if found and any(
+                not sol_mask & outside and all(counts[i] >= c for i, c in pairs)
+                for sol_mask, pairs in found
+            ):
                 continue
             level_open = True
-            if verifier(chains.areas_for(vector)) is not None:
-                found.append(vector)
+            if verifier(chains.areas_for(counts)) is not None:
+                vector = _vector(counts)
+                found.append((mask, tuple(vector.items())))
                 yield vector
         if not level_open and total > 0:
             return

@@ -1,5 +1,6 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,10 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
+from uncquery.harness import _max_total
 from uncquery.models import ModelSpec, UncertainInstance, Violation, validate_instance
 from uncquery.mst import UncertainGraph
+from uncquery.oracles import ScriptedOracle
 from uncquery.selection import Objective, SelectionProblem, make_strategy
 from uncquery.core import surely_leq
 
@@ -265,6 +268,33 @@ class TestCompete:
         )
         graph_params = GraphGenParams(vertices=5, extra_edges=3, model=ModelSpec.parse("OC-OC"))
         assert trial_instance(graph_cfg, 2) == generate_graph_instance(graph_params, "5:2")
+
+    def test_halving_on_a_model_admitting_points_searches_past_2n(self):
+        """The default OPT budget is 2n only when every response is a point.
+        Halving under OP-OP returns intervals although P is admitted: trials
+        2 and 10 below spend 15 and 12 queries, so a 2n = 10 budget would
+        call them opt-unbounded."""
+        opop = ModelSpec.parse("OP-OP")
+        cfg = ExperimentConfig(
+            algorithm="kmin-witness", model=opop, oracle="ground:halve:1/2",
+            trials=30, n=5, k=2,
+        )
+        records, aggregate, code = compete(cfg)
+        assert code == EXIT_OK and aggregate["violations"] == 0
+        assert [records[t].queries for t in (2, 10)] == [15, 12]
+        assert all(r.opt is not None for r in records)
+        inst = trial_instance(cfg, 0)
+        defaults = {
+            spec: _max_total(inst, build_oracle(spec, inst), None)
+            for spec in ("ground", "ground:exact", "ground:halve")
+        }
+        assert defaults == {"ground": 10, "ground:exact": 10, "ground:halve": 20}
+        points_only = replace(inst, model=ModelSpec.parse("OP-P"))
+        assert _max_total(points_only, build_oracle("ground:halve", points_only), None) == 10
+        # A script may answer with anything its model's return set admits.
+        assert _max_total(inst, ScriptedOracle({}), None) == 20
+        assert _max_total(points_only, ScriptedOracle({}), None) == 10
+        assert _max_total(inst, build_oracle("ground:halve", inst), 3) == 3
 
     def test_bypass_requires_opp(self):
         cfg = ExperimentConfig(algorithm="min1-bypass", model=ModelSpec.parse("O-O"))

@@ -2,11 +2,12 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from helpers import reference_minimal_vectors
-from uncquery.core import Area, TieRule
+from helpers import _reference_level_vectors, reference_minimal_vectors
+from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState, _images
 from uncquery.harness import (
     EXIT_INVALID_CONFIG, GenParams, GraphGenParams, build_oracle, generate_graph_instance,
     generate_instance, instance_to_json, main,
@@ -30,7 +31,7 @@ from uncquery.optbrute import (
     search_size,
     witness_check,
 )
-from uncquery.optbrute import _Chains, _level_vectors
+from uncquery.optbrute import _Chains, _count_vectors, _vector
 from uncquery.selection import (
     Objective, SelectionProblem, kmin_verifier, make_strategy, min1_witness,
 )
@@ -83,8 +84,25 @@ def test_search_size_counts_every_vector_of_every_level():
         oracle = _oracle(areas, hidden, returns=returns)
         for max_total in range(6):
             caps = _Chains(areas, oracle, None).extend(max_total)
-            visited = sum(1 for t in range(max_total + 1) for _ in _level_vectors(caps, t))
+            visited = sum(1 for t in range(max_total + 1) for _ in _count_vectors(caps, t))
             assert search_size(areas, oracle, max_total) == visited
+
+
+def test_level_walk_matches_the_recursive_reference():
+    """The iterative walk yields the reference's vectors as the same dicts,
+    keys in the same order, in the same order, each with the bit mask of its
+    support: every caps vector of n <= 5 indices with caps up to 3, every
+    total up to one past the sum of the caps."""
+    for n in range(6):
+        for caps in product(range(4), repeat=n):
+            for total in range(sum(caps) + 2):
+                got = []
+                for counts, mask in _count_vectors(caps, total):
+                    got.append(_vector(counts))
+                    assert mask == sum(1 << i for i in got[-1]), (caps, counts)
+                want = list(_reference_level_vectors(caps, total))
+                assert got == want, (caps, total)
+                assert [list(v) for v in got] == [list(v) for v in want], (caps, total)
 
 
 class TestOptValue:
@@ -297,6 +315,87 @@ def test_search_matches_eager_reference_on_graphs(oracle_spec, model):
         state, script, base = _resumed(areas, oracle, max_total, seed)
         visited += _assert_same_search(state, script, verifier, max_total, base)
     assert visited > 100
+
+
+def _kinds(verifier, kinds):
+    """The verifier, noting whether each vector brought its own images."""
+    def verify(areas):
+        kinds.add(isinstance(areas, ImagedVector))
+        return verifier(areas)
+
+    return verify
+
+
+@pytest.mark.parametrize("bits,depths,imaged", [(127, (8, 9), {True, False}), (521, (2,), {False})])
+def test_chains_past_the_scale_limit_fall_back_to_plain_vectors(bits, depths, imaged):
+    """Halving by a shrink with a prime denominator of b bits adds about b
+    bits to the chains' common scale per level.  With b = 127 the scale
+    passes SCALE_BITS_LIMIT at depth 8 or 9, after the chains imaged and
+    rescaled; with b = 521 at depth 2, where they first image.  The chains
+    then drop their images, and the verifier images each vector itself, as
+    the reference search does; a vector with its counts spread over the
+    indices may still have a scale of its own.  The search makes the
+    reference's calls throughout."""
+    prime = 2**bits - 1  # a Mersenne prime
+    model = ModelSpec.parse("OC-OC")
+    kinds, solutions = set(), 0
+    for seed in range(6):
+        inst = generate_instance(GenParams(n=4, model=model, k=2), seed)
+        oracle = build_oracle(f"ground:halve:{prime // 2}/{prime}", inst)
+        areas = list(inst.areas)
+        chains = _Chains(areas, oracle, None)
+        depth = 2
+        chains.extend(depth)
+        while chains.scale:
+            assert chains.scale.bit_length() <= SCALE_BITS_LIMIT
+            depth += 1
+            chains.extend(depth)
+        assert depth in depths
+        assert type(chains.areas_for([2, 2, 2, 2])) is list
+        assert _images(chains.areas_for([1, 1, 1, 1]))[0] != 0
+        verifier = _kinds(make_strategy("kmin-witness", inst.problem).verifier, kinds)
+        _assert_same_search(areas, oracle, verifier, 9)
+        solutions += len(minimal_solutions(areas, oracle, verifier, 9))
+    assert kinds == imaged and solutions > 4
+
+
+@pytest.mark.parametrize("objective,tie_rule", [
+    (Objective.KTH_MAX, TieRule.STABLE), (Objective.KTH_MIN, TieRule.LEX),
+    (Objective.KTH_MAX, TieRule.LEX),
+])
+def test_strategy_verifier_agrees_with_a_fresh_state(objective, tie_rule):
+    """A strategy's verifier keeps one state, mirrored for k-th max, and
+    takes each vector's images into it.  The search answers the same with
+    it as with a fresh state per call, and as with a fresh state that
+    images the plain list itself."""
+    def fresh(problem, plain):
+        mirror = problem.objective is Objective.KTH_MAX
+
+        def verify(areas):
+            areas = list(areas) if plain else areas
+            return kmin_verifier(VectorState(tie_rule, mirror).update(areas), problem.k, tie_rule)
+
+        return verify
+
+    hits = 0
+    for seed in range(8):
+        for oracle_spec, model, max_total in (("ground:exact", "OC-P", 8),
+                                              ("ground:halve", "OC-OC", 5)):
+            params = GenParams(n=4 + seed % 3, model=ModelSpec.parse(model), k=1 + seed % 3,
+                               tie_rule=tie_rule)
+            inst = generate_instance(params, seed)
+            problem = replace(inst.problem, objective=objective)
+            oracle = build_oracle(oracle_spec, inst)
+            areas = list(inst.areas)
+            answers = []
+            for verifier in (make_strategy("kmin-witness", problem).verifier,
+                             fresh(problem, False), fresh(problem, True)):
+                result = opt_value(areas, oracle, verifier, max_total)
+                answers.append((result.opt, result.vector,
+                                minimal_solutions(areas, oracle, verifier, max_total)))
+            assert answers[0] == answers[1] == answers[2]
+            hits += result.bounded and result.opt > 1
+    assert hits > 4
 
 
 class _CountingOracle(Oracle):

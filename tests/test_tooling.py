@@ -9,7 +9,9 @@ from pathlib import Path
 import uncquery
 from uncquery.core import Area
 from uncquery.engine import solve
-from uncquery.harness import GenParams, build_oracle, generate_instance, main
+from uncquery.harness import (
+    GenParams, GraphGenParams, build_oracle, generate_graph_instance, generate_instance, main,
+)
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
 
@@ -128,3 +130,48 @@ def test_tracer_times_every_oracle_call_of_the_opt_search():
     responds = [i for i, name in enumerate(names) if name == "oracles.respond"]
     assert chains and all(tracer.parent[i] in chains for i in responds)
     assert len(responds) == len(inst.areas) * result.opt
+
+
+def _counting(verifier, calls):
+    def verify(areas):
+        calls.append(1)
+        return verifier(areas)
+
+    return verify
+
+
+def test_tracer_sees_every_verifier_call_of_the_opt_search():
+    """Every vector the OPT search verifies is one `selection.verify` or
+    `mst.pass` span directly under `optbrute.opt`, whether the verifier is
+    a bare `kmin_verifier`, a strategy's patched one or `mst_verifier`: the
+    benchmark's `optbrute.vectors_visited` counts these spans."""
+    # Seed 3 gives OPT = 3 on both, so the search passes level 2, where
+    # the verifier gets its vectors with their images.
+    sel = generate_instance(GenParams(n=6, model=ModelSpec.parse("OC-OC"), k=2), 3)
+    graph = generate_graph_instance(
+        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 3
+    )
+    k = sel.problem.k
+    cases = [
+        (sel, lambda areas: uncquery.kmin_verifier(areas, k), "selection.verify"),
+        (sel, make_strategy("kmin-witness", sel.problem).verifier, "selection.verify"),
+        (graph, uncquery.mst_verifier(graph.problem), "mst.pass"),
+    ]
+    module = runpy.run_path(str(TRACER))
+    tracer = module["Tracer"]()
+    for instance, verifier, span in cases:
+        calls = []
+        start = len(tracer.kind)
+        tracer.install()
+        try:
+            uncquery.opt_value(list(instance.areas), build_oracle("ground:halve", instance),
+                               _counting(verifier, calls), 6)
+        finally:
+            tracer.uninstall()
+        names = [tracer.names[kind] for kind in tracer.kind[start:]]
+        assert names.count("optbrute.opt") == 1, span
+        opt = start + names.index("optbrute.opt")
+        under = [i for i in range(opt + 1, len(tracer.kind)) if tracer.parent[i] == opt]
+        verified = [i for i in under if tracer.names[tracer.kind[i]] in module["VERIFIER_SPANS"]]
+        assert len(calls) > 20 and len(verified) == len(calls), span
+        assert {tracer.names[tracer.kind[i]] for i in verified} == {span}
