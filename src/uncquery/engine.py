@@ -120,11 +120,11 @@ def solve(
     Each round queries the members of one witness set in the order the
     strategy's `queries` hands them out.  Point areas are never queriable.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     violations = validate_instance(instance)
     if violations:
         raise EngineError(f"invalid instance: {violations[0].reason}")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if strategy.model_check is not None:
         err = strategy.model_check(instance.model)
         if err:

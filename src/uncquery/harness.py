@@ -12,13 +12,13 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Area, TieRule, format_rational, parse_rational
-from .engine import Algorithm, EngineError, RunStatus, StrategyModelError, default_budget, solve
-from .models import ModelSpec, UncertainInstance
+from .engine import Algorithm, EngineError, RunStatus, default_budget, solve
+from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
 from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
 from .oracles import (
@@ -263,19 +263,23 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     if spec == "ground":
         return GroundTruthOracle.for_instance(instance)
     if spec.startswith("script:"):
-        return ScriptedOracle.load(spec.split(":", 1)[1])
+        with _malformed("script"):
+            return ScriptedOracle.load(spec.split(":", 1)[1])
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
 def adversary_fixture(spec: str, model, problem, areas=None, n=3, k=2) -> Optional[Fixture]:
-    """The fixture an `adversary:NAME` oracle spec plays, built for (n, k), or
-    None for any other spec.  An adversary plays only its own fixture, so
-    ConfigError unless it has this model and problem, and these areas if any."""
+    """The fixture an `adversary:NAME` oracle spec plays, built for (n, k) or
+    for the size of the given areas, or None for any other spec.  An adversary
+    plays only its own fixture, so ConfigError unless it has this model and
+    problem, and these areas if any."""
     if not spec.startswith("adversary:"):
         return None
     name = spec.split(":", 1)[1]
     if name not in FIXTURE_BUILDERS:
         raise ConfigError(f"unknown adversary {name!r}; known: {', '.join(FIXTURE_BUILDERS)}")
+    if areas is not None:  # as `fixtures` writes them; min-tight's n omits its wide area
+        n, k = max(len(areas) - (name == "min-tight"), 1), max(getattr(problem, "k", 1), 1)
     fixture = FIXTURE_BUILDERS[name](n, k)
     own = fixture.instance
     if (model, problem) != (own.model, own.problem) or areas not in (None, own.areas):
@@ -312,18 +316,8 @@ class TrialRecord:
         return self.queries - self.opt
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "algorithm": self.algorithm,
-            "model": self.model,
-            "n": self.n,
-            "k": self.k,
-            "queries": self.queries,
-            "opt": self.opt,
-            "ratio": None if self.ratio is None else round(self.ratio, 6),
-            "gap": self.gap,
-            "status": self.status,
-        }
+        ratio = None if self.ratio is None else round(self.ratio, 6)
+        return {**asdict(self), "ratio": ratio, "gap": self.gap}
 
 
 CSV_COLUMNS = "trial,algorithm,model,n,k,queries,opt,ratio,gap,status"
@@ -448,18 +442,10 @@ def _check_limit(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
-def _max_total(instance: UncertainInstance, oracle: Oracle, max_total: Optional[int]) -> int:
-    """`max_total`, or the default when it is None: 2n when every response
-    is a point, so no index is queried twice, else 4n.  Responses are points
-    under an ExactPolicy or a return set of exactly {P}; a halving policy
-    under a model such as OP-OP returns intervals, though P is admitted."""
-    if max_total is not None:
-        return max_total
-    n = len(instance.areas)
-    points = isinstance(getattr(oracle, "policy", None), ExactPolicy) or (
-        instance.model.returns.letters == {"P"}
-    )
-    return 2 * n if points else 4 * n
+def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
+    """`max_total`, or 4n when it is None.  When every response is a point,
+    each chain ends after one entry, so the search stops by level n anyway."""
+    return 4 * len(instance.areas) if max_total is None else max_total
 
 
 def _generate(spec, seed) -> UncertainInstance:
@@ -515,7 +501,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         oracle, opt = build_oracle(config.oracle, instance), None
     report, _, verifier = run_algorithm(instance, oracle.fork(), config.algorithm, config.budget)
     if opt is None:
-        max_total = _max_total(instance, oracle, config.max_total)
+        max_total = _max_total(instance, config.max_total)
         opt = opt_value(list(instance.areas), oracle, verifier, max_total).opt
 
     status = "ok"
@@ -585,12 +571,15 @@ def _cmd_opt(args) -> int:
     _check_limit("--max-total", args.max_total, 0)
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
+    violations = validate_instance(instance)
+    if violations:
+        raise ConfigError(f"invalid instance: {violations[0].reason}")
     oracle = build_oracle(args.oracle, instance)
     if isinstance(instance.problem, UncertainGraph):
         verifier = mst_verifier(instance.problem)
     else:
         verifier = make_strategy("kmin-witness", instance.problem).verifier
-    max_total = _max_total(instance, oracle, args.max_total)
+    max_total = _max_total(instance, args.max_total)
     size = search_size(list(instance.areas), oracle, max_total)
     if size > MAX_SEARCH_VECTORS:
         raise ConfigError(
@@ -686,7 +675,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StrategyModelError, ValueError, EngineError, OracleError, OSError) as exc:
+    except (ConfigError, ValueError, EngineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 

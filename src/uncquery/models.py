@@ -135,12 +135,16 @@ class Violation:
 
 
 def validate_instance(instance: UncertainInstance) -> list:
-    """Shape admission per the model's input set plus hidden-value containment.
-    Empty list means the instance is valid."""
+    """The problem's own check, shape admission per the model's input set and
+    hidden-value containment.  Empty list means the instance is valid."""
     out = []
     if not instance.areas:
         out.append(Violation(None, "instance has no areas"))
         return out
+    try:
+        instance.problem.validate(len(instance.areas))
+    except ValueError as exc:
+        out.append(Violation(None, str(exc)))
     for i, area in enumerate(instance.areas):
         if not instance.model.input.admits(area):
             shape = area_shape(area)

@@ -65,6 +65,12 @@ class UncertainGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def validate(self, n: int) -> None:
+        if n != self.n_edges:
+            raise ValueError(f"{n} weights for {self.n_edges} edges; give one weight per edge")
+        if not self.is_connected():
+            raise ValueError("graph must be connected")
+
     def is_connected(self, active: Optional[Sequence[int]] = None) -> bool:
         if self.vertices == 0:
             return False
@@ -90,22 +96,13 @@ class MstAnswer:
     red_rule_count: int
 
 
-def mst_witness_or_delete(cycle: Sequence[int], weights: Sequence[Area]):
-    """('delete', edge) when the red rule applies, else ('witness', (f, g)).
+def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
+    """('delete', edge) when the red rule applies, else ('witness', (f, g)),
+    on the integer images of the weights, in O(len(cycle)).
 
     f is the cycle edge with the largest upper bound under the comparison
     operator; g is the smallest-index other edge whose upper bound does not
     precede f's lower bound.
-    """
-    if len(cycle) < 2:
-        raise ValueError("a cycle needs at least two edges")
-    state = VectorState().update(weights)
-    return _witness_or_delete(cycle, state.lo, state.hi)
-
-
-def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
-    """mst_witness_or_delete on the integer images of the weights, in
-    O(len(cycle)).
 
     Each cycle edge c's upper bound is ranked as hi(c)·E + c, E the edge
     count, and f's lower bound as lo(f)·E + f.  Two ranks of different edges
@@ -304,7 +301,5 @@ def umst_solve(
     graph = instance.problem
     if not isinstance(graph, UncertainGraph):
         raise EngineError("instance problem is not an uncertain graph")
-    if not graph.is_connected():
-        raise EngineError("graph must be connected")
     report = solve(instance, oracle, UmstStrategy(graph), budget)
     return replace(report, answer=None), report.answer

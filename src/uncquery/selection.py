@@ -120,9 +120,9 @@ def _max_hi_head(members: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -
 
 
 def min1_witness(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> List[int]:
-    """The two lo-order heads, skipping point areas (points are unqueriable)."""
-    s = _state(areas, tie_rule)
-    return _two_heads(s.order, s.lo, s.hi)
+    """The two lo-order heads, skipping point areas (points are unqueriable):
+    the k-Min pair at k = 1."""
+    return kmin_witness(areas, 1, tie_rule)
 
 
 def kmin_witness(
@@ -140,8 +140,8 @@ def kmin_witness(
     """
     s = _state(areas, tie_rule)
     order, lo, hi = s.order, s.lo, s.hi
-    pk = order[k - 1]
     if k > 1:
+        pk = order[k - 1]
         q1 = _max_u(s, order[: k - 1], tie_rule)
         if hi[q1] > lo[pk]:
             # Not separated.  q1 is never a point: hi(q1) > lo(pk) >= lo(q1),
@@ -228,19 +228,15 @@ def _witness(name: str, k: int, tie: TieRule, states: dict):
     """The named strategy's witness chooser.  It looks its rule up by name
     on every call, so a rule rebound on this module is the one that runs."""
     state, stable = states[tie], states[TieRule.STABLE]
-    if name in ("min1-witness", "min1-lex"):
-        return lambda areas: min1_witness(state.update(areas), tie)
-    if name in ("kmin-witness", "kmin-lex"):
+    if name.endswith(("-witness", "-lex")):  # a min1 name has k = 1
         return lambda areas: kmin_witness(state.update(areas), k, tie)
     if name == "min1-bypass":
         return lambda areas: min1_bypass_witness(stable.update(areas))
     if name == "kmin-bypass":
         return lambda areas: kmin_bypass_witness(stable.update(areas), k)
-    # opop-alternate: the bypass and the witness pair of its family in turn.
-    family = "min1" if k == 1 else "kmin"
-    return AlternatingWitness(
-        _witness(f"{family}-bypass", k, tie, states), _witness(f"{family}-witness", k, tie, states)
-    )
+    # opop-alternate: the bypass of its family and the witness pair in turn.
+    bypass = _witness("min1-bypass" if k == 1 else "kmin-bypass", k, tie, states)
+    return AlternatingWitness(bypass, _witness("kmin-witness", k, tie, states))
 
 
 def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:

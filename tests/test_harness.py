@@ -33,7 +33,7 @@ from uncquery.harness import (
 from uncquery.harness import _max_total
 from uncquery.models import ModelSpec, UncertainInstance, Violation, validate_instance
 from uncquery.mst import UncertainGraph
-from uncquery.oracles import ScriptedOracle
+from uncquery.oracles import FIXTURE_BUILDERS
 from uncquery.selection import Objective, SelectionProblem, make_strategy
 from uncquery.core import surely_leq
 
@@ -270,10 +270,10 @@ class TestCompete:
         assert trial_instance(graph_cfg, 2) == generate_graph_instance(graph_params, "5:2")
 
     def test_halving_on_a_model_admitting_points_searches_past_2n(self):
-        """The default OPT budget is 2n only when every response is a point.
-        Halving under OP-OP returns intervals although P is admitted: trials
-        2 and 10 below spend 15 and 12 queries, so a 2n = 10 budget would
-        call them opt-unbounded."""
+        """The default OPT budget is 4n, whatever the oracle.  Halving under
+        OP-OP returns intervals although P is admitted: trials 2 and 10 below
+        spend 15 and 12 queries, so a 2n = 10 budget would call them
+        opt-unbounded."""
         opop = ModelSpec.parse("OP-OP")
         cfg = ExperimentConfig(
             algorithm="kmin-witness", model=opop, oracle="ground:halve:1/2",
@@ -284,17 +284,23 @@ class TestCompete:
         assert [records[t].queries for t in (2, 10)] == [15, 12]
         assert all(r.opt is not None for r in records)
         inst = trial_instance(cfg, 0)
-        defaults = {
-            spec: _max_total(inst, build_oracle(spec, inst), None)
-            for spec in ("ground", "ground:exact", "ground:halve")
-        }
-        assert defaults == {"ground": 10, "ground:exact": 10, "ground:halve": 20}
-        points_only = replace(inst, model=ModelSpec.parse("OP-P"))
-        assert _max_total(points_only, build_oracle("ground:halve", points_only), None) == 10
-        # A script may answer with anything its model's return set admits.
-        assert _max_total(inst, ScriptedOracle({}), None) == 20
-        assert _max_total(points_only, ScriptedOracle({}), None) == 10
-        assert _max_total(inst, build_oracle("ground:halve", inst), 3) == 3
+        assert _max_total(inst, None) == 20
+        assert _max_total(replace(inst, model=ModelSpec.parse("OP-P")), None) == 20
+        assert _max_total(inst, 3) == 3
+
+    def test_default_opt_budget_past_n_changes_nothing_for_point_responses(self, tmp_path, capsys):
+        """With point responses every response chain ends after one entry, so
+        the search stops by level n: the 4n default reports what 2n did."""
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OP-P", "--n", "6", "--k", "3", "--seed", "4",
+                     "--out", str(inst_path)]) == EXIT_OK
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--max-total", "12"], ["--max-total", "6"]):
+            assert main(["opt", "--instance", str(inst_path), *extra]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["opt"] > 0
 
     def test_bypass_requires_opp(self):
         cfg = ExperimentConfig(algorithm="min1-bypass", model=ModelSpec.parse("O-O"))
@@ -550,13 +556,42 @@ class TestCli:
         assert main(["gen", *gen_args, "--out", str(inst_path)]) == EXIT_OK
         code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
         assert code == EXIT_INVALID_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_adversary_refuses_resized_fixture(self, tmp_path, capsys):
+    @pytest.mark.parametrize("size", [("3", "2"), ("5", "4")], ids=["n3-k2", "n5-k4"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+    def test_adversary_plays_its_fixture_at_any_size(self, tmp_path, capsys, name, size):
+        """`solve` sizes the fixture to the instance, as `compete` sizes it
+        to the config: it plays whatever `fixtures --n N --k K` wrote."""
         inst_path = tmp_path / "fixture.json"
-        main(["fixtures", "--name", "min-tight", "--n", "4", "--out", str(inst_path)])
+        n, k = size
+        assert main(["fixtures", "--name", name, "--n", n, "--k", k,
+                     "--out", str(inst_path)]) == EXIT_OK
+        assert main(["solve", "--instance", str(inst_path),
+                     "--oracle", f"adversary:{name}"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "solved"
+        if name == "min-tight":  # the 2n-query construction
+            assert report["total"] == 2 * int(n)
+
+    @pytest.mark.parametrize("written, edit", [
+        ("cp-anomaly", lambda data: None),
+        ("min-tight", lambda data: data["areas"][1].update(hi="8/1")),
+        ("min-tight", lambda data: data.update(areas=[])),
+        ("min-tight", lambda data: data["problem"].update(k=0)),
+    ], ids=["another-adversarys-fixture", "one-area-moved", "no-areas", "k-zero"])
+    def test_adversary_refuses_mismatched_fixture(self, tmp_path, capsys, written, edit):
+        inst_path = tmp_path / "fixture.json"
+        assert main(["fixtures", "--name", written, "--n", "4", "--out", str(inst_path)]) == 0
+        data = json.loads(inst_path.read_text())
+        edit(data)
+        inst_path.write_text(json.dumps(data))
         code = main(["solve", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
         assert code == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: adversary 'min-tight' plays only its own fixture")
 
     @pytest.mark.parametrize("mismatch", [
         {"model": "OP-P"},
@@ -655,3 +690,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("script", [
+        {"responses": {"1": [{"kind": "open", "hi": "3/1"}]}},
+        [{"kind": "open", "lo": "0/1", "hi": "3/1"}],
+    ], ids=["area-without-lo", "top-level-list"])
+    def test_malformed_script_exit_code(self, tmp_path, capsys, script):
+        inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+        assert main(["gen", "--model", "OC-OC", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
+        script_path.write_text(json.dumps(script))
+        code = main(["solve", "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
+        assert code == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: malformed script JSON: ")
+
+
+def _closed_area(data):
+    data["areas"][0]["kind"] = "closed"
+
+
+def _drop_weight(data):
+    del data["areas"][-1], data["hidden"][-1]
+
+
+def _extra_weight(data):
+    data["areas"].append(data["areas"][0])
+    data["hidden"].append(data["hidden"][0])
+
+
+def _isolated_vertex(data):
+    data["problem"]["vertices"] += 1
+
+
+def _no_areas(data):
+    data["areas"], data["hidden"] = [], []
+
+
+@pytest.mark.parametrize("command", ["solve", "opt"])
+@pytest.mark.parametrize("problem, edit, reason", [
+    ("kmin", _closed_area, "area 1 shape C not admitted by input type set O"),
+    ("mst", _drop_weight, "{w} weights for {e} edges; give one weight per edge"),
+    ("mst", _extra_weight, "{w} weights for {e} edges; give one weight per edge"),
+    ("mst", _isolated_vertex, "graph must be connected"),
+    ("kmin", _no_areas, "instance has no areas"),
+], ids=["closed-area-under-O-O", "fewer-weights", "more-weights", "disconnected", "no-areas"])
+def test_solve_and_opt_refuse_an_invalid_instance(tmp_path, capsys, command, problem, edit, reason):
+    """`solve` and `opt` check an instance by the one rule, validate_instance,
+    which holds the problem's own check: each refuses with the same reason."""
+    inst_path = tmp_path / "inst.json"
+    size = ["--problem", "mst", "--vertices", "6", "--extra-edges", "5"] if problem == "mst" else []
+    assert main(["gen", "--model", "O-O", *size, "--seed", "2", "--out", str(inst_path)]) == 0
+    data = json.loads(inst_path.read_text())
+    edit(data)
+    inst_path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(inst_path)]) == EXIT_INVALID_CONFIG
+    out, err = capsys.readouterr()
+    reason = reason.format(w=len(data["areas"]), e=len(data["problem"].get("edges", ())))
+    assert out == "" and err == f"error: invalid instance: {reason}\n"

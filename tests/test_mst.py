@@ -16,15 +16,15 @@ from helpers import (
     reference_witness_or_delete,
     sub_areas,
 )
-from uncquery.core import Area
+from uncquery.core import Area, VectorState
 from uncquery.engine import EngineError, RunStatus
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
     PassLog,
     UncertainGraph,
     mst_pass,
+    _witness_or_delete,
     mst_verifier,
-    mst_witness_or_delete,
     umst_solve,
 )
 from uncquery.oracles import GroundTruthOracle
@@ -86,24 +86,26 @@ class TestAlwaysMaximal:
             assert sum(always_maximal(cycle, e, w) for e in cycle) <= 1
 
 
+def witness_or_delete(cycle, weights):
+    """The chooser on the images of a fresh state of the weights."""
+    state = VectorState().update(weights)
+    return _witness_or_delete(cycle, state.lo, state.hi)
+
+
 class TestWitnessOrDelete:
     def test_red_rule_delete(self):
-        action, payload = mst_witness_or_delete([0, 1, 2], [O(1, 2), O(1, 2), O(5, 6)])
+        action, payload = witness_or_delete([0, 1, 2], [O(1, 2), O(1, 2), O(5, 6)])
         assert (action, payload) == ("delete", 2)
 
     def test_witness_pair(self):
         w = [O(1, 2), O(2, 3), O(Fraction(5, 2), Fraction(7, 2))]
-        action, payload = mst_witness_or_delete([0, 1, 2], w)
+        action, payload = witness_or_delete([0, 1, 2], w)
         assert action == "witness"
         assert payload == (2, 1)
 
     def test_parallel_certain_edges(self):
-        action, payload = mst_witness_or_delete([0, 1], [Area.point(1), Area.point(2)])
+        action, payload = witness_or_delete([0, 1], [Area.point(1), Area.point(2)])
         assert (action, payload) == ("delete", 1)
-
-    def test_short_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            mst_witness_or_delete([0], [O(1, 2)])
 
     def test_matches_definition_on_grid(self):
         # The O(L) chooser on integer ranks against the O(L^2) definition on
@@ -111,9 +113,9 @@ class TestWitnessOrDelete:
         for combo in itertools.product(GRID, repeat=3):
             w = list(combo)
             for cycle in ([0, 1, 2], [2, 0, 1], [1, 0]):
-                assert mst_witness_or_delete(cycle, w) == reference_witness_or_delete(cycle, w)
+                assert witness_or_delete(cycle, w) == reference_witness_or_delete(cycle, w)
             w.insert(1, C(-5, 5))
-            assert mst_witness_or_delete([3, 0, 2], w) == reference_witness_or_delete([3, 0, 2], w)
+            assert witness_or_delete([3, 0, 2], w) == reference_witness_or_delete([3, 0, 2], w)
 
 
 def _triangle(weights, model="OC-OC", hidden=None):

@@ -61,6 +61,42 @@ def test_every_import_is_used_or_a_tracer_target():
     assert set(TRACER_ONLY_IMPORTS.values()) <= targets
 
 
+def _defined(node) -> list:
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_public_name_is_read_exported_or_traced():
+    """Every public module-level name of a package module is read somewhere
+    in src/, exported by the package, or rebound by the tracer: a name that
+    none of these reaches is code that nothing needs."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "uncquery").glob("*.py"))
+    }
+    read = {
+        node.id for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = {
+        alias.asname or alias.name for node in ast.walk(trees.pop("__init__"))
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    traced = {
+        f"{owner}.{attr}" for owner, attr, _, _ in runpy.run_path(str(TRACER))["TARGETS"]
+    }
+    unreached = {
+        f"{stem}.{name}"
+        for stem, tree in trees.items() for node in tree.body for name in _defined(node)
+        if not name.startswith("_") and name not in read | exported
+        and f"uncquery.{stem}.{name}" not in traced
+    }
+    assert not unreached, f"public names nothing reads: {sorted(unreached)}"
+
+
 def test_tracer_sees_every_selection_strategy():
     """Strategies built before the tracer is installed still call the rules
     it rebinds: their closures look the rules up by name on every call."""
