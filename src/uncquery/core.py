@@ -23,12 +23,10 @@ and patches all three.  Its D only grows between rebuilds: a new denominator
 that does not divide D rescales every image by D'/D.  The selection rules,
 uMST passes and `order_l`/`order_u` all read such a state.
 
-A vector may bring its own images: an `ImagedVector` is a list of areas with
-the images of all its endpoints at one common scale, which need not be the
-smallest one, since any common multiple of the denominators orders the
-endpoints the same way.  A state rebuilt from such a vector takes its images
-instead of imaging the areas again.  The OPT search hands its verifier these,
-imaged once per area it holds.
+A vector may bring its own images: an `ImagedVector` carries images taken
+over any superset of its areas, scaled or ranked, which order its own
+endpoints just as exactly.  A state rebuilt from one takes them instead of
+imaging the areas again; the OPT search hands its verifier these.
 
 Areas are immutable and every function is pure; a `VectorState` is the one
 object that changes.
@@ -67,8 +65,8 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction(value) -> Fraction:
-    # Fraction(value) on a Fraction rebuilds it after an ABC instance check.
+def as_fraction(value) -> Fraction:
+    """`value` as a Fraction; Fraction(value) would rebuild a Fraction."""
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -108,16 +106,16 @@ class Area:
 
     @staticmethod
     def point(value) -> "Area":
-        v = _fraction(value)
+        v = as_fraction(value)
         return Area(v, v, EndpointKind.CLOSED, EndpointKind.CLOSED)
 
     @staticmethod
     def open(lo, hi) -> "Area":
-        return Area(_fraction(lo), _fraction(hi), EndpointKind.OPEN, EndpointKind.OPEN)
+        return Area(as_fraction(lo), as_fraction(hi), EndpointKind.OPEN, EndpointKind.OPEN)
 
     @staticmethod
     def closed(lo, hi) -> "Area":
-        return Area(_fraction(lo), _fraction(hi), EndpointKind.CLOSED, EndpointKind.CLOSED)
+        return Area(as_fraction(lo), as_fraction(hi), EndpointKind.CLOSED, EndpointKind.CLOSED)
 
     @property
     def is_point(self) -> bool:
@@ -137,7 +135,7 @@ class Area:
         return self.hi - self.lo
 
     def contains_value(self, x) -> bool:
-        a, b = _fraction(x).as_integer_ratio()
+        a, b = as_fraction(x).as_integer_ratio()
         p, q = self.lo.as_integer_ratio()
         r, s = self.hi.as_integer_ratio()
         above_lo = a * q - p * b  # sign of x - lo
@@ -169,13 +167,9 @@ class Area:
         return out
 
     @staticmethod
-    def from_json(data: dict) -> "Area":
-        return Area._from_json(data, parse_rational)
-
-    @staticmethod
-    def _from_json(data: dict, parse: Callable[[object], Fraction]) -> "Area":
-        """from_json with the endpoint parser passed in, so a reader of many
-        areas can parse each distinct endpoint text once."""
+    def from_json(data: dict, parse: Callable[[object], Fraction] = parse_rational) -> "Area":
+        """The area a JSON object describes.  A reader of many areas can pass
+        a `parse` that parses each distinct endpoint text once."""
         kind = data["kind"]
         if kind == "point":
             return Area.point(parse(data["value"]))
@@ -249,15 +243,16 @@ REBUILD_SHARE = 4
 
 class ImagedVector(list):
     """A list of areas carrying `images` = (D, lo images, hi images), set
-    after construction: each image is p·(D/q) for an endpoint p/q, with D a
-    common multiple of every endpoint's denominator of at most
-    SCALE_BITS_LIMIT bits."""
+    after construction: `endpoint_images` of any superset of the areas, read
+    at the vector's entries.  Scaled (D > 0) or ranked (D = 0), they order
+    the vector's endpoints exactly as their values."""
 
     __slots__ = ("images",)
 
 
-def _images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
-    """(D, lo images, hi images), with D = 0 when the images are ranks."""
+def endpoint_images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
+    """(D, lo images, hi images) at the lcm D of the denominators, or with
+    D = 0 the values' ranks once D would pass SCALE_BITS_LIMIT bits."""
     los = [a.lo.as_integer_ratio() for a in areas]
     his = [a.hi.as_integer_ratio() for a in areas]
     d = _grow_scale(1, {q for _, q in los + his})
@@ -309,8 +304,8 @@ class VectorState:
     more than one entry in REBUILD_SHARE changed, when D would pass
     SCALE_BITS_LIMIT bits, or while the images are ranks, which cannot be
     patched.  An `ImagedVector` is always rebuilt from the images it
-    brings, at whatever common scale they are: copying them costs less than
-    a patch.
+    brings, scaled or ranked over whatever superset they were taken from:
+    copying them costs less than a patch.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area does not
@@ -358,7 +353,7 @@ class VectorState:
         ):
             self.areas = list(areas)
             if images is None:
-                self.scale, lo, hi = _images(self.areas)
+                self.scale, lo, hi = endpoint_images(self.areas)
             else:
                 self.scale, lo, hi = images[0], images[1][:], images[2][:]
             if self.mirror:

@@ -116,14 +116,14 @@ def _parse_instance(data: dict) -> UncertainInstance:
             objective=Objective(pjson.get("objective", "kmin")),
             tie_rule=TieRule(pjson.get("tie_rule", "stable")),
         )
-        areas = tuple(Area._from_json(a, parse) for a in data["areas"])
+        areas = tuple(Area.from_json(a, parse) for a in data["areas"])
     elif pjson["type"] == "mst":
         edges = [(e["u"], e["v"]) for e in pjson["edges"]]
         problem = UncertainGraph(int(pjson["vertices"]), tuple(edges))
         if "areas" in data:
-            areas = tuple(Area._from_json(a, parse) for a in data["areas"])
+            areas = tuple(Area.from_json(a, parse) for a in data["areas"])
         else:  # graph-style JSON with inline weights
-            areas = tuple(Area._from_json(e["weight"], parse) for e in pjson["edges"])
+            areas = tuple(Area.from_json(e["weight"], parse) for e in pjson["edges"])
     else:
         raise ConfigError(f"unknown problem type {pjson['type']!r}")
     hidden = None
@@ -251,14 +251,17 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
 
 
 def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
+    """The oracle a `ground`, `ground:exact`, `ground:halve[:R]` or
+    `script:PATH` spec names; adversary_fixture plays `adversary:NAME`."""
     if spec == "ground:exact":
         return GroundTruthOracle.for_instance(instance, ExactPolicy())
-    if spec.startswith("ground:halve"):
-        parts = spec.split(":")
+    if spec == "ground:halve":
+        spec += ":1/2"
+    if spec.startswith("ground:halve:"):
         try:
-            shrink = parse_rational(parts[2]) if len(parts) > 2 else Fraction(1, 2)
-        except ZeroDivisionError:
-            raise ConfigError(f"oracle spec {spec!r}: zero denominator") from None
+            shrink = parse_rational(spec.removeprefix("ground:halve:"))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"oracle spec {spec!r}: the shrink is not a rational") from None
         return GroundTruthOracle.for_instance(instance, HalvePolicy(shrink))
     if spec == "ground":
         return GroundTruthOracle.for_instance(instance)
@@ -366,6 +369,12 @@ def paired_algorithm(problem_type: str, name: Optional[str]) -> Tuple[str, Algor
     return name, table[name]
 
 
+# The keys a compete config and its "problem" object may hold.
+CONFIG_KEYS = {"algorithm", "model", "oracle", "trials", "seed", "n", "problem", "overlap",
+               "point_fraction", "budget", "max_total", "out", "format"}
+PROBLEM_KEYS = {"type", "k", "tie_rule", "vertices", "extra_edges"}
+
+
 @dataclass
 class ExperimentConfig:
     algorithm: str
@@ -392,7 +401,7 @@ class ExperimentConfig:
         of the wrong shape raises ConfigError."""
         with _malformed("config"):
             problem = data.get("problem", {"type": "kmin", "k": 1})
-            return ExperimentConfig(
+            config = ExperimentConfig(
                 algorithm=data["algorithm"],
                 model=ModelSpec.parse(data["model"]),
                 oracle=data.get("oracle", "ground"),
@@ -411,8 +420,14 @@ class ExperimentConfig:
                 out=data.get("out"),
                 out_format=data.get("format", "csv"),
             )
+            unknown = [*sorted(data.keys() - CONFIG_KEYS),
+                       *(f"problem.{key}" for key in sorted(problem.keys() - PROBLEM_KEYS))]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        return config
 
     def validate(self) -> None:
+        _check_limit("trials", self.trials, 0)
         _check_limit("budget", self.budget, 1)
         _check_limit("max_total", self.max_total, 0)
         _, algorithm = paired_algorithm(self.problem_type, self.algorithm)
@@ -678,7 +693,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, EngineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,7 +25,9 @@ changed.  The state patches its order for the queried edges by bisection,
 so no pass sorts the edges again.
 
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
-and the witness is the pair that pass stopped at.
+and the witness is the pair that pass stopped at.  `mst_verifier`, the OPT
+search's verifier, is one more such strategy: between its vectors weights
+widen as well, and the replay stops at the first edge that moved or changed.
 """
 from __future__ import annotations
 
@@ -190,7 +192,7 @@ class PassLog:
     processed: int = 0
 
 
-def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassLog] = None):
+def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: PassLog):
     """One Kruskal pass over the current weights.
 
     Returns ('done', tree_indices, red_rule_count) when every cycle closed
@@ -208,10 +210,9 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     areas are immutable).  Each of those edges was added or deleted without
     queries, so the replay needs only the tree labels, no path or chooser.
     The log's state is patched for the changed weights, and the log is
-    then overwritten with this pass.  A fresh log, the default, replays
-    nothing; the result is the same with any log.
+    then overwritten with this pass.  A fresh log replays nothing; the
+    result is the same with any log.
     """
-    log = log or PassLog()
     edges = graph.edges
     state = log.state.update(weights)
     order, changed = state.order, state.changed
@@ -242,20 +243,6 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: Optional[PassL
     return ("done", frozenset(tree), red)
 
 
-def mst_verifier(graph: UncertainGraph):
-    """Verifier closure for the brute-force optimum search: the answer (the
-    certified tree) once a pass needs no witness queries, else None.  Each
-    call's pass runs on a fresh log, so no call replays another."""
-
-    def verify(weights: Sequence[Area]):
-        result = mst_pass(graph, weights)
-        if result[0] == "done":
-            return result[1]
-        return None
-
-    return verify
-
-
 # The uncertain-MST algorithm's witness size, model restriction and bound.
 MST_ALGORITHMS = {"umst": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt)}
 
@@ -279,15 +266,20 @@ class UmstStrategy(SolverStrategy):
 
     def _verify(self, weights: Sequence[Area]) -> Optional[MstAnswer]:
         self.result = mst_pass(self.graph, weights, self.pass_log)
-        if self.result[0] == "done":
-            return MstAnswer(self.result[1], self.result[2])
-        return None
+        return MstAnswer(*self.result[1:]) if self.result[0] == "done" else None
 
     def _witness(self, weights: Sequence[Area]) -> List[int]:
         return [e for e in self.result[1] if not weights[e].is_point]
 
     def queries(self, weights: List[Area], witness: List[int]) -> List[int]:
         return witness
+
+
+def mst_verifier(graph: UncertainGraph):
+    """The verifier of one UmstStrategy, for the OPT search: the MstAnswer
+    once a pass needs no witness queries, else None.  Its passes share one
+    log, so each replays what it can of the last."""
+    return UmstStrategy(graph).verifier
 
 
 def umst_solve(

@@ -13,20 +13,21 @@ t entries, and the search asks the oracle for nothing beyond that.  Capping
 every chain at t leaves the vectors of level t and their order unchanged.
 
 The verifier calls are the search's real work, so the rest is kept lean.
-Each chain entry is imaged once, at one scale common to every area the
-chains hold, and from level 2 on each verifier call gets its vector as a
-`core.ImagedVector` assembled from those images by lookup.  A level's count
-vectors come from an iterative walk that steps from one vector to the next
-in place, and a found solution is compared with a vector only when a bit
-mask shows its support inside the vector's.
+Each time the chains grow, from depth 2 on, every area they hold is imaged
+in one call to `core.endpoint_images`, the rebuild of a solve's state, and
+each verifier call gets its vector as a `core.ImagedVector` assembled from
+those images by lookup.  A level's count vectors come from an iterative
+walk that steps from one vector to the next in place, and a found solution
+is compared with a vector only when a bit mask shows its support inside the
+vector's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .core import Area, ImagedVector, _grow_scale
+from .core import Area, ImagedVector, endpoint_images
 from .oracles import Oracle
 
 
@@ -68,15 +69,12 @@ class _Chains:
     with the integer images of every area it holds.
 
     `columns[i][c]` is index i's area after c queries of the search (c = 0:
-    its start area), and `lo[i][c]`, `hi[i][c]` are that area's endpoint
-    images at the common scale `scale`.  The areas are first imaged when the
-    chains grow to depth 2.  Levels 0 and 1 hold at most n + 1 vectors, each
-    at most one entry away from the start areas, and opt_value often stops
-    early in level 1, so images made ahead of them cost about what they
-    save.  After that each new area is imaged once, when its column grows.
-    A new denominator that does not divide the scale rescales every stored
-    image by D'/D; past SCALE_BITS_LIMIT bits the scale is 0 and the chains
-    keep no images."""
+    its start area), and `lo[i][c]`, `hi[i][c]` are that area's images from
+    one `core.endpoint_images` call over all areas held, made each time the
+    chains grow from depth 2 on; `scale` is their D, 0 for ranks.  Levels 0
+    and 1 hold at most n + 1 vectors, one entry away from the start areas,
+    and opt_value often stops early in level 1, so images made ahead of
+    them cost about what they save."""
 
     def __init__(self, areas, oracle, base_counts):
         if not oracle.update_independent:
@@ -94,54 +92,28 @@ class _Chains:
     def extend(self, depth: int) -> List[int]:
         """Grow every chain that has not ended at a point to `depth` entries;
         the chain lengths."""
-        indices: List[int] = []
-        grown: List[Area] = []
+        grown = False
         for i, column in enumerate(self.columns):
             held = len(column) - 1
             if held < depth and not column[-1].is_point:
-                new = response_chain(self.oracle, i, column[-1], depth - held, self.base[i] + held)
-                column += new
-                indices += [i] * len(new)
-                grown += new
-        if self.scale is None and depth > 1:  # image every area held so far
-            self.scale = 1
-            self.lo, self.hi = [[] for _ in self.columns], [[] for _ in self.columns]
-            indices = [i for i, column in enumerate(self.columns) for _ in column]
-            grown = [a for column in self.columns for a in column]
-        if self.scale and grown:
-            self._image(indices, grown)
+                base = self.base[i] + held
+                column += response_chain(self.oracle, i, column[-1], depth - held, base)
+                grown = True
+        if depth > 1 and (grown or self.scale is None):
+            self.scale, lo, hi = endpoint_images([a for column in self.columns for a in column])
+            cuts = list(pairwise(accumulate(map(len, self.columns), initial=0)))
+            self.lo = [lo[a:b] for a, b in cuts]
+            self.hi = [hi[a:b] for a, b in cuts]
         return [len(column) - 1 for column in self.columns]
-
-    def _image(self, indices: Sequence[int], grown: Sequence[Area]) -> None:
-        """Append the images of the areas `grown` to the image columns of
-        `indices`, one index per area, rescaling the stored images if the
-        scale grows."""
-        los = [a.lo.as_integer_ratio() for a in grown]
-        his = [a.hi.as_integer_ratio() for a in grown]
-        d = _grow_scale(self.scale, [q for _, q in los + his])
-        if not d:
-            self.scale, self.lo, self.hi = 0, [], []
-            return
-        if d != self.scale:
-            f = d // self.scale
-            self.lo = [list(map(f.__mul__, col)) for col in self.lo]
-            self.hi = [list(map(f.__mul__, col)) for col in self.hi]
-            self.scale = d
-        lo, hi = self.lo, self.hi
-        for i, (p, q), (r, s) in zip(indices, los, his):
-            lo[i].append(p * (d // q))
-            hi[i].append(r * (d // s))
 
     def areas_for(self, counts: Sequence[int]) -> List[Area]:
         """The areas after `counts[i]` queries on each index i, as an
-        ImagedVector while the chains keep images."""
-        if not self.scale:
+        ImagedVector from depth 2 on."""
+        if self.scale is None:
             return list(map(list.__getitem__, self.columns, counts))
         areas = ImagedVector(map(list.__getitem__, self.columns, counts))
-        areas.images = (
-            self.scale, list(map(list.__getitem__, self.lo, counts)),
-            list(map(list.__getitem__, self.hi, counts)),
-        )
+        areas.images = (self.scale, list(map(list.__getitem__, self.lo, counts)),
+                        list(map(list.__getitem__, self.hi, counts)))
         return areas
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, EndpointKind, TieRule, _fraction
+from .core import Area, EndpointKind, TieRule, as_fraction
 from .models import ModelSpec, TypeSet, UncertainInstance
 from .selection import SelectionProblem
 
@@ -90,7 +90,7 @@ def ground_truth_respond(
 
     Point-only return sets force the exact point whatever the policy says.
     """
-    hidden = _fraction(hidden)
+    hidden = as_fraction(hidden)
     if not current.contains_value(hidden):
         raise OracleError(f"hidden value {hidden} not inside current area {current}")
     if current.is_point:
@@ -117,7 +117,7 @@ def ground_truth_respond(
 class GroundTruthOracle(Oracle):
     def __init__(self, policy, hidden: Sequence, returns: TypeSet):
         self.policy = policy
-        self.hidden = tuple(map(_fraction, hidden))
+        self.hidden = tuple(map(as_fraction, hidden))
         self.returns = returns
 
     @staticmethod

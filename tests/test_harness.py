@@ -1,7 +1,11 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,15 @@ class TestBuildOracle:
         assert halve.policy.shrink == Fraction(1, 4)
         with pytest.raises(ConfigError):
             build_oracle("nope", inst)
+
+    @pytest.mark.parametrize("spec", ["ground:halveXYZ", "ground:halve:1/2:junk", "ground:halve:",
+                                      "ground:exactly", "adversary:min-tight"])
+    def test_only_the_listed_specs(self, spec):
+        """A spec is one of the listed forms exactly: nothing after it is
+        dropped.  Adversaries are played by adversary_fixture, not here."""
+        inst = generate_instance(GenParams(n=3, model=OPP), 0)
+        with pytest.raises(ConfigError, match="oracle spec"):
+            build_oracle(spec, inst)
 
 
 def records_from_csv(text: str):
@@ -635,9 +648,14 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "budget": 0},
         {"algorithm": "min1-witness", "model": "OP-P", "budget": -1},
         {"algorithm": "min1-witness", "model": "OP-P", "max_total": -1},
+        {"algorithm": "min1-witness", "model": "OP-P", "trails": 50},
+        {"algorithm": "kmin-witness", "model": "OP-P",
+         "problem": {"type": "kmin", "k": 2, "objective": "kmax"}},
+        {"algorithm": "min1-witness", "model": "OP-P", "trials": -3},
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
-            "budget-zero", "budget-negative", "max-total-negative"])
+            "budget-zero", "budget-negative", "max-total-negative", "unknown-key",
+            "unknown-problem-key", "trials-negative"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 1, "n": 4, **config}))
@@ -681,6 +699,26 @@ class TestCli:
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["ground:halveXYZ", "ground:halve:1/2:junk"])
+    def test_bad_oracle_spec_exit_code(self, tmp_path, capsys, spec):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OC-OC", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
+        assert main(["solve", "--instance", str(inst_path), "--oracle", spec]) == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        """`python -m uncquery` runs the CLI, and an error is one stderr
+        line with no import warning before it."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-m", "uncquery", "solve", "--instance", str(tmp_path / "missing.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == EXIT_INVALID_CONFIG and run.stdout == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
     def test_bad_oracle_shrink_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -16,8 +16,10 @@ from helpers import (
     reference_witness_or_delete,
     sub_areas,
 )
-from uncquery.core import Area, VectorState
+import uncquery.mst
+from uncquery.core import Area, ImagedVector, VectorState
 from uncquery.engine import EngineError, RunStatus
+from uncquery.harness import GraphGenParams, build_oracle, generate_graph_instance
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
     PassLog,
@@ -28,7 +30,7 @@ from uncquery.mst import (
     umst_solve,
 )
 from uncquery.oracles import GroundTruthOracle
-from uncquery.optbrute import opt_value
+from uncquery.optbrute import _Chains, _count_vectors, opt_value
 
 
 def O(lo, hi):
@@ -141,17 +143,17 @@ def _brute_mst_weight(instance):
 class TestMstPass:
     def test_point_weights_no_queries(self):
         inst = _triangle([Area.point(1), Area.point(2), Area.point(3)], "OCP-OCP")
-        status, tree, red = mst_pass(inst.problem, inst.areas)
+        status, tree, red = mst_pass(inst.problem, inst.areas, PassLog())
         assert status == "done" and tree == frozenset({0, 1}) and red == 1
 
     def test_red_rule_resolves_overlap(self):
         inst = _triangle([O(1, 2), O(1, 2), O(5, 6)])
-        status, tree, red = mst_pass(inst.problem, inst.areas)
+        status, tree, red = mst_pass(inst.problem, inst.areas, PassLog())
         assert status == "done" and tree == frozenset({0, 1}) and red == 1
 
     def test_witness_needed(self):
         inst = _triangle([O(1, 2), O(2, 3), O(Fraction(5, 2), Fraction(7, 2))])
-        result = mst_pass(inst.problem, inst.areas)
+        result = mst_pass(inst.problem, inst.areas, PassLog())
         assert result == ("witness", (2, 1))
 
 
@@ -215,7 +217,7 @@ class TestUmstSolve:
             areas=(Area.point(1), Area.point(1)),
             problem=graph,
         )
-        status, tree, red = mst_pass(graph, inst.areas)
+        status, tree, red = mst_pass(graph, inst.areas, PassLog())
         assert status == "done" and tree == frozenset({0})
 
 
@@ -276,7 +278,7 @@ def test_replayed_pass_matches_fresh_pass_after_any_change(inst, data):
     log = PassLog()
     for _ in range(5):
         fresh = reference_mst_pass(graph, weights)
-        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights)
+        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights, PassLog())
         for e in data.draw(st.lists(st.integers(0, graph.n_edges - 1), min_size=1, max_size=2)):
             w = weights[e]
             changes = [
@@ -302,9 +304,52 @@ def test_pass_on_value_ranks_matches_reference(inst, data):
     log = PassLog()
     for _ in range(4):
         fresh = reference_mst_pass(graph, weights)
-        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights)
+        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights, PassLog())
         assert log.state.scale == 0
         e = data.draw(st.integers(1, graph.n_edges - 1))
         w = weights[e]
         if not w.is_point:
             weights[e] = data.draw(st.one_of(st.just(Area.point(w.hi)), sub_areas(w)))
+
+
+def test_one_log_across_the_opt_search_order_matches_reference():
+    """One PassLog carried across the vectors of an OPT search, in its
+    order.  Between two vectors counts fall as well as rise, so weights
+    widen as well as narrow, and the vectors are plain (levels 0 and 1),
+    imaged at a scale, or imaged by rank (a shrink with a 521-bit prime
+    denominator).  Every pass equals the reference's."""
+    prime = 2**521 - 1
+    kinds = set()
+    for seed in range(4):
+        params = GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC"))
+        inst = generate_graph_instance(params, seed)
+        for shrink in ("1/2", f"{prime // 2}/{prime}"):
+            chains = _Chains(list(inst.areas), build_oracle(f"ground:halve:{shrink}", inst), None)
+            log, passes = PassLog(), 0
+            for total in range(5):
+                for counts, _mask in _count_vectors(chains.extend(total), total):
+                    weights = chains.areas_for(counts)
+                    kinds.add("plain" if not isinstance(weights, ImagedVector)
+                              else "scaled" if weights.images[0] else "ranks")
+                    fresh = reference_mst_pass(inst.problem, list(weights))
+                    assert mst_pass(inst.problem, weights, log) == fresh
+                    passes += 1
+            assert passes > 100
+    assert kinds == {"plain", "scaled", "ranks"}
+
+
+def test_verifier_passes_share_one_log(monkeypatch):
+    """mst_verifier is one UmstStrategy's verifier: every pass of an OPT
+    search goes through that strategy's one PassLog."""
+    inst = generate_graph_instance(
+        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 3)
+    logs = []
+
+    def recording(graph, weights, log):
+        logs.append(log)
+        return mst_pass(graph, weights, log)
+
+    monkeypatch.setattr(uncquery.mst, "mst_pass", recording)
+    verifier = mst_verifier(inst.problem)
+    assert opt_value(list(inst.areas), build_oracle("ground:halve", inst), verifier, 6).opt
+    assert len(logs) > 20 and all(log is logs[0] for log in logs)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from helpers import _reference_level_vectors, reference_minimal_vectors
-from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState, _images
+from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState
 from uncquery.harness import (
     EXIT_INVALID_CONFIG, GenParams, GraphGenParams, build_oracle, generate_graph_instance,
     generate_instance, instance_to_json, main,
@@ -326,16 +326,24 @@ def _kinds(verifier, kinds):
     return verify
 
 
-@pytest.mark.parametrize("bits,depths,imaged", [(127, (8, 9), {True, False}), (521, (2,), {False})])
-def test_chains_past_the_scale_limit_fall_back_to_plain_vectors(bits, depths, imaged):
+def _orders_exactly(vector):
+    """True iff the vector's images order its endpoints as their values."""
+    values = [a.lo for a in vector] + [a.hi for a in vector]
+    images = vector.images[1] + vector.images[2]
+    return all((x < y, x == y) == (ix < iy, ix == iy)
+               for x, ix in zip(values, images) for y, iy in zip(values, images))
+
+
+@pytest.mark.parametrize("bits,depths", [(127, (8, 9)), (521, (2,))])
+def test_chains_past_the_scale_limit_image_by_rank(bits, depths):
     """Halving by a shrink with a prime denominator of b bits adds about b
-    bits to the chains' common scale per level.  With b = 127 the scale
-    passes SCALE_BITS_LIMIT at depth 8 or 9, after the chains imaged and
-    rescaled; with b = 521 at depth 2, where they first image.  The chains
-    then drop their images, and the verifier images each vector itself, as
-    the reference search does; a vector with its counts spread over the
-    indices may still have a scale of its own.  The search makes the
-    reference's calls throughout."""
+    bits per level to the common scale of the areas the chains hold.  With
+    b = 127 it passes SCALE_BITS_LIMIT at depth 8 or 9, after the chains
+    imaged at growing scales; with b = 521 at depth 2, where they first
+    image.  From then on the chains image by rank (scale 0), and every
+    vector still comes as an ImagedVector whose ranks, taken over all the
+    areas held, order its own endpoints exactly.  Levels 0 and 1 get plain
+    vectors.  The search makes the eager reference's calls throughout."""
     prime = 2**bits - 1  # a Mersenne prime
     model = ModelSpec.parse("OC-OC")
     kinds, solutions = set(), 0
@@ -351,12 +359,14 @@ def test_chains_past_the_scale_limit_fall_back_to_plain_vectors(bits, depths, im
             depth += 1
             chains.extend(depth)
         assert depth in depths
-        assert type(chains.areas_for([2, 2, 2, 2])) is list
-        assert _images(chains.areas_for([1, 1, 1, 1]))[0] != 0
+        for counts in ([2, 2, 2, 2], [0, 2, 1, 0], [1, 1, 1, 1]):
+            vector = chains.areas_for(counts)
+            assert type(vector) is ImagedVector and vector.images[0] == 0
+            assert _orders_exactly(vector)
         verifier = _kinds(make_strategy("kmin-witness", inst.problem).verifier, kinds)
         _assert_same_search(areas, oracle, verifier, 9)
         solutions += len(minimal_solutions(areas, oracle, verifier, 9))
-    assert kinds == imaged and solutions > 4
+    assert kinds == {True, False} and solutions > 4
 
 
 @pytest.mark.parametrize("objective,tie_rule", [

@@ -61,6 +61,31 @@ def test_every_import_is_used_or_a_tracer_target():
     assert set(TRACER_ONLY_IMPORTS.values()) <= targets
 
 
+def test_no_module_reaches_into_another_modules_private_names():
+    """No package module imports a `_private` name from another package
+    module, or reads a `_private` attribute of a name it imported from one:
+    a private name is used only where it is defined."""
+    reached = []
+    for path in sorted((ROOT / "src" / "uncquery").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "uncquery"):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        reached.append(f"{path.stem} imports {alias.name}")
+                    imported.add(alias.asname or alias.name)
+        reached += [
+            f"{path.stem} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
+    assert not reached, reached
+
+
 def _defined(node) -> list:
     """The names a module-level statement binds."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
