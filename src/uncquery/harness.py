@@ -693,3 +693,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, EngineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
+
+
+if __name__ == "__main__":
+    print("error: uncquery.harness is not a command; run python -m uncquery", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID_CONFIG)

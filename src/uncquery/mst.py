@@ -14,15 +14,15 @@ rule can only delete the edge that closes the cycle, so the forest only
 grows: tree labels tell whether an edge closes a cycle, and only then is the
 forest path walked.
 
-After a witness round the next pass resumes rather than restarts.  It replays
-the previous pass on the prefix of the edge order ahead of both queried
-edges, adding or deleting each edge without a path walk or a red-rule check,
-and continues from there.  This is exact: a response lies inside the queried
-area, so lower bounds never decrease and every edge ahead of the queried
-pair keeps its place in the order; processing such an edge reads only the
-forest built from that prefix and the prefix's weights, none of which
-changed.  The state patches its order for the queried edges by bisection,
-so no pass sorts the edges again.
+After a witness round the next pass resumes rather than restarts.  It keeps
+the previous pass's forest on the prefix of the edge order ahead of both
+queried edges, undoes the links made past it, and continues from there.
+This is exact: a response lies inside the queried area, so lower bounds
+never decrease and every edge ahead of the queried pair keeps its place in
+the order; processing such an edge reads only the forest built from that
+prefix and the prefix's weights, none of which changed.  A tree's label is
+its root, so an undone link re-roots the hung tree at its old root.  The
+state patches its order for the queried edges by bisection, sorting nothing.
 
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
 and the witness is the pair that pass stopped at.  `mst_verifier`, the OPT
@@ -128,10 +128,12 @@ def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
 
 
 class _Forest:
-    """Kruskal forest with every tree rooted.  Parent pointers give the path
-    between two vertices of one tree in O(path length); a link hangs the
-    smaller tree below the larger one, re-rooted at its linked vertex, and
-    relabels it, so a vertex's label names its tree."""
+    """Kruskal forest with every tree rooted at the vertex that labels it.
+    Parent pointers give the path between two vertices of one tree in
+    O(path length).  A link hangs the smaller tree below the larger one,
+    re-rooted at its linked vertex, so the larger tree keeps its root and
+    label; it is recorded as (position, hung vertex, far vertex, old root),
+    and undoing it re-roots the hung tree at its old root."""
 
     def __init__(self, vertices: int) -> None:
         self.adj: List[List[Tuple[int, int]]] = [[] for _ in range(vertices)]
@@ -140,23 +142,37 @@ class _Forest:
         self.depth = [0] * vertices
         self.label = list(range(vertices))
         self.size = [1] * vertices
+        self.links: List[Tuple[int, int, int, int]] = []
 
     def connected(self, u: int, v: int) -> bool:
         return self.label[u] == self.label[v]
 
-    def link(self, u: int, v: int, e: int) -> None:
-        label, size, up, up_edge, depth = self.label, self.size, self.up, self.up_edge, self.depth
+    def link(self, u: int, v: int, e: int, pos: int) -> None:
+        label, size = self.label, self.size
         if size[label[u]] > size[label[v]]:
             u, v = v, u
-        c = label[v]
-        size[c] += size[label[u]]
+        self.links.append((pos, u, v, label[u]))
+        size[label[v]] += size[label[u]]
         self.adj[u].append((v, e))
         self.adj[v].append((u, e))
-        up[u], up_edge[u], depth[u], label[u] = v, e, depth[v] + 1, c
-        stack = [u]
+        self._hang(u, v, e, self.depth[v] + 1, label[v])
+
+    def undo_from(self, pos: int) -> None:
+        while self.links and self.links[-1][0] >= pos:
+            _, u, v, root = self.links.pop()
+            self.adj[u].pop()
+            self.adj[v].pop()
+            self.size[self.label[v]] -= self.size[root]
+            self._hang(root, -1, -1, 0, root)
+
+    def _hang(self, x: int, parent: int, e: int, d: int, c: int) -> None:
+        """Root x's tree at x, below parent by edge e at depth d, labelled c."""
+        label, up, up_edge, depth, adj = self.label, self.up, self.up_edge, self.depth, self.adj
+        up[x], up_edge[x], depth[x], label[x] = parent, e, d, c
+        stack = [x]
         while stack:
             x = stack.pop()
-            for y, f in self.adj[x]:
+            for y, f in adj[x]:
                 if label[y] != c:
                     up[y], up_edge[y], depth[y], label[y] = x, f, depth[x] + 1, c
                     stack.append(y)
@@ -182,14 +198,16 @@ class _Forest:
 @dataclass
 class PassLog:
     """What the last pass read and how far it got, for the next pass to
-    replay: the state of its weights, whose lo order is the pass's edge order
-    (patched, not rebuilt, by the next pass), a copy of that order, and the
+    resume from: the state of its weights, whose lo order is the pass's edge
+    order (patched, not rebuilt, by the next pass), a copy of that order, the
     number of edges processed before the witness cycle (all of them when the
-    pass finished)."""
+    pass finished), and the graph and forest the pass built."""
 
     state: VectorState = field(default_factory=VectorState)
     order: List[int] = field(default_factory=list)
     processed: int = 0
+    _graph: Optional[UncertainGraph] = field(default=None, init=False, repr=False)
+    _forest: Optional[_Forest] = field(default=None, init=False, repr=False)
 
 
 def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: PassLog):
@@ -203,44 +221,41 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: PassLog):
     processed, every other cycle edge c has lo(c) before lo(e), and lo(e) is
     not after hi(e), so hi(e) cannot precede lo(c) and c is never always
     maximal.  The forest therefore only grows, and an edge joins it iff it
-    links two trees.
+    links two trees; every other processed edge was deleted, so the red-rule
+    count is the processed edges less the links.
 
-    The pass replays the longest processed prefix of the log's pass whose
-    edges kept their positions and their weights (compared by identity;
-    areas are immutable).  Each of those edges was added or deleted without
-    queries, so the replay needs only the tree labels, no path or chooser.
-    The log's state is patched for the changed weights, and the log is
-    then overwritten with this pass.  A fresh log replays nothing; the
-    result is the same with any log.
+    The pass resumes after the longest processed prefix of the log's pass
+    whose edges kept their positions and weights (by identity; areas are
+    immutable): it undoes the log forest's links past that prefix and goes
+    on from there.  The log's state is patched for the changed weights and
+    the log overwritten with this pass.  A fresh log, or one from another
+    graph, replays nothing; the result is the same with any log.
     """
     edges = graph.edges
     state = log.state.update(weights)
     order, changed = state.order, state.changed
     replay = 0
-    for e, old in zip(order, log.order[: log.processed]):
+    for e, old in zip(order, log.order[: log.processed] if log._graph is graph else ()):
         if e != old or e in changed:
             break
         replay += 1
-    log.order = order[:]
-    forest = _Forest(graph.vertices)
-    tree = []
-    red = 0
-    for i, e in enumerate(order):
+    log.order, log._graph = order[:], graph
+    forest = log._forest if replay else _Forest(graph.vertices)
+    forest.undo_from(replay)
+    log._forest = forest
+    for i, e in enumerate(order[replay:], replay):
         u, v = edges[e]
         if not forest.connected(u, v):
-            forest.link(u, v, e)
-            tree.append(e)
+            forest.link(u, v, e, i)
             continue
-        if i >= replay:
-            cycle = forest.path(u, v)
-            cycle.append(e)
-            action, payload = _witness_or_delete(cycle, state.lo, state.hi)
-            if action == "witness":
-                log.processed = i
-                return ("witness", payload)
-        red += 1
+        cycle = forest.path(u, v)
+        cycle.append(e)
+        action, payload = _witness_or_delete(cycle, state.lo, state.hi)
+        if action == "witness":
+            log.processed = i
+            return ("witness", payload)
     log.processed = len(order)
-    return ("done", frozenset(tree), red)
+    return ("done", frozenset(order[p] for p, *_ in forest.links), len(order) - len(forest.links))
 
 
 # The uncertain-MST algorithm's witness size, model restriction and bound.

@@ -720,6 +720,20 @@ class TestCli:
         assert run.returncode == EXIT_INVALID_CONFIG and run.stdout == ""
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
+    def test_python_dash_m_harness_names_the_cli(self, tmp_path):
+        """`python -m uncquery.harness` runs nothing and says so: exit 3 and
+        one error line naming `python -m uncquery`.  (The interpreter's
+        warning that the package already imported the module may precede it.)"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-m", "uncquery.harness", "solve", "--instance", str(tmp_path / "missing.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+        assert run.returncode == EXIT_INVALID_CONFIG and run.stdout == ""
+        assert len(errors) == 1 and "python -m uncquery" in errors[0]
+
     def test_bad_oracle_shrink_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--model", "OC-OC", "--n", "4", "--out", str(inst_path)]) == EXIT_OK

@@ -24,6 +24,7 @@ from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
     PassLog,
     UncertainGraph,
+    _Forest,
     mst_pass,
     _witness_or_delete,
     mst_verifier,
@@ -353,3 +354,95 @@ def test_verifier_passes_share_one_log(monkeypatch):
     verifier = mst_verifier(inst.problem)
     assert opt_value(list(inst.areas), build_oracle("ground:halve", inst), verifier, 6).opt
     assert len(logs) > 20 and all(log is logs[0] for log in logs)
+
+
+def _forest_of(vertices, edges):
+    """A forest linking each edge that joins two trees, edge i at position i."""
+    forest = _Forest(vertices)
+    for pos, (u, v) in enumerate(edges):
+        if not forest.connected(u, v):
+            forest.link(u, v, pos, pos)
+    return forest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forest_undo_from_restores_the_forest_of_the_earlier_links(data):
+    """Undoing from a position gives the forest built fresh from the links
+    before it, field for field, also after relinking and undoing again as
+    resumed passes do; every tree stays labelled by its root."""
+    vertices = data.draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    edge_lists = st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=3 * vertices)
+    edges = data.draw(edge_lists)
+    forest = _forest_of(vertices, edges)
+    for _ in range(3):
+        cut = data.draw(st.integers(0, len(edges)))
+        forest.undo_from(cut)
+        fresh = _forest_of(vertices, edges[:cut])
+        for name in ("up", "up_edge", "depth", "label", "size", "adj", "links"):
+            assert getattr(forest, name) == getattr(fresh, name), name
+        for x in range(vertices):
+            root = x
+            while forest.up[root] != -1:
+                root = forest.up[root]
+            assert forest.label[x] == root
+        edges = edges[:cut] + data.draw(edge_lists)
+        for pos in range(cut, len(edges)):
+            u, v = edges[pos]
+            if not forest.connected(u, v):
+                forest.link(u, v, pos, pos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_instances(), st.data())
+def test_one_log_across_two_graphs_matches_reference(inst, data):
+    """One PassLog carried across passes that alternate between two graphs
+    on the same vertices, with the same edge count and the same weights:
+    the log's forest belongs to the other graph, so no pass may replay it."""
+    first = inst.problem
+    vertices, n_edges = first.vertices, first.n_edges
+    edges = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, vertices)]
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    edges += data.draw(st.lists(pairs.filter(lambda p: p[0] != p[1]),
+                                min_size=n_edges - len(edges), max_size=n_edges - len(edges)))
+    second = UncertainGraph(vertices, tuple(data.draw(st.permutations(edges))))
+    weights, log = list(inst.areas), PassLog()
+    for graph in (first, second, first, second, second, first):
+        fresh = reference_mst_pass(graph, weights)
+        assert mst_pass(graph, weights, log) == fresh == mst_pass(graph, weights, PassLog())
+        e = data.draw(st.integers(0, n_edges - 1))
+        if not weights[e].is_point and data.draw(st.booleans()):
+            weights[e] = Area.point(inst.hidden[e])
+
+
+def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
+    """After a witness round the next pass keeps the forest of its replayed
+    prefix: every edge it links lies at or past the replay point, the first
+    position where the order moved or a queried edge sits."""
+    inst = generate_graph_instance(
+        GraphGenParams(vertices=60, extra_edges=120, model=ModelSpec.parse("OC-OC"), overlap=0.95), 5)
+    graph, weights, log = inst.problem, list(inst.areas), PassLog()
+    positions = []
+    link = _Forest.link
+
+    def counting(self, u, v, e, pos):
+        positions.append(pos)
+        link(self, u, v, e, pos)
+
+    monkeypatch.setattr(_Forest, "link", counting)
+    result, kept = mst_pass(graph, weights, log), 0
+    while result[0] == "witness":
+        old_order, old_processed, queried = log.order, log.processed, result[1]
+        for e in queried:
+            weights[e] = Area.point(inst.hidden[e])
+        positions.clear()
+        result = mst_pass(graph, weights, log)
+        replay = 0
+        for new, old in zip(log.order, old_order[:old_processed]):
+            if new != old or new in queried:
+                break
+            replay += 1
+        assert positions and all(pos >= replay for pos in positions)
+        kept += replay
+    assert result[0] == "done" and kept > 400
