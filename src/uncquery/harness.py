@@ -12,7 +12,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -87,6 +87,19 @@ def _malformed(what: str):
         raise ConfigError(f"malformed {what} JSON: {exc}") from None
 
 
+_JSON_TYPES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
+
+
+def _json_value(key: str, value, want: type):
+    """`value`, read at `key`, if its JSON type is `want`, where an int passes
+    as a float and a bool is no int; else TypeError, which `_malformed` reports."""
+    if type(value) is want:
+        return value
+    if want is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{key!r} must be {_JSON_TYPES[want]}, got {json.dumps(value)}")
+
+
 def instance_from_json(data: dict) -> UncertainInstance:
     """The instance a JSON object describes; a missing key or a value of the
     wrong shape raises ConfigError."""
@@ -112,14 +125,15 @@ def _parse_instance(data: dict) -> UncertainInstance:
     pjson = data["problem"]
     if pjson["type"] == "kmin":
         problem = SelectionProblem(
-            k=int(pjson["k"]),
+            k=_json_value("problem.k", pjson["k"], int),
             objective=Objective(pjson.get("objective", "kmin")),
             tie_rule=TieRule(pjson.get("tie_rule", "stable")),
         )
         areas = tuple(Area.from_json(a, parse) for a in data["areas"])
     elif pjson["type"] == "mst":
-        edges = [(e["u"], e["v"]) for e in pjson["edges"]]
-        problem = UncertainGraph(int(pjson["vertices"]), tuple(edges))
+        edges = tuple((_json_value("u", e["u"], int), _json_value("v", e["v"], int))
+                      for e in pjson["edges"])
+        problem = UncertainGraph(_json_value("problem.vertices", pjson["vertices"], int), edges)
         if "areas" in data:
             areas = tuple(Area.from_json(a, parse) for a in data["areas"])
         else:  # graph-style JSON with inline weights
@@ -166,6 +180,25 @@ def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
     raise ConfigError("could not place a distinct hidden value")
 
 
+def _span(rng: random.Random, overlap: float, count: int) -> Tuple[Fraction, Fraction]:
+    """The lo and length of one of `count` areas drawn to overlap with
+    density `overlap`."""
+    width = max(1, round((1 - overlap) * count * SCALE))
+    return Fraction(rng.randint(0, 2 * width), 2), Fraction(rng.randint(2, 2 * SCALE), 2)
+
+
+def _draw(rng: random.Random, lo: Fraction, length: Fraction, kinds: Sequence[str], used: set,
+          point: bool = False) -> Tuple[Area, Fraction]:
+    """An area spanning lo to lo + length and its hidden value: a point, or
+    an interval of a kind drawn from `kinds`."""
+    if point:
+        value = _pick_hidden(rng, Area.closed(lo, lo + length), used)
+        return Area.point(value), value
+    kind = rng.choice(kinds)
+    area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
+    return area, _pick_hidden(rng, area, used)
+
+
 def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
     """Deterministic seeded instance honoring overlap density, point fraction
     and the model's admitted input shapes."""
@@ -177,34 +210,19 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
         raise ConfigError(f"input type set {model.input} admits nothing")
     rng = random.Random(f"uncquery-gen:{seed}")
     used: set = set()
-    areas: List[Area] = []
-    hidden: List[Fraction] = []
+    drawn = []
     for i in range(params.n):
-        make_point = (
-            "P" in model.input
-            and (not interval_kinds or rng.random() < params.point_fraction)
-        )
+        point = "P" in model.input and (
+            not interval_kinds or rng.random() < params.point_fraction)
         if params.overlap <= 0:
-            lo = Fraction(i * (SCALE + 2))
-            length = Fraction(rng.randint(1, SCALE))
+            span = Fraction(i * (SCALE + 2)), Fraction(rng.randint(1, SCALE))
         else:
-            width = max(1, round((1 - params.overlap) * params.n * SCALE))
-            lo = Fraction(rng.randint(0, 2 * width), 2)
-            length = Fraction(rng.randint(2, 2 * SCALE), 2)
-        if make_point:
-            value = _pick_hidden(rng, Area.closed(lo, lo + length), used)
-            areas.append(Area.point(value))
-            hidden.append(value)
-            continue
-        kind = rng.choice(interval_kinds)
-        area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
-        areas.append(area)
-        hidden.append(_pick_hidden(rng, area, used))
+            span = _span(rng, params.overlap, params.n)
+        drawn.append(_draw(rng, *span, interval_kinds, used, point))
     problem = SelectionProblem(k=params.k, tie_rule=params.tie_rule)
     problem.validate(params.n)
-    return UncertainInstance(
-        model=model, areas=tuple(areas), problem=problem, hidden=tuple(hidden)
-    )
+    return UncertainInstance(model=model, areas=tuple(a for a, _ in drawn), problem=problem,
+                             hidden=tuple(h for _, h in drawn))
 
 
 @dataclass(frozen=True)
@@ -231,19 +249,10 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
     graph = UncertainGraph(v, tuple(edges))
     interval_kinds = [c for c in "OC" if c in params.model.input] or ["C"]
     used: set = set()
-    areas: List[Area] = []
-    hidden: List[Fraction] = []
-    for _ in range(graph.n_edges):
-        width = max(1, round((1 - params.overlap) * graph.n_edges * SCALE))
-        lo = Fraction(rng.randint(0, 2 * width), 2)
-        length = Fraction(rng.randint(2, 2 * SCALE), 2)
-        kind = rng.choice(interval_kinds)
-        area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
-        areas.append(area)
-        hidden.append(_pick_hidden(rng, area, used))
-    return UncertainInstance(
-        model=params.model, areas=tuple(areas), problem=graph, hidden=tuple(hidden)
-    )
+    drawn = [_draw(rng, *_span(rng, params.overlap, graph.n_edges), interval_kinds, used)
+             for _ in range(graph.n_edges)]
+    return UncertainInstance(model=params.model, areas=tuple(a for a, _ in drawn),
+                             problem=graph, hidden=tuple(h for _, h in drawn))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +378,25 @@ def paired_algorithm(problem_type: str, name: Optional[str]) -> Tuple[str, Algor
     return name, table[name]
 
 
-# The keys a compete config and its "problem" object may hold.
-CONFIG_KEYS = {"algorithm", "model", "oracle", "trials", "seed", "n", "problem", "overlap",
-               "point_fraction", "budget", "max_total", "out", "format"}
-PROBLEM_KEYS = {"type", "k", "tie_rule", "vertices", "extra_edges"}
+# Each key a compete config may hold, "problem.KEY" for those of its "problem"
+# object: the ExperimentConfig field it sets and the JSON type of its value.
+CONFIG_TABLE = {
+    "algorithm": ("algorithm", str), "model": ("model", str), "oracle": ("oracle", str),
+    "trials": ("trials", int), "seed": ("seed", int), "n": ("n", int),
+    "overlap": ("overlap", float), "point_fraction": ("point_fraction", float),
+    "budget": ("budget", int), "max_total": ("max_total", int),
+    "out": ("out", str), "format": ("out_format", str),
+    "problem.type": ("problem_type", str), "problem.k": ("k", int),
+    "problem.tie_rule": ("tie_rule", str), "problem.vertices": ("vertices", int),
+    "problem.extra_edges": ("extra_edges", int),
+}
 
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one competition.  Their defaults here are the only
+    ones: `from_json` keeps them for a missing key or a null; `gen` takes them."""
+
     algorithm: str
     model: ModelSpec
     oracle: str = "ground"
@@ -397,34 +417,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
-        """The configuration a JSON object describes; a missing key or a value
-        of the wrong shape raises ConfigError."""
+        """The configuration a JSON object describes, read through
+        CONFIG_TABLE; an unknown key, a value of the wrong JSON type or a
+        missing `algorithm` or `model` raises ConfigError."""
         with _malformed("config"):
-            problem = data.get("problem", {"type": "kmin", "k": 1})
-            config = ExperimentConfig(
-                algorithm=data["algorithm"],
-                model=ModelSpec.parse(data["model"]),
-                oracle=data.get("oracle", "ground"),
-                trials=int(data.get("trials", 20)),
-                seed=int(data.get("seed", 0)),
-                n=int(data.get("n", 6)),
-                k=int(problem.get("k", 1)),
-                tie_rule=TieRule(problem.get("tie_rule", "stable")),
-                problem_type=problem.get("type", "kmin"),
-                overlap=float(data.get("overlap", 0.6)),
-                point_fraction=float(data.get("point_fraction", 0.0)),
-                vertices=int(problem.get("vertices", 5)),
-                extra_edges=int(problem.get("extra_edges", 3)),
-                budget=data.get("budget"),
-                max_total=data.get("max_total"),
-                out=data.get("out"),
-                out_format=data.get("format", "csv"),
-            )
-            unknown = [*sorted(data.keys() - CONFIG_KEYS),
-                       *(f"problem.{key}" for key in sorted(problem.keys() - PROBLEM_KEYS))]
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-        return config
+            problem = _json_value("config", data, dict).get("problem")
+            problem = {} if problem is None else _json_value("problem", problem, dict)
+            keys = {**data, **{f"problem.{key}": value for key, value in problem.items()}}
+            keys.pop("problem", None)
+            # A top-level key never names a key of the "problem" object.
+            unknown = sorted((keys.keys() - CONFIG_TABLE.keys()) | {k for k in data if "." in k})
+            if unknown:
+                raise ConfigError(f"unknown config key {unknown[0]!r}")
+            values = {CONFIG_TABLE[key][0]: _json_value(key, value, CONFIG_TABLE[key][1])
+                      for key, value in keys.items() if value is not None}
+            if "tie_rule" in values:
+                values["tie_rule"] = TieRule(values["tie_rule"])
+            return ExperimentConfig(algorithm=values.pop("algorithm"),
+                                    model=ModelSpec.parse(values.pop("model")), **values)
 
     def validate(self) -> None:
         _check_limit("trials", self.trials, 0)
@@ -464,25 +474,13 @@ def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
 
 
 def _generate(spec, seed) -> UncertainInstance:
-    """The instance that `spec`, an ExperimentConfig or the `gen` command's
-    arguments, describes, generated from `seed`."""
+    """The instance `spec` (an ExperimentConfig or `gen`'s arguments) describes,
+    from `seed`; each generator parameter is `spec`'s attribute of its name."""
     if spec.problem_type == "mst":
-        graph_params = GraphGenParams(
-            vertices=spec.vertices,
-            extra_edges=spec.extra_edges,
-            model=spec.model,
-            overlap=spec.overlap,
-        )
-        return generate_graph_instance(graph_params, seed)
-    params = GenParams(
-        n=spec.n,
-        model=spec.model,
-        k=spec.k,
-        tie_rule=spec.tie_rule,
-        overlap=spec.overlap,
-        point_fraction=spec.point_fraction,
-    )
-    return generate_instance(params, seed)
+        params, generate = GraphGenParams, generate_graph_instance
+    else:
+        params, generate = GenParams, generate_instance
+    return generate(params(**{f.name: getattr(spec, f.name) for f in fields(params)}), seed)
 
 
 def trial_instance(config: ExperimentConfig, trial: int) -> UncertainInstance:
@@ -661,16 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--model", required=True)
-    p.add_argument("--problem", choices=sorted(ALGORITHMS), default="kmin", dest="problem_type")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--vertices", type=int, default=5)
-    p.add_argument("--extra-edges", type=int, default=3, dest="extra_edges")
-    p.add_argument("--overlap", type=float, default=0.6)
-    p.add_argument("--point-fraction", type=float, default=0.0, dest="point_fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--problem", choices=sorted(ALGORITHMS), dest="problem_type")
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--vertices", type=int)
+    p.add_argument("--extra-edges", type=int, dest="extra_edges")
+    p.add_argument("--overlap", type=float)
+    p.add_argument("--point-fraction", type=float, dest="point_fraction")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen, tie_rule=TieRule.STABLE)
+    p.set_defaults(func=_cmd_gen, **{f.name: f.default for f in fields(ExperimentConfig)})
 
     p = sub.add_parser("compete", help="run an algorithm-vs-OPT competition")
     p.add_argument("--config", required=True)

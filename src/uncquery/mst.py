@@ -31,7 +31,6 @@ widen as well, and the replay stops at the first edge that moved or changed.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -74,22 +73,14 @@ class UncertainGraph:
             raise ValueError("graph must be connected")
 
     def is_connected(self, active: Optional[Sequence[int]] = None) -> bool:
-        if self.vertices == 0:
-            return False
-        idx = range(self.n_edges) if active is None else active
-        adj = defaultdict(list)
-        for e in idx:
+        """Whether the edges (the `active` ones, if given) span every vertex:
+        a Kruskal forest over them makes V - 1 links."""
+        forest = _Forest(self.vertices)
+        for e in range(self.n_edges) if active is None else active:
             u, v = self.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertices
+            if not forest.connected(u, v):
+                forest.link(u, v, e, e)
+        return len(forest.links) == self.vertices - 1
 
 
 @dataclass(frozen=True)

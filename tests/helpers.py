@@ -399,6 +399,22 @@ def _forest_path(adj, u: int, v: int) -> Optional[List[int]]:
     return None
 
 
+def reference_is_connected(vertices: int, edges, active: Sequence[int]) -> bool:
+    """Breadth-first search from vertex 0 over the active edges."""
+    adj = defaultdict(list)
+    for e in active:
+        u, v = edges[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, queue = {0}, [0]
+    for x in queue:
+        for w in adj[x]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return vertices > 0 and len(seen) == vertices
+
+
 def reference_mst_pass(graph, weights: Sequence[Area]):
     """One Kruskal pass from scratch: a Fraction sort, a forest search for
     every edge and the definitional chooser.  Same contract as mst_pass."""

@@ -1,4 +1,5 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
+import hashlib
 import json
 import os
 import subprocess
@@ -34,7 +35,7 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.harness import _max_total
+from uncquery.harness import _generate, _max_total
 from uncquery.models import ModelSpec, UncertainInstance, Violation, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
@@ -96,6 +97,38 @@ class TestGenerateGraphInstance:
     def test_deterministic(self):
         p = GraphGenParams(vertices=4, extra_edges=2, model=ModelSpec.parse("OC-OC"))
         assert generate_graph_instance(p, 5) == generate_graph_instance(p, 5)
+
+
+# sha256 of the instance JSON the generators write for these parameters and
+# seeds.  A seed's instance must not change with the code that draws it: a
+# change in the order or the kind of any random draw changes these digests.
+PINNED_INSTANCES = [
+    (lambda: generate_instance(GenParams(n=8, model=OPP, k=3, point_fraction=0.25), 1),
+     "9e203056c4dde4f3296837f797b8d46662deef8879418685385aa8e07ea4b352"),
+    (lambda: generate_instance(GenParams(n=6, model=ModelSpec.parse("OC-OC"), k=2,
+                                         tie_rule=TieRule.LEX, overlap=0.9), 2),
+     "dc993b239263bc931b5da6a708646f0021f4a6eb0d89e07a53f9ee8763767a3c"),
+    (lambda: generate_instance(GenParams(n=5, model=ModelSpec.parse("OCP-P"), overlap=0.0,
+                                         point_fraction=0.5), 3),
+     "32366565eda6d9f98549c9616ae5d3d12a9f5bee00b67c37e3017538dc69b855"),
+    (lambda: generate_graph_instance(
+        GraphGenParams(vertices=5, extra_edges=3, model=ModelSpec.parse("OC-OC")), 1),
+     "e55452c3a37ab24982aeb88920d82ca6148b5c20de63b1b4d5e93a5e1147350c"),
+    (lambda: generate_graph_instance(
+        GraphGenParams(vertices=8, extra_edges=10, model=ModelSpec.parse("O-O"), overlap=0.9), 2),
+     "095cd21a2aec5fd1b7e7903e8890970db350eaa5f14c0b73e455e8537c769bc3"),
+    (lambda: generate_graph_instance(
+        GraphGenParams(vertices=6, extra_edges=4, model=ModelSpec.parse("C-C"), overlap=0.0), 3),
+     "cbb6e51c7445e597030764db6c6e57d39022cdd49493b787e785726c8add65d7"),
+]
+
+
+@pytest.mark.parametrize("generate, digest", PINNED_INSTANCES,
+                         ids=["kmin-points", "kmin-lex", "kmin-ordered",
+                              "mst-default", "mst-dense", "mst-no-overlap"])
+def test_generated_instance_json_is_pinned(generate, digest):
+    text = dump_json(instance_to_json(generate()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestInstanceJson:
@@ -354,7 +387,24 @@ def test_bounds_are_the_papers():
                     assert BOUNDS[name](q, opt, k, n) == bound(q, opt, k, n), (name, q, opt, k, n)
 
 
+def _as_graph(edit):
+    """A breakage that swaps the instance for a graph instance's JSON, then
+    applies `edit` to it."""
+    def breakage(data):
+        data.clear()
+        data.update(instance_to_json(generate_graph_instance(
+            GraphGenParams(vertices=4, extra_edges=2, model=ModelSpec.parse("OC-OC")), 1)))
+        edit(data)
+    return breakage
+
+
 class TestCli:
+    @pytest.mark.parametrize("problem_type", ["kmin", "mst"])
+    def test_gen_defaults_are_the_config_defaults(self, capsys, problem_type):
+        assert main(["gen", "--model", "OC-OC", "--problem", problem_type]) == EXIT_OK
+        config = ExperimentConfig("unused", ModelSpec.parse("OC-OC"), problem_type=problem_type)
+        assert capsys.readouterr().out == dump_json(instance_to_json(_generate(config, 0)))
+
     def test_gen_solve_opt(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         assert main([
@@ -533,8 +583,15 @@ class TestCli:
         lambda data: data["areas"][0].pop("lo"),
         lambda data: data.update(areas=5),
         lambda data: data["model"].update(input=5),
+        lambda data: data["problem"].update(k=1.9),
+        lambda data: data["problem"].update(k=True),
+        lambda data: data["problem"].update(k="2"),
+        _as_graph(lambda data: data["problem"].update(vertices=4.0)),
+        _as_graph(lambda data: data["problem"]["edges"][0].update(u=0.0)),
+        _as_graph(lambda data: data["problem"]["edges"][0].update(v="1")),
     ], ids=["no-problem-k", "no-model", "no-area-lo", "areas-not-a-list",
-            "model-type-set-not-a-string"])
+            "model-type-set-not-a-string", "k-a-float", "k-a-bool", "k-a-string",
+            "vertices-a-float", "edge-u-a-float", "edge-v-a-string"])
     def test_malformed_instance_exit_code(self, tmp_path, capsys, breakage):
         data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
         breakage(data)
@@ -652,16 +709,33 @@ class TestCli:
         {"algorithm": "kmin-witness", "model": "OP-P",
          "problem": {"type": "kmin", "k": 2, "objective": "kmax"}},
         {"algorithm": "min1-witness", "model": "OP-P", "trials": -3},
+        {"algorithm": "min1-witness", "model": "OP-P", "oracle": 5},
+        {"algorithm": ["min1-witness"], "model": "OP-P"},
+        {"algorithm": "min1-witness", "model": "OP-P", "out": 5},
+        {"algorithm": "min1-witness", "model": "OP-P", "trials": True},
+        {"algorithm": "min1-witness", "model": "OP-P", "n": 4.7},
+        {"algorithm": "kmin-witness", "model": "OP-P", "problem": {"k": 2.5}},
+        {"algorithm": "min1-witness", "model": "OP-P", "format": 5},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem": {"tie_rule": 5}},
+        {"algorithm": "min1-witness", "model": "OP-P", "trials": "3"},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem.k": 1},
+        ["min1-witness", "OP-P"],
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
             "budget-zero", "budget-negative", "max-total-negative", "unknown-key",
-            "unknown-problem-key", "trials-negative"])
+            "unknown-problem-key", "trials-negative", "oracle-a-number", "algorithm-a-list",
+            "out-a-number", "trials-a-bool", "n-a-float", "k-a-float", "format-a-number",
+            "tie-rule-a-number", "trials-a-string", "problem-key-at-top-level",
+            "config-a-list"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"trials": 1, "n": 4, **config}))
+        if isinstance(config, dict):
+            config = {"trials": 1, "n": 4, **config}
+        cfg_path.write_text(json.dumps(config))
         assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("args", [
         ["solve", "--budget", "0"], ["solve", "--budget", "-1"], ["opt", "--max-total", "-1"],

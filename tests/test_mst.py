@@ -11,6 +11,7 @@ from helpers import (
     always_maximal,
     edge_prec,
     grid_areas,
+    reference_is_connected,
     reference_mst_pass,
     reference_umst,
     reference_witness_or_delete,
@@ -392,6 +393,24 @@ def test_forest_undo_from_restores_the_forest_of_the_earlier_links(data):
             u, v = edges[pos]
             if not forest.connected(u, v):
                 forest.link(u, v, pos, pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_connected_matches_breadth_first_search(data):
+    """The Kruskal-forest check agrees with a plain search on any edge list
+    and any subset of it, as the brute-force spanning-tree enumeration
+    uses it."""
+    vertices = data.draw(st.integers(0, 8))
+    edges = []
+    if vertices > 1:
+        pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+        edges = data.draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=3 * vertices))
+    graph = UncertainGraph(vertices, tuple(edges))
+    every = range(len(edges))
+    assert graph.is_connected() == reference_is_connected(vertices, edges, every)
+    active = data.draw(st.lists(st.sampled_from(every), unique=True) if edges else st.just([]))
+    assert graph.is_connected(active) == reference_is_connected(vertices, edges, active)
 
 
 @settings(max_examples=100, deadline=None)

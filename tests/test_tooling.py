@@ -3,6 +3,7 @@ it targets must still exist where it looks, or a traced run silently loses
 that layer."""
 import ast
 import runpy
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import uncquery
 from uncquery.core import Area
 from uncquery.engine import solve
 from uncquery.harness import (
-    GenParams, GraphGenParams, build_oracle, generate_graph_instance, generate_instance, main,
+    CONFIG_TABLE, ExperimentConfig, GenParams, GraphGenParams, build_oracle,
+    generate_graph_instance, generate_instance, main,
 )
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
@@ -120,6 +122,13 @@ def test_every_public_name_is_read_exported_or_traced():
         and f"uncquery.{stem}.{name}" not in traced
     }
     assert not unreached, f"public names nothing reads: {sorted(unreached)}"
+
+
+def test_config_table_sets_every_config_field_once():
+    """Each ExperimentConfig field is set by exactly one key of a compete
+    config, and no key names anything else."""
+    set_by = sorted(name for name, _ in CONFIG_TABLE.values())
+    assert set_by == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_tracer_sees_every_selection_strategy():
