@@ -23,7 +23,6 @@ from .models import (
     ModelSpec,
     TypeSet,
     UncertainInstance,
-    Violation,
     area_shape,
     classify_model,
     validate_instance,
@@ -38,7 +37,6 @@ from .selection import (
     kmin_witness,
     make_strategy,
     min1_bypass_witness,
-    min1_verifier,
     min1_witness,
 )
 from .engine import (

@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, is_not
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 
 def parse_rational(text: str) -> Fraction:
@@ -216,21 +216,6 @@ def surely_lt(a: Area, b: Area) -> bool:
     return a.hi == b.lo and (not a.attains_hi or not b.attains_lo)
 
 
-def _check_subset(areas: AreaVector, subset: Optional[Iterable[int]]) -> list:
-    if subset is None:
-        idx = list(range(len(areas)))
-    else:
-        idx = list(subset)
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate indices in subset")
-    for i in idx:
-        if not 0 <= i < len(areas):
-            raise ValueError(f"index {i} out of range")
-    return idx
-
-
 # Above this size of D, a VectorState ranks the endpoint values instead.
 # Scaling costs time in proportion to D's size and ranking does not; at n=1600
 # the two cost the same near 4000 bits.
@@ -399,36 +384,23 @@ class VectorState:
         return True
 
 
-def order_l(
-    areas: AreaVector,
-    subset: Optional[Iterable[int]] = None,
-    tie_rule: TieRule = TieRule.STABLE,
-) -> list:
-    """Indices of `subset` sorted ascending by lo value.
+def order_l(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> list:
+    """Indices sorted ascending by lo value.
 
     Stable ties keep index order.  Lex ties put an area that attains its lo
     endpoint (closed end or point) before one that does not; remaining ties
     go to the smaller index.
     """
-    # Sorting the indices first makes the stable sort break every remaining
-    # tie toward the smaller index.
-    idx = sorted(_check_subset(areas, subset))
-    rank = VectorState(tie_rule).update(areas).rank
-    return sorted(idx, key=rank.__getitem__)
+    return VectorState(tie_rule).update(areas).order
 
 
-def order_u(
-    areas: AreaVector,
-    subset: Optional[Iterable[int]] = None,
-    tie_rule: TieRule = TieRule.STABLE,
-) -> list:
-    """Indices of `subset` sorted ascending by hi value.
+def order_u(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> list:
+    """Indices sorted ascending by hi value.
 
     Lex ties are the mirror of order_l: an area attaining its hi endpoint
     orders after one that does not; remaining ties to the smaller index.
     """
-    idx = sorted(_check_subset(areas, subset))
     hi = VectorState().update(areas).hi
     if tie_rule is TieRule.STABLE:
-        return sorted(idx, key=hi.__getitem__)
-    return sorted(idx, key=lambda i: (hi[i], areas[i].attains_hi))
+        return sorted(range(len(areas)), key=hi.__getitem__)
+    return sorted(range(len(areas)), key=lambda i: (hi[i], areas[i].attains_hi))

@@ -70,23 +70,6 @@ class SolverStrategy:
             yield idx
 
 
-class AlternatingWitness:
-    """Strictly alternates two witness choosers across engine iterations."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-        self.turn = 0
-
-    def reset(self) -> None:
-        self.turn = 0
-
-    def __call__(self, areas: AreaVector) -> Sequence[int]:
-        chooser = self.first if self.turn % 2 == 0 else self.second
-        self.turn += 1
-        return chooser(areas)
-
-
 @dataclass
 class RunReport:
     answer: Optional[int]
@@ -120,9 +103,9 @@ def solve(
     Each round queries the members of one witness set in the order the
     strategy's `queries` hands them out.  Point areas are never queriable.
     """
-    violations = validate_instance(instance)
-    if violations:
-        raise EngineError(f"invalid instance: {violations[0].reason}")
+    err = validate_instance(instance)
+    if err is not None:
+        raise EngineError(f"invalid instance: {err}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if strategy.model_check is not None:

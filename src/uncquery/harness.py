@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -206,8 +207,6 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
     interval_kinds = [c for c in "OC" if c in model.input]
     if params.point_fraction > 0 and "P" not in model.input:
         raise ConfigError("point fraction needs P in the input type set")
-    if not interval_kinds and "P" not in model.input:
-        raise ConfigError(f"input type set {model.input} admits nothing")
     rng = random.Random(f"uncquery-gen:{seed}")
     used: set = set()
     drawn = []
@@ -447,6 +446,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.algorithm}: {err}")
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
         self.fixture()
+        _generator(self)  # raises ConfigError on a generator setting out of range
 
     def fixture(self) -> Optional[Fixture]:
         """The fixture an adversary oracle plays, or None for any other
@@ -473,14 +473,27 @@ def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
     return 4 * len(instance.areas) if max_total is None else max_total
 
 
-def _generate(spec, seed) -> UncertainInstance:
-    """The instance `spec` (an ExperimentConfig or `gen`'s arguments) describes,
-    from `seed`; each generator parameter is `spec`'s attribute of its name."""
+def _generator(spec) -> tuple:
+    """The generator `spec` (an ExperimentConfig or `gen`'s arguments) asks
+    for and its parameters, each `spec`'s attribute of its name; ConfigError
+    names the first parameter out of range."""
     if spec.problem_type == "mst":
         params, generate = GraphGenParams, generate_graph_instance
     else:
         params, generate = GenParams, generate_instance
-    return generate(params(**{f.name: getattr(spec, f.name) for f in fields(params)}), seed)
+    values = {f.name: getattr(spec, f.name) for f in fields(params)}
+    if not math.isfinite(values["overlap"]):
+        raise ConfigError(f"overlap must be finite, got {values['overlap']}")
+    if not 0 <= values.get("point_fraction", 0) <= 1:
+        raise ConfigError(f"point_fraction must be in [0, 1], got {values['point_fraction']}")
+    _check_limit("vertices", values.get("vertices"), 1)
+    return generate, params(**values)
+
+
+def _generate(spec, seed) -> UncertainInstance:
+    """The instance `spec` describes, from `seed`."""
+    generate, params = _generator(spec)
+    return generate(params, seed)
 
 
 def trial_instance(config: ExperimentConfig, trial: int) -> UncertainInstance:
@@ -584,9 +597,9 @@ def _cmd_opt(args) -> int:
     _check_limit("--max-total", args.max_total, 0)
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
-    violations = validate_instance(instance)
-    if violations:
-        raise ConfigError(f"invalid instance: {violations[0].reason}")
+    err = validate_instance(instance)
+    if err is not None:
+        raise ConfigError(f"invalid instance: {err}")
     oracle = build_oracle(args.oracle, instance)
     if isinstance(instance.problem, UncertainGraph):
         verifier = mst_verifier(instance.problem)

@@ -123,46 +123,30 @@ class UncertainInstance:
         if self.hidden is not None:
             object.__setattr__(self, "hidden", tuple(map(as_fraction, self.hidden)))
 
-    @property
-    def n(self) -> int:
-        return len(self.areas)
 
-
-@dataclass(frozen=True)
-class Violation:
-    index: Optional[int]
-    reason: str
-
-
-def validate_instance(instance: UncertainInstance) -> list:
-    """The problem's own check, shape admission per the model's input set and
-    hidden-value containment.  Empty list means the instance is valid."""
-    out = []
+def validate_instance(instance: UncertainInstance) -> Optional[str]:
+    """None if the instance is valid; otherwise the first rule that failed,
+    checked in this order: some areas, the problem's own check, shape
+    admission per the model's input set, the hidden configuration's length
+    and hidden-value containment."""
     if not instance.areas:
-        out.append(Violation(None, "instance has no areas"))
-        return out
+        return "instance has no areas"
     try:
         instance.problem.validate(len(instance.areas))
     except ValueError as exc:
-        out.append(Violation(None, str(exc)))
+        return str(exc)
     for i, area in enumerate(instance.areas):
         if not instance.model.input.admits(area):
             shape = area_shape(area)
-            out.append(
-                Violation(
-                    i,
-                    f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
-                    f"type set {instance.model.input}",
-                )
-            )
+            return (f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
+                    f"type set {instance.model.input}")
     if instance.hidden is not None:
         if len(instance.hidden) != len(instance.areas):
-            out.append(Violation(None, "hidden configuration length differs from areas"))
-        else:
-            for i, (area, value) in enumerate(zip(instance.areas, instance.hidden)):
-                if not area.contains_value(value):
-                    out.append(Violation(i, f"hidden value {value} outside area {area}"))
-    return out
+            return "hidden configuration length differs from areas"
+        for area, value in zip(instance.areas, instance.hidden):
+            if not area.contains_value(value):
+                return f"hidden value {value} outside area {area}"
+    return None
 
 
 def validate_response(spec: ModelSpec, queried: Area, response: Area) -> Optional[str]:

@@ -72,12 +72,14 @@ class UncertainGraph:
         if not self.is_connected():
             raise ValueError("graph must be connected")
 
-    def is_connected(self, active: Optional[Sequence[int]] = None) -> bool:
-        """Whether the edges (the `active` ones, if given) span every vertex:
-        a Kruskal forest over them makes V - 1 links."""
+    def is_connected(self) -> bool:
+        """Whether the edges span every vertex: a Kruskal forest over them
+        makes V - 1 links.  Fewer than V - 1 edges cannot, and are refused
+        before the O(V) forest is built."""
+        if self.n_edges < self.vertices - 1:
+            return False
         forest = _Forest(self.vertices)
-        for e in range(self.n_edges) if active is None else active:
-            u, v = self.edges[e]
+        for e, (u, v) in enumerate(self.edges):
             if not forest.connected(u, v):
                 forest.link(u, v, e, e)
         return len(forest.links) == self.vertices - 1
@@ -188,21 +190,21 @@ class _Forest:
 
 @dataclass
 class PassLog:
-    """What the last pass read and how far it got, for the next pass to
-    resume from: the state of its weights, whose lo order is the pass's edge
-    order (patched, not rebuilt, by the next pass), a copy of that order, the
-    number of edges processed before the witness cycle (all of them when the
-    pass finished), and the graph and forest the pass built."""
+    """What the last pass over `graph` read and how far it got, for the next
+    pass to resume from: the state of its weights, whose lo order is the
+    pass's edge order (patched, not rebuilt, by the next pass), a copy of
+    that order, the number of edges processed before the witness cycle (all
+    of them when the pass finished), and the forest the pass built."""
 
+    graph: UncertainGraph
     state: VectorState = field(default_factory=VectorState)
     order: List[int] = field(default_factory=list)
     processed: int = 0
-    _graph: Optional[UncertainGraph] = field(default=None, init=False, repr=False)
     _forest: Optional[_Forest] = field(default=None, init=False, repr=False)
 
 
-def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: PassLog):
-    """One Kruskal pass over the current weights.
+def mst_pass(log: PassLog, weights: Sequence[Area]):
+    """One Kruskal pass over the current weights of the log's graph.
 
     Returns ('done', tree_indices, red_rule_count) when every cycle closed
     during growth had a red-rule deletion, or ('witness', (f, g)) at the
@@ -219,19 +221,19 @@ def mst_pass(graph: UncertainGraph, weights: Sequence[Area], log: PassLog):
     whose edges kept their positions and weights (by identity; areas are
     immutable): it undoes the log forest's links past that prefix and goes
     on from there.  The log's state is patched for the changed weights and
-    the log overwritten with this pass.  A fresh log, or one from another
-    graph, replays nothing; the result is the same with any log.
+    the log overwritten with this pass.  A fresh log replays nothing; the
+    result is the same with any log of the graph.
     """
-    edges = graph.edges
+    edges = log.graph.edges
     state = log.state.update(weights)
     order, changed = state.order, state.changed
     replay = 0
-    for e, old in zip(order, log.order[: log.processed] if log._graph is graph else ()):
+    for e, old in zip(order, log.order[: log.processed]):
         if e != old or e in changed:
             break
         replay += 1
-    log.order, log._graph = order[:], graph
-    forest = log._forest if replay else _Forest(graph.vertices)
+    log.order = order[:]
+    forest = log._forest if replay else _Forest(log.graph.vertices)
     forest.undo_from(replay)
     log._forest = forest
     for i, e in enumerate(order[replay:], replay):
@@ -266,12 +268,11 @@ class UmstStrategy(SolverStrategy):
     def __init__(self, graph: UncertainGraph) -> None:
         umst = MST_ALGORITHMS["umst"]
         super().__init__("umst", self._verify, self._witness, umst.k_bound, umst.model_check)
-        self.graph = graph
-        self.pass_log = PassLog()
+        self.pass_log = PassLog(graph)
         self.result: tuple = ()
 
     def _verify(self, weights: Sequence[Area]) -> Optional[MstAnswer]:
-        self.result = mst_pass(self.graph, weights, self.pass_log)
+        self.result = mst_pass(self.pass_log, weights)
         return MstAnswer(*self.result[1:]) if self.result[0] == "done" else None
 
     def _witness(self, weights: Sequence[Area]) -> List[int]:

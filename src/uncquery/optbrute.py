@@ -40,10 +40,6 @@ class OptResult:
     opt: Optional[int]
     vector: Optional[Dict[int, int]]
 
-    @property
-    def bounded(self) -> bool:
-        return self.opt is not None
-
 
 def response_chain(
     oracle: Oracle,

@@ -272,15 +272,15 @@ class KMinPointAdversary(Oracle):
 
 class CpAnomalyAdversary(Oracle):
     """Identical closed intervals answered 2 until the last distinct index,
-    which gets 1; the colluding optimum queries that index straight away."""
+    which gets 1; the colluding optimum is shown 1 on the last area and
+    queries it straight away."""
 
     update_independent = False
 
-    def __init__(self, n: int, designated: Optional[int] = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.designated = n - 1 if designated is None else designated
         self.seen: List[int] = []
 
     def respond(self, index: int, count: int, current: Area) -> Area:
@@ -295,14 +295,14 @@ class CpAnomalyAdversary(Oracle):
 
     def opt_script(self) -> ScriptedOracle:
         responses = {i: [Area.point(2)] for i in range(self.n)}
-        responses[self.designated] = [Area.point(1)]
+        responses[self.n - 1] = [Area.point(1)]
         return ScriptedOracle(responses)
 
     @property
     def revealed_hidden(self):
         """Configuration consistent with every response in this construction."""
         return tuple(
-            Fraction(1) if i == self.designated else Fraction(2) for i in range(self.n)
+            Fraction(1) if i == self.n - 1 else Fraction(2) for i in range(self.n)
         )
 
 
@@ -360,20 +360,19 @@ def min_tight_fixture(n: int, a0_last: bool = False) -> Fixture:
     )
 
 
-def kmin_point_fixture(k: int, point_returns: bool = True) -> Fixture:
+def kmin_point_fixture(k: int) -> Fixture:
     areas = tuple(Area.open(0, 5) for _ in range(k)) + tuple(
         Area.point(3) for _ in range(k)
     )
-    model = ModelSpec.parse("OP-P" if point_returns else "OP-O")
     instance = UncertainInstance(
-        model=model,
+        model=ModelSpec.parse("OP-P"),
         areas=areas,
         problem=SelectionProblem(k=k),
     )
     return Fixture(
         name="kmin-point",
         instance=instance,
-        oracle=KMinPointAdversary(k, point_returns),
+        oracle=KMinPointAdversary(k),
         opt_value=1,
     )
 

@@ -15,6 +15,7 @@ from typing import Iterable, List, Optional, Sequence
 from .core import (  # noqa: F401
     AreaVector, TieRule, VectorState, order_l, order_u,
 )
+from .engine import Algorithm, SolverStrategy
 from .models import ModelCategory, ModelSpec, classify_model
 
 
@@ -82,10 +83,6 @@ def kmin_verifier(
     return pk
 
 
-def min1_verifier(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> Optional[int]:
-    return kmin_verifier(areas, 1, tie_rule)
-
-
 def _first_nonpoints(
     ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int], limit: int
 ) -> List[int]:
@@ -100,8 +97,9 @@ def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) ->
 
 
 def _max_u(s: VectorState, members: Sequence[int], tie_rule: TieRule) -> int:
-    """order_u(areas, members, tie_rule)[-1] in O(len(members)): the largest
-    hi; among ties, under lex an area attaining it, then the larger index."""
+    """The last of `members` in order_u's order, in O(len(members)): the
+    largest hi; among ties, under lex an area attaining it, then the larger
+    index."""
     hi = s.hi
     top = max(map(hi.__getitem__, members))
     tied = [i for i in members if hi[i] == top]
@@ -185,8 +183,6 @@ def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
 # ---------------------------------------------------------------------------
 # The selection algorithms for the engine and the CLI.
 
-from .engine import Algorithm, AlternatingWitness, SolverStrategy  # noqa: E402
-
 
 def require_op_p(spec: ModelSpec) -> Optional[str]:
     """The bypass strategies' model restriction: None under OP-P, else why
@@ -218,6 +214,23 @@ SELECTION_ALGORITHMS = {
 }
 
 STRATEGY_NAMES = tuple(SELECTION_ALGORITHMS)
+
+
+class AlternatingWitness:
+    """Strictly alternates two witness choosers across engine iterations."""
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+        self.turn = 0
+
+    def reset(self) -> None:
+        self.turn = 0
+
+    def __call__(self, areas: AreaVector) -> Sequence[int]:
+        chooser = self.first if self.turn % 2 == 0 else self.second
+        self.turn += 1
+        return chooser(areas)
 
 
 def _verifier(state: VectorState, k: int, tie_rule: TieRule):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
-from uncquery.models import Violation, validate_response
+from uncquery.models import validate_response
 
 
 def sample_values(area: Area) -> List[Fraction]:
@@ -203,27 +203,23 @@ def _reference_shape(area: Area) -> Optional[str]:
     return None
 
 
-def reference_validate_instance(instance) -> list:
-    """models.validate_instance on the Fraction shape and containment tests."""
+def reference_validate_instance(instance) -> Optional[str]:
+    """models.validate_instance on the Fraction shape and containment tests,
+    for a problem that passes its own check: the first failed rule, or None."""
     if not instance.areas:
-        return [Violation(None, "instance has no areas")]
-    out = []
+        return "instance has no areas"
     for i, area in enumerate(instance.areas):
         shape = _reference_shape(area)
         if shape is None or shape not in instance.model.input:
-            out.append(Violation(
-                i,
-                f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
-                f"type set {instance.model.input}",
-            ))
+            return (f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
+                    f"type set {instance.model.input}")
     if instance.hidden is not None:
         if len(instance.hidden) != len(instance.areas):
-            out.append(Violation(None, "hidden configuration length differs from areas"))
-        else:
-            for i, (area, value) in enumerate(zip(instance.areas, instance.hidden)):
-                if not reference_contains_value(area, value):
-                    out.append(Violation(i, f"hidden value {value} outside area {area}"))
-    return out
+            return "hidden configuration length differs from areas"
+        for area, value in zip(instance.areas, instance.hidden):
+            if not reference_contains_value(area, value):
+                return f"hidden value {value} outside area {area}"
+    return None
 
 
 # ---------------------------------------------------------------------------

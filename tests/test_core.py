@@ -232,11 +232,11 @@ class TestOrderings:
 
     def test_order_l_lex_attained_first(self):
         areas_ = [Area.open(3, 7), Area.closed(3, 7)]
-        assert order_l(areas_, tie_rule=TieRule.LEX) == [1, 0]
+        assert order_l(areas_, TieRule.LEX) == [1, 0]
 
     def test_order_l_lex_index_breaks_remaining_ties(self):
         areas_ = [Area.open(3, 7), Area.open(3, 7)]
-        assert order_l(areas_, tie_rule=TieRule.LEX) == [0, 1]
+        assert order_l(areas_, TieRule.LEX) == [0, 1]
 
     def test_order_u_stable(self):
         areas_ = [Area.open(2, 6), Area.open(5, 8), Area.open(9, 11)]
@@ -246,30 +246,14 @@ class TestOrderings:
     def test_order_u_lex_attained_last(self):
         a1 = Area(1, 5, EndpointKind.OPEN, EndpointKind.CLOSED)
         a2 = Area.open(3, 5)
-        assert order_u([a1, a2], tie_rule=TieRule.LEX) == [1, 0]
-
-    def test_subset_selection(self):
-        areas_ = [Area.open(9, 11), Area.open(2, 6), Area.open(5, 8)]
-        assert order_l(areas_, subset=[0, 2]) == [2, 0]
-
-    def test_duplicate_subset_rejected(self):
-        with pytest.raises(ValueError):
-            order_l([Area.open(0, 1)], subset=[0, 0])
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            order_l([Area.open(0, 1)], subset=[])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            order_l([Area.open(0, 1)], subset=[1])
+        assert order_u([a1, a2], TieRule.LEX) == [1, 0]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(areas(), min_size=1, max_size=6), st.sampled_from(list(TieRule)))
 def test_orderings_are_permutations(vec, tie):
     for fn in (order_l, order_u):
-        perm = fn(vec, None, tie)
+        perm = fn(vec, tie)
         assert sorted(perm) == list(range(len(vec)))
 
 
@@ -318,14 +302,10 @@ def test_int_images_rank_values_above_the_scale_limit():
 
 
 @settings(max_examples=200, deadline=None)
-@given(grid_vectors, st.sampled_from(list(TieRule)), st.data())
-def test_orderings_match_fraction_reference(vec, tie, data):
-    subset = data.draw(st.one_of(
-        st.none(), st.permutations(range(len(vec))).flatmap(
-            lambda p: st.integers(1, len(p)).map(lambda m: p[:m])),
-    ))
-    assert order_l(vec, subset, tie) == reference_order_l(vec, subset, tie)
-    assert order_u(vec, subset, tie) == reference_order_u(vec, subset, tie)
+@given(grid_vectors, st.sampled_from(list(TieRule)))
+def test_orderings_match_fraction_reference(vec, tie):
+    assert order_l(vec, tie) == reference_order_l(vec, None, tie)
+    assert order_u(vec, tie) == reference_order_u(vec, None, tie)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 
 from uncquery.core import Area, TieRule
 from uncquery.engine import (
-    AlternatingWitness,
     EngineError,
     OracleResponseError,
     RunStatus,
@@ -15,7 +14,7 @@ from uncquery.engine import (
 )
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.oracles import GroundTruthOracle, ScriptedOracle, min_tight_fixture
-from uncquery.selection import SelectionProblem, make_strategy
+from uncquery.selection import AlternatingWitness, SelectionProblem, make_strategy
 
 
 def _instance(model, areas, hidden=None, k=1, tie=TieRule.STABLE):

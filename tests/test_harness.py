@@ -36,7 +36,7 @@ from uncquery.harness import (
     trial_instance,
 )
 from uncquery.harness import _generate, _max_total
-from uncquery.models import ModelSpec, UncertainInstance, Violation, validate_instance
+from uncquery.models import ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
 from uncquery.selection import Objective, SelectionProblem, make_strategy
@@ -62,7 +62,7 @@ class TestGenerateInstance:
             inst = generate_instance(
                 GenParams(n=6, model=OPP, point_fraction=0.3), seed
             )
-            assert validate_instance(inst) == []
+            assert validate_instance(inst) is None
             assert len(set(inst.hidden)) == len(inst.hidden)
 
     def test_point_fraction_zero_all_open(self):
@@ -92,7 +92,7 @@ class TestGenerateGraphInstance:
             )
             assert isinstance(inst.problem, UncertainGraph)
             assert inst.problem.is_connected()
-            assert validate_instance(inst) == []
+            assert validate_instance(inst) is None
 
     def test_deterministic(self):
         p = GraphGenParams(vertices=4, extra_edges=2, model=ModelSpec.parse("OC-OC"))
@@ -180,9 +180,7 @@ class TestInstanceJson:
         assert inst.areas == tuple(Area.from_json(a) for a in data["areas"])
         assert inst.hidden == (half, half, thousand, Fraction(3), one)
         assert all(type(v) is Fraction for a in inst.areas for v in (a.lo, a.hi))
-        assert validate_instance(inst) == [
-            Violation(1, "hidden value 1/2 outside area (1/2, 1000)")
-        ]
+        assert validate_instance(inst) == "hidden value 1/2 outside area (1/2, 1000)"
 
 
 class TestBuildOracle:
@@ -549,7 +547,7 @@ class TestCli:
         assert main(["solve", "--instance", str(inst_path), "--oracle", "ground:halve"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         log, tree, red = reference_umst(
-            inst, build_oracle("ground:halve", inst), default_budget(inst.n)
+            inst, build_oracle("ground:halve", inst), default_budget(len(inst.areas))
         )
         assert len(log) == 12 and red == 6
         assert payload["status"] == "solved" and payload["answer"] is None
@@ -719,6 +717,11 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "problem": {"tie_rule": 5}},
         {"algorithm": "min1-witness", "model": "OP-P", "trials": "3"},
         {"algorithm": "min1-witness", "model": "OP-P", "problem.k": 1},
+        {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("inf")},
+        {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("nan")},
+        {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("inf"), "trials": 0},
+        {"algorithm": "min1-witness", "model": "OP-P", "point_fraction": 5},
+        {"algorithm": "umst", "model": "OC-OC", "problem": {"type": "mst", "vertices": 0}},
         ["min1-witness", "OP-P"],
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
@@ -726,6 +729,8 @@ class TestCli:
             "unknown-problem-key", "trials-negative", "oracle-a-number", "algorithm-a-list",
             "out-a-number", "trials-a-bool", "n-a-float", "k-a-float", "format-a-number",
             "tie-rule-a-number", "trials-a-string", "problem-key-at-top-level",
+            "overlap-infinite", "overlap-nan", "overlap-infinite-no-trials",
+            "point-fraction-above-one", "vertices-zero",
             "config-a-list"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
@@ -746,6 +751,20 @@ class TestCli:
         assert main([*args, "--instance", str(inst_path)]) == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, setting", [
+        (["--overlap", "inf"], "overlap"), (["--overlap", "nan"], "overlap"),
+        (["--point-fraction", "5"], "point_fraction"),
+        (["--point-fraction", "-0.5"], "point_fraction"),
+        (["--problem", "mst", "--vertices", "0"], "vertices"),
+    ], ids=["overlap-infinite", "overlap-nan", "point-fraction-above-one",
+            "point-fraction-negative", "vertices-zero"])
+    def test_gen_setting_out_of_range_exit_code(self, tmp_path, capsys, args, setting):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OP-P", *args, "--out", str(inst_path)]) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {setting} must be ") and err.count("\n") == 1
+        assert not inst_path.exists()
 
     def test_opt_max_total_zero_searches_only_the_start(self, tmp_path, capsys):
         # A max_total of 0 is a limit, not the default: the start vector does
@@ -808,6 +827,38 @@ class TestCli:
         assert run.returncode == EXIT_INVALID_CONFIG and run.stdout == ""
         assert len(errors) == 1 and "python -m uncquery" in errors[0]
 
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """`solve`, `opt` and `compete` with a CSV report, run as processes
+        under two string-hash seeds, write the same bytes to stdout and to
+        the report."""
+        sel, graph, cfg = tmp_path / "sel.json", tmp_path / "graph.json", tmp_path / "cfg.json"
+        assert main(["gen", "--model", "OP-P", "--n", "6", "--k", "2", "--point-fraction", "0.3",
+                     "--seed", "5", "--out", str(sel)]) == EXIT_OK
+        assert main(["gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "5",
+                     "--seed", "5", "--out", str(graph)]) == EXIT_OK
+        commands = [
+            ["solve", "--instance", str(sel), "--algorithm", "opop-alternate"],
+            ["solve", "--instance", str(graph), "--oracle", "ground:halve"],
+            ["opt", "--instance", str(sel), "--oracle", "ground:halve"],
+            ["compete", "--config", str(cfg)],
+        ]
+        outputs = []
+        for hash_seed in ("1", "777"):
+            report = tmp_path / f"report-{hash_seed}.csv"
+            cfg.write_text(json.dumps({
+                "algorithm": "umst", "model": "OC-OC", "oracle": "ground:halve", "trials": 3,
+                "problem": {"type": "mst", "vertices": 4}, "out": str(report)}))
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+                [str(Path(__file__).resolve().parent.parent / "src"),
+                 os.environ.get("PYTHONPATH", "")])}
+            runs = [subprocess.run([sys.executable, "-m", "uncquery", *command],
+                                   capture_output=True, env=env, timeout=60)
+                    for command in commands]
+            assert all(run.returncode == EXIT_OK and run.stderr == b"" for run in runs)
+            outputs.append([run.stdout for run in runs] + [report.read_bytes()])
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0]) and outputs[0][-1].startswith(CSV_COLUMNS.encode())
+
     def test_bad_oracle_shrink_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--model", "OC-OC", "--n", "4", "--out", str(inst_path)]) == EXIT_OK
@@ -849,6 +900,11 @@ def _isolated_vertex(data):
     data["problem"]["vertices"] += 1
 
 
+def _huge_vertex_count(data):
+    # Fewer than V - 1 edges: refused before anything of size V is built.
+    data["problem"]["vertices"] = 10**12
+
+
 def _no_areas(data):
     data["areas"], data["hidden"] = [], []
 
@@ -859,8 +915,10 @@ def _no_areas(data):
     ("mst", _drop_weight, "{w} weights for {e} edges; give one weight per edge"),
     ("mst", _extra_weight, "{w} weights for {e} edges; give one weight per edge"),
     ("mst", _isolated_vertex, "graph must be connected"),
+    ("mst", _huge_vertex_count, "graph must be connected"),
     ("kmin", _no_areas, "instance has no areas"),
-], ids=["closed-area-under-O-O", "fewer-weights", "more-weights", "disconnected", "no-areas"])
+], ids=["closed-area-under-O-O", "fewer-weights", "more-weights", "disconnected",
+        "huge-vertex-count", "no-areas"])
 def test_solve_and_opt_refuse_an_invalid_instance(tmp_path, capsys, command, problem, edit, reason):
     """`solve` and `opt` check an instance by the one rule, validate_instance,
     which holds the problem's own check: each refuses with the same reason."""

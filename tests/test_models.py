@@ -123,17 +123,15 @@ def _instance(model, areas, hidden=None):
 class TestValidateInstance:
     def test_admitted_shapes_ok(self):
         inst = _instance("OP-P", [Area.open(2, 6), Area.point(3)])
-        assert validate_instance(inst) == []
+        assert validate_instance(inst) is None
 
     def test_shape_violation_reported(self):
-        inst = _instance("O-O", [Area.closed(1, 3)])
-        out = validate_instance(inst)
-        assert len(out) == 1 and out[0].index == 0
+        inst = _instance("O-O", [Area.open(0, 1), Area.closed(1, 3)])
+        assert validate_instance(inst) == "area 2 shape C not admitted by input type set O"
 
     def test_hidden_outside_area(self):
         inst = _instance("O-O", [Area.open(2, 6)], hidden=(7,))
-        out = validate_instance(inst)
-        assert out and "outside" in out[0].reason
+        assert "outside" in validate_instance(inst)
 
     def test_hidden_on_open_boundary_rejected(self):
         inst = _instance("O-O", [Area.open(2, 6)], hidden=(2,))

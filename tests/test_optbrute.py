@@ -125,7 +125,7 @@ class TestOptValue:
             }
         )
         res = opt_value([O(1, 5), O(1, 5)], oracle, _v1, 4)
-        assert not res.bounded
+        assert res.opt is None
 
     def test_adversary_rejected(self):
         with pytest.raises(OptSearchError):
@@ -404,7 +404,7 @@ def test_strategy_verifier_agrees_with_a_fresh_state(objective, tie_rule):
                 answers.append((result.opt, result.vector,
                                 minimal_solutions(areas, oracle, verifier, max_total)))
             assert answers[0] == answers[1] == answers[2]
-            hits += result.bounded and result.opt > 1
+            hits += result.opt is not None and result.opt > 1
     assert hits > 4
 
 
@@ -439,7 +439,7 @@ def test_opt_value_asks_nothing_past_the_optimum(oracle_spec, model):
             oracle = _CountingOracle(build_oracle(oracle_spec, inst), asked)
             result = opt_value(list(inst.areas), oracle, verifier, 2 * n, base)
             opts.add(result.opt)
-            depth = result.opt if result.bounded else 2 * n
+            depth = 2 * n if result.opt is None else result.opt
             offset = 0 if base is None else base[0]
             assert all(count <= offset + depth for _i, count in asked)
             if oracle_spec == "ground:halve":  # halving never ends at a point

@@ -23,6 +23,7 @@ from uncquery.oracles import (
     min_tight_fixture,
     opo_counterexample_fixture,
 )
+from uncquery.selection import kmin_verifier
 
 
 class TestGroundTruthRespond:
@@ -200,8 +201,6 @@ class TestMinTightAdversary:
         assert adv.case == 1
 
     def test_opt_scripts_resolve_in_n_queries(self):
-        from uncquery.selection import min1_verifier
-
         for case, a0_last in ((1, False), (2, True)):
             n = 3
             fix = min_tight_fixture(n, a0_last=a0_last)
@@ -220,7 +219,7 @@ class TestMinTightAdversary:
                     areas[adv.a0_index] = script.respond(adv.a0_index, c, areas[adv.a0_index])
                     total += 1
             assert total == n == fix.opt_value
-            assert min1_verifier(areas) is not None
+            assert kmin_verifier(areas, 1) is not None
 
 
 class TestKMinPointAdversary:
@@ -254,7 +253,7 @@ class TestCpAnomalyAdversary:
     def test_opt_script_designated_index(self):
         adv = CpAnomalyAdversary(4)
         script = adv.opt_script()
-        assert script.respond(adv.designated, 1, Area.closed(1, 3)) == Area.point(1)
+        assert script.respond(3, 1, Area.closed(1, 3)) == Area.point(1)
 
     def test_revealed_hidden_consistency(self):
         adv = CpAnomalyAdversary(3)
@@ -277,11 +276,11 @@ class TestOpoCounterOracle:
 class TestFixtures:
     def test_min_tight_shape(self):
         fix = min_tight_fixture(3)
-        assert fix.instance.n == 4 and fix.opt_value == 3
+        assert len(fix.instance.areas) == 4 and fix.opt_value == 3
 
     def test_kmin_point_shape(self):
         fix = kmin_point_fixture(2)
-        assert fix.instance.n == 4 and fix.opt_value == 1
+        assert len(fix.instance.areas) == 4 and fix.opt_value == 1
         assert sum(a.is_point for a in fix.instance.areas) == 2
 
     def test_cp_anomaly_shape(self):

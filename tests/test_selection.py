@@ -34,7 +34,6 @@ from uncquery.selection import (
     kmin_witness,
     make_strategy,
     min1_bypass_witness,
-    min1_verifier,
     min1_witness,
 )
 
@@ -49,10 +48,10 @@ def C(lo, hi):
 
 class TestMin1Verifier:
     def test_resolved_instance(self):
-        assert min1_verifier([O(2, 5), O(6, 8), O(9, 11)]) == 0
+        assert kmin_verifier([O(2, 5), O(6, 8), O(9, 11)], 1) == 0
 
     def test_unresolved_instance(self):
-        assert min1_verifier([O(2, 6), O(5, 8), O(9, 11)]) is None
+        assert kmin_verifier([O(2, 6), O(5, 8), O(9, 11)], 1) is None
 
     def test_lex_point_before_closed_tie(self):
         # A revealed point at the shared lower bound wins on index.
@@ -64,7 +63,7 @@ class TestMin1Verifier:
         assert kmin_verifier([C(1, 3), Area.point(1)], 1, TieRule.LEX) is None
 
     def test_stable_touching_closed_resolves(self):
-        assert min1_verifier([C(1, 3), C(3, 5)]) == 0
+        assert kmin_verifier([C(1, 3), C(3, 5)], 1) == 0
 
 
 class TestKminVerifier:

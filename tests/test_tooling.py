@@ -40,6 +40,58 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets not found: {missing}"
 
 
+def _package_reads(tree) -> set:
+    """The dotted names a bench file reads off the package, which it binds to
+    `uq`: each attribute chain rooted at `uq`, and each `getattr` of such a
+    chain by a string constant or by a name a comprehension takes from a
+    tuple of them."""
+    def chain(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        return ".".join(reversed(parts)) if isinstance(node, ast.Name) and node.id == "uq" else None
+
+    reads = {chain(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            continue
+        bound = {gen.target.id: [e.value for e in gen.iter.elts] for gen in scope.generators
+                 if isinstance(gen.target, ast.Name) and isinstance(gen.iter, ast.Tuple)
+                 and all(isinstance(e, ast.Constant) for e in gen.iter.elts)}
+        for call in ast.walk(scope):
+            if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                    and isinstance(call.args[1], ast.Name) and chain(call.args[0]) is not None):
+                reads |= {f"{chain(call.args[0])}.{name}"
+                          for name in bound.get(call.args[1].id, ())}
+    reads |= {
+        f"{chain(call.args[0])}.{call.args[1].value}" for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+        and isinstance(call.args[1], ast.Constant) and chain(call.args[0]) is not None
+    }
+    return reads - {None}
+
+
+def test_every_package_attribute_the_benchmark_reads_exists():
+    """Each name a bench/ file reads off the package, such as `uq.GenParams`
+    or `uq.selection.order_l`, resolves on it: deleting one from src/ would
+    break the benchmark, which runs outside the test suite."""
+    reads = {
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "bench").glob("*.py"))
+        for name in _package_reads(ast.parse(path.read_text()))
+    }
+    missing = []
+    for read in sorted(reads):
+        obj = uncquery
+        try:
+            for part in read.split(": ")[1].split("."):
+                obj = getattr(obj, part)
+        except AttributeError:
+            missing.append(read)
+    assert len(reads) > 20 and not missing, f"bench reads names the package lacks: {missing}"
+
+
 def test_every_import_is_used_or_a_tracer_target():
     """Every name a package module other than __init__ imports is read in
     that module, except the tracer-only imports, each of which the tracer
