@@ -28,14 +28,15 @@ over any superset of its areas, scaled or ranked, which order its own
 endpoints just as exactly.  A state rebuilt from one takes them instead of
 imaging the areas again; the OPT search hands its verifier these.
 
-Areas are immutable and every function is pure; a `VectorState` is the one
-object that changes.
+An `Area` is a slotted immutable value.  Its constructor coerces the
+endpoints to Fraction, refuses an empty area, and fixes `is_point` once, so
+the solvers' many point checks are attribute loads.  Every function is pure;
+a `VectorState` is the one object that changes.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -80,29 +81,68 @@ class TieRule(Enum):
     LEX = "lex"
 
 
-@dataclass(frozen=True)
 class Area:
-    """A point or interval with per-endpoint kinds.  Never the empty set."""
+    """A point or interval with per-endpoint kinds.  Never the empty set.
+
+    An immutable value: every assignment raises AttributeError, and equal
+    areas hash equal.  The constructor coerces the endpoints to Fraction and
+    fixes `is_point` from the sign of hi - lo that its emptiness check
+    computes anyway, so reading it is an attribute load."""
+
+    __slots__ = ("lo", "hi", "lo_kind", "hi_kind", "is_point")
 
     lo: Fraction
     hi: Fraction
     lo_kind: EndpointKind
     hi_kind: EndpointKind
+    is_point: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
+    def __init__(self, lo, hi, lo_kind: EndpointKind, hi_kind: EndpointKind) -> None:
+        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
+            lo, hi = Fraction(lo), Fraction(hi)
         # Denominators are positive, so p/q vs r/s is p·s vs r·q on ints.
-        p, q = self.lo.as_integer_ratio()
-        r, s = self.hi.as_integer_ratio()
+        p, q = lo.as_integer_ratio()
+        r, s = hi.as_integer_ratio()
         width = r * q - p * s  # sign of hi - lo
         if width < 0:
-            raise ValueError(f"empty area: lo={self.lo} > hi={self.hi}")
+            raise ValueError(f"empty area: lo={lo} > hi={hi}")
         if width == 0 and (
-            self.lo_kind is not EndpointKind.CLOSED or self.hi_kind is not EndpointKind.CLOSED
+            lo_kind is not EndpointKind.CLOSED or hi_kind is not EndpointKind.CLOSED
         ):
             raise ValueError("a degenerate area is a point and must be closed at both ends")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_kind(self, lo_kind)
+        _set_hi_kind(self, hi_kind)
+        _set_is_point(self, width == 0)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi, self.lo_kind, self.hi_kind) == (
+                other.lo, other.hi, other.lo_kind, other.hi_kind)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.lo_kind, self.hi_kind))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
+                f"lo_kind={self.lo_kind!r}, hi_kind={self.hi_kind!r})")
+
+    def __reduce__(self):
+        return type(self), (self.lo, self.hi, self.lo_kind, self.hi_kind)
+
+    def __copy__(self) -> "Area":
+        return self
+
+    def __deepcopy__(self, memo) -> "Area":
+        return self
 
     @staticmethod
     def point(value) -> "Area":
@@ -111,16 +151,11 @@ class Area:
 
     @staticmethod
     def open(lo, hi) -> "Area":
-        return Area(as_fraction(lo), as_fraction(hi), EndpointKind.OPEN, EndpointKind.OPEN)
+        return Area(lo, hi, EndpointKind.OPEN, EndpointKind.OPEN)
 
     @staticmethod
     def closed(lo, hi) -> "Area":
-        return Area(as_fraction(lo), as_fraction(hi), EndpointKind.CLOSED, EndpointKind.CLOSED)
-
-    @property
-    def is_point(self) -> bool:
-        # Fractions are normalised, so equal values have equal ratios.
-        return self.lo.as_integer_ratio() == self.hi.as_integer_ratio()
+        return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
 
     @property
     def attains_lo(self) -> bool:
@@ -172,17 +207,23 @@ class Area:
         a `parse` that parses each distinct endpoint text once."""
         kind = data["kind"]
         if kind == "point":
-            return Area.point(parse(data["value"]))
+            lo = hi = parse(data["value"])
+            return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
         lo = parse(data["lo"])
         hi = parse(data["hi"])
         if kind == "open":
-            return Area.open(lo, hi)
+            return Area(lo, hi, EndpointKind.OPEN, EndpointKind.OPEN)
         if kind == "closed":
-            return Area.closed(lo, hi)
+            return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
         if kind == "mixed":
             return Area(lo, hi, EndpointKind(data["lo_kind"]), EndpointKind(data["hi_kind"]))
         raise ValueError(f"unknown area kind {kind!r}")
 
+
+# The slots' own setters: Area.__setattr__ refuses every assignment, so its
+# constructor writes each field through the slot descriptor.
+_set_lo, _set_hi, _set_lo_kind, _set_hi_kind, _set_is_point = (
+    vars(Area)[name].__set__ for name in Area.__slots__)
 
 AreaVector = Sequence[Area]
 

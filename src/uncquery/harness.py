@@ -8,6 +8,7 @@ and fail loudly when a configured bound is violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -40,6 +41,10 @@ EXIT_INVALID_CONFIG = 3
 
 # The widest area the generators draw, in units of the value grid.
 SCALE = 4
+
+# The most areas a generated instance may have: n for selection, and the
+# vertices - 1 tree edges plus the extra edges for a graph.
+MAX_GENERATED_AREAS = 10**6
 
 
 class ConfigError(Exception):
@@ -456,15 +461,17 @@ class ExperimentConfig:
         return adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
 
 
-def _check_limit(name: str, value, least: int) -> None:
+def _check_limit(name: str, value, least: int, most: Optional[int] = None) -> None:
     """ConfigError unless `value` is None (the default) or an int of at
-    least `least`."""
+    least `least` and, if `most` is given, at most `most`."""
     if value is None:
         return
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}, got {value}")
 
 
 def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
@@ -476,7 +483,7 @@ def _max_total(instance: UncertainInstance, max_total: Optional[int]) -> int:
 def _generator(spec) -> tuple:
     """The generator `spec` (an ExperimentConfig or `gen`'s arguments) asks
     for and its parameters, each `spec`'s attribute of its name; ConfigError
-    names the first parameter out of range."""
+    names the first parameter out of range, before anything is drawn."""
     if spec.problem_type == "mst":
         params, generate = GraphGenParams, generate_graph_instance
     else:
@@ -486,7 +493,13 @@ def _generator(spec) -> tuple:
         raise ConfigError(f"overlap must be finite, got {values['overlap']}")
     if not 0 <= values.get("point_fraction", 0) <= 1:
         raise ConfigError(f"point_fraction must be in [0, 1], got {values['point_fraction']}")
-    _check_limit("vertices", values.get("vertices"), 1)
+    if params is GraphGenParams:
+        # One vertex has no edges, and so an instance without areas.
+        vertices = values["vertices"]
+        _check_limit("vertices", vertices, 2, MAX_GENERATED_AREAS + 1)
+        _check_limit("extra_edges", values["extra_edges"], 0, MAX_GENERATED_AREAS - (vertices - 1))
+    else:
+        _check_limit("n", values["n"], 1, MAX_GENERATED_AREAS)
     return generate, params(**values)
 
 
@@ -649,7 +662,9 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="uncquery",
         description="Query-competitive computation over interval-uncertain data.",

@@ -1,4 +1,6 @@
 """Areas, the comparison algebra, and the two orderings."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,47 @@ def test_surely_lt_implies_leq(a, b):
 @given(areas())
 def test_json_round_trip_property(a):
     assert Area.from_json(a.to_json()) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(areas())
+def test_is_point_fixed_at_construction_matches_reference(a):
+    assert a.is_point == reference_is_point(a)
+    assert Area.from_json(a.to_json()).is_point == reference_is_point(a)
+
+
+class TestAreaValue:
+    def test_assignment_and_deletion_raise(self):
+        a = Area.open(1, 2)
+        for name in ("lo", "hi", "lo_kind", "hi_kind", "is_point", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(a, name, 3)
+        with pytest.raises(AttributeError, match="cannot delete field 'lo'"):
+            del a.lo
+        assert a == Area.open(1, 2) and not a.is_point
+
+    def test_endpoints_of_any_type_give_one_value(self):
+        kinds = (EndpointKind.OPEN, EndpointKind.CLOSED)
+        built = [Area(1, 5, *kinds), Area(Fraction(1), Fraction(10, 2), *kinds),
+                 Area("1", "5/1", *kinds), Area("1.0", 5, *kinds)]
+        assert all(b == built[0] and hash(b) == hash(built[0]) for b in built)
+        assert all(type(b.lo) is Fraction and type(b.hi) is Fraction for b in built)
+        assert len({Area.point(2), Area.point("2"), Area.point(Fraction(4, 2))}) == 1
+        assert Area.open(1, 5) != Area(1, 5, *kinds) and Area.point(1) != (1, 1)
+
+    def test_repr_is_the_field_listing(self):
+        assert repr(Area(1, Fraction(5, 2), EndpointKind.OPEN, EndpointKind.CLOSED)) == (
+            "Area(lo=Fraction(1, 1), hi=Fraction(5, 2), "
+            "lo_kind=<EndpointKind.OPEN: 'open'>, hi_kind=<EndpointKind.CLOSED: 'closed'>)"
+        )
+
+    @pytest.mark.parametrize("area", [Area.point(Fraction(3, 7)), Area.open(1, 5),
+                                      Area(0, 1, EndpointKind.CLOSED, EndpointKind.OPEN)])
+    def test_copy_deepcopy_and_pickle_round_trip(self, area):
+        for twin in (copy.copy(area), copy.deepcopy(area), copy.deepcopy([area])[0],
+                     pickle.loads(pickle.dumps(area))):
+            assert twin == area and hash(twin) == hash(area)
+            assert twin.is_point == area.is_point and repr(twin) == repr(area)
 
 
 @settings(max_examples=60, deadline=None)

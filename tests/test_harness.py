@@ -22,8 +22,10 @@ from uncquery.harness import (
     ExperimentConfig,
     GenParams,
     GraphGenParams,
+    MAX_GENERATED_AREAS,
     TrialRecord,
     build_oracle,
+    build_parser,
     compete,
     dump_json,
     generate_graph_instance,
@@ -35,7 +37,7 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.harness import _generate, _max_total
+from uncquery.harness import _generate, _generator, _max_total
 from uncquery.models import ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
@@ -722,6 +724,10 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("inf"), "trials": 0},
         {"algorithm": "min1-witness", "model": "OP-P", "point_fraction": 5},
         {"algorithm": "umst", "model": "OC-OC", "problem": {"type": "mst", "vertices": 0}},
+        {"algorithm": "umst", "model": "OC-OC", "problem": {"type": "mst", "vertices": 1}},
+        {"algorithm": "umst", "model": "OC-OC",
+         "problem": {"type": "mst", "extra_edges": 10**11}},
+        {"algorithm": "min1-witness", "model": "OP-P", "n": 10**6 + 1},
         ["min1-witness", "OP-P"],
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
@@ -730,7 +736,8 @@ class TestCli:
             "out-a-number", "trials-a-bool", "n-a-float", "k-a-float", "format-a-number",
             "tie-rule-a-number", "trials-a-string", "problem-key-at-top-level",
             "overlap-infinite", "overlap-nan", "overlap-infinite-no-trials",
-            "point-fraction-above-one", "vertices-zero",
+            "point-fraction-above-one", "vertices-zero", "vertices-one",
+            "extra-edges-past-the-size-cap", "n-past-the-size-cap",
             "config-a-list"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
@@ -757,14 +764,47 @@ class TestCli:
         (["--point-fraction", "5"], "point_fraction"),
         (["--point-fraction", "-0.5"], "point_fraction"),
         (["--problem", "mst", "--vertices", "0"], "vertices"),
+        (["--problem", "mst", "--vertices", "1"], "vertices"),
+        (["--problem", "mst", "--vertices", "1000002"], "vertices"),
+        (["--problem", "mst", "--extra-edges", "100000000000"], "extra_edges"),
+        (["--problem", "mst", "--extra-edges", "-1"], "extra_edges"),
+        (["--n", "1000001"], "n"),
+        (["--n", "0"], "n"),
     ], ids=["overlap-infinite", "overlap-nan", "point-fraction-above-one",
-            "point-fraction-negative", "vertices-zero"])
+            "point-fraction-negative", "vertices-zero", "vertices-one",
+            "vertices-past-the-size-cap", "extra-edges-past-the-size-cap",
+            "extra-edges-negative", "n-past-the-size-cap", "n-zero"])
     def test_gen_setting_out_of_range_exit_code(self, tmp_path, capsys, args, setting):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--model", "OP-P", *args, "--out", str(inst_path)]) == EXIT_INVALID_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {setting} must be ") and err.count("\n") == 1
         assert not inst_path.exists()
+
+    @pytest.mark.parametrize("problem_type, size", [
+        ("kmin", {"n": MAX_GENERATED_AREAS}),
+        ("mst", {"vertices": 5, "extra_edges": MAX_GENERATED_AREAS - 4}),
+        ("mst", {"vertices": MAX_GENERATED_AREAS + 1, "extra_edges": 0}),
+    ], ids=["n", "extra-edges", "vertices"])
+    def test_size_cap_admits_exactly_its_areas(self, problem_type, size):
+        # _generator checks without drawing, so the cap itself is cheap to try.
+        config = ExperimentConfig("umst", ModelSpec.parse("OC-OC"), problem_type=problem_type,
+                                  **size)
+        _generator(config)
+        key = "n" if problem_type == "kmin" else "extra_edges"
+        with pytest.raises(ConfigError, match=f"{key} must be at most "):
+            _generator(replace(config, **{key: getattr(config, key) + 1}))
+
+    def test_parser_is_built_once_and_a_failing_call_leaves_it_as_it_was(self, capsys):
+        assert build_parser() is build_parser()
+        args = ["gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "4", "--seed", "2"]
+        assert main(args) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(["gen", "--model", "OP-P", "--problem", "kmin", "--overlap", "inf",
+                     "--vertices", "1", "--seed", "3"]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == "error: overlap must be finite, got inf\n"
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == first
 
     def test_opt_max_total_zero_searches_only_the_start(self, tmp_path, capsys):
         # A max_total of 0 is a limit, not the default: the start vector does

@@ -77,6 +77,14 @@ class TestKminVerifier:
         with pytest.raises(ValueError):
             kmin_verifier([O(1, 2)], 2)
 
+    def test_lex_prefix_touching_a_larger_index_blocks(self):
+        # Area 1 closes at 5, where the answer candidate 0 opens, and comes
+        # after it by index: lex needs a strict separation there, so only the
+        # stable rule can answer.
+        areas = [C(5, 10), C(0, 5)]
+        assert kmin_verifier(areas, 2, TieRule.LEX) is None
+        assert kmin_verifier(areas, 2, TieRule.STABLE) == 0
+
 
 class TestMin1Witness:
     def test_two_heads_by_lo(self):
