@@ -36,6 +36,7 @@ a `VectorState` is the one object that changes.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
@@ -47,9 +48,15 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal notation into an exact rational.
 
-    Accepts and rejects exactly what Fraction(text.strip()) does.  Plain
-    ASCII 'p/q' and integers, the canonical form format_rational writes, are
-    decoded with int(); everything else goes through Fraction's own parser.
+    Accepts and rejects what Fraction(text.strip()) does, with one bound: a
+    decimal exponent whose absolute value exceeds the interpreter's digit
+    bound for int strings (sys.get_int_max_str_digits(), or 4300 where that
+    does not exist or is switched off) raises ValueError before anything is
+    built.  '1e5000' names a 5001-digit integer, which int() already refuses
+    when it is written out, and Fraction would build 10**exponent for it.
+    Plain ASCII 'p/q' and integers, the canonical form format_rational
+    writes, are decoded with int(); everything else goes through Fraction's
+    own parser.
     """
     text = str(text).strip()
     num, slash, den = text.partition("/")
@@ -58,6 +65,15 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num))
         if den.isdigit():
             return Fraction(int(num), int(den))
+    _, e, exponent = text.lower().rpartition("e")
+    if e:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        try:
+            too_large = abs(int(exponent)) > limit
+        except ValueError:  # no exponent; Fraction judges the text
+            too_large = False
+        if too_large:
+            raise ValueError(f"decimal exponent past the {limit}-digit bound in {text[:40]!r}")
     return Fraction(text)
 
 

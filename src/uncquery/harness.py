@@ -189,7 +189,11 @@ def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
 def _span(rng: random.Random, overlap: float, count: int) -> Tuple[Fraction, Fraction]:
     """The lo and length of one of `count` areas drawn to overlap with
     density `overlap`."""
-    width = max(1, round((1 - overlap) * count * SCALE))
+    # Every overlap of 1 or more draws width 1.  A large negative overlap
+    # overflows the float product, so its exact integer is taken instead.
+    spread = max(0, 1 - overlap)
+    scaled = spread * count * SCALE
+    width = max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
     return Fraction(rng.randint(0, 2 * width), 2), Fraction(rng.randint(2, 2 * SCALE), 2)
 
 

@@ -12,7 +12,11 @@ as image·E + edge index with E the edge count, so every comparison of the
 operator is one int comparison.  In a pass ordered by lower bounds the red
 rule can only delete the edge that closes the cycle, so the forest only
 grows: tree labels tell whether an edge closes a cycle, and only then is the
-forest path walked.
+forest path walked.  The red rule then reads on the path maximum: the closing
+edge e is deleted iff the largest upper bound on the forest path between its
+ends precedes lo(e).  The walk stops at the first path edge whose upper bound
+does not; only that cycle, the one that stops the pass, is listed and handed
+to the witness chooser.
 
 After a witness round the next pass resumes rather than restarts.  It keeps
 the previous pass's forest on the prefix of the edge order ahead of both
@@ -170,6 +174,25 @@ class _Forest:
                     up[y], up_edge[y], depth[y], label[y] = x, f, depth[x] + 1, c
                     stack.append(y)
 
+    def path_below(self, u: int, v: int, hi: List[int], bound: int) -> bool:
+        """Whether every edge c of the path between two vertices of one tree
+        ranks hi[c]·E + c below `bound`, E = len(hi); the walk stops at the
+        first edge that does not."""
+        up, up_edge, depth, n = self.up, self.up_edge, self.depth, len(hi)
+        if depth[u] < depth[v]:
+            u, v = v, u
+        for _ in range(depth[u] - depth[v]):
+            c = up_edge[u]
+            if hi[c] * n + c >= bound:
+                return False
+            u = up[u]
+        while u != v:
+            c, d = up_edge[u], up_edge[v]
+            if hi[c] * n + c >= bound or hi[d] * n + d >= bound:
+                return False
+            u, v = up[u], up[v]
+        return True
+
     def path(self, u: int, v: int) -> List[int]:
         """Edges of the path between two vertices of one tree."""
         up, up_edge, depth = self.up, self.up_edge, self.depth
@@ -217,6 +240,13 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
     links two trees; every other processed edge was deleted, so the red-rule
     count is the processed edges less the links.
 
+    So e, closing a cycle, is deleted iff it is always maximal: iff every
+    edge c of the forest path between its ends has hi(c) before lo(e), that
+    is iff the path maximum of hi·E + c lies below lo(e)·E + e.  This is
+    `_witness_or_delete`'s ('delete', e) outcome, and any other cycle gets
+    its witness pair; the path walk stops at the first edge not below, and
+    only then is the cycle listed for the chooser.
+
     The pass resumes after the longest processed prefix of the log's pass
     whose edges kept their positions and weights (by identity; areas are
     immutable): it undoes the log forest's links past that prefix and goes
@@ -236,17 +266,16 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
     forest = log._forest if replay else _Forest(log.graph.vertices)
     forest.undo_from(replay)
     log._forest = forest
+    lo, hi, n = state.lo, state.hi, len(order)
     for i, e in enumerate(order[replay:], replay):
         u, v = edges[e]
         if not forest.connected(u, v):
             forest.link(u, v, e, i)
-            continue
-        cycle = forest.path(u, v)
-        cycle.append(e)
-        action, payload = _witness_or_delete(cycle, state.lo, state.hi)
-        if action == "witness":
+        elif not forest.path_below(u, v, hi, lo[e] * n + e):
+            cycle = forest.path(u, v)
+            cycle.append(e)
             log.processed = i
-            return ("witness", payload)
+            return _witness_or_delete(cycle, lo, hi)
     log.processed = len(order)
     return ("done", frozenset(order[p] for p, *_ in forest.links), len(order) - len(forest.links))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -57,30 +58,38 @@ class HalvePolicy:
 
 
 def _halve_window(hidden: Fraction, current: Area, shrink: Fraction):
-    new_len = current.length * shrink
-    lo = hidden - new_len / 2
-    hi = hidden + new_len / 2
-    clipped_lo = clipped_hi = False
-    if lo < current.lo:
-        shift = current.lo - lo
-        lo += shift
-        hi += shift
-        clipped_lo = True
-    elif hi > current.hi:
-        shift = hi - current.hi
-        lo -= shift
-        hi -= shift
-        clipped_hi = True
-    # Nudge off a shared endpoint so the response is visibly interior.  The
-    # nudge is new_len/100, reduced if needed to keep the hidden value inside.
-    delta = new_len / 100
-    if clipped_lo and hidden > current.lo:
-        lo += min(delta, (hidden - current.lo) / 2)
-        hi += min(delta, (hidden - current.lo) / 2)
-    elif clipped_hi and hidden < current.hi:
-        lo -= min(delta, (current.hi - hidden) / 2)
-        hi -= min(delta, (current.hi - hidden) / 2)
-    return lo, hi
+    """The (lo, hi) of a window of `shrink` times the current length,
+    centered on `hidden` and shifted back inside the current area if it pokes
+    out.  A shifted window is then nudged off the shared endpoint, so the
+    response is visibly interior, by new_len/100 or by half the gap to
+    `hidden` if that is less, which keeps `hidden` inside.
+
+    Computed on integers over one common denominator, scale = d·200·q_s,
+    with d the lcm of the denominators of the area's endpoints and `hidden`
+    and q_s the shrink's denominator: at that scale new_len/2, new_len/100
+    and the half gaps are exact integers, so the window equals the Fraction
+    formula's (tests/helpers.reference_halve_window) value for value, and
+    only its two endpoints become Fractions."""
+    a, qa = current.lo.as_integer_ratio()
+    b, qb = current.hi.as_integer_ratio()
+    h, qh = hidden.as_integer_ratio()
+    p_s, q_s = shrink.as_integer_ratio()
+    d = math.lcm(qa, qb, qh)
+    scale = d * 200 * q_s
+    a, b, h = a * (scale // qa), b * (scale // qb), h * (scale // qh)
+    new_len = (b - a) // q_s * p_s
+    lo, hi = h - new_len // 2, h + new_len // 2
+    if lo < a:
+        lo, hi = a, hi + a - lo
+        if h > a:
+            nudge = min(new_len // 100, (h - a) // 2)
+            lo, hi = lo + nudge, hi + nudge
+    elif hi > b:
+        lo, hi = lo - (hi - b), b
+        if h < b:
+            nudge = min(new_len // 100, (b - h) // 2)
+            lo, hi = lo - nudge, hi - nudge
+    return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def ground_truth_respond(

@@ -1,9 +1,9 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
 witness-state recorder around the solve loop, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
-mirror of an area, the uMST comparison operator, red rule and
-restart-from-scratch pass that the integer code is checked against, and the
-brute-force OPT search with eagerly built response chains."""
+mirror of an area, the halving window, the uMST comparison operator, red
+rule and restart-from-scratch pass that the integer code is checked against,
+and the brute-force OPT search with eagerly built response chains."""
 import copy
 from collections import defaultdict
 from fractions import Fraction
@@ -329,6 +329,35 @@ def reference_kmin_bypass_witness(areas, k) -> List[int]:
     if not picked:
         raise ValueError("no queriable area available")
     return picked
+
+
+def reference_halve_window(hidden: Fraction, current: Area, shrink: Fraction):
+    """The halving window on Fractions, step by step: center a window of
+    shrink times the current length on the hidden value, shift it back
+    inside the area, then nudge it off the shared endpoint by new_len/100,
+    or by half the gap to the hidden value if that is less."""
+    new_len = current.length * shrink
+    lo = hidden - new_len / 2
+    hi = hidden + new_len / 2
+    clipped_lo = clipped_hi = False
+    if lo < current.lo:
+        shift = current.lo - lo
+        lo += shift
+        hi += shift
+        clipped_lo = True
+    elif hi > current.hi:
+        shift = hi - current.hi
+        lo -= shift
+        hi -= shift
+        clipped_hi = True
+    delta = new_len / 100
+    if clipped_lo and hidden > current.lo:
+        lo += min(delta, (hidden - current.lo) / 2)
+        hi += min(delta, (hidden - current.lo) / 2)
+    elif clipped_hi and hidden < current.hi:
+        lo -= min(delta, (current.hi - hidden) / 2)
+        hi -= min(delta, (current.hi - hidden) / 2)
+    return lo, hi
 
 
 def edge_prec(x: Fraction, e: int, y: Fraction, f: int) -> bool:

@@ -1,6 +1,8 @@
 """Areas, the comparison algebra, and the two orderings."""
 import copy
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,17 +58,53 @@ PARSE_CASES = (
 )
 
 
+def _bounded_fraction(text):
+    """Fraction(text.strip()), refused with ValueError when the text's
+    decimal exponent exceeds the int-string digit bound.  Test texts are
+    short, so Fraction builds any exponent they can hold at once."""
+    value = Fraction(text.strip())
+    exponent = re.search(r"[eE]([-+]?[\d_]+)$", text.strip())
+    if exponent and abs(int(exponent.group(1))) > sys.get_int_max_str_digits():
+        raise ValueError("exponent past the bound")
+    return value
+
+
 def test_parse_rational_accepts_what_fraction_does():
     # The fast path takes plain ASCII p/q and integers; every other text,
     # including fullwidth and Arabic-Indic digits, is Fraction's to judge.
     for text in PARSE_CASES:
-        assert _parsed(parse_rational, text) == _parsed(lambda t: Fraction(t.strip()), text), text
+        assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text), text
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789-+/._e \uff11", max_size=7))
 def test_parse_rational_matches_fraction_on_any_text(text):
-    assert _parsed(parse_rational, text) == _parsed(lambda t: Fraction(t.strip()), text)
+    assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", Fraction(10**4300)), ("-2.5E-4300", Fraction(-25, 10**4301)),
+    ("1e+4_300", Fraction(10**4300)), ("7e0004300", Fraction(7 * 10**4300)),
+    ("1e4301", ValueError), ("1e-4301", ValueError), ("0e5000", ValueError),
+    ("1E100000000", ValueError), (" 1.5e-100000000 ", ValueError),
+])
+def test_parse_rational_bounds_the_decimal_exponent(monkeypatch, text, value):
+    """An exponent within the int-string digit bound (4300 by default)
+    parses; one past it is refused before 10**exponent is built, so even
+    1e100000000 fails at once."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert _parsed(parse_rational, text) == (
+        value if value is ValueError else (Fraction, value))
+
+
+def test_parse_rational_exponent_bound_follows_the_interpreter(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)
+    assert parse_rational("1e100") == 10**100
+    with pytest.raises(ValueError, match="100-digit bound"):
+        parse_rational("1e101")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    with pytest.raises(ValueError, match="4300-digit bound"):
+        parse_rational("1e4301")
 
 
 class TestArea:

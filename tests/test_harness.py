@@ -922,6 +922,47 @@ class TestCli:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: malformed script JSON: ")
 
+    @pytest.mark.parametrize("where", ["instance", "hidden", "script", "shrink"])
+    def test_exponent_past_the_digit_bound_exit_code(self, tmp_path, capsys, where):
+        """A value written with a decimal exponent past the int-string digit
+        bound exits 3 at once, wherever it is read: Fraction alone would
+        build 10**100000000 first."""
+        huge = "1e100000000"
+        data = instance_to_json(generate_instance(GenParams(n=4, model=ModelSpec.parse("OC-OC")), 1))
+        if where == "instance":
+            data["areas"][1]["hi"] = huge
+        if where == "hidden":
+            data["hidden"][1] = huge
+        inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+        inst_path.write_text(json.dumps(data))
+        script_path.write_text(json.dumps({"responses": {"1": [{"kind": "open", "lo": "0", "hi": huge}]}}))
+        oracle = {"script": f"script:{script_path}", "shrink": f"ground:halve:{huge}"}.get(where, "ground")
+        assert main(["solve", "--instance", str(inst_path), "--oracle", oracle]) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gen_and_compete_take_any_finite_overlap(self, tmp_path, capsys):
+        """Every overlap of 1 or more draws width 1, so 1e308 writes what 2
+        writes; a large negative overlap on a graph draws exact wide spans."""
+        written = []
+        for overlap in ("2", "1e308"):
+            path = tmp_path / f"inst-{overlap}.json"
+            assert main(["gen", "--model", "OP-P", f"--overlap={overlap}", "--n", "10",
+                         "--out", str(path)]) == EXIT_OK
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        for overlap in ("1e308", "-1e308"):
+            assert main(["gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "5",
+                         f"--overlap={overlap}", "--out", str(tmp_path / "graph.json")]) == EXIT_OK
+        cfg_path = tmp_path / "cfg.json"
+        for problem in ({"type": "kmin", "k": 1}, {"type": "mst", "vertices": 3}):
+            cfg_path.write_text(json.dumps({
+                "algorithm": "umst" if problem["type"] == "mst" else "min1-witness",
+                "model": "OC-OC", "oracle": "ground:halve", "trials": 1, "n": 3,
+                "overlap": 1e308, "problem": problem}))
+            assert main(["compete", "--config", str(cfg_path)]) == EXIT_OK
+        capsys.readouterr()
+
 
 def _closed_area(data):
     data["areas"][0]["kind"] = "closed"

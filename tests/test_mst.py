@@ -2,6 +2,7 @@
 pairs, and the full solve loop against brute-force realization checks."""
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -443,3 +444,55 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
         assert positions and all(pos >= replay for pos in positions)
         kept += replay
     assert result[0] == "done" and kept > 400
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_instances())
+def test_path_walk_deletes_exactly_the_red_rule_deletions(inst):
+    """On every cycle the passes of a solve meet, the path walk lets the
+    closing edge e go (deletes it) exactly when the definitional chooser on
+    the cycle's Fractions answers ('delete', e)."""
+    weights, verdicts = [], []
+    walk = _Forest.path_below
+
+    def checked(forest, u, v, hi, bound):
+        deleted = walk(forest, u, v, hi, bound)
+        cycle = forest.path(u, v) + [bound % len(hi)]
+        verdicts.append(deleted == (reference_witness_or_delete(cycle, weights) == ("delete", cycle[-1])))
+        return deleted
+
+    def recording(log, current):
+        weights[:] = current
+        return mst_pass(log, current)
+
+    with mock.patch.object(_Forest, "path_below", checked), \
+            mock.patch.object(uncquery.mst, "mst_pass", recording):
+        umst_solve(inst, GroundTruthOracle.for_instance(inst), 4 * inst.problem.n_edges)
+    assert all(verdicts)
+
+
+def test_a_pass_lists_one_cycle_at_most_and_only_where_it_stops(monkeypatch):
+    """Cycles the red rule resolves are decided on the forest path without
+    listing it: a finished pass lists no cycle, and a pass that stops at a
+    witness pair lists one, the cycle its stopping edge closes."""
+    inst = generate_graph_instance(
+        GraphGenParams(vertices=60, extra_edges=120, model=ModelSpec.parse("OC-OC"), overlap=0.95), 5)
+    listed, outcomes = [], []
+    path = _Forest.path
+
+    def counting(forest, u, v):
+        listed.append((u, v))
+        return path(forest, u, v)
+
+    def checking(log, weights):
+        listed.clear()
+        result = mst_pass(log, weights)
+        stopped = [] if result[0] == "done" else [inst.problem.edges[log.order[log.processed]]]
+        assert listed == stopped
+        outcomes.append(result[0])
+        return result
+
+    monkeypatch.setattr(_Forest, "path", counting)
+    monkeypatch.setattr(uncquery.mst, "mst_pass", checking)
+    report, _ = umst_solve(inst, GroundTruthOracle.for_instance(inst), 10**4)
+    assert report.status is RunStatus.SOLVED and outcomes.count("witness") > 20

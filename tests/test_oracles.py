@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncquery.core import Area, TieRule
+from helpers import reference_halve_window
+from uncquery.core import Area, EndpointKind, TieRule
 from uncquery.models import ModelSpec, TypeSet
 from uncquery.oracles import (
     CpAnomalyAdversary,
@@ -17,6 +18,7 @@ from uncquery.oracles import (
     OpoCounterOracle,
     OracleError,
     ScriptedOracle,
+    _halve_window,
     cp_anomaly_fixture,
     ground_truth_respond,
     kmin_point_fixture,
@@ -146,6 +148,48 @@ class TestGroundTruthOracle:
                 theirs[index] = second.respond(index, counts[index], theirs[index])
                 assert mine[index] == theirs[index]
             assert oracle.respond(0, 1, areas[0]) == fork.respond(0, 1, areas[0])
+
+
+# Pairwise coprime denominators, and two that share factors with them, so the
+# window's common denominator meets every mix of factors.
+COPRIME_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97, 1024, 2**61 - 1, 6, 1000)
+
+
+@st.composite
+def halving_cases(draw):
+    """An open, closed or half-open area, a hidden value strictly inside it
+    or at an endpoint it attains, and a shrink in (0, 1)."""
+    den = st.sampled_from(COPRIME_DENOMINATORS)
+    lo = Fraction(draw(st.integers(-10**6, 10**6)), draw(den))
+    hi = lo + Fraction(draw(st.integers(1, 10**6)), draw(den))
+    area = Area(lo, hi, *draw(st.sampled_from([(a, b) for a in EndpointKind for b in EndpointKind])))
+    where = draw(st.sampled_from(["inside", "lo", "hi"]))
+    if where == "lo" and area.attains_lo:
+        hidden = lo
+    elif where == "hi" and area.attains_hi:
+        hidden = hi
+    else:
+        q = draw(den) + 1
+        hidden = lo + (hi - lo) * Fraction(draw(st.integers(1, q - 1)), q)
+    q = draw(st.sampled_from((2, 3, 7, 100, 1000, 2**31 - 1, 10**9 + 7)))
+    return hidden, area, Fraction(draw(st.integers(1, q - 1)), q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(halving_cases())
+def test_halve_window_equals_the_fraction_formula(case):
+    assert _halve_window(*case) == reference_halve_window(*case)
+
+
+def test_halve_window_nudges_off_each_shared_endpoint():
+    # Centered, clipped at lo with hidden inside, clipped at lo with hidden on
+    # it (no nudge), and the same at hi: every branch of the formula.
+    area = Area.closed(0, 1)
+    for hidden in (Fraction(1, 2), Fraction(1, 100), Fraction(0), Fraction(99, 100), Fraction(1)):
+        for shrink in (Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)):
+            assert _halve_window(hidden, area, shrink) == reference_halve_window(hidden, area, shrink)
+    # [-1/4, 1/4] + 1/4 is clipped at 0, then nudged by half the gap, 1/200.
+    assert _halve_window(Fraction(1, 100), area, Fraction(1, 2)) == (Fraction(1, 200), Fraction(101, 200))
 
 
 def _with_hidden(instance, hidden):

@@ -297,3 +297,27 @@ def test_tracer_sees_every_verifier_call_of_the_opt_search():
         verified = [i for i in under if tracer.names[tracer.kind[i]] in module["VERIFIER_SPANS"]]
         assert len(calls) > 20 and len(verified) == len(calls), span
         assert {tracer.names[tracer.kind[i]] for i in verified} == {span}
+
+
+# The modules whose code takes decisions: orders, verdicts, witness sets,
+# responses and OPT.
+DECISION_MODULES = ("core", "engine", "models", "selection", "mst", "oracles", "optbrute")
+
+
+def test_no_floats_in_decisions():
+    """The decision modules use no float literal and read the name `float`
+    in one place only: `core._rank_values` presorts by float values, and its
+    exact sort after that decides.  Every other comparison is on ints or
+    Fractions, so a rounding can never change a verdict."""
+    found = []
+    for stem in DECISION_MODULES:
+        tree = ast.parse((ROOT / "src" / "uncquery" / f"{stem}.py").read_text())
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{stem}:{node.lineno}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                owner = [name for name, scope in scopes if node in ast.walk(scope)]
+                found.append(f"{stem}.{'.'.join(owner) or '<module>'}: float")
+    assert found == ["core._rank_values: float"], found
