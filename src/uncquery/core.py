@@ -49,14 +49,16 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal notation into an exact rational.
 
     Accepts and rejects what Fraction(text.strip()) does, with one bound: a
-    decimal exponent whose absolute value exceeds the interpreter's digit
-    bound for int strings (sys.get_int_max_str_digits(), or 4300 where that
-    does not exist or is switched off) raises ValueError before anything is
-    built.  '1e5000' names a 5001-digit integer, which int() already refuses
-    when it is written out, and Fraction would build 10**exponent for it.
-    Plain ASCII 'p/q' and integers, the canonical form format_rational
-    writes, are decoded with int(); everything else goes through Fraction's
-    own parser.
+    decimal whose mantissa digits plus absolute exponent exceed the
+    interpreter's digit bound for int strings (sys.get_int_max_str_digits(),
+    or 4300 where that does not exist or is switched off) raises ValueError
+    before anything is built.  That sum bounds the digits of the numerator
+    and of the denominator: '1e4300' and '1e-4300' each name a 4301-digit
+    integer, which format_rational could not write out, and Fraction would
+    build 10**exponent for them.  Plain ASCII 'p/q' and integers, the
+    canonical form format_rational writes, are decoded with int(), which
+    applies the bound itself; everything else goes through Fraction's own
+    parser.
     """
     text = str(text).strip()
     num, slash, den = text.partition("/")
@@ -65,15 +67,14 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num))
         if den.isdigit():
             return Fraction(int(num), int(den))
-    _, e, exponent = text.lower().rpartition("e")
-    if e:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        try:
-            too_large = abs(int(exponent)) > limit
-        except ValueError:  # no exponent; Fraction judges the text
-            too_large = False
-        if too_large:
-            raise ValueError(f"decimal exponent past the {limit}-digit bound in {text[:40]!r}")
+    mantissa, e, exponent = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    try:
+        digits = 0 if slash else sum(map(str.isdigit, mantissa)) + (abs(int(exponent)) if e else 0)
+    except ValueError:  # a malformed exponent; Fraction judges the text
+        digits = 0
+    if digits > limit:
+        raise ValueError(f"decimal past the {limit}-digit bound in {text[:40]!r}")
     return Fraction(text)
 
 

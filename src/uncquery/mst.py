@@ -15,8 +15,8 @@ grows: tree labels tell whether an edge closes a cycle, and only then is the
 forest path walked.  The red rule then reads on the path maximum: the closing
 edge e is deleted iff the largest upper bound on the forest path between its
 ends precedes lo(e).  The walk stops at the first path edge whose upper bound
-does not; only that cycle, the one that stops the pass, is listed and handed
-to the witness chooser.
+does not, and the pass stops there without choosing: only a solve's witness
+step lists that cycle and ranks its witness pair.
 
 After a witness round the next pass resumes rather than restarts.  It keeps
 the previous pass's forest on the prefix of the edge order ahead of both
@@ -29,9 +29,10 @@ its root, so an undone link re-roots the hung tree at its old root.  The
 state patches its order for the queried edges by bisection, sorting nothing.
 
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
-and the witness is the pair that pass stopped at.  `mst_verifier`, the OPT
-search's verifier, is one more such strategy: between its vectors weights
-widen as well, and the replay stops at the first edge that moved or changed.
+and the witness is the pair of the cycle that pass stopped at.  `mst_verifier`,
+the OPT search's verifier, is one more such strategy whose witness is never
+called: between its vectors weights widen as well, and the replay stops at
+the first edge that moved or changed.
 """
 from __future__ import annotations
 
@@ -95,8 +96,8 @@ class MstAnswer:
     red_rule_count: int
 
 
-def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
-    """('delete', edge) when the red rule applies, else ('witness', (f, g)),
+def _witness_pair(cycle: Sequence[int], lo: List[int], hi: List[int]) -> Tuple[int, int]:
+    """The witness pair (f, g) of a cycle that has no always-maximal edge,
     on the integer images of the weights, in O(len(cycle)).
 
     f is the cycle edge with the largest upper bound under the comparison
@@ -106,22 +107,17 @@ def _witness_or_delete(cycle: Sequence[int], lo: List[int], hi: List[int]):
     Each cycle edge c's upper bound is ranked as hi(c)·E + c, E the edge
     count, and f's lower bound as lo(f)·E + f.  Two ranks of different edges
     compare as the comparison operator does on their values, since the index
-    term is below E and only breaks value ties; c is the rank mod E.
+    term is below E and only breaks value ties.
 
     An edge is always maximal iff the largest other upper bound precedes its
     lower bound.  Only f, the edge with the largest upper bound, can be: any
     other edge has f's upper bound above its own upper bound, hence above its
-    lower bound.  And f is iff the second-largest upper bound precedes lo(f).
+    lower bound.  So when no edge is, g exists.
     """
     n = len(lo)
-    hi_rank = [hi[c] * n + c for c in cycle]
-    top = max(hi_rank)
-    f = top % n
+    f = max(cycle, key=lambda c: hi[c] * n + c)
     lo_f = lo[f] * n + f
-    rest = [r for r in hi_rank if r != top]
-    if max(rest) < lo_f:
-        return ("delete", f)
-    return ("witness", (f, min(r % n for r in rest if r > lo_f)))
+    return f, min(c for c in cycle if c != f and hi[c] * n + c > lo_f)
 
 
 class _Forest:
@@ -130,7 +126,8 @@ class _Forest:
     O(path length).  A link hangs the smaller tree below the larger one,
     re-rooted at its linked vertex, so the larger tree keeps its root and
     label; it is recorded as (position, hung vertex, far vertex, old root),
-    and undoing it re-roots the hung tree at its old root."""
+    and undoing it re-roots the hung tree at its old root.  A one-vertex
+    tree is hung and unhung by setting its four fields, with no walk."""
 
     def __init__(self, vertices: int) -> None:
         self.adj: List[List[Tuple[int, int]]] = [[] for _ in range(vertices)]
@@ -148,11 +145,15 @@ class _Forest:
         label, size = self.label, self.size
         if size[label[u]] > size[label[v]]:
             u, v = v, u
-        self.links.append((pos, u, v, label[u]))
-        size[label[v]] += size[label[u]]
+        root, c = label[u], label[v]
+        self.links.append((pos, u, v, root))
         self.adj[u].append((v, e))
         self.adj[v].append((u, e))
-        self._hang(u, v, e, self.depth[v] + 1, label[v])
+        if size[root] == 1:
+            self.up[u], self.up_edge[u], self.depth[u], label[u] = v, e, self.depth[v] + 1, c
+        else:
+            self._hang(u, v, e, self.depth[v] + 1, c)
+        size[c] += size[root]
 
     def undo_from(self, pos: int) -> None:
         while self.links and self.links[-1][0] >= pos:
@@ -160,7 +161,10 @@ class _Forest:
             self.adj[u].pop()
             self.adj[v].pop()
             self.size[self.label[v]] -= self.size[root]
-            self._hang(root, -1, -1, 0, root)
+            if self.size[root] == 1:
+                self.up[u], self.up_edge[u], self.depth[u], self.label[u] = -1, -1, 0, u
+            else:
+                self._hang(root, -1, -1, 0, root)
 
     def _hang(self, x: int, parent: int, e: int, d: int, c: int) -> None:
         """Root x's tree at x, below parent by edge e at depth d, labelled c."""
@@ -230,8 +234,10 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
     """One Kruskal pass over the current weights of the log's graph.
 
     Returns ('done', tree_indices, red_rule_count) when every cycle closed
-    during growth had a red-rule deletion, or ('witness', (f, g)) at the
-    first cycle that needs queries to resolve.
+    during growth had a red-rule deletion, or ('witness', e) at the first
+    cycle that needs queries to resolve, e the edge that closes it.  The
+    pass does not list that cycle or choose its witness pair: the log's
+    forest and state keep what `UmstStrategy`'s witness reads for that.
 
     The red rule only ever deletes the edge closing the cycle: when e is
     processed, every other cycle edge c has lo(c) before lo(e), and lo(e) is
@@ -242,10 +248,8 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
 
     So e, closing a cycle, is deleted iff it is always maximal: iff every
     edge c of the forest path between its ends has hi(c) before lo(e), that
-    is iff the path maximum of hi·E + c lies below lo(e)·E + e.  This is
-    `_witness_or_delete`'s ('delete', e) outcome, and any other cycle gets
-    its witness pair; the path walk stops at the first edge not below, and
-    only then is the cycle listed for the chooser.
+    is iff the path maximum of hi·E + c lies below lo(e)·E + e.  The path
+    walk stops at the first edge not below, and so does the pass.
 
     The pass resumes after the longest processed prefix of the log's pass
     whose edges kept their positions and weights (by identity; areas are
@@ -272,10 +276,8 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
         if not forest.connected(u, v):
             forest.link(u, v, e, i)
         elif not forest.path_below(u, v, hi, lo[e] * n + e):
-            cycle = forest.path(u, v)
-            cycle.append(e)
             log.processed = i
-            return _witness_or_delete(cycle, lo, hi)
+            return ("witness", e)
     log.processed = len(order)
     return ("done", frozenset(order[p] for p, *_ in forest.links), len(order) - len(forest.links))
 
@@ -286,9 +288,13 @@ MST_ALGORITHMS = {"umst": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt)}
 
 class UmstStrategy(SolverStrategy):
     """The uncertain-MST algorithm as an engine strategy.  The verifier runs
-    one pass, resumed from the previous one, and keeps its result; the
-    witness is the queriable part of the pair that pass stopped at.  The
-    engine calls the witness right after the verifier on the same weights.
+    one pass, resumed from the previous one, and keeps its result.  The
+    witness lists the cycle that pass stopped at from the log's forest,
+    ranks it on the log's state with `_witness_pair`, and returns the
+    queriable part of the pair.  The engine calls the witness right after
+    the verifier on the same weights, so forest and state are still those
+    of the pass; the OPT search calls only the verifier, so its passes
+    never list a cycle.
 
     Both edges of a pair are queried with no pass in between.  A pass between
     them would about double the passes per solve and save about 1 % of the
@@ -305,7 +311,10 @@ class UmstStrategy(SolverStrategy):
         return MstAnswer(*self.result[1:]) if self.result[0] == "done" else None
 
     def _witness(self, weights: Sequence[Area]) -> List[int]:
-        return [e for e in self.result[1] if not weights[e].is_point]
+        log, e = self.pass_log, self.result[1]
+        u, v = log.graph.edges[e]
+        pair = _witness_pair(log._forest.path(u, v) + [e], log.state.lo, log.state.hi)
+        return [c for c in pair if not weights[c].is_point]
 
     def queries(self, weights: List[Area], witness: List[int]) -> List[int]:
         return witness

@@ -440,9 +440,11 @@ def reference_is_connected(vertices: int, edges, active: Sequence[int]) -> bool:
     return vertices > 0 and len(seen) == vertices
 
 
-def reference_mst_pass(graph, weights: Sequence[Area]):
+def reference_kruskal(graph, weights: Sequence[Area]):
     """One Kruskal pass from scratch: a Fraction sort, a forest search for
-    every edge and the definitional chooser.  Same contract as mst_pass."""
+    every edge and the definitional chooser.  Returns ('done', tree,
+    red-rule count), or ('witness', e, cycle) at the first cycle that needs
+    queries, e the edge that closes it and the cycle's last edge."""
     order = sorted(range(graph.n_edges), key=lambda e: (weights[e].lo, e))
     adj = defaultdict(list)
     in_tree = set()
@@ -457,7 +459,7 @@ def reference_mst_pass(graph, weights: Sequence[Area]):
             continue
         action, payload = reference_witness_or_delete(path + [e], weights)
         if action == "witness":
-            return ("witness", payload)
+            return ("witness", e, path + [e])
         red += 1
         if payload == e:
             continue
@@ -471,18 +473,27 @@ def reference_mst_pass(graph, weights: Sequence[Area]):
     return ("done", frozenset(in_tree), red)
 
 
+def reference_mst_pass(graph, weights: Sequence[Area]):
+    """reference_kruskal with mst_pass's contract: ('done', tree, red-rule
+    count), or ('witness', e) with e the edge closing the cycle it stopped at."""
+    result = reference_kruskal(graph, weights)
+    return result if result[0] == "done" else result[:2]
+
+
 def reference_umst(instance, oracle, budget: int):
-    """The uMST query loop restarting reference_mst_pass every round.
-    Returns (query log, tree, red-rule count); tree and count are None when
-    the budget runs out."""
+    """The uMST query loop restarting reference_kruskal every round and
+    querying the definitional pair of the cycle it stopped at.  Returns
+    (query log, tree, red-rule count); tree and count are None when the
+    budget runs out."""
     weights = list(instance.areas)
     counts = {}
     log = []
     while True:
-        result = reference_mst_pass(instance.problem, weights)
+        result = reference_kruskal(instance.problem, weights)
         if result[0] == "done":
             return log, result[1], result[2]
-        queriable = [e for e in sorted(result[1]) if not weights[e].is_point]
+        _, pair = reference_witness_or_delete(result[2], weights)
+        queriable = [e for e in sorted(pair) if not weights[e].is_point]
         assert queriable, "witness pair contains no queriable edge"
         for e in queriable:
             if len(log) >= budget:

@@ -60,12 +60,14 @@ PARSE_CASES = (
 
 def _bounded_fraction(text):
     """Fraction(text.strip()), refused with ValueError when the text's
-    decimal exponent exceeds the int-string digit bound.  Test texts are
-    short, so Fraction builds any exponent they can hold at once."""
+    mantissa digits plus absolute decimal exponent exceed the int-string
+    digit bound.  Test texts are short, so Fraction builds any exponent they
+    can hold at once."""
     value = Fraction(text.strip())
-    exponent = re.search(r"[eE]([-+]?[\d_]+)$", text.strip())
-    if exponent and abs(int(exponent.group(1))) > sys.get_int_max_str_digits():
-        raise ValueError("exponent past the bound")
+    mantissa, exponent = re.fullmatch(r"(.*?)(?:[eE]([-+]?[\d_]+))?", text.strip()).groups()
+    digits = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent or 0))
+    if "/" not in text and digits > sys.get_int_max_str_digits():
+        raise ValueError("decimal past the bound")
     return value
 
 
@@ -83,15 +85,21 @@ def test_parse_rational_matches_fraction_on_any_text(text):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("1e4300", Fraction(10**4300)), ("-2.5E-4300", Fraction(-25, 10**4301)),
-    ("1e+4_300", Fraction(10**4300)), ("7e0004300", Fraction(7 * 10**4300)),
+    ("1e4299", Fraction(10**4299)), ("-2.5E-4298", Fraction(-25, 10**4299)),
+    ("1e+4_299", Fraction(10**4299)), ("7e0004299", Fraction(7 * 10**4299)),
+    pytest.param("1" * 4300, Fraction(int("1" * 4300)), id="4300-digit-integer"),
+    pytest.param("0." + "1" * 4299, Fraction(int("1" * 4299), 10**4299), id="4299-place-decimal"),
+    ("1e4300", ValueError), ("1e-4300", ValueError), ("12345e4296", ValueError),
+    ("-2.5E-4300", ValueError), ("1e+4_300", ValueError), ("7e0004300", ValueError),
+    pytest.param("0." + "1" * 4300, ValueError, id="4300-place-decimal"),
     ("1e4301", ValueError), ("1e-4301", ValueError), ("0e5000", ValueError),
     ("1E100000000", ValueError), (" 1.5e-100000000 ", ValueError),
 ])
 def test_parse_rational_bounds_the_decimal_exponent(monkeypatch, text, value):
-    """An exponent within the int-string digit bound (4300 by default)
-    parses; one past it is refused before 10**exponent is built, so even
-    1e100000000 fails at once."""
+    """A decimal whose mantissa digits plus absolute exponent lie within the
+    int-string digit bound (4300 by default) parses; one past it, whose
+    numerator or denominator could not be written out, is refused before
+    10**exponent is built, so even 1e100000000 fails at once."""
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
     assert _parsed(parse_rational, text) == (
         value if value is ValueError else (Fraction, value))
@@ -99,9 +107,9 @@ def test_parse_rational_bounds_the_decimal_exponent(monkeypatch, text, value):
 
 def test_parse_rational_exponent_bound_follows_the_interpreter(monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)
-    assert parse_rational("1e100") == 10**100
-    with pytest.raises(ValueError, match="100-digit bound"):
-        parse_rational("1e101")
+    assert parse_rational("1e99") == 10**99
+    with pytest.raises(ValueError, match="100-digit bound in '1e100'"):
+        parse_rational("1e100")
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     with pytest.raises(ValueError, match="4300-digit bound"):
         parse_rational("1e4301")

@@ -941,6 +941,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("end, text", [("hi", "1e4300"), ("lo", "1e-4300"), ("hi", "12345e4296")])
+    def test_decimal_past_the_digit_bound_is_refused_when_read(self, tmp_path, capsys, end, text):
+        """A decimal whose numerator or denominator has more digits than the
+        int-string bound allows exits 3 when the instance is read, with one
+        line naming the text, rather than after the solve, when the report
+        could not write it."""
+        data = instance_to_json(generate_instance(GenParams(n=4, model=ModelSpec.parse("OC-OC")), 1))
+        data["areas"][1][end] = text
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(inst_path), "--oracle", "ground"]) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: decimal past the 4300-digit bound in {text!r}\n"
+
     def test_gen_and_compete_take_any_finite_overlap(self, tmp_path, capsys):
         """Every overlap of 1 or more draws width 1, so 1e308 writes what 2
         writes; a large negative overlap on a graph draws exact wide spans."""

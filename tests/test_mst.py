@@ -13,6 +13,7 @@ from helpers import (
     edge_prec,
     grid_areas,
     reference_is_connected,
+    reference_kruskal,
     reference_mst_pass,
     reference_umst,
     reference_witness_or_delete,
@@ -25,14 +26,15 @@ from uncquery.harness import GraphGenParams, build_oracle, generate_graph_instan
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.mst import (
     PassLog,
+    UmstStrategy,
     UncertainGraph,
     _Forest,
     mst_pass,
-    _witness_or_delete,
+    _witness_pair,
     mst_verifier,
     umst_solve,
 )
-from uncquery.oracles import GroundTruthOracle
+from uncquery.oracles import GroundTruthOracle, HalvePolicy
 from uncquery.optbrute import _Chains, _count_vectors, opt_value
 
 
@@ -91,36 +93,60 @@ class TestAlwaysMaximal:
             assert sum(always_maximal(cycle, e, w) for e in cycle) <= 1
 
 
-def witness_or_delete(cycle, weights):
+def witness_pair(cycle, weights):
     """The chooser on the images of a fresh state of the weights."""
     state = VectorState().update(weights)
-    return _witness_or_delete(cycle, state.lo, state.hi)
+    return _witness_pair(cycle, state.lo, state.hi)
+
+
+def walk_deletes(cycle, weights):
+    """Whether the path walk deletes cycle[-1], the edge closing a forest
+    path made of the other cycle edges, on a fresh state of the weights."""
+    state = VectorState().update(weights)
+    forest, e, n = _Forest(len(cycle)), cycle[-1], len(weights)
+    for i, c in enumerate(cycle[:-1]):
+        forest.link(i, i + 1, c, i)
+    return forest.path_below(len(cycle) - 1, 0, state.hi, state.lo[e] * n + e)
 
 
 class TestWitnessOrDelete:
+    """The pair chooser on cycles no edge of which is always maximal, and
+    the path walk's red rule on the closing edge, against the definitions
+    on Fractions."""
+
     def test_red_rule_delete(self):
-        action, payload = witness_or_delete([0, 1, 2], [O(1, 2), O(1, 2), O(5, 6)])
-        assert (action, payload) == ("delete", 2)
+        w = [O(1, 2), O(1, 2), O(5, 6)]
+        assert reference_witness_or_delete([0, 1, 2], w) == ("delete", 2)
+        assert walk_deletes([0, 1, 2], w)
 
     def test_witness_pair(self):
         w = [O(1, 2), O(2, 3), O(Fraction(5, 2), Fraction(7, 2))]
-        action, payload = witness_or_delete([0, 1, 2], w)
-        assert action == "witness"
-        assert payload == (2, 1)
+        assert reference_witness_or_delete([0, 1, 2], w) == ("witness", (2, 1))
+        assert witness_pair([0, 1, 2], w) == (2, 1)
+        assert not walk_deletes([0, 1, 2], w)
 
     def test_parallel_certain_edges(self):
-        action, payload = witness_or_delete([0, 1], [Area.point(1), Area.point(2)])
-        assert (action, payload) == ("delete", 1)
+        w = [Area.point(1), Area.point(2)]
+        assert reference_witness_or_delete([0, 1], w) == ("delete", 1)
+        assert walk_deletes([0, 1], w)
 
     def test_matches_definition_on_grid(self):
         # The O(L) chooser on integer ranks against the O(L^2) definition on
-        # Fractions, for every cycle order and a cycle that skips an index.
+        # Fractions, for every cycle order and a cycle that skips an index:
+        # the pair wherever no edge is always maximal, and the walk's
+        # deletion of the closing edge everywhere.
+        pairs = 0
         for combo in itertools.product(GRID, repeat=3):
             w = list(combo)
-            for cycle in ([0, 1, 2], [2, 0, 1], [1, 0]):
-                assert witness_or_delete(cycle, w) == reference_witness_or_delete(cycle, w)
-            w.insert(1, C(-5, 5))
-            assert witness_or_delete([3, 0, 2], w) == reference_witness_or_delete([3, 0, 2], w)
+            cases = [(cycle, w) for cycle in ([0, 1, 2], [2, 0, 1], [1, 0])]
+            cases.append(([3, 0, 2], w[:1] + [C(-5, 5)] + w[1:]))
+            for cycle, weights in cases:
+                action, payload = reference_witness_or_delete(cycle, weights)
+                assert walk_deletes(cycle, weights) == ((action, payload) == ("delete", cycle[-1]))
+                if action == "witness":
+                    assert witness_pair(cycle, weights) == payload
+                    pairs += 1
+        assert pairs > 1000
 
 
 def _triangle(weights, model="OC-OC", hidden=None):
@@ -155,9 +181,13 @@ class TestMstPass:
         assert status == "done" and tree == frozenset({0, 1}) and red == 1
 
     def test_witness_needed(self):
+        # The pass stops at edge 2, which closes the cycle; the strategy's
+        # witness lists that cycle and queries its pair.
         inst = _triangle([O(1, 2), O(2, 3), O(Fraction(5, 2), Fraction(7, 2))])
-        result = mst_pass(PassLog(inst.problem), inst.areas)
-        assert result == ("witness", (2, 1))
+        assert mst_pass(PassLog(inst.problem), inst.areas) == ("witness", 2)
+        strategy = UmstStrategy(inst.problem)
+        assert strategy.verifier(inst.areas) is None
+        assert strategy.witness(inst.areas) == [2, 1]
 
 
 class TestUmstSolve:
@@ -420,8 +450,8 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
     position where the order moved or a queried edge sits."""
     inst = generate_graph_instance(
         GraphGenParams(vertices=60, extra_edges=120, model=ModelSpec.parse("OC-OC"), overlap=0.95), 5)
-    weights, log = list(inst.areas), PassLog(inst.problem)
-    positions = []
+    strategy, weights = UmstStrategy(inst.problem), list(inst.areas)
+    log, positions = strategy.pass_log, []
     link = _Forest.link
 
     def counting(self, u, v, e, pos):
@@ -429,13 +459,14 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
         link(self, u, v, e, pos)
 
     monkeypatch.setattr(_Forest, "link", counting)
-    result, kept = mst_pass(log, weights), 0
-    while result[0] == "witness":
-        old_order, old_processed, queried = log.order, log.processed, result[1]
+    answer, kept = strategy.verifier(weights), 0
+    while answer is None:
+        old_order, old_processed = log.order, log.processed
+        queried = strategy.witness(weights)
         for e in queried:
             weights[e] = Area.point(inst.hidden[e])
         positions.clear()
-        result = mst_pass(log, weights)
+        answer = strategy.verifier(weights)
         replay = 0
         for new, old in zip(log.order, old_order[:old_processed]):
             if new != old or new in queried:
@@ -443,7 +474,7 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
             replay += 1
         assert positions and all(pos >= replay for pos in positions)
         kept += replay
-    assert result[0] == "done" and kept > 400
+    assert kept > 400
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,27 +503,100 @@ def test_path_walk_deletes_exactly_the_red_rule_deletions(inst):
 
 
 def test_a_pass_lists_one_cycle_at_most_and_only_where_it_stops(monkeypatch):
-    """Cycles the red rule resolves are decided on the forest path without
-    listing it: a finished pass lists no cycle, and a pass that stops at a
-    witness pair lists one, the cycle its stopping edge closes."""
+    """No pass lists a cycle: the red rule decides on the forest path
+    without listing it, and a pass that needs queries stops without
+    choosing.  The witness step after it lists one cycle, the one the
+    stopping edge closes; a finished pass is followed by none."""
     inst = generate_graph_instance(
         GraphGenParams(vertices=60, extra_edges=120, model=ModelSpec.parse("OC-OC"), overlap=0.95), 5)
-    listed, outcomes = [], []
+    events, passes = [], []
     path = _Forest.path
 
     def counting(forest, u, v):
-        listed.append((u, v))
+        events.append(("path", (u, v)))
         return path(forest, u, v)
 
-    def checking(log, weights):
-        listed.clear()
+    def recording(log, weights):
         result = mst_pass(log, weights)
-        stopped = [] if result[0] == "done" else [inst.problem.edges[log.order[log.processed]]]
-        assert listed == stopped
-        outcomes.append(result[0])
+        stop = inst.problem.edges[result[1]] if result[0] == "witness" else None
+        events.append((result[0], stop))
+        passes.append((result[0], stop))
         return result
 
     monkeypatch.setattr(_Forest, "path", counting)
-    monkeypatch.setattr(uncquery.mst, "mst_pass", checking)
+    monkeypatch.setattr(uncquery.mst, "mst_pass", recording)
     report, _ = umst_solve(inst, GroundTruthOracle.for_instance(inst), 10**4)
-    assert report.status is RunStatus.SOLVED and outcomes.count("witness") > 20
+    assert report.status is RunStatus.SOLVED
+    expected = []
+    for kind, stop in passes:
+        expected += [(kind, stop)] + ([("path", stop)] if kind == "witness" else [])
+    assert events == expected and [kind for kind, _ in passes].count("witness") > 20
+
+
+def _criterion_9_instance(seed):
+    """The graphs of acceptance criterion 9: 4-6 vertices, at most 9 edges."""
+    v = 4 + seed % 3
+    params = GraphGenParams(vertices=v, extra_edges=seed % (10 - v), model=ModelSpec.parse("OC-OC"))
+    return generate_graph_instance(params, 40_000 + seed)
+
+
+def test_the_opt_search_never_chooses_and_a_solve_chooses_once_per_round(monkeypatch):
+    """The OPT search's passes list no cycle and rank no pair; a solve lists
+    one cycle and ranks one pair per witness round."""
+    calls = {"path": 0, "pair": 0, "witness passes": 0, "passes": 0}
+    path, pair = _Forest.path, uncquery.mst._witness_pair
+
+    def counting(name, call):
+        def counted(*args):
+            calls[name] += 1
+            return call(*args)
+        return counted
+
+    def recording(log, weights):
+        result = mst_pass(log, weights)
+        calls["passes"] += 1
+        calls["witness passes"] += result[0] == "witness"
+        return result
+
+    monkeypatch.setattr(_Forest, "path", counting("path", path))
+    monkeypatch.setattr(uncquery.mst, "_witness_pair", counting("pair", pair))
+    monkeypatch.setattr(uncquery.mst, "mst_pass", recording)
+    stopped = rounds = 0
+    for seed in range(12):
+        inst = _criterion_9_instance(seed)
+        oracle = GroundTruthOracle.for_instance(inst, HalvePolicy(F(1, 2)))
+        calls.update(dict.fromkeys(calls, 0))
+        assert opt_value(list(inst.areas), oracle, mst_verifier(inst.problem), 14).opt is not None
+        assert calls["path"] == calls["pair"] == 0
+        stopped += calls["witness passes"]
+        calls.update(dict.fromkeys(calls, 0))
+        report, _ = umst_solve(inst, oracle.fork(), 4000)
+        assert report.status is RunStatus.SOLVED and calls["passes"] == calls["witness passes"] + 1
+        assert calls["path"] == calls["pair"] == calls["witness passes"]
+        rounds += calls["witness passes"]
+    assert stopped > 1000 and rounds > 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_instances())
+def test_witness_pair_matches_reference_on_every_round(inst):
+    """On every round of a solve, the pair the strategy ranks on the cycle
+    its pass stopped at is the definitional chooser's pair on the cycle the
+    reference pass stops at, over the same weights."""
+    weights, verdicts = [], []
+    choose = uncquery.mst._witness_pair
+
+    def recording(log, current):
+        weights[:] = current
+        return mst_pass(log, current)
+
+    def checked(cycle, lo, hi):
+        pair = choose(cycle, lo, hi)
+        *_, reference_cycle = reference_kruskal(inst.problem, weights)
+        verdicts.append(("witness", pair) == reference_witness_or_delete(reference_cycle, weights))
+        return pair
+
+    with mock.patch.object(uncquery.mst, "_witness_pair", checked), \
+            mock.patch.object(uncquery.mst, "mst_pass", recording):
+        umst_solve(inst, GroundTruthOracle.for_instance(inst), 4 * inst.problem.n_edges)
+    assert all(verdicts)
