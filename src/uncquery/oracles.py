@@ -253,18 +253,11 @@ class KMinPointAdversary(Oracle):
 
     update_independent = False
 
-    def __init__(self, k: int, point_returns: bool = True):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.point_returns = point_returns
         self.seen: List[int] = []
-
-    def _low(self) -> Area:
-        return Area.point(1) if self.point_returns else Area.open(Fraction(1, 2), Fraction(3, 2))
-
-    def _high(self) -> Area:
-        return Area.point(4) if self.point_returns else Area.open(Fraction(7, 2), Fraction(9, 2))
 
     def respond(self, index: int, count: int, current: Area) -> Area:
         if not 0 <= index < 2 * self.k:
@@ -274,9 +267,7 @@ class KMinPointAdversary(Oracle):
         if index in self.seen:
             return _shrink_fallback(current)
         self.seen.append(index)
-        if len(self.seen) <= self.k - 1:
-            return self._low()
-        return self._high()
+        return Area.point(1 if len(self.seen) <= self.k - 1 else 4)
 
 
 class CpAnomalyAdversary(Oracle):

@@ -70,10 +70,7 @@ def kmin_verifier(
     prefix = order[: k - 1]
     if prefix:
         top = max(map(hi.__getitem__, prefix))
-        if top > lo_pk or (
-            lex and top == lo_pk and s.attains_lo(pk)
-            and any(i > pk and hi[i] == lo_pk and s.attains_hi(i) for i in prefix)
-        ):
+        if top > lo_pk or (lex and top == lo_pk and _lex_blocked(s, prefix, pk)):
             return None
     for j in islice(order, k, None):
         if lo[j] > hi_pk:
@@ -83,14 +80,18 @@ def kmin_verifier(
     return pk
 
 
-def _first_nonpoints(
-    ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int], limit: int
-) -> List[int]:
-    return list(islice((i for i in ordering if lo[i] != hi[i]), limit))
+def _lex_blocked(s: VectorState, prefix: Sequence[int], pk: int) -> bool:
+    """Under lex, whether a lo-order prefix whose largest hi equals lo(pk) is
+    still not surely below pk: a prefix member with a larger index than pk
+    needs a strict separation, which fails iff both areas attain the shared
+    value."""
+    lo_pk, hi = s.lo[pk], s.hi
+    return s.attains_lo(pk) and any(
+        i > pk and hi[i] == lo_pk and s.attains_hi(i) for i in prefix)
 
 
 def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -> List[int]:
-    picked = _first_nonpoints(ordering, lo, hi, 2)
+    picked = list(islice((i for i in ordering if lo[i] != hi[i]), 2))
     if not picked:
         raise ValueError("no queriable area available for a witness set")
     return picked
@@ -132,30 +133,35 @@ def kmin_witness(
     problem reduces to 1-Min on the rest.  Otherwise pair the k-th head with
     the member of the prefix having the largest u value.
 
-    The separation test is O(k): every prefix area is surely at most every
-    tail area iff max(hi over the prefix) <= min(lo over the tail), and the
-    smallest lo of the tail is its head's.  An empty prefix is separated.
+    "Surely below" is kmin_verifier's separation: non-strict, but strict
+    under lex against a tail area with a smaller index.  The test is O(k):
+    max(hi over the prefix) <= lo(pk), the tail's smallest lo, and under lex
+    no _lex_blocked tie with pk, which any blocked tail area would share.
+    An empty prefix is separated.
     """
     s = _state(areas, tie_rule)
     order, lo, hi = s.order, s.lo, s.hi
     if k > 1:
         pk = order[k - 1]
-        q1 = _max_u(s, order[: k - 1], tie_rule)
-        if hi[q1] > lo[pk]:
+        prefix = order[: k - 1]
+        q1 = _max_u(s, prefix, tie_rule)
+        top = hi[q1]
+        if top > lo[pk] or (
+            tie_rule is TieRule.LEX and top == lo[pk] and _lex_blocked(s, prefix, pk)
+        ):
             # Not separated.  q1 is never a point: hi(q1) > lo(pk) >= lo(q1),
-            # since the prefix precedes pk in lo order.  Only pk can be one,
-            # so the pair always holds a queriable area.
+            # since the prefix precedes pk in lo order, or else q1 blocks pk
+            # (_max_u takes an attaining member, then the larger index), and
+            # a point blocker would follow pk in lex lo order.  Only pk can
+            # be a point, so the pair always holds a queriable area.
             return [q1] if lo[pk] == hi[pk] else [pk, q1]
     return _two_heads(islice(order, k - 1, None), lo, hi)
 
 
 def min1_bypass_witness(areas: AreaVector) -> List[int]:
-    """Singleton lo-order head; additive (OPT+1) guarantee, OP-P only."""
-    s = _state(areas, TieRule.STABLE)
-    picked = _first_nonpoints(s.order, s.lo, s.hi, 1)
-    if not picked:
-        raise ValueError("no queriable area available")
-    return picked
+    """The lo-order head, the k-Min bypass at k = 1; additive (OPT+1)
+    guarantee, OP-P only."""
+    return kmin_bypass_witness(areas, 1)
 
 
 def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
@@ -241,15 +247,14 @@ def _witness(name: str, k: int, tie: TieRule, states: dict):
     """The named strategy's witness chooser.  It looks its rule up by name
     on every call, so a rule rebound on this module is the one that runs."""
     state, stable = states[tie], states[TieRule.STABLE]
-    if name.endswith(("-witness", "-lex")):  # a min1 name has k = 1
+    # A min1 name has k = 1 and runs the kmin rule of its family.
+    if name.endswith(("-witness", "-lex")):
         return lambda areas: kmin_witness(state.update(areas), k, tie)
-    if name == "min1-bypass":
-        return lambda areas: min1_bypass_witness(stable.update(areas))
-    if name == "kmin-bypass":
+    if name.endswith("-bypass"):
         return lambda areas: kmin_bypass_witness(stable.update(areas), k)
-    # opop-alternate: the bypass of its family and the witness pair in turn.
-    bypass = _witness("min1-bypass" if k == 1 else "kmin-bypass", k, tie, states)
-    return AlternatingWitness(bypass, _witness("kmin-witness", k, tie, states))
+    # opop-alternate: the bypass and the witness pair in turn.
+    return AlternatingWitness(_witness("kmin-bypass", k, tie, states),
+                              _witness("kmin-witness", k, tie, states))
 
 
 def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:

@@ -247,28 +247,23 @@ def reference_order_u(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
     return sorted(idx, key=lambda i: (areas[i].hi, 1 if areas[i].attains_hi else 0, i))
 
 
-def _reference_before_ok(candidate, competitor, areas, tie_rule) -> bool:
-    a, b = areas[competitor], areas[candidate]
-    if tie_rule is TieRule.LEX and competitor > candidate:
-        return surely_lt(a, b)
-    return surely_leq(a, b)
-
-
-def _reference_after_ok(candidate, competitor, areas, tie_rule) -> bool:
-    a, b = areas[candidate], areas[competitor]
-    if tie_rule is TieRule.LEX and competitor < candidate:
-        return surely_lt(a, b)
-    return surely_leq(a, b)
+def reference_surely_before(i, j, areas, tie_rule=TieRule.STABLE) -> bool:
+    """Area i surely comes before area j, as kmin_verifier's docstring
+    defines it: a non-strict separation, except that under lex an area
+    with the larger index needs a strict one."""
+    if tie_rule is TieRule.LEX and i > j:
+        return surely_lt(areas[i], areas[j])
+    return surely_leq(areas[i], areas[j])
 
 
 def reference_kmin_verifier(areas, k, tie_rule=TieRule.STABLE) -> Optional[int]:
     order = reference_order_l(areas, None, tie_rule)
     pk = order[k - 1]
     for i in order[: k - 1]:
-        if not _reference_before_ok(pk, i, areas, tie_rule):
+        if not reference_surely_before(i, pk, areas, tie_rule):
             return None
     for j in order[k:]:
-        if not _reference_after_ok(pk, j, areas, tie_rule):
+        if not reference_surely_before(pk, j, areas, tie_rule):
             return None
     return pk
 
@@ -295,7 +290,7 @@ def reference_kmin_witness(areas, k, tie_rule=TieRule.STABLE) -> List[int]:
     prefix = order[: k - 1]
     tail = order[k - 1 :]
     pk = tail[0]
-    if all(surely_leq(areas[i], areas[j]) for i in prefix for j in tail):
+    if all(reference_surely_before(i, j, areas, tie_rule) for i in prefix for j in tail):
         return reference_min1_witness(areas, tie_rule, subset=tail)
     q1 = reference_order_u(areas, prefix, tie_rule)[-1]
     picked = [i for i in (pk, q1) if not areas[i].is_point]

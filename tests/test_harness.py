@@ -17,6 +17,7 @@ from uncquery.harness import (
     BOUNDS,
     CSV_COLUMNS,
     ConfigError,
+    EXIT_BOUND_VIOLATED,
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     ExperimentConfig,
@@ -601,6 +602,64 @@ class TestCli:
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: malformed instance JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("breakage, oracle, message", [
+        (lambda data: data["problem"].update(type="graph"), "ground:exact",
+         "unknown problem type 'graph'"),
+        (_as_graph(lambda data: data["problem"]["edges"][0].update(v=99)), "ground:exact",
+         "edge endpoint out of range"),
+        (lambda data: data["problem"].update(k=5), "ground:exact",
+         "invalid instance: k=5 out of range for n=4"),
+        (lambda data: data["areas"][0].update(kind="blob"), "ground:exact",
+         "unknown area kind 'blob'"),
+        (lambda data: None, "adversary:nope",
+         "unknown adversary 'nope'; known: " + ", ".join(FIXTURE_BUILDERS)),
+    ], ids=["unknown-problem-type", "edge-endpoint-out-of-range", "k-above-n",
+            "unknown-area-kind", "unknown-adversary"])
+    def test_refused_input_exit_code(self, tmp_path, capsys, breakage, oracle, message):
+        data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
+        breakage(data)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(inst_path), "--oracle", oracle]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_lex_blocked_prefix_solves_in_opt_queries(self, tmp_path, capsys):
+        """Point 5 and closed [0, 5] at k = 2 under lex: the prefix {2} is
+        not surely below area 1, since it would tie at 5 with the larger
+        index.  The witness pair queries area 2 and stops, as OPT does."""
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({
+            "model": {"input": "CP", "returns": "P"},
+            "problem": {"type": "kmin", "k": 2, "tie_rule": "lex"},
+            "areas": [{"kind": "point", "value": "5"},
+                      {"kind": "closed", "lo": "0", "hi": "5"}],
+            "hidden": ["5", "3"],
+        }))
+        assert main(["opt", "--instance", str(inst_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["opt"] == 1
+        for algorithm in ("kmin-lex", "kmin-witness"):
+            assert main(["solve", "--instance", str(inst_path),
+                         "--algorithm", algorithm]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert (report["status"], report["counts"], report["answer"]) == ("solved", {"2": 1}, 1)
+
+    @pytest.mark.parametrize("config, status", [
+        ({"algorithm": "min1-witness", "model": "OP-P", "budget": 1}, "budget-exceeded"),
+        ({"algorithm": "min1-witness", "model": "OP-P", "max_total": 0}, "opt-unbounded"),
+        ({"algorithm": "kmin-witness", "model": "CP-P", "oracle": "adversary:cp-anomaly"},
+         "bound-violated"),
+    ], ids=["budget-exceeded", "opt-unbounded", "bound-violated"])
+    def test_compete_trial_status_exit_code(self, tmp_path, capsys, config, status):
+        # The cp-anomaly adversary makes kmin-witness query all 4 areas,
+        # against the fixture's OPT of 1.
+        out = tmp_path / "report.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": "ground:exact", "trials": 1, "n": 4,
+                                        "seed": 1, "out": str(out), **config}))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_BOUND_VIOLATED
+        assert json.loads(capsys.readouterr().out)["violations"] == 1
+        assert out.read_text().splitlines()[1].split(",")[-1] == status
 
     @pytest.mark.parametrize("name, algorithm", [
         ("min-tight", "min1-witness"), ("kmin-point", "kmin-witness"),

@@ -273,13 +273,6 @@ class TestKMinPointAdversary:
         assert adv.respond(1, 1, Area.open(0, 5)) == Area.point(1)
         assert adv.respond(2, 1, Area.open(0, 5)) == Area.point(4)
 
-    def test_interval_return_variant(self):
-        adv = KMinPointAdversary(3, point_returns=False)
-        adv.respond(0, 1, Area.open(0, 5))
-        adv.respond(1, 1, Area.open(0, 5))
-        out = adv.respond(2, 1, Area.open(0, 5))
-        assert out == Area.open(Fraction(7, 2), Fraction(9, 2))
-
     def test_point_area_query_rejected(self):
         adv = KMinPointAdversary(2)
         with pytest.raises(OracleError):

@@ -2,9 +2,10 @@
 realization sampling and the frozen step-through examples."""
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,13 +19,16 @@ from helpers import (
     reference_min1_witness,
     reference_order_l,
     reference_order_u,
+    reference_surely_before,
     refinement_runs,
     verifier_answer_sound,
 )
-from uncquery.core import Area, TieRule, VectorState, surely_leq
+from uncquery.core import Area, TieRule, VectorState
 from uncquery.engine import solve
 from uncquery.harness import GenParams, build_oracle, generate_instance
-from uncquery.models import ModelSpec
+from uncquery.models import ModelSpec, TypeSet
+from uncquery.optbrute import minimal_solutions, witness_check
+from uncquery.oracles import ExactPolicy, GroundTruthOracle
 from uncquery.selection import (
     STRATEGY_NAMES,
     Objective,
@@ -110,6 +114,14 @@ class TestKminWitness:
         vec = [O(2, 6), O(5, 8), O(9, 11)]
         assert kmin_witness(vec, 1) == min1_witness(vec)
 
+    def test_lex_prefix_touching_a_larger_index_is_not_separated(self):
+        # The verifier's lex block (TestKminVerifier) holds for the chooser
+        # too: the prefix {1} is not surely below 0, so the pair is (pk, q1),
+        # or q1 alone beside a point pk, and not the heads of the tail.
+        assert kmin_witness([C(5, 10), C(0, 5)], 2, TieRule.LEX) == [0, 1]
+        assert kmin_witness([Area.point(5), C(0, 5)], 2, TieRule.LEX) == [1]
+        assert kmin_witness([C(5, 10), C(0, 5)], 2, TieRule.STABLE) == [0]
+
 
 class TestBypassWitnesses:
     def test_min1_head(self):
@@ -185,8 +197,6 @@ def test_verifier_sound_on_sampled_realizations(vec, k, tie):
 
 
 def _grid_specs():
-    from itertools import product
-
     return [
         (Fraction(lo), Fraction(length), kind)
         for lo, length, kind in product((0, 1, 2), (1, 2), "poc")
@@ -204,8 +214,6 @@ def _mk(lo, length, kind):
 def test_lex_verifier_complete_on_grid():
     """When the lex verifier declines, no index is a valid answer in every
     sampled realization.  Exhaustive over a small point/open/closed grid."""
-    from itertools import product
-
     specs = _grid_specs()
     for combo in product(specs, repeat=2):
         vec = [_mk(*s) for s in combo]
@@ -224,8 +232,6 @@ def test_stable_verifier_complete_with_distinct_lower_bounds():
     """The stable verifier anchors at the lo-order head, so its completeness
     claim holds when lower bounds are pairwise distinct: an undecided head is
     invalid in some sampled realization."""
-    from itertools import product
-
     from uncquery.core import order_l
 
     specs = _grid_specs()
@@ -286,9 +292,60 @@ def test_unseparated_max_u_member_is_never_a_point(vec, tie):
     order = reference_order_l(vec, None, tie)
     for cut in range(1, len(vec)):
         prefix, rest = order[:cut], order[cut:]
-        if all(surely_leq(vec[i], vec[j]) for i in prefix for j in rest):
+        if all(reference_surely_before(i, j, vec, tie) for i in prefix for j in rest):
             continue
         assert not vec[reference_order_u(vec, prefix, tie)[-1]].is_point
+
+
+@st.composite
+def witness_pair_cases(draw):
+    """A witness-pair strategy with its tie rule and objective, 2 to 5 areas
+    on an integer grid, hidden values on the half-integer grid inside them,
+    and a k.  Under lex the areas are of the OCP or CP input types, so
+    closed endpoints touch points and one another.  Under the stable rule
+    they are open intervals and points: with closed areas a query can reveal
+    a value that another area may tie, which under the stable rule decides
+    at once (the closed-interval anomaly of criterion 6, which lex repairs)."""
+    name = draw(st.sampled_from(("kmin-witness", "kmin-lex", "min1-witness", "min1-lex")))
+    tie = TieRule.LEX if name.endswith("-lex") else draw(st.sampled_from(list(TieRule)))
+    if tie is TieRule.LEX:
+        kinds = draw(st.sampled_from((("open", "closed", "point"), ("closed", "point"))))
+    else:
+        kinds = ("open", "point")
+    areas, hidden = [], []
+    for _ in range(draw(st.integers(2, 5))):
+        kind, lo = draw(st.sampled_from(kinds)), draw(st.integers(0, 4))
+        if kind == "point":
+            area = Area.point(lo)
+        else:
+            hi = draw(st.integers(lo + 1, 5))
+            area = O(lo, hi) if kind == "open" else C(lo, hi)
+        areas.append(area)
+        hidden.append(draw(st.sampled_from(
+            [v for v in (Fraction(h, 2) for h in range(2 * lo, 11)) if area.contains_value(v)])))
+    k = 1 if name.startswith("min1") else draw(st.integers(1, len(areas)))
+    problem = SelectionProblem(k, draw(st.sampled_from(list(Objective))), tie)
+    return name, problem, areas, hidden
+
+
+@settings(max_examples=600, deadline=None)
+@given(witness_pair_cases())
+@example(("kmin-lex", SelectionProblem(2, tie_rule=TieRule.LEX),
+          [Area.point(5), C(0, 5)], [Fraction(5), Fraction(3)]))
+def test_witness_pair_meets_every_minimal_solution(case):
+    """The 2·OPT argument: at every state of exact reveals where a
+    witness-pair strategy's verifier answers None, the set its chooser
+    returns meets every minimal solution from that state."""
+    name, problem, areas, hidden = case
+    strategy, search = make_strategy(name, problem), make_strategy(name, problem)
+    oracle = GroundTruthOracle(ExactPolicy(), hidden, TypeSet.parse("P"))
+    for revealed in product((False, True), repeat=len(areas)):
+        state = [Area.point(h) if r else a for a, h, r in zip(areas, hidden, revealed)]
+        if strategy.verifier(state) is not None:
+            continue
+        solutions = minimal_solutions(state, oracle, search.verifier, len(areas))
+        assert witness_check(strategy.witness(state), solutions), (
+            [str(a) for a in state], solutions)
 
 
 def _from_scratch_witness(name, vec, k, tie):
