@@ -45,6 +45,19 @@ from operator import attrgetter, is_not
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 
+def _plain_ratio(text):
+    """(p, q) of a plain ASCII 'p/q' or integer text, the canonical form
+    format_rational writes, q possibly 0; None for any other value."""
+    if type(text) is str and text.isascii():
+        num, slash, den = text.partition("/")
+        if num.isdigit() or num[:1] == "-" and num[1:].isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                return int(num), int(den)
+    return None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal notation into an exact rational.
 
@@ -60,17 +73,14 @@ def parse_rational(text: str) -> Fraction:
     applies the bound itself; everything else goes through Fraction's own
     parser.
     """
+    ratio = _plain_ratio(text)
+    if ratio is not None:
+        return Fraction(*ratio)
     text = str(text).strip()
-    num, slash, den = text.partition("/")
-    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
-        if not slash:
-            return Fraction(int(num))
-        if den.isdigit():
-            return Fraction(int(num), int(den))
     mantissa, e, exponent = text.lower().partition("e")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     try:
-        digits = 0 if slash else sum(map(str.isdigit, mantissa)) + (abs(int(exponent)) if e else 0)
+        digits = 0 if "/" in text else sum(map(str.isdigit, mantissa)) + (abs(int(exponent)) if e else 0)
     except ValueError:  # a malformed exponent; Fraction judges the text
         digits = 0
     if digits > limit:
@@ -88,9 +98,78 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+class Rationals(Sequence):
+    """An immutable sequence of exact rationals that equals and hashes like
+    the tuple of its Fractions.  Built from Rationals it is that object;
+    from other values it coerces each as as_fraction does.  Built by `parse`
+    it holds integer pairs and builds a value's Fraction when its index is
+    first read, so a solve builds Fractions only for the hidden values its
+    queries reveal."""
+
+    __slots__ = ("_ratios", "_values")
+
+    def __new__(cls, values: Iterable = ()) -> "Rationals":
+        if type(values) is cls:
+            return values
+        self = object.__new__(cls)
+        self._ratios, self._values = None, list(map(as_fraction, values))
+        return self
+
+    @classmethod
+    def parse(cls, texts: Iterable) -> "Rationals":
+        """The values parse_rational reads from `texts`.  A plain 'p/q' or
+        integer text with q nonzero is kept as its integers; every other
+        text is parsed at once, so a bad one raises here as parse_rational
+        does."""
+        ratios = []
+        for text in texts:
+            ratio = _plain_ratio(text)
+            ratios.append(ratio if ratio and ratio[1] else parse_rational(text).as_integer_ratio())
+        self = object.__new__(cls)
+        self._ratios, self._values = ratios, [None] * len(ratios)
+        return self
+
+    def ratios(self) -> Iterable[Tuple[int, int]]:
+        """Each value as (p, q), q > 0 and not necessarily in lowest terms,
+        without building a Fraction."""
+        if self._ratios is None:
+            return map(Fraction.as_integer_ratio, self._values)
+        return iter(self._ratios)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        value = self._values[index]
+        if value is None:
+            value = self._values[index] = Fraction(*self._ratios[index])
+        return value
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._values)))
+
+    def __eq__(self, other):
+        if isinstance(other, Rationals):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({tuple(self)!r})"
+
+
 class EndpointKind(Enum):
     OPEN = "open"
     CLOSED = "closed"
+
+
+# Loading a member off an Enum class costs a Python-level lookup; the area
+# code, run once per area read or built, loads these instead.
+_OPEN, _CLOSED = EndpointKind.OPEN, EndpointKind.CLOSED
 
 
 class TieRule(Enum):
@@ -124,7 +203,7 @@ class Area:
         if width < 0:
             raise ValueError(f"empty area: lo={lo} > hi={hi}")
         if width == 0 and (
-            lo_kind is not EndpointKind.CLOSED or hi_kind is not EndpointKind.CLOSED
+            lo_kind is not _CLOSED or hi_kind is not _CLOSED
         ):
             raise ValueError("a degenerate area is a point and must be closed at both ends")
         _set_lo(self, lo)
@@ -164,36 +243,39 @@ class Area:
     @staticmethod
     def point(value) -> "Area":
         v = as_fraction(value)
-        return Area(v, v, EndpointKind.CLOSED, EndpointKind.CLOSED)
+        return Area(v, v, _CLOSED, _CLOSED)
 
     @staticmethod
     def open(lo, hi) -> "Area":
-        return Area(lo, hi, EndpointKind.OPEN, EndpointKind.OPEN)
+        return Area(lo, hi, _OPEN, _OPEN)
 
     @staticmethod
     def closed(lo, hi) -> "Area":
-        return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
+        return Area(lo, hi, _CLOSED, _CLOSED)
 
     @property
     def attains_lo(self) -> bool:
-        return self.lo_kind is EndpointKind.CLOSED
+        return self.lo_kind is _CLOSED
 
     @property
     def attains_hi(self) -> bool:
-        return self.hi_kind is EndpointKind.CLOSED
+        return self.hi_kind is _CLOSED
 
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
     def contains_value(self, x) -> bool:
-        a, b = as_fraction(x).as_integer_ratio()
+        return self.contains_ratio(*as_fraction(x).as_integer_ratio())
+
+    def contains_ratio(self, a: int, b: int) -> bool:
+        """contains_value of a/b, for b > 0, decided on integers."""
         p, q = self.lo.as_integer_ratio()
         r, s = self.hi.as_integer_ratio()
         above_lo = a * q - p * b  # sign of x - lo
         below_hi = r * b - a * s  # sign of hi - x
-        return (above_lo > 0 or (above_lo == 0 and self.lo_kind is EndpointKind.CLOSED)) and (
-            below_hi > 0 or (below_hi == 0 and self.hi_kind is EndpointKind.CLOSED)
+        return (above_lo > 0 or (above_lo == 0 and self.lo_kind is _CLOSED)) and (
+            below_hi > 0 or (below_hi == 0 and self.hi_kind is _CLOSED)
         )
 
     def __str__(self) -> str:
@@ -206,9 +288,9 @@ class Area:
     def to_json(self) -> dict:
         if self.is_point:
             return {"kind": "point", "value": format_rational(self.lo)}
-        if self.lo_kind is EndpointKind.OPEN and self.hi_kind is EndpointKind.OPEN:
+        if self.lo_kind is _OPEN and self.hi_kind is _OPEN:
             kind = "open"
-        elif self.lo_kind is EndpointKind.CLOSED and self.hi_kind is EndpointKind.CLOSED:
+        elif self.lo_kind is _CLOSED and self.hi_kind is _CLOSED:
             kind = "closed"
         else:
             kind = "mixed"
@@ -225,13 +307,13 @@ class Area:
         kind = data["kind"]
         if kind == "point":
             lo = hi = parse(data["value"])
-            return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
+            return Area(lo, hi, _CLOSED, _CLOSED)
         lo = parse(data["lo"])
         hi = parse(data["hi"])
         if kind == "open":
-            return Area(lo, hi, EndpointKind.OPEN, EndpointKind.OPEN)
+            return Area(lo, hi, _OPEN, _OPEN)
         if kind == "closed":
-            return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.CLOSED)
+            return Area(lo, hi, _CLOSED, _CLOSED)
         if kind == "mixed":
             return Area(lo, hi, EndpointKind(data["lo_kind"]), EndpointKind(data["hi_kind"]))
         raise ValueError(f"unknown area kind {kind!r}")
@@ -411,7 +493,7 @@ class VectorState:
         self.lo, self.hi = lo, hi
         if self.tie_rule is TieRule.LEX:
             kinds = map(attrgetter("hi_kind" if self.mirror else "lo_kind"), self.areas)
-            self.rank = [2 * v + (kind is not EndpointKind.CLOSED) for v, kind in zip(lo, kinds)]
+            self.rank = [2 * v + (kind is not _CLOSED) for v, kind in zip(lo, kinds)]
         else:
             self.rank = lo
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, TieRule, format_rational, parse_rational
+from .core import Area, Rationals, TieRule, format_rational, parse_rational
 from .engine import Algorithm, EngineError, RunStatus, default_budget, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
@@ -114,9 +114,10 @@ def instance_from_json(data: dict) -> UncertainInstance:
 
 
 def _parse_instance(data: dict) -> UncertainInstance:
-    # Endpoint texts repeat across areas and hidden values; each distinct
-    # text is parsed once and its Fraction shared, which is safe because
-    # Fractions are immutable.  Other JSON values go to parse_rational as is.
+    # Endpoint texts repeat across areas; each distinct text is parsed once
+    # and its Fraction shared, which is safe because Fractions are
+    # immutable.  Other JSON values go to parse_rational as is.  Hidden
+    # values stay integer pairs until a query reveals them.
     parsed: dict = {}
 
     def parse(text) -> Fraction:
@@ -146,9 +147,9 @@ def _parse_instance(data: dict) -> UncertainInstance:
             areas = tuple(Area.from_json(e["weight"], parse) for e in pjson["edges"])
     else:
         raise ConfigError(f"unknown problem type {pjson['type']!r}")
-    hidden = None
-    if data.get("hidden") is not None:
-        hidden = tuple(map(parse, data["hidden"]))
+    hidden = data.get("hidden")
+    if hidden is not None:
+        hidden = Rationals.parse(hidden)
     return UncertainInstance(model=model, areas=areas, problem=problem, hidden=hidden)
 
 

@@ -5,23 +5,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Tuple
 
-from .core import Area, EndpointKind, as_fraction, contains
+from .core import Area, EndpointKind, Rationals, contains
 
 SHAPE_ORDER = "OCP"
 
 
+# The shape letter of an area by (lo closed, hi closed, is point); a
+# half-open area has none.  The kinds enter as flags because an enum member
+# hashes in Python and a bool does not.
+_SHAPES = {(False, False, False): "O", (True, True, False): "C", (True, True, True): "P"}
+_CLOSED = EndpointKind.CLOSED
+
+
 def area_shape(area: Area) -> Optional[str]:
     """'P' point, 'O' open interval, 'C' closed interval, None for half-open."""
-    if area.is_point:
-        return "P"
-    if area.lo_kind is EndpointKind.OPEN and area.hi_kind is EndpointKind.OPEN:
-        return "O"
-    if area.lo_kind is EndpointKind.CLOSED and area.hi_kind is EndpointKind.CLOSED:
-        return "C"
-    return None
+    return _SHAPES.get((area.lo_kind is _CLOSED, area.hi_kind is _CLOSED, area.is_point))
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class TypeSet:
         return letter in self.letters
 
     def admits(self, area: Area) -> bool:
-        shape = area_shape(area)
-        return shape is not None and shape in self.letters
+        return area_shape(area) in self.letters
 
     def __str__(self) -> str:
         return "".join(c for c in SHAPE_ORDER if c in self.letters)
@@ -111,17 +110,18 @@ def classify_model(spec: ModelSpec) -> ModelCategory:
 @dataclass(frozen=True)
 class UncertainInstance:
     """Ordered areas plus the problem they feed and an optional hidden
-    configuration (the true values, one per area)."""
+    configuration (the true values, one per area), kept as Rationals, which
+    build a value's Fraction only when it is read."""
 
     model: ModelSpec
     areas: Tuple[Area, ...]
     problem: object
-    hidden: Optional[Tuple[Fraction, ...]] = None
+    hidden: Optional[Rationals] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "areas", tuple(self.areas))
         if self.hidden is not None:
-            object.__setattr__(self, "hidden", tuple(map(as_fraction, self.hidden)))
+            object.__setattr__(self, "hidden", Rationals(self.hidden))
 
 
 def validate_instance(instance: UncertainInstance) -> Optional[str]:
@@ -135,17 +135,19 @@ def validate_instance(instance: UncertainInstance) -> Optional[str]:
         instance.problem.validate(len(instance.areas))
     except ValueError as exc:
         return str(exc)
+    letters = instance.model.input.letters
     for i, area in enumerate(instance.areas):
-        if not instance.model.input.admits(area):
-            shape = area_shape(area)
+        shape = area_shape(area)
+        if shape not in letters:
             return (f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
                     f"type set {instance.model.input}")
-    if instance.hidden is not None:
-        if len(instance.hidden) != len(instance.areas):
+    hidden = instance.hidden
+    if hidden is not None:
+        if len(hidden) != len(instance.areas):
             return "hidden configuration length differs from areas"
-        for area, value in zip(instance.areas, instance.hidden):
-            if not area.contains_value(value):
-                return f"hidden value {value} outside area {area}"
+        for i, (area, (p, q)) in enumerate(zip(instance.areas, hidden.ratios())):
+            if not area.contains_ratio(p, q):
+                return f"hidden value {hidden[i]} outside area {area}"
     return None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, EndpointKind, TieRule, as_fraction
+from .core import Area, EndpointKind, Rationals, TieRule, as_fraction
 from .models import ModelSpec, TypeSet, UncertainInstance
 from .selection import SelectionProblem
 
@@ -126,7 +126,7 @@ def ground_truth_respond(
 class GroundTruthOracle(Oracle):
     def __init__(self, policy, hidden: Sequence, returns: TypeSet):
         self.policy = policy
-        self.hidden = tuple(map(as_fraction, hidden))
+        self.hidden = Rationals(hidden)
         self.returns = returns
 
     @staticmethod

@@ -293,18 +293,9 @@ def reference_kmin_witness(areas, k, tie_rule=TieRule.STABLE) -> List[int]:
     if all(reference_surely_before(i, j, areas, tie_rule) for i in prefix for j in tail):
         return reference_min1_witness(areas, tie_rule, subset=tail)
     q1 = reference_order_u(areas, prefix, tie_rule)[-1]
-    picked = [i for i in (pk, q1) if not areas[i].is_point]
-    if len(picked) < 1:
-        blockers = [
-            i
-            for i in order
-            if not areas[i].is_point
-            and (not surely_leq(areas[i], areas[pk]) or not surely_leq(areas[pk], areas[i]))
-        ]
-        picked = blockers[:2] or _reference_first_nonpoints(areas, order, 2)
-    if not picked:
-        raise ValueError("no queriable area available for a witness set")
-    return picked
+    # q1 is an interval here (test_unseparated_max_u_member_is_never_a_point),
+    # so the pair is never empty.
+    return [i for i in (pk, q1) if not areas[i].is_point]
 
 
 def reference_kmin_bypass_witness(areas, k) -> List[int]:

@@ -23,6 +23,7 @@ from helpers import (
 from uncquery.core import (
     Area,
     EndpointKind,
+    Rationals,
     TieRule,
     VectorState,
     contains,
@@ -71,17 +72,59 @@ def _bounded_fraction(text):
     return value
 
 
+def _parsed_item(text):
+    """The value Rationals.parse reads from `text`, as _parsed gives it."""
+    return _parsed(lambda t: Rationals.parse([t])[0], text)
+
+
 def test_parse_rational_accepts_what_fraction_does():
     # The fast path takes plain ASCII p/q and integers; every other text,
     # including fullwidth and Arabic-Indic digits, is Fraction's to judge.
     for text in PARSE_CASES:
         assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text), text
+        assert _parsed_item(text) == _parsed(parse_rational, text), text
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789-+/._e \uff11", max_size=7))
 def test_parse_rational_matches_fraction_on_any_text(text):
     assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text)
+    assert _parsed_item(text) == _parsed(parse_rational, text)
+
+
+@pytest.mark.parametrize("text", ["2/4", "-0/5", "03/4", "+3/4", " 3/4", "1_000/3",
+                                  "\u0663/4", "1e3", "0.5"])
+def test_parsed_rationals_read_what_parse_rational_does(text):
+    """Rationals.parse keeps a plain text as its integers and parses every
+    other one at once; either way an item reads as parse_rational's value."""
+    parsed = Rationals.parse([text, "7"])
+    assert parsed[0] == parse_rational(text) and type(parsed[0]) is Fraction
+    assert parsed == (parse_rational(text), Fraction(7))
+
+
+class TestRationals:
+    def test_items_equal_and_hash_like_the_tuple_of_fractions(self):
+        plain = (Fraction(1, 2), Fraction(-3), Fraction(7, 4))
+        for values in (Rationals(plain), Rationals([Fraction(1, 2), -3, "7/4"]),
+                       Rationals.parse(["2/4", "-3", " 7/4 "])):
+            assert values == plain and plain == values and hash(values) == hash(plain)
+            assert values == Rationals(plain) and values != list(plain)
+            assert len(values) == 3 and list(values) == list(plain)
+            assert values[-1] == plain[-1] and values[1:] == plain[1:]
+            assert repr(values) == f"Rationals({plain!r})"
+            with pytest.raises(IndexError):
+                values[3]
+
+    def test_built_from_rationals_is_that_object(self):
+        parsed = Rationals.parse(["1/3"])
+        assert Rationals(parsed) is parsed
+
+    def test_copy_deepcopy_and_pickle_keep_the_values(self):
+        plain = (Fraction(1, 2), Fraction(3))
+        for values in (Rationals(plain), Rationals.parse(["1/2", "6/2"])):
+            for twin in (copy.copy(values), copy.deepcopy(values),
+                         pickle.loads(pickle.dumps(values))):
+                assert twin == plain and hash(twin) == hash(plain)
 
 
 @pytest.mark.parametrize("text, value", [

@@ -1,7 +1,9 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
+import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,6 +37,7 @@ from uncquery.harness import (
     instance_to_json,
     main,
     report_emit,
+    run_algorithm,
     run_trial,
     trial_instance,
 )
@@ -184,6 +187,26 @@ class TestInstanceJson:
         assert inst.hidden == (half, half, thousand, Fraction(3), one)
         assert all(type(v) is Fraction for a in inst.areas for v in (a.lo, a.hi))
         assert validate_instance(inst) == "hidden value 1/2 outside area (1/2, 1000)"
+
+    def test_parsed_hidden_values_build_fractions_only_where_revealed(self):
+        """Parsing and validating keep the hidden values as integer pairs;
+        a ground:exact solve builds the Fraction of each value it reveals
+        and of no other."""
+        made = generate_instance(GenParams(n=60, model=OPP, k=30), 5)
+        inst = instance_from_json(json.loads(json.dumps(instance_to_json(made))))
+        hidden, n = inst.hidden, len(inst.areas)
+        assert validate_instance(inst) is None and hidden._values == [None] * n
+        oracle = build_oracle("ground:exact", inst)
+        report, _, _ = run_algorithm(inst, oracle, None, None)
+        revealed = {i for i, _ in report.query_log}
+        assert oracle.hidden is hidden and 0 < len(revealed) < n
+        assert {i for i, v in enumerate(hidden._values) if v is not None} == revealed
+        plain = tuple(made.hidden)
+        assert all(type(v) is Fraction for v in plain)
+        for twin in (hidden, copy.copy(hidden), copy.deepcopy(hidden),
+                     pickle.loads(pickle.dumps(hidden)), pickle.loads(pickle.dumps(inst)).hidden):
+            assert twin == plain and plain == twin and hash(twin) == hash(plain)
+        assert inst == made and hash(inst) == hash(made)
 
 
 class TestBuildOracle:
@@ -891,6 +914,27 @@ class TestCli:
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "opt"])
+    @pytest.mark.parametrize("value", ["3/0", "3/-4", "abc", [1, 2], None, "1e100000000"],
+                             ids=["zero-denominator", "signed-denominator", "word", "list",
+                                  "null", "huge-exponent"])
+    def test_bad_hidden_value_exits_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                   command, value):
+        """A bad hidden value is refused when the instance is read, with one
+        line, though nothing reads it as a Fraction until a query reveals it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved an instance that should have been refused")
+
+        monkeypatch.setattr("uncquery.harness.solve", refuse)
+        monkeypatch.setattr("uncquery.harness.minimal_solutions", refuse)
+        data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
+        data["hidden"][1] = value
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(data))
+        assert main([command, "--instance", str(inst_path)]) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("spec", ["ground:halveXYZ", "ground:halve:1/2:junk"])
     def test_bad_oracle_spec_exit_code(self, tmp_path, capsys, spec):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_endpoints, grid_vectors, reference_validate_instance
-from uncquery.core import Area, EndpointKind
+from uncquery.core import Area, EndpointKind, Rationals
 from uncquery.models import (
     ModelCategory,
     ModelSpec,
@@ -25,6 +25,7 @@ def test_area_shape():
     assert area_shape(Area.open(1, 2)) == "O"
     assert area_shape(Area.closed(1, 2)) == "C"
     assert area_shape(Area(1, 2, EndpointKind.OPEN, EndpointKind.CLOSED)) is None
+    assert area_shape(Area(1, 2, EndpointKind.CLOSED, EndpointKind.OPEN)) is None
 
 
 class TestTypeSet:
@@ -168,6 +169,14 @@ def test_validate_instance_matches_fraction_reference(areas, letters, data):
         hidden=hidden,
     )
     assert validate_instance(inst) == reference_validate_instance(inst)
+    # The same values read from text, as a parsed instance holds them: plain
+    # 'p/q' in and out of lowest terms, and padded text parse_rational reads.
+    if hidden is not None:
+        texts = [data.draw(st.sampled_from((
+            f"{v.numerator}/{v.denominator}", f"{3 * v.numerator}/{3 * v.denominator}",
+            f" {v.numerator}/{v.denominator} "))) for v in hidden]
+        parsed = UncertainInstance(inst.model, inst.areas, inst.problem, Rationals.parse(texts))
+        assert validate_instance(parsed) == reference_validate_instance(inst)
 
 
 class TestValidateResponse:

@@ -2,6 +2,7 @@
 it targets must still exist where it looks, or a traced run silently loses
 that layer."""
 import ast
+import json
 import runpy
 from dataclasses import fields
 from fractions import Fraction
@@ -12,13 +13,14 @@ from uncquery.core import Area
 from uncquery.engine import solve
 from uncquery.harness import (
     CONFIG_TABLE, ExperimentConfig, GenParams, GraphGenParams, build_oracle,
-    generate_graph_instance, generate_instance, main,
+    generate_graph_instance, generate_instance, instance_from_json, instance_to_json, main,
 )
 from uncquery.models import ModelSpec, UncertainInstance
 from uncquery.selection import STRATEGY_NAMES, SelectionProblem, make_strategy
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
+REFERENCE = ROOT / "bench" / "reference.py"
 
 # Names a package module imports but never reads: the tracer rebinds each at
 # that module, so it must stay importable there.  Each maps to its target.
@@ -38,6 +40,28 @@ def test_tracer_targets_resolve():
         if not callable(vars(obj).get(attr)):
             missing.append(f"{owner}.{attr}")
     assert not missing, f"tracer targets not found: {missing}"
+
+
+def test_bench_reference_reads_generated_and_parsed_hidden_values():
+    """The benchmark's reference answers take `hidden` from a generated
+    instance and from a parsed one, with len, set, indexing and sort keys,
+    and agree with the answers from a plain list of the values."""
+    reference = runpy.run_path(str(REFERENCE))
+    kth_index, kruskal_tree = reference["kth_index"], reference["kruskal_tree"]
+
+    def generated_and_parsed(inst):
+        return inst.hidden, instance_from_json(json.loads(json.dumps(instance_to_json(inst)))).hidden
+
+    model = ModelSpec.parse("OP-P")
+    made = generate_instance(GenParams(n=30, model=model, k=7), 3)
+    plain = list(made.hidden)
+    for hidden in generated_and_parsed(made):
+        for objective in ("kmin", "kmax"):
+            assert kth_index(hidden, 7, objective) == kth_index(plain, 7, objective)
+    graph = generate_graph_instance(GraphGenParams(vertices=8, extra_edges=6, model=model), 3)
+    vertices, edges, plain = graph.problem.vertices, graph.problem.edges, list(graph.hidden)
+    for hidden in generated_and_parsed(graph):
+        assert kruskal_tree(vertices, edges, hidden) == kruskal_tree(vertices, edges, plain)
 
 
 def _package_reads(tree) -> set:
