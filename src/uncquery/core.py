@@ -6,22 +6,29 @@ degenerate closed interval).  Endpoints are exact rationals; there is no
 epsilon anywhere, which is what makes the closed-endpoint tie rules sound.
 
 Hot paths compare integer images instead of Fractions.  A `VectorState`
-scales every lo and hi endpoint of a vector by D, the lcm of all their
-denominators, so each image p·(D/q) is an int.  Scaling by one positive
+scales every lo and hi endpoint of a vector by D, a common multiple of all
+their denominators, so each image p·(D/q) is an int.  Scaling by one positive
 constant preserves order and equality, so any comparison between two
 endpoints of the same vector is exactly the comparison of their images, with
 no floats and no rounding.  Images of different states are not comparable.
 The scaling pays off while the vector has a small common denominator, as
 with halving oracles (powers of two) or decimal inputs.  Many coprime
-denominators make D, and every image, thousands of digits long; above
-SCALE_BITS_LIMIT bits the images are instead the ranks of the values among
-the vector's endpoints, which cost one sort and keep the same exactness.
+denominators make D, and every image, thousands of digits long; once their
+lcm passes SCALE_BITS_LIMIT bits the images are instead the ranks of the
+values among the vector's endpoints, which cost one sort and keep the same
+exactness.
 
 A solve changes one area per query, so a `VectorState` keeps the images of
 the vector it last saw, with the lo ranks and the lo order read from them,
-and patches all three.  Its D only grows between rebuilds: a new denominator
-that does not divide D rescales every image by D'/D.  The selection rules,
-uMST passes and `order_l`/`order_u` all read such a state.
+and patches all three.  A solve of LOG_MIN_AREAS or more areas keeps them
+in a `LoggedVector`, which logs the index of every write, so a state handed
+the same vector again reads the indices written since its last call instead
+of comparing all n entries.  A rebuild takes D as the exact lcm.  Between rebuilds D only
+grows: a new denominator that does not divide D rescales every image by
+D'/D, and D' takes powers of the missing factor past the lcm, up to
+HEADROOM_BITS, so that the next denominators of the same kind (a halving
+oracle's next power of two) divide it and rescale nothing.  The selection
+rules, uMST passes and `order_l`/`order_u` all read such a state.
 
 A vector may bring its own images: an `ImagedVector` carries images taken
 over any superset of its areas, scaled or ranked, which order its own
@@ -31,7 +38,7 @@ imaging the areas again; the OPT search hands its verifier these.
 An `Area` is a slotted immutable value.  Its constructor coerces the
 endpoints to Fraction, refuses an empty area, and fixes `is_point` once, so
 the solvers' many point checks are attribute loads.  Every function is pure;
-a `VectorState` is the one object that changes.
+a `VectorState` and a solve's `LoggedVector` are the objects that change.
 """
 from __future__ import annotations
 
@@ -41,8 +48,8 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, is_not
-from typing import Callable, Iterable, List, Sequence, Tuple
+from operator import attrgetter, index, is_not
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 def _plain_ratio(text):
@@ -361,9 +368,53 @@ def surely_lt(a: Area, b: Area) -> bool:
 # the two cost the same near 4000 bits.
 SCALE_BITS_LIMIT = 1024
 
+# A patch that needs a new factor in D takes powers of it past the exact lcm,
+# so that later denominators with the same factor find it there, but never
+# past this size: well below SCALE_BITS_LIMIT, so the headroom alone cannot
+# send a vector to ranks (a patch past the limit rebuilds at the exact lcm).
+HEADROOM_BITS = SCALE_BITS_LIMIT // 4
+
+# A solve keeps its areas in a LoggedVector from this many areas on.  Below
+# it the identity scan, one C-level pass over the entries, costs less than
+# logging each write and reading the log back in Python.
+LOG_MIN_AREAS = 64
+
 # VectorState.update patches only the changed entries while at most one in
 # this many changed; past that a rebuild costs about as much as the patch.
 REBUILD_SHARE = 4
+
+
+class LoggedVector(list):
+    """A list of areas that appends the index of every item assignment to
+    `writes`, so a `VectorState` that last read it at some length of the
+    log finds the entries written since without comparing the others.  It
+    changes only by assignment to one entry: slice assignment and every
+    mutator that could move or drop entries raise TypeError, since they
+    would change entries the log does not name."""
+
+    __slots__ = ("writes",)
+
+    def __init__(self, areas: Iterable[Area] = ()) -> None:
+        super().__init__(areas)
+        self.writes: List[int] = []
+
+    def __setitem__(self, i: int, area: Area) -> None:
+        i = index(i)  # a slice raises TypeError here
+        if i < 0:
+            i += len(self)
+        list.__setitem__(self, i, area)
+        self.writes.append(i)
+
+
+def _unlogged(name: str):
+    def refuse(self, *args):
+        raise TypeError(f"LoggedVector.{name} would change entries unlogged")
+    return refuse
+
+
+for _name in ("__delitem__", "__iadd__", "__imul__", "append", "extend", "insert",
+              "pop", "remove", "clear", "sort", "reverse"):
+    setattr(LoggedVector, _name, _unlogged(_name))
 
 
 class ImagedVector(list):
@@ -420,17 +471,21 @@ class VectorState:
     """The integer images, lo ranks and lo order of the vector last seen,
     patched from one vector to the next.
 
-    `update` compares the new vector with the last one by identity (areas
-    are immutable, so an unchanged entry is the same object) and keeps the
-    indices whose area changed in `changed`.  Only those are re-imaged,
-    taken out of the lo order and inserted again by bisection.  A new
-    denominator that does not divide D rescales every image by D'/D, which
-    keeps their order.  Everything is rebuilt when the length changed, when
-    more than one entry in REBUILD_SHARE changed, when D would pass
-    SCALE_BITS_LIMIT bits, or while the images are ranks, which cannot be
-    patched.  An `ImagedVector` is always rebuilt from the images it
-    brings, scaled or ranked over whatever superset they were taken from:
-    copying them costs less than a patch.
+    `update` keeps the indices whose area changed since the last vector in
+    `changed`, ascending.  Handed again the `LoggedVector` it read last, it
+    takes them from the indices written since then; handed any other vector
+    it compares each entry with the last one's by identity (areas are
+    immutable, so an unchanged entry is the same object).  Only the changed
+    entries are re-imaged, taken out of the lo order and inserted again by
+    bisection.  A new denominator that does not divide D rescales every
+    image by D'/D, which keeps their order; D' is the lcm times powers of
+    the factor it adds, up to HEADROOM_BITS, so later patches find more of
+    that factor in D.  Everything is rebuilt, at the exact lcm, when the
+    length changed, when more than one entry in REBUILD_SHARE changed, when
+    D would pass SCALE_BITS_LIMIT bits, or while the images are ranks,
+    which cannot be patched.  An `ImagedVector` is always rebuilt from the
+    images it brings, scaled or ranked over whatever superset they were
+    taken from: copying them costs less than a patch.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area does not
@@ -442,7 +497,8 @@ class VectorState:
     the k-min rules answer the k-max question.
     """
 
-    __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed")
+    __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed",
+                 "_log", "_seen")
 
     def __init__(self, tie_rule: TieRule = TieRule.STABLE, mirror: bool = False) -> None:
         self.tie_rule = tie_rule
@@ -454,6 +510,9 @@ class VectorState:
         self.rank: List[int] = []
         self.order: List[int] = []
         self.changed: Sequence[int] = ()
+        # The last vector read if it was a LoggedVector, with `_seen`, how
+        # many of its writes this state has read.
+        self._log: Optional[LoggedVector] = None
 
     def attains_lo(self, i: int) -> bool:
         a = self.areas[i]
@@ -466,12 +525,21 @@ class VectorState:
     def update(self, areas: AreaVector) -> "VectorState":
         """Bring the state up to `areas` and return it."""
         n = len(areas)
-        if n == len(self.areas):
-            self.changed = list(compress(range(n), map(is_not, areas, self.areas)))
+        if areas is self._log:
+            self.changed = self._written(areas) if len(areas.writes) > self._seen else []
             if not self.changed:
                 return self
         else:
-            self.changed = range(n)
+            if type(areas) is LoggedVector:
+                self._log, self._seen = areas, len(areas.writes)
+            elif self._log is not None:
+                self._log = None
+            if n == len(self.areas):
+                self.changed = list(compress(range(n), map(is_not, areas, self.areas)))
+                if not self.changed:
+                    return self
+            else:
+                self.changed = range(n)
         images = getattr(areas, "images", None)
         if images is not None or not (
             self.scale and REBUILD_SHARE * len(self.changed) <= n and self._patch(areas)
@@ -487,6 +555,13 @@ class VectorState:
             # A stable sort of ascending indices breaks rank ties by index.
             self.order = sorted(range(n), key=self.rank.__getitem__)
         return self
+
+    def _written(self, areas: LoggedVector) -> List[int]:
+        """The indices written to `areas`, the vector this state read last,
+        since then, ascending, less those written the same area again."""
+        writes, old = areas.writes, self.areas
+        fresh, self._seen = writes[self._seen:], len(writes)
+        return sorted({i for i in fresh if areas[i] is not old[i]})
 
     def _read(self, lo: List[int], hi: List[int]) -> None:
         """Take these oriented images and rank them."""
@@ -509,6 +584,12 @@ class VectorState:
             order.remove(i)
             self.areas[i] = areas[i]
         if d != self.scale:
+            # Room for more of the new factor: D' takes powers of it until
+            # its bit length doubles, never past HEADROOM_BITS.
+            f = d // self.scale
+            room = min(2 * d.bit_length(), HEADROOM_BITS)
+            while (d * f).bit_length() <= room:
+                d *= f
             f = d // self.scale
             self.scale = d
             self._read([v * f for v in self.lo], [v * f for v in self.hi])

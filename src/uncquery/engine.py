@@ -2,14 +2,20 @@
 repeat.  Strategies plug in a verifier, a witness chooser and the order in
 which a witness set's members are queried; the engine owns budgets, response
 validation, the query counts and the query log.  Selection and the
-uncertain spanning tree (`mst.umst_solve`) both run on it."""
+uncertain spanning tree (`mst.umst_solve`) both run on it.
+
+The areas a solve hands its strategy are one list, written only by the
+engine, one entry per query.  From `core.LOG_MIN_AREAS` areas on it is a
+`core.LoggedVector`, which logs each written index, so a strategy's
+`core.VectorState` patches the entries written since its last call without
+comparing the other n; below that the comparison costs less than the log."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Area, AreaVector
+from .core import LOG_MIN_AREAS, Area, AreaVector, LoggedVector
 from .models import ModelSpec, UncertainInstance, validate_instance, validate_response
 
 
@@ -114,7 +120,8 @@ def solve(
             raise StrategyModelError(err)
     strategy.reset()
 
-    areas: List[Area] = list(instance.areas)
+    logged = len(instance.areas) >= LOG_MIN_AREAS
+    areas: List[Area] = LoggedVector(instance.areas) if logged else list(instance.areas)
     counts: Dict[int, int] = {}
     log: List[Tuple[int, Area]] = []
 

@@ -27,6 +27,7 @@ from helpers import affine_map_area, recorded_solve, reference_is_connected
 from uncquery.core import Area, TieRule
 from uncquery.engine import RunStatus, StrategyModelError, default_budget, solve
 from uncquery.harness import (
+    EXIT_OK,
     ExperimentConfig,
     GenParams,
     GraphGenParams,
@@ -36,6 +37,7 @@ from uncquery.harness import (
     generate_instance,
     instance_from_json,
     instance_to_json,
+    main,
     report_emit,
 )
 from uncquery.models import ModelSpec, UncertainInstance
@@ -240,6 +242,40 @@ def test_criterion_6_cp_anomaly_and_lex_fix():
     ok = not failures
     record_criterion(6, ok, "; ".join(detail))
     assert ok, failures
+
+
+# The anomaly under ground-truth reveals with distinct hidden values and no
+# adversary: an OCP-P kmax state where the stable witness pairs spend three
+# queries against an optimum of one.
+STABLE_CLOSED_ANOMALY = {
+    "areas": [
+        {"kind": "closed", "lo": "0", "hi": "1"},
+        {"kind": "closed", "lo": "0", "hi": "1"},
+        {"kind": "point", "value": "1"},
+        {"kind": "closed", "lo": "0", "hi": "2"},
+        {"kind": "point", "value": "2"},
+    ],
+    "hidden": ["0", "1/2", "1", "3/2", "2"],
+    "model": {"input": "OCP", "returns": "P"},
+    "problem": {"type": "kmin", "k": 5, "objective": "kmax", "tie_rule": "stable"},
+}
+
+
+@pytest.mark.parametrize("tie_rule, spent, opt", [("stable", 3, 1), ("lex", 3, 3)])
+def test_stable_witness_pairs_exceed_twice_opt_on_closed_areas(
+        tmp_path, capsys, tie_rule, spent, opt):
+    """The 2·OPT claim of the witness-set solvers holds under lex, and under
+    stable only on inputs without closed areas: here `solve` spends 3
+    queries under both rules, and `opt` reports 1 under stable."""
+    data = json.loads(json.dumps(STABLE_CLOSED_ANOMALY))
+    data["problem"]["tie_rule"] = tie_rule
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(path), "--algorithm", "kmin-witness",
+                 "--oracle", "ground:exact"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["total"] == spent
+    assert main(["opt", "--instance", str(path), "--oracle", "ground:exact"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["opt"] == opt
 
 
 def _check_trace_witnesses(trace, oracle, verifier, max_total):

@@ -1,9 +1,18 @@
-"""The solve loop: termination, budget handling, alternation, determinism."""
+"""The solve loop: termination, budget handling, alternation, determinism,
+and the logged area vector its strategies' states patch from."""
+import contextlib
+import math
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uncquery.core import Area, TieRule
+import uncquery.core
+import uncquery.engine
+from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, LoggedVector, TieRule, VectorState
 from uncquery.engine import (
     EngineError,
     OracleResponseError,
@@ -12,9 +21,16 @@ from uncquery.engine import (
     default_budget,
     solve,
 )
+from uncquery.harness import (
+    GenParams, GraphGenParams, build_oracle, generate_graph_instance, generate_instance,
+)
 from uncquery.models import ModelSpec, UncertainInstance
+from uncquery.mst import UmstStrategy, umst_solve
+from uncquery.optbrute import opt_value
 from uncquery.oracles import GroundTruthOracle, ScriptedOracle, min_tight_fixture
-from uncquery.selection import AlternatingWitness, SelectionProblem, make_strategy
+from uncquery.selection import (
+    SELECTION_ALGORITHMS, AlternatingWitness, Objective, SelectionProblem, make_strategy,
+)
 
 
 def _instance(model, areas, hidden=None, k=1, tie=TieRule.STABLE):
@@ -191,3 +207,181 @@ def test_alternation_bound_on_opop_instances():
 
 def test_default_budget_scales_with_n():
     assert default_budget(3) == 192
+
+
+# ---------------------------------------------------------------------------
+# The solve's logged area vector and the states patched from it.
+
+_update = VectorState.update
+
+
+def _dense(values):
+    """Each value's rank among the distinct values: equal lists iff the two
+    value lists compare alike entry by entry."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _assert_matches_fresh(state, areas, prev):
+    """`state`, just brought up to `areas` from `prev`, against a state built
+    from scratch on a plain copy: the same changed indices, the same order,
+    and the same images and ranks once the fresh state is brought to the
+    patched state's scale.  Only an ImagedVector that brings ranks taken over
+    a superset leaves the patched state ranked where the fresh one scales;
+    its images then compare alike."""
+    fresh = _update(VectorState(state.tie_rule, state.mirror), list(areas))
+    if len(prev) == len(areas):
+        assert list(state.changed) == [i for i, (a, b) in enumerate(zip(areas, prev)) if a is not b]
+    assert len(state.areas) == len(areas) and all(a is b for a, b in zip(state.areas, areas))
+    assert state.order == fresh.order
+    if state.scale and fresh.scale:
+        m, rest = divmod(state.scale, fresh.scale)
+        assert rest == 0
+        fresh._read([v * m for v in fresh.lo], [v * m for v in fresh.hi])
+    elif state.scale != fresh.scale:
+        assert isinstance(areas, ImagedVector) and not state.scale
+        assert _dense(state.lo + state.hi) == _dense(fresh.lo + fresh.hi)
+        assert _dense(state.rank) == _dense(fresh.rank)
+        return
+    assert (state.lo, state.hi, state.rank) == (fresh.lo, fresh.hi, fresh.rank)
+
+
+@contextlib.contextmanager
+def _checked_states():
+    """Check every VectorState update against a fresh state; yields the
+    number of updates that read a LoggedVector's writes.  Every solve logs
+    its writes, however few its areas: the log's reading does not depend on
+    the vector's length, and small vectors keep the examples fast."""
+    seen = {"logged": 0}
+
+    def update(state, areas):
+        seen["logged"] += areas is state._log
+        prev = list(state.areas)
+        _update(state, areas)
+        _assert_matches_fresh(state, areas, prev)
+        return state
+
+    with mock.patch.object(VectorState, "update", update), \
+            mock.patch.object(uncquery.engine, "LOG_MIN_AREAS", 1):
+        yield seen
+
+
+# Each model with the oracle its responses admit: exact reveals return
+# points, halving returns open (OP-OP) or closed (OC-OC) sub-intervals.
+_MODELS = {"OP-P": "ground:exact", "OCP-P": "ground:exact",
+           "OP-OP": "ground:halve", "OC-OC": "ground:halve"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_MODELS)), st.integers(3, 7), st.data())
+def test_patched_states_match_fresh_ones_through_solves(model, n, data):
+    """Strategies run through engine.solve: after every verifier and
+    witness call each state they hold equals one built from scratch, and
+    the calls after a query read the logged vector's writes.  Each strategy
+    then solves a second instance, and its verifier is handed the OPT
+    search's vectors, as harness.run_trial does."""
+    spec = ModelSpec.parse(model)
+    k = data.draw(st.integers(1, n))
+    objective = data.draw(st.sampled_from(list(Objective)))
+    tie = data.draw(st.sampled_from(list(TieRule)))
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+    problem = SelectionProblem(k=k, objective=objective, tie_rule=tie)
+    insts = [replace(generate_instance(GenParams(n, spec, k, tie, overlap=1.5), s), problem=problem)
+             for s in seeds]
+    names = [name for name, algorithm in SELECTION_ALGORITHMS.items()
+             if not (name.startswith("min1") and k != 1)
+             and (algorithm.model_check is None or algorithm.model_check(spec) is None)]
+    with _checked_states() as seen:
+        for name in names:
+            strategy = make_strategy(name, problem)
+            for inst in insts:
+                oracle = build_oracle(_MODELS[model], inst)
+                before = seen["logged"]
+                report = solve(inst, oracle.fork(), strategy, default_budget(n))
+                assert report.status is RunStatus.SOLVED
+                assert (seen["logged"] > before) == (report.total > 0)
+            # The last instance's OPT search, on the strategy's own verifier.
+            opt_value(list(inst.areas), oracle, strategy.verifier, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["OCP-P", "OC-OC"]), st.integers(3, 6), st.integers(0, 10**6))
+def test_umst_pass_state_matches_a_fresh_one_through_a_solve(model, vertices, seed):
+    """The same for a uMST solve, whose passes patch their log's state, and
+    then for its verifier handed the OPT search's vectors."""
+    params = GraphGenParams(vertices, vertices, ModelSpec.parse(model), overlap=1.5)
+    inst = generate_graph_instance(params, seed)
+    oracle = build_oracle(_MODELS[model], inst)
+    strategy = UmstStrategy(inst.problem)
+    with _checked_states() as seen:
+        report = solve(inst, oracle.fork(), strategy, default_budget(len(inst.areas)))
+        assert report.status is RunStatus.SOLVED
+        assert (seen["logged"] > 0) == (report.total > 0)
+        opt_value(list(inst.areas), oracle, strategy.verifier, 3)
+
+
+def test_a_logged_vector_names_every_write_and_refuses_other_changes():
+    vec = LoggedVector([Area.open(0, 2), Area.open(1, 3), Area.point(4)])
+    vec[1] = Area.point(2)
+    vec[-3] = Area.open(0, 1)
+    assert vec.writes == [1, 0] and type(vec[:]) is list
+    for change in (lambda: vec.append(Area.point(0)), lambda: vec.pop(), vec.reverse,
+                   vec.sort, lambda: vec.__setitem__(slice(0, 1), [Area.point(0)]),
+                   lambda: vec.__delitem__(0), lambda: vec.__iadd__([])):
+        with pytest.raises(TypeError):
+            change()
+    assert vec.writes == [1, 0] and len(vec) == 3
+    # A state that read another vector in between compares entry by entry.
+    state, other = VectorState(), [Area.open(0, 1), Area.point(2), Area.point(5)]
+    for areas in (vec, other, vec):
+        prev = list(state.areas)
+        _assert_matches_fresh(state.update(areas), areas, prev)
+    # Written entries holding the same area as before did not change.
+    vec[2], vec[0] = Area.point(5), vec[0]
+    prev = list(state.areas)
+    _assert_matches_fresh(state.update(vec), vec, prev)
+    assert state.changed == [2]
+
+
+def test_solves_read_writes_and_rescale_seldom(monkeypatch):
+    """Two fixed solves: a min1-lex selection solve (OP-OP, n = 800) and a
+    uMST solve (OC-OC, V = 80), both halving with shrink 1/2 at overlap 3.
+    No identity scan visits an entry: every call after the first reads the
+    logged writes.  A whole-vector rescale happens at most half as often as
+    with D kept at the exact lcm, which rescaled 17 times in the selection
+    solve and 14 times in the uMST solve.  No state is ranked while the
+    exact lcm of its denominators fits in SCALE_BITS_LIMIT bits."""
+    counts = {"scanned": 0, "rescales": 0}
+    scan, patch = uncquery.core.compress, VectorState._patch
+
+    def counted_scan(indices, keep):
+        counts["scanned"] += len(indices)
+        return scan(indices, keep)
+
+    def counted_patch(state, areas):
+        before = state.scale
+        patched = patch(state, areas)
+        counts["rescales"] += patched and state.scale != before
+        return patched
+
+    def checked_update(state, areas):
+        _update(state, areas)
+        if not state.scale:
+            d = math.lcm(*(x.denominator for a in areas for x in (a.lo, a.hi)))
+            assert d.bit_length() > SCALE_BITS_LIMIT
+        return state
+
+    monkeypatch.setattr(uncquery.core, "compress", counted_scan)
+    monkeypatch.setattr(VectorState, "_patch", counted_patch)
+    monkeypatch.setattr(VectorState, "update", checked_update)
+    inst = generate_instance(GenParams(800, ModelSpec.parse("OP-OP"), overlap=3), 1)
+    report = solve(inst, build_oracle("ground:halve:1/2", inst),
+                   make_strategy("min1-lex", inst.problem), default_budget(800))
+    assert report.total == 278 and counts["scanned"] == 0
+    assert counts["rescales"] <= 17 // 2
+    counts["rescales"] = 0
+    params = GraphGenParams(80, 160, ModelSpec.parse("OC-OC"), overlap=3)
+    graph = generate_graph_instance(params, 1)
+    report, answer = umst_solve(graph, build_oracle("ground:halve:1/2", graph), 10**5)
+    assert answer is not None and report.total == 458 and counts["scanned"] == 0
+    assert counts["rescales"] <= 14 // 2

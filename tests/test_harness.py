@@ -1,6 +1,8 @@
 """Generators, instance JSON, competitions, reports, and the CLI."""
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -11,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_umst
 from uncquery.core import Area, TieRule
@@ -1130,3 +1134,86 @@ def test_solve_and_opt_refuse_an_invalid_instance(tmp_path, capsys, command, pro
     out, err = capsys.readouterr()
     reason = reason.format(w=len(data["areas"]), e=len(data["problem"].get("edges", ())))
     assert out == "" and err == f"error: invalid instance: {reason}\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing `uncquery solve` with mutated instance JSON.
+
+# Rational texts next to the canonical 'p/q': signs, spaces, decimals and
+# exponents at and past the digit bound, non-ASCII digits, and non-numbers.
+_ODD_TEXTS = ["", " ", "1/0", "0/0", "-0/1", "1/-2", "3/2/1", " 7 ", "+5", "--1", "1_000",
+              "0x10", "1.5", "1.5e", "1e", "e5", ".", "2e3", "1e4301", "1e-4301", "9" * 4400,
+              "nan", "inf", "-inf", "١", "½", "1/2 ", "1 /2", "-1/3"]
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=True), st.sampled_from(_ODD_TEXTS),
+    st.text(max_size=4), st.just([]), st.just({}), st.lists(st.integers(-3, 3), max_size=3),
+)
+_SIZE_VALUES = st.sampled_from([-1, 0, 1, 2, 5, 10**9, 10**30, True, 2.0, "3", None])
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside a JSON document, the document first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    """A generated selection or graph instance of a few areas, as JSON, with
+    one to three mutations: a dropped key, a value of another JSON type or
+    an odd rational text, or an out-of-range k or vertex count."""
+    seed = draw(st.integers(0, 50))
+    if draw(st.booleans()):
+        model = ModelSpec.parse(draw(st.sampled_from(["OP-P", "OCP-P", "OP-OP"])))
+        n = draw(st.integers(1, 5))
+        inst = generate_instance(GenParams(n, model, draw(st.integers(1, n))), seed)
+    else:
+        model = ModelSpec.parse(draw(st.sampled_from(["OC-OC", "OCP-P"])))
+        inst = generate_graph_instance(GraphGenParams(draw(st.integers(2, 4)), 2, model), seed)
+    data = json.loads(json.dumps(instance_to_json(inst)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = draw(_JSON_VALUES)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        mutation = draw(st.sampled_from(["drop", "value", "size"]))
+        if mutation == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif (mutation == "size" and isinstance(data, dict)
+              and isinstance(data.get("problem"), dict)):
+            data["problem"][draw(st.sampled_from(["k", "vertices"]))] = draw(_SIZE_VALUES)
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_instances(), st.sampled_from(["ground", "ground:exact", "ground:halve"]))
+def test_solve_on_mutated_instance_json_exits_cleanly(fuzz_dir, data, oracle):
+    """Every mutated instance ends in exit 0, 2 or 3, never a traceback, and
+    an exit 3 prints exactly one stderr line."""
+    path = fuzz_dir / "instance.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--instance", str(path), "--oracle", oracle])
+    assert code in (EXIT_OK, EXIT_BOUND_VIOLATED, EXIT_INVALID_CONFIG)
+    if code == EXIT_INVALID_CONFIG:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert not err.getvalue() and json.loads(out.getvalue())["status"]
