@@ -13,18 +13,24 @@ t entries, and the search asks the oracle for nothing beyond that.  Capping
 every chain at t leaves the vectors of level t and their order unchanged.
 
 The verifier calls are the search's real work, so the rest is kept lean.
-Each time the chains grow, from depth 2 on, every area they hold is imaged
-in one call to `core.endpoint_images`, the rebuild of a solve's state, and
-each verifier call gets its vector as a `core.ImagedVector` assembled from
-those images by lookup.  A level's count vectors come from an iterative
-walk that steps from one vector to the next in place, and a found solution
-is compared with a vector only when a bit mask shows its support inside the
-vector's.
+Level 0 is the start vector alone, handed over as a plain list.  From depth
+1 on, each time the chains grow, every area they hold is imaged in one call
+to `core.endpoint_images`, the rebuild of a solve's state, and each verifier
+call gets a fresh `core.ImagedVector` carrying its areas' images.  When no
+chain holds two entries, as with exact reveals, where OPT is the smallest
+verifying set of queries, the vectors of level t are the t-subsets of the
+queriable indices, listed by `itertools.combinations`: each is the start
+vector and its images, copied and patched at the chosen indices, and one
+mask test tells whether a found solution dominates it.  Otherwise a level's
+count vectors come from an iterative walk that steps from one vector to the
+next in place, each vector is assembled from the images by lookup, and a
+found solution is compared with a vector only when a bit mask shows its
+support inside the vector's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, combinations, compress, pairwise
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import Area, ImagedVector, endpoint_images
@@ -67,10 +73,7 @@ class _Chains:
     `columns[i][c]` is index i's area after c queries of the search (c = 0:
     its start area), and `lo[i][c]`, `hi[i][c]` are that area's images from
     one `core.endpoint_images` call over all areas held, made each time the
-    chains grow from depth 2 on; `scale` is their D, 0 for ranks.  Levels 0
-    and 1 hold at most n + 1 vectors, one entry away from the start areas,
-    and opt_value often stops early in level 1, so images made ahead of
-    them cost about what they save."""
+    chains grow, from level 1 on; `scale` is their D, 0 for ranks."""
 
     def __init__(self, areas, oracle, base_counts):
         if not oracle.update_independent:
@@ -81,7 +84,7 @@ class _Chains:
         self.oracle = oracle.fork()
         self.base = [0] * len(areas) if base_counts is None else list(base_counts)
         self.columns: List[List[Area]] = [[a] for a in areas]
-        self.scale: Optional[int] = None  # None until depth 2
+        self.scale: Optional[int] = None  # None until the chains first grow
         self.lo: List[List[int]] = []
         self.hi: List[List[int]] = []
 
@@ -95,22 +98,37 @@ class _Chains:
                 base = self.base[i] + held
                 column += response_chain(self.oracle, i, column[-1], depth - held, base)
                 grown = True
-        if depth > 1 and (grown or self.scale is None):
+        if grown:
             self.scale, lo, hi = endpoint_images([a for column in self.columns for a in column])
             cuts = list(pairwise(accumulate(map(len, self.columns), initial=0)))
             self.lo = [lo[a:b] for a, b in cuts]
             self.hi = [hi[a:b] for a, b in cuts]
         return [len(column) - 1 for column in self.columns]
 
-    def areas_for(self, counts: Sequence[int]) -> List[Area]:
-        """The areas after `counts[i]` queries on each index i, as an
-        ImagedVector from depth 2 on."""
-        if self.scale is None:
-            return list(map(list.__getitem__, self.columns, counts))
+    def areas_for(self, counts: Sequence[int]) -> ImagedVector:
+        """The areas after `counts[i]` queries on each index i."""
         areas = ImagedVector(map(list.__getitem__, self.columns, counts))
         areas.images = (self.scale, list(map(list.__getitem__, self.lo, counts)),
                         list(map(list.__getitem__, self.hi, counts)))
         return areas
+
+    def subset_vectors(self) -> Callable[[Sequence[int]], ImagedVector]:
+        """For a level where no chain holds two entries: the function from
+        the indices queried once to their vector, the start vector and its
+        images copied and patched at those indices."""
+        scale = self.scale
+        start, top = [c[0] for c in self.columns], [c[-1] for c in self.columns]
+        lo0, lo1 = [c[0] for c in self.lo], [c[-1] for c in self.lo]
+        hi0, hi1 = [c[0] for c in self.hi], [c[-1] for c in self.hi]
+
+        def vector(chosen: Sequence[int]) -> ImagedVector:
+            areas, lo, hi = ImagedVector(start), lo0[:], hi0[:]
+            for i in chosen:
+                areas[i], lo[i], hi[i] = top[i], lo1[i], hi1[i]
+            areas.images = (scale, lo, hi)
+            return areas
+
+        return vector
 
 
 def _count_vectors(caps: Sequence[int], total: int):
@@ -155,6 +173,21 @@ def _vector(counts: Sequence[int]) -> Dict[int, int]:
     return {i: c for i, c in enumerate(counts) if c}
 
 
+def _level_walk(caps: Sequence[int], total: int):
+    """(ones, walk): the count vectors of level `total` under these caps, in
+    _count_vectors' order, each with the bit mask of its support.  When no
+    cap passes 1, as with exact reveals, ones is True and walk yields each
+    vector as the tuple of indices it counts once: the `total`-subsets of
+    the indices with a cap, which itertools.combinations lists in that
+    order, since an earlier subset takes its first differing index smaller.
+    Otherwise walk is _count_vectors(caps, total)."""
+    if max(caps, default=0) > 1:
+        return False, _count_vectors(caps, total)
+    indices = list(compress(range(len(caps)), caps))
+    bits = [1 << i for i in indices]
+    return True, zip(combinations(indices, total), map(sum, combinations(bits, total)))
+
+
 # The most count vectors `uncquery opt` agrees to search; past this it asks
 # for a lower max_total instead of running for hours.
 MAX_SEARCH_VECTORS = 200_000
@@ -173,28 +206,56 @@ def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
 
 def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
     """The inclusion-minimal verifying count vectors with total <= max_total,
-    in search order.  Supersets of a found one verify by monotonicity and
-    are pruned, so nothing is pruned before the first; once a whole level
-    is dominated the search stops.  A found vector can dominate only a
-    vector whose support holds its own, which one mask test rules out
-    before any count is compared."""
+    in search order.
+
+    Verifying is not monotone: a vector above a verifying one may fail, and
+    one above a failing one may verify.  The pruning is exact without it.  A
+    found vector dominates every vector with at least its count on each
+    index; those are not minimal, whatever their verdict, so they are
+    skipped, and nothing is skipped before the first is found.  Once a whole
+    level is dominated, so is every later one: a vector of total t + 1 is
+    dominated by the one of total t that counts one less on an index it
+    queries.  A found vector can dominate only a vector whose support holds
+    its own, which one mask test rules out before any count is compared."""
     chains = _Chains(areas, oracle, base_counts)
+    # Level 0 is the start vector alone.  The verifier images it as cheaply
+    # as the chains would, and the chains image it again at level 1.
+    if max_total >= 0 and verifier(list(areas)) is not None:
+        yield {}
+        return
     found: List[tuple] = []  # (support mask, (index, count) pairs)
-    for total in range(0, max_total + 1):
+    for total in range(1, max_total + 1):
+        ones, walk = _level_walk(chains.extend(total), total)
         level_open = False
-        for counts, mask in _count_vectors(chains.extend(total), total):
-            outside = ~mask
-            if found and any(
-                not sol_mask & outside and all(counts[i] >= c for i, c in pairs)
-                for sol_mask, pairs in found
-            ):
-                continue
-            level_open = True
-            if verifier(chains.areas_for(counts)) is not None:
-                vector = _vector(counts)
-                found.append((mask, tuple(vector.items())))
-                yield vector
-        if not level_open and total > 0:
+        if ones:
+            # Every solution found so far counts one on each index it
+            # queries, so it dominates exactly the vectors whose support
+            # holds its own.  One found in this level dominates no other
+            # vector of the level, as they all have the same total.
+            masks = [sol_mask for sol_mask, _ in found]
+            vector_of = chains.subset_vectors()
+            for chosen, mask in walk:
+                if masks and any(sol_mask & mask == sol_mask for sol_mask in masks):
+                    continue
+                level_open = True
+                if verifier(vector_of(chosen)) is not None:
+                    vector = dict.fromkeys(chosen, 1)
+                    found.append((mask, tuple(vector.items())))
+                    yield vector
+        else:
+            for counts, mask in walk:
+                outside = ~mask
+                if found and any(
+                    not sol_mask & outside and all(counts[i] >= c for i, c in pairs)
+                    for sol_mask, pairs in found
+                ):
+                    continue
+                level_open = True
+                if verifier(chains.areas_for(counts)) is not None:
+                    vector = _vector(counts)
+                    found.append((mask, tuple(vector.items())))
+                    yield vector
+        if not level_open:
             return
 
 

@@ -35,7 +35,7 @@ from uncquery.mst import (
     umst_solve,
 )
 from uncquery.oracles import GroundTruthOracle, HalvePolicy
-from uncquery.optbrute import _Chains, _count_vectors, opt_value
+from uncquery.optbrute import minimal_solutions, opt_value, search_size
 
 
 def O(lo, hi):
@@ -346,29 +346,34 @@ def test_pass_on_value_ranks_matches_reference(inst, data):
 
 
 def test_one_log_across_the_opt_search_order_matches_reference():
-    """One PassLog carried across the vectors of an OPT search, in its
-    order.  Between two vectors counts fall as well as rise, so weights
-    widen as well as narrow, and the vectors are plain (levels 0 and 1),
-    imaged at a scale, or imaged by rank (a shrink with a 521-bit prime
-    denominator).  Every pass equals the reference's."""
+    """One PassLog carried across every vector an OPT search hands its
+    verifier, in its order; the verifier accepts none, so the search visits
+    every vector up to its budget.  Between two vectors counts fall as well
+    as rise, so weights widen as well as narrow.  Level 0 is a plain list.
+    Exact reveals give start vectors patched at index subsets; halving
+    gives vectors assembled from chains imaged at a scale, or by rank (a
+    shrink with a 521-bit prime denominator).  Every pass equals the
+    reference's."""
     prime = 2**521 - 1
-    kinds = set()
+    kinds = {}
     for seed in range(4):
-        params = GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC"))
-        inst = generate_graph_instance(params, seed)
-        for shrink in ("1/2", f"{prime // 2}/{prime}"):
-            chains = _Chains(list(inst.areas), build_oracle(f"ground:halve:{shrink}", inst), None)
-            log, passes = PassLog(inst.problem), 0
-            for total in range(5):
-                for counts, _mask in _count_vectors(chains.extend(total), total):
-                    weights = chains.areas_for(counts)
-                    kinds.add("plain" if not isinstance(weights, ImagedVector)
-                              else "scaled" if weights.images[0] else "ranks")
-                    fresh = reference_mst_pass(inst.problem, list(weights))
-                    assert mst_pass(log, weights) == fresh
-                    passes += 1
-            assert passes > 100
-    assert kinds == {"plain", "scaled", "ranks"}
+        for model, spec, max_total in (("OCP-P", "ground:exact", 9),
+                                       ("OC-OC", "ground:halve:1/2", 4),
+                                       ("OC-OC", f"ground:halve:{prime // 2}/{prime}", 4)):
+            params = GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse(model))
+            inst = generate_graph_instance(params, seed)
+            oracle, log, passes = build_oracle(spec, inst), PassLog(inst.problem), []
+            seen = kinds.setdefault(spec.split(":")[1], set())
+
+            def verify(weights):
+                seen.add("plain" if not isinstance(weights, ImagedVector)
+                         else "scaled" if weights.images[0] else "ranks")
+                assert mst_pass(log, weights) == reference_mst_pass(inst.problem, list(weights))
+                passes.append(weights)
+
+            assert minimal_solutions(list(inst.areas), oracle, verify, max_total) == []
+            assert len(passes) == search_size(list(inst.areas), oracle, max_total) > 30
+    assert kinds == {"exact": {"plain", "scaled"}, "halve": {"plain", "scaled", "ranks"}}
 
 
 def test_verifier_passes_share_one_log(monkeypatch):

@@ -31,7 +31,7 @@ from uncquery.optbrute import (
     search_size,
     witness_check,
 )
-from uncquery.optbrute import _Chains, _count_vectors, _vector
+from uncquery.optbrute import _Chains, _count_vectors, _level_walk, _vector
 from uncquery.selection import (
     Objective, SelectionProblem, kmin_verifier, make_strategy, min1_witness,
 )
@@ -89,20 +89,24 @@ def test_search_size_counts_every_vector_of_every_level():
 
 
 def test_level_walk_matches_the_recursive_reference():
-    """The iterative walk yields the reference's vectors as the same dicts,
-    keys in the same order, in the same order, each with the bit mask of its
-    support: every caps vector of n <= 5 indices with caps up to 3, every
-    total up to one past the sum of the caps."""
+    """The iterative walk, and the level walk the search runs, yield the
+    reference's vectors as the same dicts, keys in the same order, in the
+    same order, each with the bit mask of its support: every caps vector of
+    n <= 5 indices with caps up to 3, every total up to one past the sum of
+    the caps.  Where no cap passes 1, the level walk lists index subsets."""
     for n in range(6):
         for caps in product(range(4), repeat=n):
             for total in range(sum(caps) + 2):
-                got = []
-                for counts, mask in _count_vectors(caps, total):
-                    got.append(_vector(counts))
-                    assert mask == sum(1 << i for i in got[-1]), (caps, counts)
                 want = list(_reference_level_vectors(caps, total))
-                assert got == want, (caps, total)
-                assert [list(v) for v in got] == [list(v) for v in want], (caps, total)
+                level = _level_walk(caps, total)
+                assert level[0] == (max(caps, default=0) <= 1)
+                for ones, walk in ((False, _count_vectors(caps, total)), level):
+                    got = []
+                    for support, mask in walk:
+                        got.append(dict.fromkeys(support, 1) if ones else _vector(support))
+                        assert mask == sum(1 << i for i in got[-1]), (caps, support)
+                    assert got == want, (caps, total, ones)
+                    assert [list(v) for v in got] == [list(v) for v in want], (caps, total)
 
 
 class TestOptValue:
@@ -165,6 +169,21 @@ class TestMinimalSolutions:
         large = minimal_solutions(areas, oracle, _v1, 3)
         for s in small:
             assert s in large
+
+    def test_verifying_is_not_monotone(self):
+        """Under the stable rule a superset of a failing vector can verify:
+        here {} verifies, {1: 1} does not and {0: 1, 1: 1} does.  The search
+        still reports {} alone, as a superset of a found solution is never
+        minimal."""
+        areas = [Area.closed(5, 7), Area.closed(0, 5)]
+        oracle = _oracle(areas, [6, 5])
+        verdicts = []
+        for counts in ([0, 0], [0, 1], [1, 1]):
+            vector = [response_chain(oracle, i, a, c)[-1] if c else a
+                      for i, (a, c) in enumerate(zip(areas, counts))]
+            verdicts.append(kmin_verifier(vector, 1, TieRule.STABLE) is not None)
+        assert verdicts == [True, False, True]
+        assert minimal_solutions(areas, oracle, _v1, 2) == [{}]
 
     def test_opt_equals_min_over_minimal(self):
         areas = [O(1, 5), O(3, 7), O(6, 10)]
@@ -339,11 +358,11 @@ def test_chains_past_the_scale_limit_image_by_rank(bits, depths):
     """Halving by a shrink with a prime denominator of b bits adds about b
     bits per level to the common scale of the areas the chains hold.  With
     b = 127 it passes SCALE_BITS_LIMIT at depth 8 or 9, after the chains
-    imaged at growing scales; with b = 521 at depth 2, where they first
-    image.  From then on the chains image by rank (scale 0), and every
+    imaged at growing scales; with b = 521 at depth 2, the level after they
+    first image.  From then on the chains image by rank (scale 0), and every
     vector still comes as an ImagedVector whose ranks, taken over all the
-    areas held, order its own endpoints exactly.  Levels 0 and 1 get plain
-    vectors.  The search makes the eager reference's calls throughout."""
+    areas held, order its own endpoints exactly.  Level 0 gets a plain
+    vector.  The search makes the eager reference's calls throughout."""
     prime = 2**bits - 1  # a Mersenne prime
     model = ModelSpec.parse("OC-OC")
     kinds, solutions = set(), 0

@@ -164,6 +164,24 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert not reached, reached
 
 
+def test_opt_reference_imports_only_core_and_oracles():
+    """The brute-force OPT is the reference every competitive bound is
+    checked against, so it reads nothing of a verifier's or a chooser's
+    internals: of the package it imports `core` and `oracles` alone, and
+    gets its verifier as an argument."""
+    tree = ast.parse((ROOT / "src" / "uncquery" / "optbrute.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.add(node.module or ".")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("uncquery"):
+            modules.add(node.module.removeprefix("uncquery."))
+        elif isinstance(node, ast.Import):
+            modules |= {a.name.removeprefix("uncquery.") for a in node.names
+                        if a.name.split(".")[0] == "uncquery"}
+    assert modules == {"core", "oracles"}, modules
+
+
 def _defined(node) -> list:
     """The names a module-level statement binds."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -291,8 +309,8 @@ def test_tracer_sees_every_verifier_call_of_the_opt_search():
     `mst.pass` span directly under `optbrute.opt`, whether the verifier is
     a bare `kmin_verifier`, a strategy's patched one or `mst_verifier`: the
     benchmark's `optbrute.vectors_visited` counts these spans."""
-    # Seed 3 gives OPT = 3 on both, so the search passes level 2, where
-    # the verifier gets its vectors with their images.
+    # Seed 3 gives OPT = 3 on both, so the search walks level 1 as index
+    # subsets and levels 2 and 3 as count vectors, all with their images.
     sel = generate_instance(GenParams(n=6, model=ModelSpec.parse("OC-OC"), k=2), 3)
     graph = generate_graph_instance(
         GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 3
