@@ -289,6 +289,17 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
+def _build_fixture(name: str, n: int, k: int) -> Fixture:
+    """The fixture FIXTURE_BUILDERS[name] builds for (n, k); ConfigError
+    before anything is built if n or 2k, the areas of the largest fixtures,
+    passes MAX_GENERATED_AREAS."""
+    if n > MAX_GENERATED_AREAS:
+        raise ConfigError(f"n must be at most {MAX_GENERATED_AREAS}, got {n}")
+    if 2 * k > MAX_GENERATED_AREAS:
+        raise ConfigError(f"k must be at most {MAX_GENERATED_AREAS // 2}, got {k}")
+    return FIXTURE_BUILDERS[name](n, k)
+
+
 def adversary_fixture(spec: str, model, problem, areas=None, n=3, k=2) -> Optional[Fixture]:
     """The fixture an `adversary:NAME` oracle spec plays, built for (n, k) or
     for the size of the given areas, or None for any other spec.  An adversary
@@ -301,7 +312,7 @@ def adversary_fixture(spec: str, model, problem, areas=None, n=3, k=2) -> Option
         raise ConfigError(f"unknown adversary {name!r}; known: {', '.join(FIXTURE_BUILDERS)}")
     if areas is not None:  # as `fixtures` writes them; min-tight's n omits its wide area
         n, k = max(len(areas) - (name == "min-tight"), 1), max(getattr(problem, "k", 1), 1)
-    fixture = FIXTURE_BUILDERS[name](n, k)
+    fixture = _build_fixture(name, n, k)
     own = fixture.instance
     if (model, problem) != (own.model, own.problem) or areas not in (None, own.areas):
         raise ConfigError(f"adversary {name!r} plays only its own fixture instance: "
@@ -505,6 +516,7 @@ def _generator(spec) -> tuple:
         _check_limit("extra_edges", values["extra_edges"], 0, MAX_GENERATED_AREAS - (vertices - 1))
     else:
         _check_limit("n", values["n"], 1, MAX_GENERATED_AREAS)
+        _check_limit("k", values["k"], 1, values["n"])
     return generate, params(**values)
 
 
@@ -656,7 +668,7 @@ def _cmd_compete(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    fixture = FIXTURE_BUILDERS[args.name](args.n, args.k)  # argparse checked the name
+    fixture = _build_fixture(args.name, args.n, args.k)  # argparse checked the name
     payload = instance_to_json(fixture.instance)
     payload["fixture"] = {
         "name": fixture.name,

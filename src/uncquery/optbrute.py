@@ -12,25 +12,29 @@ total t counts at most t on one index, so level t reads each chain to at most
 t entries, and the search asks the oracle for nothing beyond that.  Capping
 every chain at t leaves the vectors of level t and their order unchanged.
 
+A vector is written as the ascending tuple of the indices it queries, an
+index repeated once per query: level t lists the t-subsets of the queriable
+indices (`itertools.combinations`) while no chain holds two entries, as with
+exact reveals, where OPT is the smallest verifying set of queries, and their
+t-multisets (`combinations_with_replacement`) otherwise.  Both list tuples in
+lexicographic order, which is the search order: it puts the vectors that
+count more on smaller indices first, so `opt_value` reports the vector that
+does.  At the first position where tuple A has index a below B's b, A counts
+a once more than B does and every smaller index as often.
+
 The verifier calls are the search's real work, so the rest is kept lean.
 Level 0 is the start vector alone, handed over as a plain list.  From depth
 1 on, each time the chains grow, every area they hold is imaged in one call
 to `core.endpoint_images`, the rebuild of a solve's state, and each verifier
-call gets a fresh `core.ImagedVector` carrying its areas' images.  When no
-chain holds two entries, as with exact reveals, where OPT is the smallest
-verifying set of queries, the vectors of level t are the t-subsets of the
-queriable indices, listed by `itertools.combinations`: each is the start
-vector and its images, copied and patched at the chosen indices, and one
-mask test tells whether a found solution dominates it.  Otherwise a level's
-count vectors come from an iterative walk that steps from one vector to the
-next in place, each vector is assembled from the images by lookup, and a
-found solution is compared with a vector only when a bit mask shows its
-support inside the vector's.
+call gets a fresh `core.ImagedVector`: the start vector and its images,
+copied and patched at the chosen indices.  Support masks are made only once
+a solution is found, so `opt_value`, which stops at the first, makes none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, pairwise
+from itertools import combinations, combinations_with_replacement, compress, islice
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import Area, ImagedVector, endpoint_images
@@ -71,9 +75,10 @@ class _Chains:
     with the integer images of every area it holds.
 
     `columns[i][c]` is index i's area after c queries of the search (c = 0:
-    its start area), and `lo[i][c]`, `hi[i][c]` are that area's images from
-    one `core.endpoint_images` call over all areas held, made each time the
-    chains grow, from level 1 on; `scale` is their D, 0 for ranks."""
+    its start area), and `cells[i][c]` is that area with its lo and hi
+    images from one `core.endpoint_images` call over all areas held, made
+    each time the chains grow, from level 1 on; `scale` is their D, 0 for
+    ranks."""
 
     def __init__(self, areas, oracle, base_counts):
         if not oracle.update_independent:
@@ -85,8 +90,7 @@ class _Chains:
         self.base = [0] * len(areas) if base_counts is None else list(base_counts)
         self.columns: List[List[Area]] = [[a] for a in areas]
         self.scale: Optional[int] = None  # None until the chains first grow
-        self.lo: List[List[int]] = []
-        self.hi: List[List[int]] = []
+        self.cells: List[List[tuple]] = []
 
     def extend(self, depth: int) -> List[int]:
         """Grow every chain that has not ended at a point to `depth` entries;
@@ -99,93 +103,47 @@ class _Chains:
                 column += response_chain(self.oracle, i, column[-1], depth - held, base)
                 grown = True
         if grown:
-            self.scale, lo, hi = endpoint_images([a for column in self.columns for a in column])
-            cuts = list(pairwise(accumulate(map(len, self.columns), initial=0)))
-            self.lo = [lo[a:b] for a, b in cuts]
-            self.hi = [hi[a:b] for a, b in cuts]
+            held = [a for column in self.columns for a in column]
+            self.scale, lo, hi = endpoint_images(held)
+            cells = zip(held, lo, hi)
+            self.cells = [list(islice(cells, len(column))) for column in self.columns]
         return [len(column) - 1 for column in self.columns]
 
-    def areas_for(self, counts: Sequence[int]) -> ImagedVector:
-        """The areas after `counts[i]` queries on each index i."""
-        areas = ImagedVector(map(list.__getitem__, self.columns, counts))
-        areas.images = (self.scale, list(map(list.__getitem__, self.lo, counts)),
-                        list(map(list.__getitem__, self.hi, counts)))
-        return areas
-
-    def subset_vectors(self) -> Callable[[Sequence[int]], ImagedVector]:
-        """For a level where no chain holds two entries: the function from
-        the indices queried once to their vector, the start vector and its
-        images copied and patched at those indices."""
-        scale = self.scale
-        start, top = [c[0] for c in self.columns], [c[-1] for c in self.columns]
-        lo0, lo1 = [c[0] for c in self.lo], [c[-1] for c in self.lo]
-        hi0, hi1 = [c[0] for c in self.hi], [c[-1] for c in self.hi]
+    def vectors(self) -> Callable[[Sequence[int]], ImagedVector]:
+        """The function from the indices a vector queries, ascending and each
+        repeated once per query, to the vector: the start vector and its
+        images, copied and patched at each chosen index at its count."""
+        scale, cells = self.scale, self.cells
+        start = [column[0][0] for column in cells]
+        lo0, hi0 = [column[0][1] for column in cells], [column[0][2] for column in cells]
 
         def vector(chosen: Sequence[int]) -> ImagedVector:
             areas, lo, hi = ImagedVector(start), lo0[:], hi0[:]
-            for i in chosen:
-                areas[i], lo[i], hi[i] = top[i], lo1[i], hi1[i]
+            count, last = 0, None
+            for i in chosen:  # ascending: a repeated index is patched at each count
+                count = count + 1 if i == last else 1
+                areas[i], lo[i], hi[i] = cells[i][count]
+                last = i
             areas.images = (scale, lo, hi)
             return areas
 
         return vector
 
 
-def _count_vectors(caps: Sequence[int], total: int):
-    """All count vectors with 0 <= counts[i] <= caps[i] summing to `total`,
-    in descending lexicographic order, so that vectors placing queries on
-    smaller indices come first.  Yields one list, changed in place, with the
-    bit mask of its support.
-
-    Each step finds the last index whose count can drop by one while the
-    indices after it still hold the rest, lowers it, and refills those
-    indices greedily from the left: the next vector down in the order."""
-    n = len(caps)
-    tails = list(accumulate(reversed(caps), initial=0))[::-1]  # tails[i] = sum(caps[i:])
-    if total > tails[0]:
-        return
-    counts, mask, i, rest = [0] * n, 0, -1, total
-    while True:
-        mask &= (1 << (i + 1)) - 1
-        for j in range(i + 1, n):
-            c = caps[j] if caps[j] < rest else rest
-            counts[j] = c
-            rest -= c
-            if c:
-                mask |= 1 << j
-        yield counts, mask
-        # Find the last index i with a count to give and room after it.
-        for i in range(n - 1, -1, -1):
-            c = counts[i]
-            if c and tails[i + 1] > rest:
-                break
-            rest += c
-        else:
-            return
-        counts[i] = c - 1
-        if c == 1:
-            mask &= ~(1 << i)
-        rest += 1
-
-
-def _vector(counts: Sequence[int]) -> Dict[int, int]:
-    """The nonzero counts as a dict, keys ascending: a vector as reported."""
-    return {i: c for i, c in enumerate(counts) if c}
-
-
 def _level_walk(caps: Sequence[int], total: int):
-    """(ones, walk): the count vectors of level `total` under these caps, in
-    _count_vectors' order, each with the bit mask of its support.  When no
-    cap passes 1, as with exact reveals, ones is True and walk yields each
-    vector as the tuple of indices it counts once: the `total`-subsets of
-    the indices with a cap, which itertools.combinations lists in that
-    order, since an earlier subset takes its first differing index smaller.
-    Otherwise walk is _count_vectors(caps, total)."""
-    if max(caps, default=0) > 1:
-        return False, _count_vectors(caps, total)
-    indices = list(compress(range(len(caps)), caps))
-    bits = [1 << i for i in indices]
-    return True, zip(combinations(indices, total), map(sum, combinations(bits, total)))
+    """The count vectors of level `total` under these caps, in search order:
+    the `total`-subsets of the indices with a cap when no cap passes 1, else
+    their `total`-multisets less those that count an index past its cap.
+    Only a cap below `total` drops any, so only a chain that ends at a point
+    after two or more responses, as only a script's can, brings in the
+    filter: exact reveals end every chain after one, and halving none."""
+    queriable = list(compress(range(len(caps)), caps))
+    if max(caps, default=0) <= 1:
+        return combinations(queriable, total)
+    walk = combinations_with_replacement(queriable, total)
+    if any(caps[i] < total for i in queriable):
+        walk = (chosen for chosen in walk if all(chosen.count(i) <= caps[i] for i in chosen))
+    return walk
 
 
 # The most count vectors `uncquery opt` agrees to search; past this it asks
@@ -194,14 +152,15 @@ MAX_SEARCH_VECTORS = 200_000
 
 
 def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
-    """How many count vectors with total <= max_total the search could visit:
-    each index counts from 0 up to the length of its response chain."""
+    """How many candidates the walks of levels 0 to max_total generate: at
+    level t, the t-subsets of the m queriable indices while no chain read to
+    t entries holds two, else their t-multisets.  That is every count
+    vector the search could visit, and where a chain ends at a point after
+    two or more responses also those the cap filter drops."""
     caps = _Chains(areas, oracle, None).extend(max_total)
-    ways = [1] + [0] * max_total  # vectors over the indices so far, by total
-    for cap in caps:
-        below = list(accumulate(ways, initial=0))
-        ways = [below[t + 1] - below[max(0, t - cap)] for t in range(max_total + 1)]
-    return sum(ways)
+    m, longest = sum(map(bool, caps)), max(caps, default=0)
+    return sum(comb(m, t) if min(longest, t) <= 1 else comb(m + t - 1, t)
+               for t in range(max_total + 1))
 
 
 def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
@@ -215,46 +174,32 @@ def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
     skipped, and nothing is skipped before the first is found.  Once a whole
     level is dominated, so is every later one: a vector of total t + 1 is
     dominated by the one of total t that counts one less on an index it
-    queries.  A found vector can dominate only a vector whose support holds
-    its own, which one mask test rules out before any count is compared."""
+    queries.  A found vector dominates a candidate iff its support mask lies
+    inside the candidate's and the candidate counts at least as often on
+    each index the found one counts twice or more."""
     chains = _Chains(areas, oracle, base_counts)
     # Level 0 is the start vector alone.  The verifier images it as cheaply
     # as the chains would, and the chains image it again at level 1.
     if max_total >= 0 and verifier(list(areas)) is not None:
         yield {}
         return
-    found: List[tuple] = []  # (support mask, (index, count) pairs)
+    found: List[tuple] = []  # (support mask, (index, count) pairs with count >= 2)
     for total in range(1, max_total + 1):
-        ones, walk = _level_walk(chains.extend(total), total)
+        walk = _level_walk(chains.extend(total), total)
+        vector_of = chains.vectors()
         level_open = False
-        if ones:
-            # Every solution found so far counts one on each index it
-            # queries, so it dominates exactly the vectors whose support
-            # holds its own.  One found in this level dominates no other
-            # vector of the level, as they all have the same total.
-            masks = [sol_mask for sol_mask, _ in found]
-            vector_of = chains.subset_vectors()
-            for chosen, mask in walk:
-                if masks and any(sol_mask & mask == sol_mask for sol_mask in masks):
+        for chosen in walk:
+            if found:
+                mask = sum({1 << i for i in chosen})
+                if any(sol_mask & mask == sol_mask and all(chosen.count(i) >= c for i, c in deep)
+                       for sol_mask, deep in found):
                     continue
-                level_open = True
-                if verifier(vector_of(chosen)) is not None:
-                    vector = dict.fromkeys(chosen, 1)
-                    found.append((mask, tuple(vector.items())))
-                    yield vector
-        else:
-            for counts, mask in walk:
-                outside = ~mask
-                if found and any(
-                    not sol_mask & outside and all(counts[i] >= c for i, c in pairs)
-                    for sol_mask, pairs in found
-                ):
-                    continue
-                level_open = True
-                if verifier(chains.areas_for(counts)) is not None:
-                    vector = _vector(counts)
-                    found.append((mask, tuple(vector.items())))
-                    yield vector
+            level_open = True
+            if verifier(vector_of(chosen)) is not None:
+                vector = {i: chosen.count(i) for i in chosen}
+                deep = tuple((i, c) for i, c in vector.items() if c > 1)
+                found.append((sum(1 << i for i in vector), deep))
+                yield vector
         if not level_open:
             return
 

@@ -45,7 +45,7 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.harness import _generate, _generator, _max_total
+from uncquery.harness import _build_fixture, _generate, _generator, _max_total
 from uncquery.models import ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
@@ -424,6 +424,12 @@ def _as_graph(edit):
             GraphGenParams(vertices=4, extra_edges=2, model=ModelSpec.parse("OC-OC")), 1)))
         edit(data)
     return breakage
+
+
+def _refuse_to_draw(*args, **kwargs):
+    """Stands in for the generator's area draw where a setting must be
+    refused before anything is drawn."""
+    raise AssertionError("drew an area for a setting out of range")
 
 
 class TestCli:
@@ -814,6 +820,8 @@ class TestCli:
         {"algorithm": "umst", "model": "OC-OC",
          "problem": {"type": "mst", "extra_edges": 10**11}},
         {"algorithm": "min1-witness", "model": "OP-P", "n": 10**6 + 1},
+        {"algorithm": "kmin-witness", "model": "OP-P", "problem": {"k": 0}},
+        {"algorithm": "kmin-witness", "model": "OP-P", "problem": {"k": 5}},
         ["min1-witness", "OP-P"],
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
@@ -823,9 +831,10 @@ class TestCli:
             "tie-rule-a-number", "trials-a-string", "problem-key-at-top-level",
             "overlap-infinite", "overlap-nan", "overlap-infinite-no-trials",
             "point-fraction-above-one", "vertices-zero", "vertices-one",
-            "extra-edges-past-the-size-cap", "n-past-the-size-cap",
+            "extra-edges-past-the-size-cap", "n-past-the-size-cap", "k-zero", "k-above-n",
             "config-a-list"])
-    def test_malformed_config_exit_code(self, tmp_path, capsys, config):
+    def test_malformed_config_exit_code(self, tmp_path, capsys, monkeypatch, config):
+        monkeypatch.setattr("uncquery.harness._draw", _refuse_to_draw)
         cfg_path = tmp_path / "cfg.json"
         if isinstance(config, dict):
             config = {"trials": 1, "n": 4, **config}
@@ -856,11 +865,15 @@ class TestCli:
         (["--problem", "mst", "--extra-edges", "-1"], "extra_edges"),
         (["--n", "1000001"], "n"),
         (["--n", "0"], "n"),
+        (["--k", "0"], "k"),
+        (["--n", "6", "--k", "7"], "k"),
     ], ids=["overlap-infinite", "overlap-nan", "point-fraction-above-one",
             "point-fraction-negative", "vertices-zero", "vertices-one",
             "vertices-past-the-size-cap", "extra-edges-past-the-size-cap",
-            "extra-edges-negative", "n-past-the-size-cap", "n-zero"])
-    def test_gen_setting_out_of_range_exit_code(self, tmp_path, capsys, args, setting):
+            "extra-edges-negative", "n-past-the-size-cap", "n-zero", "k-zero", "k-above-n"])
+    def test_gen_setting_out_of_range_exit_code(self, tmp_path, capsys, monkeypatch, args,
+                                                setting):
+        monkeypatch.setattr("uncquery.harness._draw", _refuse_to_draw)
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--model", "OP-P", *args, "--out", str(inst_path)]) == EXIT_INVALID_CONFIG
         out, err = capsys.readouterr()
@@ -880,6 +893,35 @@ class TestCli:
         key = "n" if problem_type == "kmin" else "extra_edges"
         with pytest.raises(ConfigError, match=f"{key} must be at most "):
             _generator(replace(config, **{key: getattr(config, key) + 1}))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fixtures", "--name", "min-tight", "--n", "1500000"], "n must be at most 1000000"),
+        (["fixtures", "--name", "kmin-point", "--k", "500001"], "k must be at most 500000"),
+        (["compete", "--config", "{cfg}"], "n must be at most 1000000"),
+    ], ids=["fixtures-n", "fixtures-k", "compete-n"])
+    def test_oversized_fixture_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                             argv, message):
+        def refuse(n, k):
+            raise AssertionError("built an oversized fixture")
+
+        for name in FIXTURE_BUILDERS:
+            monkeypatch.setitem(FIXTURE_BUILDERS, name, refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithm": "min1-witness", "model": "O-O",
+                                        "oracle": "adversary:min-tight", "n": 1500000}))
+        argv = [arg.format(cfg=cfg_path) for arg in argv]
+        assert main(argv) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+
+    def test_fixture_size_cap_admits_exactly_its_areas(self, monkeypatch):
+        built = []
+        monkeypatch.setitem(FIXTURE_BUILDERS, "kmin-point", lambda n, k: built.append((n, k)))
+        _build_fixture("kmin-point", MAX_GENERATED_AREAS, MAX_GENERATED_AREAS // 2)
+        for n, k in ((MAX_GENERATED_AREAS + 1, 1), (1, MAX_GENERATED_AREAS // 2 + 1)):
+            with pytest.raises(ConfigError, match=" must be at most "):
+                _build_fixture("kmin-point", n, k)
+        assert built == [(MAX_GENERATED_AREAS, MAX_GENERATED_AREAS // 2)]
 
     def test_parser_is_built_once_and_a_failing_call_leaves_it_as_it_was(self, capsys):
         assert build_parser() is build_parser()

@@ -2,7 +2,8 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -31,7 +32,7 @@ from uncquery.optbrute import (
     search_size,
     witness_check,
 )
-from uncquery.optbrute import _Chains, _count_vectors, _level_walk, _vector
+from uncquery.optbrute import MAX_SEARCH_VECTORS, _Chains, _level_walk
 from uncquery.selection import (
     Objective, SelectionProblem, kmin_verifier, make_strategy, min1_witness,
 )
@@ -76,6 +77,13 @@ class TestResponseChain:
         assert tail == full[2:]
 
 
+def _walked(areas, oracle, max_total):
+    """How many vectors the level walks of a search to max_total yield,
+    level 0's start vector included, each level under the caps it sees."""
+    chains = _Chains(areas, oracle, None)
+    return 1 + sum(1 for t in range(1, max_total + 1) for _ in _level_walk(chains.extend(t), t))
+
+
 def test_search_size_counts_every_vector_of_every_level():
     # Exact reveals cap an interval at one query and a point at none; halving
     # never reaches a point, so its chains run to max_total.
@@ -83,30 +91,48 @@ def test_search_size_counts_every_vector_of_every_level():
     for returns, hidden in (("P", [2, 3, 4, 1]), ("O", [2, 3, 5, 1])):
         oracle = _oracle(areas, hidden, returns=returns)
         for max_total in range(6):
-            caps = _Chains(areas, oracle, None).extend(max_total)
-            visited = sum(1 for t in range(max_total + 1) for _ in _count_vectors(caps, t))
-            assert search_size(areas, oracle, max_total) == visited
+            assert search_size(areas, oracle, max_total) == _walked(areas, oracle, max_total)
+
+
+# Chains ending at points at depths 2 and 3, and one that never ends.
+MIXED_CAPS_AREAS = [O(1, 5), O(3, 7), O(4, 8)]
+MIXED_CAPS_SCRIPT = {
+    0: [O(1, 4), Area.point(2)],
+    1: [O(3, 6), O(3, 5), Area.point(4)],
+    2: [O(4, 4 + Fraction(4, 2**j)) for j in range(1, 9)],
+}
+
+
+def test_search_size_counts_the_candidates_the_cap_filter_reads():
+    """Where chains end at points at different depths past 1, a level's walk
+    reads every multiset of the queriable indices and drops those that count
+    an index past its cap: search_size counts what it reads, more than the
+    count vectors it yields, which are the reference's."""
+    oracle = ScriptedOracle(MIXED_CAPS_SCRIPT)
+    caps = _Chains(MIXED_CAPS_AREAS, oracle, None).extend(6)
+    assert caps == [2, 3, 6]
+    read = 1 + 3 + sum(1 for t in range(2, 7) for _ in combinations_with_replacement(range(3), t))
+    valid = sum(1 for t in range(7) for _ in _reference_level_vectors(caps, t))
+    assert search_size(MIXED_CAPS_AREAS, oracle, 6) == read == 84
+    assert _walked(MIXED_CAPS_AREAS, oracle, 6) == valid < read
 
 
 def test_level_walk_matches_the_recursive_reference():
-    """The iterative walk, and the level walk the search runs, yield the
-    reference's vectors as the same dicts, keys in the same order, in the
-    same order, each with the bit mask of its support: every caps vector of
-    n <= 5 indices with caps up to 3, every total up to one past the sum of
-    the caps.  Where no cap passes 1, the level walk lists index subsets."""
+    """The level walk yields the reference's vectors as ascending index
+    tuples, an index repeated once per query, which read as the same dicts,
+    keys in the same order, in the same order: every caps vector of n <= 5
+    indices with caps up to 3, mixed caps and so the cap filter included,
+    every total up to one past the sum of the caps."""
     for n in range(6):
         for caps in product(range(4), repeat=n):
             for total in range(sum(caps) + 2):
                 want = list(_reference_level_vectors(caps, total))
-                level = _level_walk(caps, total)
-                assert level[0] == (max(caps, default=0) <= 1)
-                for ones, walk in ((False, _count_vectors(caps, total)), level):
-                    got = []
-                    for support, mask in walk:
-                        got.append(dict.fromkeys(support, 1) if ones else _vector(support))
-                        assert mask == sum(1 << i for i in got[-1]), (caps, support)
-                    assert got == want, (caps, total, ones)
-                    assert [list(v) for v in got] == [list(v) for v in want], (caps, total)
+                got = []
+                for chosen in _level_walk(caps, total):
+                    assert list(chosen) == sorted(chosen) and len(chosen) == total, (caps, chosen)
+                    got.append({i: chosen.count(i) for i in chosen})
+                assert got == want, (caps, total)
+                assert [list(v) for v in got] == [list(v) for v in want], (caps, total)
 
 
 class TestOptValue:
@@ -378,8 +404,9 @@ def test_chains_past_the_scale_limit_image_by_rank(bits, depths):
             depth += 1
             chains.extend(depth)
         assert depth in depths
-        for counts in ([2, 2, 2, 2], [0, 2, 1, 0], [1, 1, 1, 1]):
-            vector = chains.areas_for(counts)
+        vector_of = chains.vectors()
+        for chosen in ((0, 0, 1, 1, 2, 2, 3, 3), (1, 1, 2), (0, 1, 2, 3)):
+            vector = vector_of(chosen)
             assert type(vector) is ImagedVector and vector.images[0] == 0
             assert _orders_exactly(vector)
         verifier = _kinds(make_strategy("kmin-witness", inst.problem).verifier, kinds)
@@ -466,6 +493,12 @@ def test_opt_value_asks_nothing_past_the_optimum(oracle_spec, model):
     assert len(opts - {None}) > 2
 
 
+def test_points_that_do_not_verify_leave_every_level_empty():
+    # No chain grows, so no level has a vector to build.
+    areas = [Area.point(1), Area.point(2)]
+    assert minimal_solutions(areas, ScriptedOracle({}), lambda vector: None, 2) == []
+
+
 def test_resolved_instance_asks_the_oracle_nothing():
     areas = [O(2, 5), O(6, 8), O(9, 11)]
     asked = []
@@ -513,3 +546,32 @@ def test_cli_opt_refuses_a_short_script_up_front(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_INVALID_CONFIG and captured.out == ""
     assert captured.err == "error: script has no response for index 1, query #2\n"
+
+
+def test_cli_opt_refuses_a_mixed_caps_search_up_front(tmp_path, capsys, monkeypatch):
+    """One index with a long chain and seven that end at a point after one
+    response: the count vectors to the default --max-total of 4n = 32 are
+    few, but each level's walk reads every multiset of the eight indices,
+    comb(40, 32) in all.  `uncquery opt` counts those, and refuses with
+    exit 3 and one line before any verifier call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched past the size guard")
+
+    monkeypatch.setattr("uncquery.harness.minimal_solutions", refuse)
+    areas = [O(0, 1 + i) for i in range(8)]
+    script = {0: [O(0, Fraction(1, j + 1)) for j in range(1, 33)]}
+    script.update({i: [Area.point(Fraction(1, 2))] for i in range(1, 8)})
+    caps = _Chains(areas, ScriptedOracle(script), None).extend(32)
+    assert caps == [32] + [1] * 7
+    assert sum(1 for t in range(33) for _ in _reference_level_vectors(caps, t)) < MAX_SEARCH_VECTORS
+    inst = UncertainInstance(model=ModelSpec.parse("O-OP"), areas=tuple(areas),
+                             problem=SelectionProblem(k=1))
+    inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+    inst_path.write_text(json.dumps(instance_to_json(inst)))
+    script_path.write_text(json.dumps({"responses": {
+        str(i + 1): [a.to_json() for a in rs] for i, rs in script.items()
+    }}))
+    code = main(["opt", "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
+    assert (code, capsys.readouterr()) == (EXIT_INVALID_CONFIG, ("", (
+        f"error: the OPT search could visit {comb(40, 32)} count vectors, more than "
+        f"{MAX_SEARCH_VECTORS}; lower --max-total (now 32)\n")))
