@@ -20,10 +20,10 @@ exactness.
 
 A solve changes one area per query, so a `VectorState` keeps the images of
 the vector it last saw, with the lo ranks and the lo order read from them,
-and patches all three.  A solve of LOG_MIN_AREAS or more areas keeps them
-in a `LoggedVector`, which logs the index of every write, so a state handed
-the same vector again reads the indices written since its last call instead
-of comparing all n entries.  A rebuild takes D as the exact lcm.  Between rebuilds D only
+and patches all three.  Every solve keeps them in a `LoggedVector`, whose
+writes are the solve's query log, so a state handed the same vector again
+reads the indices written since its last call instead of comparing all n
+entries.  A rebuild takes D as the exact lcm.  Between rebuilds D only
 grows: a new denominator that does not divide D rescales every image by
 D'/D, and D' takes powers of the missing factor past the lcm, up to
 HEADROOM_BITS, so that the next denominators of the same kind (a halving
@@ -48,7 +48,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, index, is_not
+from operator import attrgetter, is_not
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -374,36 +374,25 @@ SCALE_BITS_LIMIT = 1024
 # send a vector to ranks (a patch past the limit rebuilds at the exact lcm).
 HEADROOM_BITS = SCALE_BITS_LIMIT // 4
 
-# A solve keeps its areas in a LoggedVector from this many areas on.  Below
-# it the identity scan, one C-level pass over the entries, costs less than
-# logging each write and reading the log back in Python.
-LOG_MIN_AREAS = 64
-
 # VectorState.update patches only the changed entries while at most one in
 # this many changed; past that a rebuild costs about as much as the patch.
 REBUILD_SHARE = 4
 
 
 class LoggedVector(list):
-    """A list of areas that appends the index of every item assignment to
-    `writes`, so a `VectorState` that last read it at some length of the
-    log finds the entries written since without comparing the others.  It
-    changes only by assignment to one entry: slice assignment and every
-    mutator that could move or drop entries raise TypeError, since they
-    would change entries the log does not name."""
+    """A solve's areas with `writes`, its query log: the engine, their only
+    writer, stores each response with `list.__setitem__` and appends
+    (index, response) to `writes`, so a `VectorState` that last read the
+    vector at some length of the log finds the entries written since without
+    comparing the others.  Item and slice assignment and every mutator that
+    could move or drop entries raise TypeError, since they would change
+    entries the log does not name."""
 
     __slots__ = ("writes",)
 
     def __init__(self, areas: Iterable[Area] = ()) -> None:
         super().__init__(areas)
-        self.writes: List[int] = []
-
-    def __setitem__(self, i: int, area: Area) -> None:
-        i = index(i)  # a slice raises TypeError here
-        if i < 0:
-            i += len(self)
-        list.__setitem__(self, i, area)
-        self.writes.append(i)
+        self.writes: List[Tuple[int, Area]] = []
 
 
 def _unlogged(name: str):
@@ -412,8 +401,8 @@ def _unlogged(name: str):
     return refuse
 
 
-for _name in ("__delitem__", "__iadd__", "__imul__", "append", "extend", "insert",
-              "pop", "remove", "clear", "sort", "reverse"):
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
     setattr(LoggedVector, _name, _unlogged(_name))
 
 
@@ -473,19 +462,20 @@ class VectorState:
 
     `update` keeps the indices whose area changed since the last vector in
     `changed`, ascending.  Handed again the `LoggedVector` it read last, it
-    takes them from the indices written since then; handed any other vector
-    it compares each entry with the last one's by identity (areas are
-    immutable, so an unchanged entry is the same object).  Only the changed
-    entries are re-imaged, taken out of the lo order and inserted again by
-    bisection.  A new denominator that does not divide D rescales every
-    image by D'/D, which keeps their order; D' is the lcm times powers of
-    the factor it adds, up to HEADROOM_BITS, so later patches find more of
-    that factor in D.  Everything is rebuilt, at the exact lcm, when the
-    length changed, when more than one entry in REBUILD_SHARE changed, when
-    D would pass SCALE_BITS_LIMIT bits, or while the images are ranks,
-    which cannot be patched.  An `ImagedVector` is always rebuilt from the
-    images it brings, scaled or ranked over whatever superset they were
-    taken from: copying them costs less than a patch.
+    takes them from the solve's writes since then, each a strict refinement
+    and so a changed entry.  Handed any other vector (the OPT search's, or a
+    solve's first) it compares each entry with the last one's by identity
+    (areas are immutable, so an unchanged entry is the same object).  Only
+    the changed entries are re-imaged, taken out of the lo order and
+    inserted again by bisection.  A new denominator that does not divide D
+    rescales every image by D'/D, which keeps their order; D' is the lcm
+    times powers of the factor it adds, up to HEADROOM_BITS, so later
+    patches find more of that factor in D.  Everything is rebuilt, at the
+    exact lcm, when the length changed, when more than one entry in
+    REBUILD_SHARE changed, when D would pass SCALE_BITS_LIMIT bits, or while
+    the images are ranks, which cannot be patched.  An `ImagedVector` is
+    always rebuilt from the images it brings, scaled or ranked over whatever
+    superset they were taken from: copying them costs less than a patch.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area does not
@@ -526,9 +516,13 @@ class VectorState:
         """Bring the state up to `areas` and return it."""
         n = len(areas)
         if areas is self._log:
-            self.changed = self._written(areas) if len(areas.writes) > self._seen else []
-            if not self.changed:
+            writes, seen = areas.writes, self._seen
+            self._seen = m = len(writes)
+            if m == seen:
+                self.changed = ()
                 return self
+            self.changed = ([writes[seen][0]] if m == seen + 1
+                            else sorted({i for i, _ in writes[seen:]}))
         else:
             if type(areas) is LoggedVector:
                 self._log, self._seen = areas, len(areas.writes)
@@ -555,13 +549,6 @@ class VectorState:
             # A stable sort of ascending indices breaks rank ties by index.
             self.order = sorted(range(n), key=self.rank.__getitem__)
         return self
-
-    def _written(self, areas: LoggedVector) -> List[int]:
-        """The indices written to `areas`, the vector this state read last,
-        since then, ascending, less those written the same area again."""
-        writes, old = areas.writes, self.areas
-        fresh, self._seen = writes[self._seen:], len(writes)
-        return sorted({i for i in fresh if areas[i] is not old[i]})
 
     def _read(self, lo: List[int], hi: List[int]) -> None:
         """Take these oriented images and rank them."""

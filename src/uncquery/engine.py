@@ -4,18 +4,18 @@ which a witness set's members are queried; the engine owns budgets, response
 validation, the query counts and the query log.  Selection and the
 uncertain spanning tree (`mst.umst_solve`) both run on it.
 
-The areas a solve hands its strategy are one list, written only by the
-engine, one entry per query.  From `core.LOG_MIN_AREAS` areas on it is a
-`core.LoggedVector`, which logs each written index, so a strategy's
-`core.VectorState` patches the entries written since its last call without
-comparing the other n; below that the comparison costs less than the log."""
+The areas a solve hands its strategy are one `core.LoggedVector`, written
+only by the engine, one entry per query.  Its `writes` list of (index,
+response) is the report's query log, so a strategy's `core.VectorState`
+patches the entries written since its last call without comparing the
+other n."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import LOG_MIN_AREAS, Area, AreaVector, LoggedVector
+from .core import Area, AreaVector, LoggedVector
 from .models import ModelSpec, UncertainInstance, validate_instance, validate_response
 
 
@@ -120,15 +120,14 @@ def solve(
             raise StrategyModelError(err)
     strategy.reset()
 
-    logged = len(instance.areas) >= LOG_MIN_AREAS
-    areas: List[Area] = LoggedVector(instance.areas) if logged else list(instance.areas)
+    areas = LoggedVector(instance.areas)
+    writes, write = areas.writes, list.__setitem__
     counts: Dict[int, int] = {}
-    log: List[Tuple[int, Area]] = []
 
     while True:
         answer = strategy.verifier(areas)
         if answer is not None:
-            return RunReport(answer, log, counts, len(log), RunStatus.SOLVED)
+            return RunReport(answer, writes, counts, len(writes), RunStatus.SOLVED)
         witness = sorted(set(strategy.witness(areas)))
         if not witness:
             raise EngineError(f"strategy {strategy.name} returned an empty witness set")
@@ -140,12 +139,12 @@ def solve(
             if areas[idx].is_point:
                 raise EngineError(f"witness set names unqueriable point area {idx + 1}")
         for idx in strategy.queries(areas, witness):
-            if len(log) >= budget:
-                return RunReport(None, log, counts, len(log), RunStatus.BUDGET_EXCEEDED)
+            if len(writes) >= budget:
+                return RunReport(None, writes, counts, len(writes), RunStatus.BUDGET_EXCEEDED)
             counts[idx] = counts.get(idx, 0) + 1
             response = oracle.respond(idx, counts[idx], areas[idx])
             err = validate_response(instance.model, areas[idx], response)
             if err is not None:
                 raise OracleResponseError(f"index {idx + 1}: {err}")
-            areas[idx] = response
-            log.append((idx, response))
+            write(areas, idx, response)
+            writes.append((idx, response))

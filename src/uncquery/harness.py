@@ -456,7 +456,10 @@ class ExperimentConfig:
             return ExperimentConfig(algorithm=values.pop("algorithm"),
                                     model=ModelSpec.parse(values.pop("model")), **values)
 
-    def validate(self) -> None:
+    def validate(self) -> Optional[Fixture]:
+        """ConfigError unless every trial can run; returns the fixture an
+        adversary oracle plays, which must have the configured model and
+        problem, or None for any other oracle."""
         _check_limit("trials", self.trials, 0)
         _check_limit("budget", self.budget, 1)
         _check_limit("max_total", self.max_total, 0)
@@ -466,15 +469,16 @@ class ExperimentConfig:
             if err:
                 raise ConfigError(f"{self.algorithm}: {err}")
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
-        self.fixture()
-        _generator(self)  # raises ConfigError on a generator setting out of range
-
-    def fixture(self) -> Optional[Fixture]:
-        """The fixture an adversary oracle plays, or None for any other
-        oracle; ConfigError unless it has the configured model and problem."""
         kmin = self.problem_type == "kmin"
         problem = SelectionProblem(self.k, tie_rule=self.tie_rule) if kmin else None
-        return adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
+        fixture = adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
+        _generator(self)  # raises ConfigError on a generator setting out of range
+        if kmin:
+            try:  # the strategy's own refusals, such as min1's k = 1
+                make_strategy(self.algorithm, problem)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        return fixture
 
 
 def _check_limit(name: str, value, least: int, most: Optional[int] = None) -> None:
@@ -548,8 +552,8 @@ def run_algorithm(instance: UncertainInstance, oracle: Oracle, algorithm, budget
     return report, report.answer, strategy.verifier
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
-    fixture = config.fixture()
+def run_trial(config: ExperimentConfig, trial: int, fixture: Optional[Fixture]) -> TrialRecord:
+    """One trial; `fixture` is the one `config.validate` returned."""
     if fixture is not None:
         instance, oracle, opt = fixture.instance, fixture.fresh_oracle(), fixture.opt_value
     else:
@@ -581,8 +585,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
 
 def compete(config: ExperimentConfig) -> Tuple[List[TrialRecord], dict, int]:
     """All trials plus an aggregate summary and the process exit code."""
-    config.validate()
-    records = [run_trial(config, t) for t in range(config.trials)]
+    fixture = config.validate()
+    records = [run_trial(config, t, fixture) for t in range(config.trials)]
     ratios = [r.ratio for r in records if r.ratio is not None]
     gaps = [r.gap for r in records if r.gap is not None]
     aggregate = {

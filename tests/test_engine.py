@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncquery.core
-import uncquery.engine
 from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, LoggedVector, TieRule, VectorState
 from uncquery.engine import (
     EngineError,
@@ -79,10 +78,17 @@ class TestSolve:
         assert report.answer is None and report.total == 4
 
     def test_counts_match_log(self):
+        """The query log is the writes list of the vector the strategy read."""
         fix = min_tight_fixture(2)
         strategy = make_strategy("min1-witness", fix.instance.problem)
+        handed, verifier = [], strategy.verifier
+        strategy.verifier = lambda areas: handed.append(areas) or verifier(areas)
         report = solve(fix.instance, fix.fresh_oracle(), strategy, 100)
         assert sum(report.counts.values()) == report.total == len(report.query_log)
+        assert {type(a) for a in handed} == {LoggedVector} and len({id(a) for a in handed}) == 1
+        assert handed[0].writes is report.query_log
+        last = dict(report.query_log)
+        assert handed[0] == [last.get(i, a) for i, a in enumerate(fix.instance.areas)]
 
     def test_invalid_instance_rejected(self):
         inst = _instance("O-O", [Area.closed(1, 3)])
@@ -249,9 +255,7 @@ def _assert_matches_fresh(state, areas, prev):
 @contextlib.contextmanager
 def _checked_states():
     """Check every VectorState update against a fresh state; yields the
-    number of updates that read a LoggedVector's writes.  Every solve logs
-    its writes, however few its areas: the log's reading does not depend on
-    the vector's length, and small vectors keep the examples fast."""
+    number of updates that read a LoggedVector's writes."""
     seen = {"logged": 0}
 
     def update(state, areas):
@@ -261,8 +265,7 @@ def _checked_states():
         _assert_matches_fresh(state, areas, prev)
         return state
 
-    with mock.patch.object(VectorState, "update", update), \
-            mock.patch.object(uncquery.engine, "LOG_MIN_AREAS", 1):
+    with mock.patch.object(VectorState, "update", update):
         yield seen
 
 
@@ -322,25 +325,31 @@ def test_umst_pass_state_matches_a_fresh_one_through_a_solve(model, vertices, se
 
 def test_a_logged_vector_names_every_write_and_refuses_other_changes():
     vec = LoggedVector([Area.open(0, 2), Area.open(1, 3), Area.point(4)])
-    vec[1] = Area.point(2)
-    vec[-3] = Area.open(0, 1)
-    assert vec.writes == [1, 0] and type(vec[:]) is list
-    for change in (lambda: vec.append(Area.point(0)), lambda: vec.pop(), vec.reverse,
-                   vec.sort, lambda: vec.__setitem__(slice(0, 1), [Area.point(0)]),
+    for i, area in ((1, Area.point(2)), (0, Area.open(0, 1))):  # as engine.solve writes
+        list.__setitem__(vec, i, area)
+        vec.writes.append((i, area))
+    assert vec.writes == [(1, Area.point(2)), (0, Area.open(0, 1))] and type(vec[:]) is list
+    for change in (lambda: vec.__setitem__(0, Area.point(0)), lambda: vec.append(Area.point(0)),
+                   lambda: vec.pop(), vec.reverse, vec.sort,
+                   lambda: vec.__setitem__(slice(0, 1), [Area.point(0)]),
                    lambda: vec.__delitem__(0), lambda: vec.__iadd__([])):
         with pytest.raises(TypeError):
             change()
-    assert vec.writes == [1, 0] and len(vec) == 3
-    # A state that read another vector in between compares entry by entry.
+    assert len(vec.writes) == 2 and vec == [Area.open(0, 1), Area.point(2), Area.point(4)]
+    # A state that read another vector in between compares entry by entry;
+    # handed the same vector again it reads one write, then several.
     state, other = VectorState(), [Area.open(0, 1), Area.point(2), Area.point(5)]
     for areas in (vec, other, vec):
         prev = list(state.areas)
         _assert_matches_fresh(state.update(areas), areas, prev)
-    # Written entries holding the same area as before did not change.
-    vec[2], vec[0] = Area.point(5), vec[0]
-    prev = list(state.areas)
-    _assert_matches_fresh(state.update(vec), vec, prev)
-    assert state.changed == [2]
+    for writes, changed in (([(2, Area.point(5))], [2]),
+                            ([(1, Area.open(2, 3)), (0, Area.point(1)), (1, Area.point(3))], [0, 1])):
+        for i, area in writes:
+            list.__setitem__(vec, i, area)
+            vec.writes.append((i, area))
+        prev = list(state.areas)
+        _assert_matches_fresh(state.update(vec), vec, prev)
+        assert state.changed == changed
 
 
 def test_solves_read_writes_and_rescale_seldom(monkeypatch):
@@ -350,7 +359,9 @@ def test_solves_read_writes_and_rescale_seldom(monkeypatch):
     logged writes.  A whole-vector rescale happens at most half as often as
     with D kept at the exact lcm, which rescaled 17 times in the selection
     solve and 14 times in the uMST solve.  No state is ranked while the
-    exact lcm of its denominators fits in SCALE_BITS_LIMIT bits."""
+    exact lcm of its denominators fits in SCALE_BITS_LIMIT bits.  Two small
+    solves, kmin-witness on OP-P with exact reveals at n = 6 and a halving
+    uMST solve on OC-OC at V = 4, read their writes just the same."""
     counts = {"scanned": 0, "rescales": 0}
     scan, patch = uncquery.core.compress, VectorState._patch
 
@@ -385,3 +396,11 @@ def test_solves_read_writes_and_rescale_seldom(monkeypatch):
     report, answer = umst_solve(graph, build_oracle("ground:halve:1/2", graph), 10**5)
     assert answer is not None and report.total == 458 and counts["scanned"] == 0
     assert counts["rescales"] <= 14 // 2
+    small = generate_instance(GenParams(6, ModelSpec.parse("OP-P"), k=3, overlap=3), 1)
+    report = solve(small, build_oracle("ground:exact", small),
+                   make_strategy("kmin-witness", small.problem), default_budget(6))
+    assert report.total == 5 and counts["scanned"] == 0
+    params = GraphGenParams(4, 3, ModelSpec.parse("OC-OC"), overlap=3)
+    graph = generate_graph_instance(params, 1)
+    report, answer = umst_solve(graph, build_oracle("ground:halve", graph), 10**3)
+    assert answer is not None and report.total == 10 and counts["scanned"] == 0

@@ -297,12 +297,17 @@ class TestCompete:
         assert code == EXIT_OK and aggregate["violations"] == 0
         assert len(records) == 5
 
-    def test_adversary_run(self):
+    def test_adversary_run(self, monkeypatch):
+        """Every trial plays a fresh oracle of the one fixture validate built."""
+        builds, build = [], FIXTURE_BUILDERS["min-tight"]
+        monkeypatch.setitem(FIXTURE_BUILDERS, "min-tight",
+                            lambda n, k: builds.append((n, k)) or build(n, k))
         cfg = ExperimentConfig(
             algorithm="min1-witness", model=ModelSpec.parse("O-O"),
-            oracle="adversary:min-tight", trials=2, n=3,
+            oracle="adversary:min-tight", trials=4, n=3,
         )
         records, aggregate, code = compete(cfg)
+        assert builds == [(3, 1)] and len(records) == 4
         assert aggregate["max_ratio"] == 2.0
         assert all(r.queries == 6 and r.opt == 3 for r in records)
 
@@ -335,7 +340,7 @@ class TestCompete:
                 inst, build_oracle("ground:exact", inst),
                 make_strategy("kmin-witness", inst.problem), default_budget(5),
             )
-            assert run_trial(cfg, t).queries == report.total
+            assert run_trial(cfg, t, None).queries == report.total
         graph_cfg = ExperimentConfig(
             algorithm="umst", model=ModelSpec.parse("OC-OC"), problem_type="mst",
             seed=5, vertices=5, extra_edges=3,
@@ -822,6 +827,8 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "n": 10**6 + 1},
         {"algorithm": "kmin-witness", "model": "OP-P", "problem": {"k": 0}},
         {"algorithm": "kmin-witness", "model": "OP-P", "problem": {"k": 5}},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem": {"k": 2}},
+        {"algorithm": "min1-witness", "model": "OP-P", "problem": {"k": 2}, "trials": 0},
         ["min1-witness", "OP-P"],
     ], ids=["no-algorithm", "model-not-a-string", "problem-a-number", "problem-a-list",
             "budget-not-a-number", "max-total-a-list", "budget-a-float", "max-total-a-float",
@@ -832,7 +839,7 @@ class TestCli:
             "overlap-infinite", "overlap-nan", "overlap-infinite-no-trials",
             "point-fraction-above-one", "vertices-zero", "vertices-one",
             "extra-edges-past-the-size-cap", "n-past-the-size-cap", "k-zero", "k-above-n",
-            "config-a-list"])
+            "min1-k-two", "min1-k-two-no-trials", "config-a-list"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, monkeypatch, config):
         monkeypatch.setattr("uncquery.harness._draw", _refuse_to_draw)
         cfg_path = tmp_path / "cfg.json"
