@@ -8,7 +8,6 @@ the bounds are tight.
 from .core import (
     Area,
     AreaVector,
-    EndpointKind,
     TieRule,
     contains,
     format_rational,

@@ -1,9 +1,11 @@
 """Exact areas of uncertainty and the comparison algebra over them.
 
-An *area* is the region currently known to contain a hidden value: either an
-interval with per-endpoint open/closed kinds, or a single point (modelled as a
-degenerate closed interval).  Endpoints are exact rationals; there is no
-epsilon anywhere, which is what makes the closed-endpoint tie rules sound.
+An *area* is the region currently known to contain a hidden value: an open
+interval, a closed interval, or a single point (modelled as a degenerate
+closed interval), the three area types every query model is built from.  One
+flag, `attains`, says whether the area holds its endpoints.  Endpoints are
+exact rationals; there is no epsilon anywhere, which is what makes the
+closed-endpoint tie rules sound.
 
 Hot paths compare integer images instead of Fractions.  A `VectorState`
 scales every lo and hi endpoint of a vector by D, a common multiple of all
@@ -36,9 +38,10 @@ endpoints just as exactly.  A state rebuilt from one takes them instead of
 imaging the areas again; the OPT search hands its verifier these.
 
 An `Area` is a slotted immutable value.  Its constructor coerces the
-endpoints to Fraction, refuses an empty area, and fixes `is_point` once, so
-the solvers' many point checks are attribute loads.  Every function is pure;
-a `VectorState` and a solve's `LoggedVector` are the objects that change.
+endpoints to Fraction, refuses an empty area and a flag that is not a bool,
+and fixes `is_point` once, so the solvers' many point checks are attribute
+loads.  Every function is pure; a `VectorState` and a solve's `LoggedVector`
+are the objects that change.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, is_not
+from operator import is_not
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -169,38 +172,32 @@ class Rationals(Sequence):
         return f"{type(self).__qualname__}({tuple(self)!r})"
 
 
-class EndpointKind(Enum):
-    OPEN = "open"
-    CLOSED = "closed"
-
-
-# Loading a member off an Enum class costs a Python-level lookup; the area
-# code, run once per area read or built, loads these instead.
-_OPEN, _CLOSED = EndpointKind.OPEN, EndpointKind.CLOSED
-
-
 class TieRule(Enum):
     STABLE = "stable"
     LEX = "lex"
 
 
 class Area:
-    """A point or interval with per-endpoint kinds.  Never the empty set.
+    """An open interval, a closed interval or a point.  Never the empty set.
 
-    An immutable value: every assignment raises AttributeError, and equal
-    areas hash equal.  The constructor coerces the endpoints to Fraction and
-    fixes `is_point` from the sign of hi - lo that its emptiness check
-    computes anyway, so reading it is an attribute load."""
+    `attains` is true for a closed interval and a point, which hold both
+    their endpoints, and false for an open interval, which holds neither;
+    the constructor takes it as a bool, so no text or enum member can pass
+    for one.  An immutable value: every assignment raises AttributeError,
+    and equal areas hash equal.  The constructor coerces the endpoints to
+    Fraction and fixes `is_point` from the sign of hi - lo that its
+    emptiness check computes anyway, so reading it is an attribute load."""
 
-    __slots__ = ("lo", "hi", "lo_kind", "hi_kind", "is_point")
+    __slots__ = ("lo", "hi", "attains", "is_point")
 
     lo: Fraction
     hi: Fraction
-    lo_kind: EndpointKind
-    hi_kind: EndpointKind
+    attains: bool
     is_point: bool
 
-    def __init__(self, lo, hi, lo_kind: EndpointKind, hi_kind: EndpointKind) -> None:
+    def __init__(self, lo, hi, attains: bool) -> None:
+        if attains.__class__ is not bool:
+            raise TypeError(f"attains must be a bool, got {attains!r}")
         if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
             lo, hi = Fraction(lo), Fraction(hi)
         # Denominators are positive, so p/q vs r/s is p·s vs r·q on ints.
@@ -209,14 +206,11 @@ class Area:
         width = r * q - p * s  # sign of hi - lo
         if width < 0:
             raise ValueError(f"empty area: lo={lo} > hi={hi}")
-        if width == 0 and (
-            lo_kind is not _CLOSED or hi_kind is not _CLOSED
-        ):
+        if width == 0 and not attains:
             raise ValueError("a degenerate area is a point and must be closed at both ends")
         _set_lo(self, lo)
         _set_hi(self, hi)
-        _set_lo_kind(self, lo_kind)
-        _set_hi_kind(self, hi_kind)
+        _set_attains(self, attains)
         _set_is_point(self, width == 0)
 
     def __setattr__(self, name: str, value) -> None:
@@ -227,19 +221,18 @@ class Area:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.lo, self.hi, self.lo_kind, self.hi_kind) == (
-                other.lo, other.hi, other.lo_kind, other.hi_kind)
+            return (self.lo, self.hi, self.attains) == (other.lo, other.hi, other.attains)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.lo_kind, self.hi_kind))
+        return hash((self.lo, self.hi, self.attains))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
-                f"lo_kind={self.lo_kind!r}, hi_kind={self.hi_kind!r})")
+                f"attains={self.attains!r})")
 
     def __reduce__(self):
-        return type(self), (self.lo, self.hi, self.lo_kind, self.hi_kind)
+        return type(self), (self.lo, self.hi, self.attains)
 
     def __copy__(self) -> "Area":
         return self
@@ -250,23 +243,15 @@ class Area:
     @staticmethod
     def point(value) -> "Area":
         v = as_fraction(value)
-        return Area(v, v, _CLOSED, _CLOSED)
+        return Area(v, v, True)
 
     @staticmethod
     def open(lo, hi) -> "Area":
-        return Area(lo, hi, _OPEN, _OPEN)
+        return Area(lo, hi, False)
 
     @staticmethod
     def closed(lo, hi) -> "Area":
-        return Area(lo, hi, _CLOSED, _CLOSED)
-
-    @property
-    def attains_lo(self) -> bool:
-        return self.lo_kind is _CLOSED
-
-    @property
-    def attains_hi(self) -> bool:
-        return self.hi_kind is _CLOSED
+        return Area(lo, hi, True)
 
     @property
     def length(self) -> Fraction:
@@ -281,77 +266,57 @@ class Area:
         r, s = self.hi.as_integer_ratio()
         above_lo = a * q - p * b  # sign of x - lo
         below_hi = r * b - a * s  # sign of hi - x
-        return (above_lo > 0 or (above_lo == 0 and self.lo_kind is _CLOSED)) and (
-            below_hi > 0 or (below_hi == 0 and self.hi_kind is _CLOSED)
-        )
+        if self.attains:
+            return above_lo >= 0 and below_hi >= 0
+        return above_lo > 0 and below_hi > 0
 
     def __str__(self) -> str:
         if self.is_point:
             return str(self.lo)
-        lb = "[" if self.attains_lo else "("
-        rb = "]" if self.attains_hi else ")"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
+        return f"[{self.lo}, {self.hi}]" if self.attains else f"({self.lo}, {self.hi})"
 
     def to_json(self) -> dict:
         if self.is_point:
             return {"kind": "point", "value": format_rational(self.lo)}
-        if self.lo_kind is _OPEN and self.hi_kind is _OPEN:
-            kind = "open"
-        elif self.lo_kind is _CLOSED and self.hi_kind is _CLOSED:
-            kind = "closed"
-        else:
-            kind = "mixed"
-        out = {"kind": kind, "lo": format_rational(self.lo), "hi": format_rational(self.hi)}
-        if kind == "mixed":
-            out["lo_kind"] = self.lo_kind.value
-            out["hi_kind"] = self.hi_kind.value
-        return out
+        return {"kind": "closed" if self.attains else "open",
+                "lo": format_rational(self.lo), "hi": format_rational(self.hi)}
 
     @staticmethod
     def from_json(data: dict, parse: Callable[[object], Fraction] = parse_rational) -> "Area":
-        """The area a JSON object describes.  A reader of many areas can pass
-        a `parse` that parses each distinct endpoint text once."""
+        """The area a JSON object of kind "point", "open" or "closed"
+        describes.  A reader of many areas can pass a `parse` that parses
+        each distinct endpoint text once."""
         kind = data["kind"]
         if kind == "point":
             lo = hi = parse(data["value"])
-            return Area(lo, hi, _CLOSED, _CLOSED)
-        lo = parse(data["lo"])
-        hi = parse(data["hi"])
-        if kind == "open":
-            return Area(lo, hi, _OPEN, _OPEN)
-        if kind == "closed":
-            return Area(lo, hi, _CLOSED, _CLOSED)
-        if kind == "mixed":
-            return Area(lo, hi, EndpointKind(data["lo_kind"]), EndpointKind(data["hi_kind"]))
-        raise ValueError(f"unknown area kind {kind!r}")
+            return Area(lo, hi, True)
+        if kind != "open" and kind != "closed":
+            raise ValueError(f"unknown area kind {kind!r}")
+        return Area(parse(data["lo"]), parse(data["hi"]), kind == "closed")
 
 
 # The slots' own setters: Area.__setattr__ refuses every assignment, so its
 # constructor writes each field through the slot descriptor.
-_set_lo, _set_hi, _set_lo_kind, _set_hi_kind, _set_is_point = (
+_set_lo, _set_hi, _set_attains, _set_is_point = (
     vars(Area)[name].__set__ for name in Area.__slots__)
 
 AreaVector = Sequence[Area]
 
 
 def contains(outer: Area, inner: Area) -> bool:
-    """True iff every value of `inner` is a member of `outer`."""
-    if inner.lo < outer.lo or (
-        inner.lo == outer.lo and inner.attains_lo and not outer.attains_lo
-    ):
+    """True iff every value of `inner` is a member of `outer`: it lies within
+    outer's endpoints and holds a shared endpoint only if outer does."""
+    if inner.lo < outer.lo or inner.hi > outer.hi:
         return False
-    if inner.hi > outer.hi or (
-        inner.hi == outer.hi and inner.attains_hi and not outer.attains_hi
-    ):
-        return False
-    return True
+    return outer.attains or not inner.attains or (inner.lo != outer.lo and inner.hi != outer.hi)
 
 
 def surely_leq(a: Area, b: Area) -> bool:
     """True iff x <= y for every x in a, y in b.
 
     Equivalent to hi(a) <= lo(b): on equality every x <= hi(a) = lo(b) <= y,
-    so the endpoint kinds are irrelevant for the non-strict relation.
+    so whether the areas attain their endpoints is irrelevant for the
+    non-strict relation.
     """
     return a.hi <= b.lo
 
@@ -360,7 +325,7 @@ def surely_lt(a: Area, b: Area) -> bool:
     """True iff x < y for every x in a, y in b."""
     if a.hi < b.lo:
         return True
-    return a.hi == b.lo and (not a.attains_hi or not b.attains_lo)
+    return a.hi == b.lo and not (a.attains and b.attains)
 
 
 # Above this size of D, a VectorState ranks the endpoint values instead.
@@ -478,13 +443,14 @@ class VectorState:
     superset they were taken from: copying them costs less than a patch.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
-    stable tie rule; under lex twice that, plus one when the area does not
-    attain its lo, so an attained lo sorts first.  `order` lists the indices
-    ascending by rank·n + index, so ties go to the smaller index.
+    stable tie rule; under lex twice that, plus one when the area is open,
+    so an attained lo sorts first.  `order` lists the indices ascending by
+    rank·n + index, so ties go to the smaller index.
 
     A mirrored state describes the vector with every value negated: the
-    images are negated and swapped, and so are the attains flags, so that
-    the k-min rules answer the k-max question.
+    images are negated and swapped, so that the k-min rules answer the k-max
+    question.  An area attains both its endpoints or neither, so its mirror
+    attains what it does and the rules read `areas[i].attains` either way.
     """
 
     __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed",
@@ -503,14 +469,6 @@ class VectorState:
         # The last vector read if it was a LoggedVector, with `_seen`, how
         # many of its writes this state has read.
         self._log: Optional[LoggedVector] = None
-
-    def attains_lo(self, i: int) -> bool:
-        a = self.areas[i]
-        return a.attains_hi if self.mirror else a.attains_lo
-
-    def attains_hi(self, i: int) -> bool:
-        a = self.areas[i]
-        return a.attains_lo if self.mirror else a.attains_hi
 
     def update(self, areas: AreaVector) -> "VectorState":
         """Bring the state up to `areas` and return it."""
@@ -554,8 +512,7 @@ class VectorState:
         """Take these oriented images and rank them."""
         self.lo, self.hi = lo, hi
         if self.tie_rule is TieRule.LEX:
-            kinds = map(attrgetter("hi_kind" if self.mirror else "lo_kind"), self.areas)
-            self.rank = [2 * v + (kind is not _CLOSED) for v, kind in zip(lo, kinds)]
+            self.rank = [2 * v + (not a.attains) for v, a in zip(lo, self.areas)]
         else:
             self.rank = lo
 
@@ -585,7 +542,7 @@ class VectorState:
             a, b = p * (d // q), r * (d // s)
             lo[i], hi[i] = (-b, -a) if self.mirror else (a, b)
             if self.tie_rule is TieRule.LEX:
-                rank[i] = 2 * lo[i] + (not self.attains_lo(i))
+                rank[i] = 2 * lo[i] + (not areas[i].attains)
         n = len(rank)
         for i in changed:
             order.insert(bisect_left(order, rank[i] * n + i, key=lambda j: rank[j] * n + j), i)
@@ -611,4 +568,4 @@ def order_u(areas: AreaVector, tie_rule: TieRule = TieRule.STABLE) -> list:
     hi = VectorState().update(areas).hi
     if tie_rule is TieRule.STABLE:
         return sorted(range(len(areas)), key=hi.__getitem__)
-    return sorted(range(len(areas)), key=lambda i: (hi[i], areas[i].attains_hi))
+    return sorted(range(len(areas)), key=lambda i: (hi[i], areas[i].attains))

@@ -97,12 +97,16 @@ _JSON_TYPES = {dict: "an object", str: "a string", int: "an integer", float: "a 
 
 
 def _json_value(key: str, value, want: type):
-    """`value`, read at `key`, if its JSON type is `want`, where an int passes
-    as a float and a bool is no int; else TypeError, which `_malformed` reports."""
+    """`value`, read at `key`, if its JSON type is `want`, where an int within
+    float range passes as a float and a bool is no int; else TypeError, which
+    `_malformed` reports, or ConfigError for an int past float range."""
     if type(value) is want:
         return value
     if want is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key!r} is an integer past float range") from None
     raise TypeError(f"{key!r} must be {_JSON_TYPES[want]}, got {json.dumps(value)}")
 
 
@@ -175,8 +179,8 @@ def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
     """Grid value inside the area, distinct from previously chosen values so
     interval-return refinement always terminates."""
     for denom in (16, 64, 256, 1024):
-        lo_j = 0 if area.attains_lo else 1
-        hi_j = denom if area.attains_hi else denom - 1
+        lo_j = 0 if area.attains else 1
+        hi_j = denom - lo_j
         offsets = list(range(lo_j, hi_j + 1))
         rng.shuffle(offsets)
         for j in offsets:
@@ -239,7 +243,7 @@ class GraphGenParams:
     vertices: int
     extra_edges: int
     model: ModelSpec
-    overlap: float = 0.6
+    overlap: float = GenParams.overlap
 
 
 def generate_graph_instance(params: GraphGenParams, seed: int | str) -> UncertainInstance:
@@ -285,7 +289,7 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
         return GroundTruthOracle.for_instance(instance)
     if spec.startswith("script:"):
         with _malformed("script"):
-            return ScriptedOracle.load(spec.split(":", 1)[1])
+            return ScriptedOracle.load(spec.split(":", 1)[1], instance.model)
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
@@ -414,8 +418,9 @@ CONFIG_TABLE = {
 
 @dataclass
 class ExperimentConfig:
-    """The settings of one competition.  Their defaults here are the only
-    ones: `from_json` keeps them for a missing key or a null; `gen` takes them."""
+    """The settings of one competition.  Each default is written once, the
+    generator's in GenParams and the rest here: `from_json` keeps them for a
+    missing key or a null; `gen` takes them."""
 
     algorithm: str
     model: ModelSpec
@@ -423,11 +428,11 @@ class ExperimentConfig:
     trials: int = 20
     seed: int = 0
     n: int = 6
-    k: int = 1
-    tie_rule: TieRule = TieRule.STABLE
+    k: int = GenParams.k
+    tie_rule: TieRule = GenParams.tie_rule
     problem_type: str = "kmin"
-    overlap: float = 0.6
-    point_fraction: float = 0.0
+    overlap: float = GenParams.overlap
+    point_fraction: float = GenParams.point_fraction
     vertices: int = 5
     extra_edges: int = 3
     budget: Optional[int] = None

@@ -7,21 +7,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .core import Area, EndpointKind, Rationals, contains
+from .core import Area, Rationals, contains
 
 SHAPE_ORDER = "OCP"
 
 
-# The shape letter of an area by (lo closed, hi closed, is point); a
-# half-open area has none.  The kinds enter as flags because an enum member
-# hashes in Python and a bool does not.
-_SHAPES = {(False, False, False): "O", (True, True, False): "C", (True, True, True): "P"}
-_CLOSED = EndpointKind.CLOSED
-
-
-def area_shape(area: Area) -> Optional[str]:
-    """'P' point, 'O' open interval, 'C' closed interval, None for half-open."""
-    return _SHAPES.get((area.lo_kind is _CLOSED, area.hi_kind is _CLOSED, area.is_point))
+def area_shape(area: Area) -> str:
+    """'P' point, 'O' open interval, 'C' closed interval."""
+    return "P" if area.is_point else "C" if area.attains else "O"
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ def validate_instance(instance: UncertainInstance) -> Optional[str]:
     for i, area in enumerate(instance.areas):
         shape = area_shape(area)
         if shape not in letters:
-            return (f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
+            return (f"area {i + 1} shape {shape} not admitted by input "
                     f"type set {instance.model.input}")
     hidden = instance.hidden
     if hidden is not None:
@@ -159,6 +152,5 @@ def validate_response(spec: ModelSpec, queried: Area, response: Area) -> Optiona
     if response == queried:
         return "response must strictly refine the queried area"
     if not spec.returns.admits(response):
-        shape = area_shape(response)
-        return f"response shape {shape or 'half-open'} not admitted by return type set {spec.returns}"
+        return f"response shape {area_shape(response)} not admitted by return type set {spec.returns}"
     return None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, EndpointKind, Rationals, TieRule, as_fraction
-from .models import ModelSpec, TypeSet, UncertainInstance
+from .core import Area, Rationals, TieRule, as_fraction
+from .models import ModelSpec, TypeSet, UncertainInstance, validate_response
 from .selection import SelectionProblem
 
 class OracleError(Exception):
@@ -151,40 +151,50 @@ class GroundTruthOracle(Oracle):
 
 
 class ScriptedOracle(Oracle):
-    def __init__(self, responses: Dict[int, List[Area]]):
+    """Replays a script's responses.  Given the instance's model, it checks
+    each one it hands out as the engine does, so the OPT search, which reads
+    responses a solve may not, refuses a script that a solve would."""
+
+    def __init__(self, responses: Dict[int, List[Area]], model: Optional[ModelSpec] = None):
         self.responses = {int(i): list(rs) for i, rs in responses.items()}
+        self.model = model
 
     @staticmethod
-    def from_json(data: dict) -> "ScriptedOracle":
+    def from_json(data: dict, model: Optional[ModelSpec] = None) -> "ScriptedOracle":
         # External script keys are 1-based to match reported indices.
         return ScriptedOracle(
             {
                 int(key) - 1: [Area.from_json(a) for a in areas]
                 for key, areas in data["responses"].items()
-            }
+            },
+            model,
         )
 
     @staticmethod
-    def load(path: str) -> "ScriptedOracle":
+    def load(path: str, model: Optional[ModelSpec] = None) -> "ScriptedOracle":
         with open(path) as fh:
-            return ScriptedOracle.from_json(json.load(fh))
+            return ScriptedOracle.from_json(json.load(fh), model)
 
     def respond(self, index: int, count: int, current: Area) -> Area:
         try:
-            return self.responses[index][count - 1]
+            response = self.responses[index][count - 1]
         except (KeyError, IndexError):
             raise OracleError(
                 f"script has no response for index {index + 1}, query #{count}"
             ) from None
+        err = None if self.model is None else validate_response(self.model, current, response)
+        if err is not None:
+            raise OracleError(f"index {index + 1}: {err}")
+        return response
 
 
 def _shrink_fallback(current: Area) -> Area:
     """Generic strict refinement for repeat queries an adversary never
-    planned for; keeps the upper end, raises the lower quarter."""
+    planned for: an open area that keeps the upper end and raises the lower
+    by a quarter of the length."""
     if current.is_point:
         raise OracleError("point areas cannot be refined")
-    lo = current.lo + current.length / 4
-    return Area(lo, current.hi, EndpointKind.OPEN, current.hi_kind)
+    return Area.open(current.lo + current.length / 4, current.hi)
 
 
 class MinTightAdversary(Oracle):

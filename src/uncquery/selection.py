@@ -57,7 +57,7 @@ def kmin_verifier(
     with a larger index a strict one.
     """
     s = _state(areas, tie_rule)
-    order, lo, hi = s.order, s.lo, s.hi
+    order, lo, hi, areas = s.order, s.lo, s.hi, s.areas
     n = len(order)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -75,7 +75,7 @@ def kmin_verifier(
     for j in islice(order, k, None):
         if lo[j] > hi_pk:
             break  # the tail is sorted by lo, so the rest lies strictly above
-        if lo[j] < hi_pk or (lex and j < pk and s.attains_hi(pk) and s.attains_lo(j)):
+        if lo[j] < hi_pk or (lex and j < pk and areas[pk].attains and areas[j].attains):
             return None
     return pk
 
@@ -85,9 +85,9 @@ def _lex_blocked(s: VectorState, prefix: Sequence[int], pk: int) -> bool:
     still not surely below pk: a prefix member with a larger index than pk
     needs a strict separation, which fails iff both areas attain the shared
     value."""
-    lo_pk, hi = s.lo[pk], s.hi
-    return s.attains_lo(pk) and any(
-        i > pk and hi[i] == lo_pk and s.attains_hi(i) for i in prefix)
+    lo_pk, hi, areas = s.lo[pk], s.hi, s.areas
+    return areas[pk].attains and any(
+        i > pk and hi[i] == lo_pk and areas[i].attains for i in prefix)
 
 
 def _two_heads(ordering: Iterable[int], lo: Sequence[int], hi: Sequence[int]) -> List[int]:
@@ -105,7 +105,7 @@ def _max_u(s: VectorState, members: Sequence[int], tie_rule: TieRule) -> int:
     top = max(map(hi.__getitem__, members))
     tied = [i for i in members if hi[i] == top]
     if tie_rule is TieRule.LEX:
-        tied = [i for i in tied if s.attains_hi(i)] or tied
+        tied = [i for i in tied if s.areas[i].attains] or tied
     return max(tied)
 
 

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from uncquery.core import Area, EndpointKind, TieRule, surely_leq, surely_lt
+from uncquery.core import Area, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
 from uncquery.models import validate_response
 
@@ -25,12 +25,12 @@ def sample_values(area: Area) -> List[Fraction]:
         return [area.lo]
     out = []
     quarter = area.length / 4
-    if area.attains_lo:
+    if area.attains:
         out.append(area.lo)
     out.append(area.lo + quarter / 64)
     out.append(area.lo + 2 * quarter)
     out.append(area.hi - quarter / 64)
-    if area.attains_hi:
+    if area.attains:
         out.append(area.hi)
     return sorted(set(out))
 
@@ -59,9 +59,9 @@ def verifier_answer_sound(
 
 
 def affine_map_area(area: Area, m: Fraction, b: Fraction) -> Area:
-    """Strictly increasing affine image; preserves kinds and order relations."""
+    """Strictly increasing affine image; preserves attainment and order relations."""
     assert m > 0
-    return Area(m * area.lo + b, m * area.hi + b, area.lo_kind, area.hi_kind)
+    return Area(m * area.lo + b, m * area.hi + b, area.attains)
 
 
 def recorded_solve(instance, oracle, strategy, budget: int):
@@ -104,12 +104,12 @@ grid_endpoints = st.builds(
 
 @st.composite
 def grid_areas(draw):
-    """Open, closed, half-open and point areas on `grid_endpoints`."""
+    """Open, closed and point areas on `grid_endpoints`, so that endpoints
+    often tie between areas of all three kinds."""
     lo, hi = sorted((draw(grid_endpoints), draw(grid_endpoints)))
     if lo == hi or draw(st.integers(0, 4)) == 0:
         return Area.point(lo)
-    kinds = draw(st.sampled_from(list(product(EndpointKind, repeat=2))))
-    return Area(lo, hi, *kinds)
+    return Area(lo, hi, draw(st.booleans()))
 
 
 grid_vectors = st.lists(grid_areas(), min_size=1, max_size=8)
@@ -125,18 +125,17 @@ refine_denominators = (2, 3, 5, 13, 17, 2**607 - 1)
 @st.composite
 def sub_areas(draw, area: Area):
     """A query response to an interval `area`: a revealed point strictly
-    inside it or a sub-interval, on a grid of a drawn denominator."""
+    inside it or a sub-interval, on a grid of a drawn denominator.  A
+    sub-interval attains an endpoint it shares with `area` only if `area`
+    does."""
     q = draw(st.sampled_from(refine_denominators))
     if draw(st.integers(0, 3)) == 0:
         return Area.point(area.lo + area.length * Fraction(draw(st.integers(1, q - 1)), q))
     a = draw(st.integers(0, q - 1))
     b = draw(st.integers(a + 1, q))
-    kinds = list(EndpointKind)
-    lo_kind = area.lo_kind if a == 0 else draw(st.sampled_from(kinds))
-    hi_kind = area.hi_kind if b == q else draw(st.sampled_from(kinds))
+    attains = draw(st.booleans()) and (area.attains or 0 < a and b < q)
     return Area(
-        area.lo + area.length * Fraction(a, q), area.lo + area.length * Fraction(b, q),
-        lo_kind, hi_kind,
+        area.lo + area.length * Fraction(a, q), area.lo + area.length * Fraction(b, q), attains,
     )
 
 
@@ -167,13 +166,13 @@ def refinement_runs(draw):
 # they moved to integer cross products.
 
 
-def reference_area_error(lo, hi, lo_kind, hi_kind) -> Optional[str]:
+def reference_area_error(lo, hi, attains) -> Optional[str]:
     """The message of the ValueError `Area.__post_init__` raised for these
-    endpoints and kinds, or None when it accepted them."""
+    endpoints and flag, or None when it accepted them."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         return f"empty area: lo={lo} > hi={hi}"
-    if lo == hi and (lo_kind is not EndpointKind.CLOSED or hi_kind is not EndpointKind.CLOSED):
+    if lo == hi and not attains:
         return "a degenerate area is a point and must be closed at both ends"
     return None
 
@@ -186,21 +185,17 @@ def reference_contains_value(area: Area, x) -> bool:
     x = Fraction(x)
     if x < area.lo or x > area.hi:
         return False
-    if x == area.lo and not area.attains_lo:
+    if x == area.lo and not area.attains:
         return False
-    if x == area.hi and not area.attains_hi:
+    if x == area.hi and not area.attains:
         return False
     return True
 
 
-def _reference_shape(area: Area) -> Optional[str]:
+def _reference_shape(area: Area) -> str:
     if reference_is_point(area):
         return "P"
-    if area.lo_kind is EndpointKind.OPEN and area.hi_kind is EndpointKind.OPEN:
-        return "O"
-    if area.lo_kind is EndpointKind.CLOSED and area.hi_kind is EndpointKind.CLOSED:
-        return "C"
-    return None
+    return "C" if area.attains else "O"
 
 
 def reference_validate_instance(instance) -> Optional[str]:
@@ -210,8 +205,8 @@ def reference_validate_instance(instance) -> Optional[str]:
         return "instance has no areas"
     for i, area in enumerate(instance.areas):
         shape = _reference_shape(area)
-        if shape is None or shape not in instance.model.input:
-            return (f"area {i + 1} shape {shape or 'half-open'} not admitted by input "
+        if shape not in instance.model.input:
+            return (f"area {i + 1} shape {shape} not admitted by input "
                     f"type set {instance.model.input}")
     if instance.hidden is not None:
         if len(instance.hidden) != len(instance.areas):
@@ -230,21 +225,21 @@ def reference_validate_instance(instance) -> Optional[str]:
 
 def mirror(area: Area) -> Area:
     """Negate endpoints; maps k-th max questions onto k-th min ones."""
-    return Area(-area.hi, -area.lo, area.hi_kind, area.lo_kind)
+    return Area(-area.hi, -area.lo, area.attains)
 
 
 def reference_order_l(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
     idx = list(range(len(areas))) if subset is None else list(subset)
     if tie_rule is TieRule.STABLE:
         return sorted(idx, key=lambda i: (areas[i].lo, i))
-    return sorted(idx, key=lambda i: (areas[i].lo, 0 if areas[i].attains_lo else 1, i))
+    return sorted(idx, key=lambda i: (areas[i].lo, 0 if areas[i].attains else 1, i))
 
 
 def reference_order_u(areas, subset=None, tie_rule=TieRule.STABLE) -> list:
     idx = list(range(len(areas))) if subset is None else list(subset)
     if tie_rule is TieRule.STABLE:
         return sorted(idx, key=lambda i: (areas[i].hi, i))
-    return sorted(idx, key=lambda i: (areas[i].hi, 1 if areas[i].attains_hi else 0, i))
+    return sorted(idx, key=lambda i: (areas[i].hi, 1 if areas[i].attains else 0, i))
 
 
 def reference_surely_before(i, j, areas, tie_rule=TieRule.STABLE) -> bool:

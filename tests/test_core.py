@@ -22,7 +22,6 @@ from helpers import (
 )
 from uncquery.core import (
     Area,
-    EndpointKind,
     Rationals,
     TieRule,
     VectorState,
@@ -161,11 +160,17 @@ def test_parse_rational_exponent_bound_follows_the_interpreter(monkeypatch):
 class TestArea:
     def test_constructors(self):
         p = Area.point(3)
-        assert p.is_point and p.attains_lo and p.attains_hi
+        assert p.is_point and p.attains
         o = Area.open(2, 6)
-        assert not o.attains_lo and not o.attains_hi
+        assert not o.is_point and not o.attains
         c = Area.closed(2, 6)
-        assert c.attains_lo and c.attains_hi
+        assert not c.is_point and c.attains
+        assert (Area(2, 6, False), Area(2, 6, True), Area(3, 3, True)) == (o, c, p)
+
+    @pytest.mark.parametrize("flag", ["open", "closed", "", 1, 0, None, object()])
+    def test_flag_must_be_a_bool(self, flag):
+        with pytest.raises(TypeError, match="attains must be a bool"):
+            Area(1, 2, flag)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +180,7 @@ class TestArea:
         with pytest.raises(ValueError):
             Area.open(3, 3)
         with pytest.raises(ValueError):
-            Area(3, 3, EndpointKind.OPEN, EndpointKind.CLOSED)
+            Area(3, 3, False)
 
     def test_contains_value_respects_kinds(self):
         o = Area.open(2, 6)
@@ -187,11 +192,10 @@ class TestArea:
         assert not c.contains_value(7)
 
     def test_mirror_swaps_and_negates(self):
-        a = Area(1, 4, EndpointKind.OPEN, EndpointKind.CLOSED)
-        m = mirror(a)
-        assert (m.lo, m.hi) == (-4, -1)
-        assert m.lo_kind is EndpointKind.CLOSED and m.hi_kind is EndpointKind.OPEN
-        assert mirror(m) == a
+        for a in (Area.open(1, 4), Area.closed(1, 4)):
+            m = mirror(a)
+            assert (m.lo, m.hi, m.attains) == (-4, -1, a.attains)
+            assert mirror(m) == a
 
     def test_str(self):
         assert str(Area.open(2, 6)) == "(2, 6)"
@@ -204,11 +208,17 @@ class TestArea:
             Area.point(Fraction(3, 7)),
             Area.open(1, 5),
             Area.closed(-2, Fraction(1, 2)),
-            Area(0, 1, EndpointKind.OPEN, EndpointKind.CLOSED),
+            Area.closed(Fraction(-7, 3), Fraction(2**521 - 1, 3)),
         ],
     )
     def test_json_round_trip(self, area):
         assert Area.from_json(area.to_json()) == area
+
+    @pytest.mark.parametrize("kind", ["mixed", "half-open", "Open", None, 1])
+    def test_json_kind_other_than_point_open_closed_refused(self, kind):
+        data = {"kind": kind, "lo": "0/1", "hi": "1/1", "lo_kind": "open", "hi_kind": "closed"}
+        with pytest.raises(ValueError, match="unknown area kind"):
+            Area.from_json(data)
 
 
 class TestContains:
@@ -263,14 +273,7 @@ def areas(draw):
         lo, hi = hi, lo
     if lo == hi:
         return Area.point(lo)
-    kinds = draw(st.sampled_from(["open", "closed", "oc", "co"]))
-    if kinds == "open":
-        return Area.open(lo, hi)
-    if kinds == "closed":
-        return Area.closed(lo, hi)
-    if kinds == "oc":
-        return Area(lo, hi, EndpointKind.OPEN, EndpointKind.CLOSED)
-    return Area(lo, hi, EndpointKind.CLOSED, EndpointKind.OPEN)
+    return Area(lo, hi, draw(st.booleans()))
 
 
 # Endpoints on the grid, with negatives, zero and the 2^521 - 1 and
@@ -279,13 +282,13 @@ endpoint_values = st.one_of(grid_endpoints, st.integers(-3, 3))
 
 
 @settings(max_examples=500, deadline=None)
-@given(endpoint_values, st.data(), st.sampled_from(EndpointKind), st.sampled_from(EndpointKind))
-def test_integer_area_predicates_match_fraction_reference(lo, data, lo_kind, hi_kind):
+@given(endpoint_values, st.data(), st.booleans())
+def test_integer_area_predicates_match_fraction_reference(lo, data, attains):
     # hi equals lo, or its negation, often enough to reach every branch.
     hi = data.draw(st.one_of(st.just(lo), st.just(-lo), endpoint_values))
-    expected = reference_area_error(lo, hi, lo_kind, hi_kind)
+    expected = reference_area_error(lo, hi, attains)
     try:
-        area = Area(lo, hi, lo_kind, hi_kind)
+        area = Area(lo, hi, attains)
     except ValueError as exc:
         assert str(exc) == expected
         return
@@ -319,7 +322,7 @@ def test_is_point_fixed_at_construction_matches_reference(a):
 class TestAreaValue:
     def test_assignment_and_deletion_raise(self):
         a = Area.open(1, 2)
-        for name in ("lo", "hi", "lo_kind", "hi_kind", "is_point", "other"):
+        for name in ("lo", "hi", "attains", "is_point", "other"):
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(a, name, 3)
         with pytest.raises(AttributeError, match="cannot delete field 'lo'"):
@@ -327,22 +330,20 @@ class TestAreaValue:
         assert a == Area.open(1, 2) and not a.is_point
 
     def test_endpoints_of_any_type_give_one_value(self):
-        kinds = (EndpointKind.OPEN, EndpointKind.CLOSED)
-        built = [Area(1, 5, *kinds), Area(Fraction(1), Fraction(10, 2), *kinds),
-                 Area("1", "5/1", *kinds), Area("1.0", 5, *kinds)]
+        built = [Area(1, 5, True), Area(Fraction(1), Fraction(10, 2), True),
+                 Area("1", "5/1", True), Area("1.0", 5, True)]
         assert all(b == built[0] and hash(b) == hash(built[0]) for b in built)
         assert all(type(b.lo) is Fraction and type(b.hi) is Fraction for b in built)
         assert len({Area.point(2), Area.point("2"), Area.point(Fraction(4, 2))}) == 1
-        assert Area.open(1, 5) != Area(1, 5, *kinds) and Area.point(1) != (1, 1)
+        assert Area.open(1, 5) != Area(1, 5, True) and Area.point(1) != (1, 1)
 
     def test_repr_is_the_field_listing(self):
-        assert repr(Area(1, Fraction(5, 2), EndpointKind.OPEN, EndpointKind.CLOSED)) == (
-            "Area(lo=Fraction(1, 1), hi=Fraction(5, 2), "
-            "lo_kind=<EndpointKind.OPEN: 'open'>, hi_kind=<EndpointKind.CLOSED: 'closed'>)"
+        assert repr(Area(1, Fraction(5, 2), False)) == (
+            "Area(lo=Fraction(1, 1), hi=Fraction(5, 2), attains=False)"
         )
 
     @pytest.mark.parametrize("area", [Area.point(Fraction(3, 7)), Area.open(1, 5),
-                                      Area(0, 1, EndpointKind.CLOSED, EndpointKind.OPEN)])
+                                      Area.closed(0, 1)])
     def test_copy_deepcopy_and_pickle_round_trip(self, area):
         for twin in (copy.copy(area), copy.deepcopy(area), copy.deepcopy([area])[0],
                      pickle.loads(pickle.dumps(area))):
@@ -376,7 +377,7 @@ class TestOrderings:
         assert order_u([Area.open(1, 5), Area.open(3, 5)]) == [0, 1]
 
     def test_order_u_lex_attained_last(self):
-        a1 = Area(1, 5, EndpointKind.OPEN, EndpointKind.CLOSED)
+        a1 = Area.closed(1, 5)
         a2 = Area.open(3, 5)
         assert order_u([a1, a2], TieRule.LEX) == [1, 0]
 

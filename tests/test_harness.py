@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_umst
-from uncquery.core import Area, TieRule
+from uncquery.core import Area, TieRule, format_rational
 from uncquery.engine import default_budget, solve
 from uncquery.harness import (
     BOUNDS,
@@ -820,6 +820,8 @@ class TestCli:
         {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("nan")},
         {"algorithm": "min1-witness", "model": "OP-P", "overlap": float("inf"), "trials": 0},
         {"algorithm": "min1-witness", "model": "OP-P", "point_fraction": 5},
+        {"algorithm": "kmin-witness", "model": "OP-P", "overlap": 10**400},
+        {"algorithm": "kmin-witness", "model": "OP-P", "point_fraction": -10**400},
         {"algorithm": "umst", "model": "OC-OC", "problem": {"type": "mst", "vertices": 0}},
         {"algorithm": "umst", "model": "OC-OC", "problem": {"type": "mst", "vertices": 1}},
         {"algorithm": "umst", "model": "OC-OC",
@@ -837,7 +839,8 @@ class TestCli:
             "out-a-number", "trials-a-bool", "n-a-float", "k-a-float", "format-a-number",
             "tie-rule-a-number", "trials-a-string", "problem-key-at-top-level",
             "overlap-infinite", "overlap-nan", "overlap-infinite-no-trials",
-            "point-fraction-above-one", "vertices-zero", "vertices-one",
+            "point-fraction-above-one", "overlap-past-float-range",
+            "point-fraction-past-float-range", "vertices-zero", "vertices-one",
             "extra-edges-past-the-size-cap", "n-past-the-size-cap", "k-zero", "k-above-n",
             "min1-k-two", "min1-k-two-no-trials", "config-a-list"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, monkeypatch, config):
@@ -1212,11 +1215,30 @@ def _json_paths(value, path=()):
         yield from _json_paths(child, path + (key,))
 
 
+def _mutated(draw, data, values):
+    """`data` after one to three mutations: a dropped key or a value
+    replaced by one of `values`, at any depth, the document included."""
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = draw(values)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.integers(0, 2)) == 0 and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(values)
+    return data
+
+
 @st.composite
 def mutated_instances(draw):
     """A generated selection or graph instance of a few areas, as JSON, with
-    one to three mutations: a dropped key, a value of another JSON type or
-    an odd rational text, or an out-of-range k or vertex count."""
+    one to three mutations, each a dropped key or a value of another JSON
+    type or an odd rational text, and now and then an out-of-range k or
+    vertex count."""
     seed = draw(st.integers(0, 50))
     if draw(st.booleans()):
         model = ModelSpec.parse(draw(st.sampled_from(["OP-P", "OCP-P", "OP-OP"])))
@@ -1225,24 +1247,9 @@ def mutated_instances(draw):
     else:
         model = ModelSpec.parse(draw(st.sampled_from(["OC-OC", "OCP-P"])))
         inst = generate_graph_instance(GraphGenParams(draw(st.integers(2, 4)), 2, model), seed)
-    data = json.loads(json.dumps(instance_to_json(inst)))
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_json_paths(data))))
-        if not path:
-            data = draw(_JSON_VALUES)
-            continue
-        parent = data
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        mutation = draw(st.sampled_from(["drop", "value", "size"]))
-        if mutation == "drop" and isinstance(parent, dict):
-            del parent[key]
-        elif (mutation == "size" and isinstance(data, dict)
-              and isinstance(data.get("problem"), dict)):
-            data["problem"][draw(st.sampled_from(["k", "vertices"]))] = draw(_SIZE_VALUES)
-        else:
-            parent[key] = draw(_JSON_VALUES)
+    data = _mutated(draw, json.loads(json.dumps(instance_to_json(inst))), _JSON_VALUES)
+    if isinstance(data, dict) and isinstance(data.get("problem"), dict) and draw(st.booleans()):
+        data["problem"][draw(st.sampled_from(["k", "vertices"]))] = draw(_SIZE_VALUES)
     return data
 
 
@@ -1258,11 +1265,159 @@ def test_solve_on_mutated_instance_json_exits_cleanly(fuzz_dir, data, oracle):
     an exit 3 prints exactly one stderr line."""
     path = fuzz_dir / "instance.json"
     path.write_text(json.dumps(data))
+    report = _run_cleanly(["solve", "--instance", str(path), "--oracle", oracle])
+    assert report is None or report["status"]
+
+
+def _run_cleanly(argv):
+    """main(argv) exits 0, 2 or 3, and with 3 prints exactly one stderr line;
+    the JSON it printed, or None after exit 3."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["solve", "--instance", str(path), "--oracle", oracle])
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_BOUND_VIOLATED, EXIT_INVALID_CONFIG)
     if code == EXIT_INVALID_CONFIG:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
-    else:
-        assert not err.getvalue() and json.loads(out.getvalue())["status"]
+        return None
+    assert not err.getvalue()
+    return json.loads(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# Scripted responses and area kinds the search and the parsers must refuse.
+
+
+def _point(value):
+    return {"kind": "point", "value": value}
+
+
+def test_opt_refuses_a_scripted_response_that_solve_refuses(tmp_path, capsys):
+    """The OPT search reads the scripted response for area 1, which lies
+    outside it: `opt` refuses the script as `solve` does, with the same
+    line, instead of reporting an optimum of 1."""
+    inst = UncertainInstance(model=OPP, areas=(Area.open(0, 4), Area.open(1, 5)),
+                             problem=SelectionProblem(k=1))
+    inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+    inst_path.write_text(dump_json(instance_to_json(inst)))
+    script_path.write_text(json.dumps({"responses": {"1": [_point(9)], "2": [_point(3)]}}))
+    for command in ("opt", "solve"):
+        code = main([command, "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == (
+            "", "error: index 1: response 9 not contained in queried area (0, 4)\n")
+
+
+def test_compete_refuses_a_scripted_response_only_its_opt_search_reads(tmp_path, capsys):
+    """The solve queries area 1 alone and its response settles k = 1; the
+    OPT search also reads area 2's response, which lies outside area 2."""
+    cfg = {"algorithm": "kmin-witness", "model": "OP-P", "trials": 1, "n": 2, "seed": 8}
+    first, second = trial_instance(ExperimentConfig.from_json(cfg), 0).areas
+    assert first.lo < second.lo < first.hi and not first.is_point
+    settle = (first.lo + min(first.hi, second.lo)) / 2
+    script_path, cfg_path = tmp_path / "script.json", tmp_path / "cfg.json"
+    script_path.write_text(json.dumps({"responses": {
+        "1": [_point(format_rational(settle))], "2": [_point(str(second.hi + 1))]}}))
+    cfg_path.write_text(json.dumps({**cfg, "oracle": f"script:{script_path}"}))
+    assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: index 2: response {second.hi + 1} not contained in queried area {second}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "opt"])
+@pytest.mark.parametrize("where", ["instance", "script"])
+@pytest.mark.parametrize("kind", ["mixed", "half-open", "OPEN"])
+def test_area_kind_other_than_point_open_closed_exit_code(tmp_path, capsys, command, where, kind):
+    """An area is a point, an open or a closed interval; any other kind, in
+    instance JSON or in a script, exits 3 with one line."""
+    inst = UncertainInstance(model=ModelSpec.parse("OC-OC"), areas=(Area.open(0, 4), Area.closed(1, 5)),
+                             problem=SelectionProblem(k=1))
+    data = instance_to_json(inst)
+    odd = {"kind": kind, "lo": "1/1", "hi": "2/1", "lo_kind": "open", "hi_kind": "closed"}
+    if where == "instance":
+        data["areas"][1] = odd
+    inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
+    inst_path.write_text(json.dumps(data))
+    script_path.write_text(json.dumps({"responses": {"1": [odd], "2": [odd]}}))
+    code = main([command, "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
+    assert code == EXIT_INVALID_CONFIG
+    assert capsys.readouterr() == ("", f"error: unknown area kind {kind!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing `uncquery compete` with mutated config JSON and `uncquery solve` and
+# `opt` with mutated script JSON.
+
+# Values past float range, area kinds and oracle specs, next to _JSON_VALUES.
+_ODD_VALUES = st.one_of(
+    _JSON_VALUES,
+    st.sampled_from([10**400, -10**400, 2**1024, 1e308, -1e308, 0, 1, 2, -1,
+                     "mixed", "half-open", "open", "closed", "point", "ground:halve:1/0",
+                     "ground:halve:2", "ground:exact", "adversary:cp-anomaly", "adversary:nope",
+                     "script:", "kmin-lex", "opop-alternate", "umst", "OCP-OCP", "OC-OC",
+                     "mst", "kmax", "lex"]),
+)
+
+# Areas for a script, of every kind and with endpoints inside, on and outside
+# the areas they refine, and past float range.
+_SCRIPT_AREAS = st.builds(
+    dict, kind=st.sampled_from(["mixed", "open", "closed", "point"]),
+    lo=st.sampled_from(["0/1", "1/1", "2/1", 10**400]), hi=st.sampled_from(["3/1", "4/1", "9/4"]),
+    value=st.sampled_from(["2/1", "5/2", "7/1", 10**400]),
+)
+_SCRIPT_LEAVES = st.sampled_from(["0/1", "1/1", "2/1", "5/2", "7/2", "4/1", "open", "closed",
+                                  "point", "mixed"])
+
+_CONFIGS = (
+    {"algorithm": "kmin-witness", "model": "OP-P", "oracle": "ground:exact", "trials": 2,
+     "seed": 3, "n": 4, "overlap": 0.7, "point_fraction": 0.2, "budget": 40, "max_total": 6,
+     "format": "json", "problem": {"type": "kmin", "k": 2, "tie_rule": "lex"}},
+    {"algorithm": "umst", "model": "OC-OC", "oracle": "ground:halve", "trials": 1,
+     "problem": {"type": "mst", "vertices": 4, "extra_edges": 2}},
+    {"algorithm": "kmin-witness", "model": "OP-P", "oracle": "adversary:kmin-point", "trials": 1,
+     "problem": {"k": 2}},
+)
+
+# The most of each size a mutated config keeps, so that an example runs in
+# milliseconds; a larger int is cut to it.
+_CONFIG_CAPS = {"trials": 2, "n": 4, "vertices": 4, "extra_edges": 3, "max_total": 6}
+
+
+@st.composite
+def mutated_configs(draw):
+    data = _mutated(draw, copy.deepcopy(draw(st.sampled_from(_CONFIGS))), _ODD_VALUES)
+    for scope in (data, data.get("problem")) if isinstance(data, dict) else ():
+        for key, cap in _CONFIG_CAPS.items():
+            if isinstance(scope, dict) and type(scope.get(key)) is int:
+                scope[key] = min(scope[key], cap)
+    return data
+
+
+@st.composite
+def mutated_scripts(draw):
+    return _mutated(draw, {"responses": {
+        "1": [{"kind": "open", "lo": "1/1", "hi": "3/1"}, _point("2/1")],
+        "2": [{"kind": "closed", "lo": "2/1", "hi": "4/1"}, _point("5/2")],
+    }}, st.one_of(_SCRIPT_AREAS, _SCRIPT_LEAVES, _ODD_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configs())
+def test_compete_on_mutated_config_json_exits_cleanly(fuzz_dir, data):
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(data))
+    _run_cleanly(["compete", "--config", str(path)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_scripts(), st.sampled_from(["solve", "opt"]))
+def test_solve_and_opt_on_mutated_script_json_exit_cleanly(fuzz_dir, data, command):
+    inst = UncertainInstance(
+        model=ModelSpec.parse("OCP-OCP"),
+        areas=(Area.open(0, 4), Area.closed(1, 5), Area.point(3)),
+        problem=SelectionProblem(k=2),
+    )
+    inst_path, script_path = fuzz_dir / "script-instance.json", fuzz_dir / "script.json"
+    inst_path.write_text(dump_json(instance_to_json(inst)))
+    script_path.write_text(json.dumps(data))
+    _run_cleanly([command, "--instance", str(inst_path), "--oracle", f"script:{script_path}"])

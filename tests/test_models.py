@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_endpoints, grid_vectors, reference_validate_instance
-from uncquery.core import Area, EndpointKind, Rationals
+from uncquery.core import Area, Rationals
 from uncquery.models import (
     ModelCategory,
     ModelSpec,
@@ -24,8 +24,6 @@ def test_area_shape():
     assert area_shape(Area.point(3)) == "P"
     assert area_shape(Area.open(1, 2)) == "O"
     assert area_shape(Area.closed(1, 2)) == "C"
-    assert area_shape(Area(1, 2, EndpointKind.OPEN, EndpointKind.CLOSED)) is None
-    assert area_shape(Area(1, 2, EndpointKind.CLOSED, EndpointKind.OPEN)) is None
 
 
 class TestTypeSet:
