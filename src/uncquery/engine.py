@@ -13,10 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Area, AreaVector, LoggedVector
-from .models import ModelSpec, UncertainInstance, validate_instance, validate_response
+from .models import (ModelCategory, ModelSpec, UncertainInstance, classify_model,
+                     validate_instance, validate_response)
+
+# The model categories an algorithm runs under; None for every model.
+Categories = Optional[FrozenSet[ModelCategory]]
 
 
 class EngineError(Exception):
@@ -39,13 +43,22 @@ class RunStatus(Enum):
 @dataclass(frozen=True)
 class Algorithm:
     """What the paper proves of one algorithm, declared once: the most areas
-    one witness set names, the model restriction (None, or a check returning
-    why a model is refused, else None), and the competitive bound, true iff
-    q queries keep to it against an optimum of opt on a k-of-n instance."""
+    one witness set names, the model categories it runs under, and the
+    competitive bound, true iff q queries keep to it against an optimum of
+    opt on a k-of-n instance."""
 
     k_bound: int
-    model_check: Optional[Callable[[ModelSpec], Optional[str]]]
+    categories: Categories
     bound: Callable[[int, int, int, int], bool]
+
+
+def model_refusal(name: str, categories: Categories, spec: ModelSpec) -> Optional[str]:
+    """Why algorithm `name` refuses model `spec`, in one line naming the
+    categories it runs under; None when `categories` admits the model."""
+    if categories is None or classify_model(spec) in categories:
+        return None
+    admitted = ", ".join(c.value for c in ModelCategory if c in categories)
+    return f"{name} refuses model {spec}: it runs under {admitted} models only"
 
 
 @dataclass
@@ -57,7 +70,7 @@ class SolverStrategy:
     verifier: Callable[[AreaVector], object]
     witness: Callable[[AreaVector], Sequence[int]]
     k_bound: int = 2
-    model_check: Optional[Callable[[ModelSpec], Optional[str]]] = None
+    categories: Categories = None
 
     def reset(self) -> None:
         reset = getattr(self.witness, "reset", None)
@@ -114,10 +127,9 @@ def solve(
         raise EngineError(f"invalid instance: {err}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if strategy.model_check is not None:
-        err = strategy.model_check(instance.model)
-        if err:
-            raise StrategyModelError(err)
+    err = model_refusal(strategy.name, strategy.categories, instance.model)
+    if err is not None:
+        raise StrategyModelError(err)
     strategy.reset()
 
     areas = LoggedVector(instance.areas)

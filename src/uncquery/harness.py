@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Area, Rationals, TieRule, format_rational, parse_rational
-from .engine import Algorithm, EngineError, RunStatus, default_budget, solve
+from .engine import Algorithm, EngineError, RunStatus, default_budget, model_refusal, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
 from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
@@ -469,10 +469,9 @@ class ExperimentConfig:
         _check_limit("budget", self.budget, 1)
         _check_limit("max_total", self.max_total, 0)
         _, algorithm = paired_algorithm(self.problem_type, self.algorithm)
-        if algorithm.model_check is not None:
-            err = algorithm.model_check(self.model)
-            if err:
-                raise ConfigError(f"{self.algorithm}: {err}")
+        err = model_refusal(self.algorithm, algorithm.categories, self.model)
+        if err is not None:
+            raise ConfigError(err)
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
         kmin = self.problem_type == "kmin"
         problem = SelectionProblem(self.k, tie_rule=self.tie_rule) if kmin else None

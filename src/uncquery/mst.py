@@ -302,7 +302,7 @@ class UmstStrategy(SolverStrategy):
 
     def __init__(self, graph: UncertainGraph) -> None:
         umst = MST_ALGORITHMS["umst"]
-        super().__init__("umst", self._verify, self._witness, umst.k_bound, umst.model_check)
+        super().__init__("umst", self._verify, self._pair, umst.k_bound, umst.categories)
         self.pass_log = PassLog(graph)
         self.result: tuple = ()
 
@@ -310,7 +310,7 @@ class UmstStrategy(SolverStrategy):
         self.result = mst_pass(self.pass_log, weights)
         return MstAnswer(*self.result[1:]) if self.result[0] == "done" else None
 
-    def _witness(self, weights: Sequence[Area]) -> List[int]:
+    def _pair(self, weights: Sequence[Area]) -> List[int]:
         log, e = self.pass_log, self.result[1]
         u, v = log.graph.edges[e]
         pair = _witness_pair(log._forest.path(u, v) + [e], log.state.lo, log.state.hi)

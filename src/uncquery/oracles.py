@@ -115,16 +115,16 @@ def ground_truth_respond(
             return Area.open(lo, hi)
         if "C" in returns:
             return Area.closed(lo, hi)
-        if "O" in returns:
-            raise OracleError(
-                f"cannot build an open response around boundary value {hidden}"
-            )
-        raise OracleError(f"return type set {returns} admits no interval response")
+        # Every return set but {P} holds O or C, so this one holds O and not C.
+        raise OracleError(f"cannot build an open response around boundary value {hidden}")
     raise OracleError(f"unknown refinement policy {policy!r}")
 
 
 class GroundTruthOracle(Oracle):
     def __init__(self, policy, hidden: Sequence, returns: TypeSet):
+        if isinstance(policy, ExactPolicy) and "P" not in returns:
+            # Refused here, so a solve or an OPT search stops before any query.
+            raise OracleError("exact responses need P in the return type set")
         self.policy = policy
         self.hidden = Rationals(hidden)
         self.returns = returns

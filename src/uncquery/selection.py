@@ -16,7 +16,7 @@ from .core import (  # noqa: F401
     AreaVector, TieRule, VectorState, order_l, order_u,
 )
 from .engine import Algorithm, SolverStrategy
-from .models import ModelCategory, ModelSpec, classify_model
+from .models import ModelCategory
 
 
 class Objective(Enum):
@@ -187,36 +187,19 @@ def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# The selection algorithms for the engine and the CLI.
-
-
-def require_op_p(spec: ModelSpec) -> Optional[str]:
-    """The bypass strategies' model restriction: None under OP-P, else why
-    the model is refused."""
-    if classify_model(spec) is not ModelCategory.OP_P:
-        return (
-            f"bypass strategies diverge once queries may return intervals; "
-            f"model {spec} is refused (OP-P only)"
-        )
-    return None
-
-
-def _require_op_family(spec: ModelSpec) -> Optional[str]:
-    if classify_model(spec) not in (ModelCategory.OP_OP, ModelCategory.OP_P):
-        return f"alternation is defined for the OP-OP model, got {spec}"
-    return None
-
-
-# Each selection algorithm's witness size, model restriction and bound.
-# Alternation lifts the bypass's OP-P restriction: that is its point.
+# The selection algorithms for the engine and the CLI: each one's witness
+# size, model categories and bound.  The bypass choosers diverge once queries
+# may return intervals; alternation lifts their OP-P restriction to OP-OP.
+OP_P = frozenset({ModelCategory.OP_P})
+OP_FAMILY = frozenset({ModelCategory.OP_P, ModelCategory.OP_OP})
 SELECTION_ALGORITHMS = {
     "kmin-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "min1-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
-    "min1-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + 1),
-    "kmin-bypass": Algorithm(1, require_op_p, lambda q, opt, k, n: q <= opt + min(k, n - k)),
+    "min1-bypass": Algorithm(1, OP_P, lambda q, opt, k, n: q <= opt + 1),
+    "kmin-bypass": Algorithm(1, OP_P, lambda q, opt, k, n: q <= opt + min(k, n - k)),
     "min1-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "kmin-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
-    "opop-alternate": Algorithm(2, _require_op_family, lambda q, opt, k, n: q <= 2 * (opt + k)),
+    "opop-alternate": Algorithm(2, OP_FAMILY, lambda q, opt, k, n: q <= 2 * (opt + k)),
 }
 
 STRATEGY_NAMES = tuple(SELECTION_ALGORITHMS)
@@ -234,34 +217,17 @@ class AlternatingWitness:
         self.turn = 0
 
     def __call__(self, areas: AreaVector) -> Sequence[int]:
-        chooser = self.first if self.turn % 2 == 0 else self.second
         self.turn += 1
-        return chooser(areas)
-
-
-def _verifier(state: VectorState, k: int, tie_rule: TieRule):
-    return lambda areas: kmin_verifier(state.update(areas), k, tie_rule)
-
-
-def _witness(name: str, k: int, tie: TieRule, states: dict):
-    """The named strategy's witness chooser.  It looks its rule up by name
-    on every call, so a rule rebound on this module is the one that runs."""
-    state, stable = states[tie], states[TieRule.STABLE]
-    # A min1 name has k = 1 and runs the kmin rule of its family.
-    if name.endswith(("-witness", "-lex")):
-        return lambda areas: kmin_witness(state.update(areas), k, tie)
-    if name.endswith("-bypass"):
-        return lambda areas: kmin_bypass_witness(stable.update(areas), k)
-    # opop-alternate: the bypass and the witness pair in turn.
-    return AlternatingWitness(_witness("kmin-bypass", k, tie, states),
-                              _witness("kmin-witness", k, tie, states))
+        return (self.first if self.turn % 2 else self.second)(areas)
 
 
 def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
     """Build a named selection strategy bound to the problem's parameters:
     the k-th smallest, or the k-th largest on the mirrored state.  Its
-    verifier and witness chooser share one state per tie rule, patched from
-    call to call."""
+    verifier and witness chooser share one state, patched from call to call;
+    the bypass reads the stable order, so a lex strategy keeps a second,
+    stable state for it.  Each rule is looked up by name on every call, so a
+    rule rebound on this module is the one that runs."""
     algorithm = SELECTION_ALGORITHMS.get(name)
     if algorithm is None:
         raise ValueError(f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}")
@@ -270,8 +236,16 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
         raise ValueError(f"{name} requires k=1, got k={k}")
     tie = TieRule.LEX if name.endswith("-lex") else problem.tie_rule
     kmax = problem.objective is Objective.KTH_MAX
-    states = {tie_rule: VectorState(tie_rule, kmax) for tie_rule in TieRule}
-    return SolverStrategy(
-        name, _verifier(states[tie], k, tie), _witness(name, k, tie, states),
-        algorithm.k_bound, algorithm.model_check,
-    )
+    state = VectorState(tie, kmax)
+    stable = VectorState(TieRule.STABLE, kmax) if tie is TieRule.LEX else state
+
+    def pair(areas):  # a min1 name has k = 1 and runs the kmin rule of its family
+        return kmin_witness(state.update(areas), k, tie)
+
+    def bypass(areas):
+        return kmin_bypass_witness(stable.update(areas), k)
+
+    witness = (bypass if name.endswith("-bypass")
+               else AlternatingWitness(bypass, pair) if name == "opop-alternate" else pair)
+    return SolverStrategy(name, lambda areas: kmin_verifier(state.update(areas), k, tie),
+                          witness, algorithm.k_bound, algorithm.categories)

@@ -17,7 +17,9 @@ from uncquery.engine import (
     OracleResponseError,
     RunStatus,
     SolverStrategy,
+    StrategyModelError,
     default_budget,
+    model_refusal,
     solve,
 )
 from uncquery.harness import (
@@ -118,6 +120,25 @@ class TestSolve:
         )
         with pytest.raises(EngineError):
             solve(inst, ScriptedOracle({}), bad, 10)
+
+    def test_empty_witness_rejected(self):
+        inst = _instance("O-O", [Area.open(0, 4), Area.open(1, 5)])
+        bad = SolverStrategy(name="bad", verifier=lambda areas: None, witness=lambda areas: [])
+        with pytest.raises(EngineError, match="strategy bad returned an empty witness set"):
+            solve(inst, ScriptedOracle({}), bad, 10)
+
+    @pytest.mark.parametrize("name, model, admitted", [
+        ("kmin-bypass", "O-O", "op-p"),
+        ("min1-bypass", "OP-OP", "op-p"),
+        ("opop-alternate", "OC-OC", "op-p, op-op"),
+    ])
+    def test_refused_model_raises_before_any_query(self, name, model, admitted):
+        inst = _instance(model, [Area.open(0, 4), Area.open(1, 5)])
+        strategy = make_strategy(name, inst.problem)
+        with pytest.raises(StrategyModelError) as info:
+            solve(inst, ScriptedOracle({}), strategy, 10)
+        assert str(info.value) == (
+            f"{name} refuses model {model}: it runs under {admitted} models only")
 
     def test_oversized_witness_rejected(self):
         inst = _instance("O-O", [Area.open(0, 4), Area.open(1, 5), Area.open(2, 6)])
@@ -293,7 +314,7 @@ def test_patched_states_match_fresh_ones_through_solves(model, n, data):
              for s in seeds]
     names = [name for name, algorithm in SELECTION_ALGORITHMS.items()
              if not (name.startswith("min1") and k != 1)
-             and (algorithm.model_check is None or algorithm.model_check(spec) is None)]
+             and model_refusal(name, algorithm.categories, spec) is None]
     with _checked_states() as seen:
         for name in names:
             strategy = make_strategy(name, problem)

@@ -388,7 +388,8 @@ class TestCompete:
 
     def test_alternation_refused_on_oo_before_any_trial(self):
         cfg = ExperimentConfig(algorithm="opop-alternate", model=ModelSpec.parse("O-O"))
-        with pytest.raises(ConfigError, match="alternation"):
+        with pytest.raises(ConfigError, match="^opop-alternate refuses model O-O: "
+                                              "it runs under op-p, op-op models only$"):
             cfg.validate()
 
     def test_unknown_report_format_refused_before_any_trial(self):
@@ -520,6 +521,47 @@ class TestCli:
             "--oracle", "ground:halve",
         ])
         assert code == EXIT_INVALID_CONFIG
+
+    @pytest.mark.parametrize("algorithm, model, admitted", [
+        ("kmin-bypass", "O-O", "op-p"),
+        ("opop-alternate", "OC-OC", "op-p, op-op"),
+    ])
+    def test_refused_model_exits_3_in_solve_and_compete(
+            self, tmp_path, capsys, algorithm, model, admitted):
+        """One `error:` line naming the algorithm, the model and the admitted
+        categories, before any query in `solve` and before any trial in
+        `compete`, also with no trials."""
+        line = f"error: {algorithm} refuses model {model}: it runs under {admitted} models only\n"
+        inst_path, cfg_path = tmp_path / "inst.json", tmp_path / "cfg.json"
+        main(["gen", "--model", model, "--n", "4", "--k", "2", "--seed", "1", "--out", str(inst_path)])
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_path), "--algorithm", algorithm,
+                     "--oracle", "ground:halve"]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == ("", line)
+        for trials in (3, 0):
+            cfg_path.write_text(json.dumps({"algorithm": algorithm, "model": model,
+                                            "trials": trials, "problem": {"k": 2}}))
+            assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+            assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("gen_args", [
+        ["--n", "5", "--k", "2", "--overlap", "0.95", "--seed", "2"],
+        ["--n", "4", "--seed", "1"],
+    ], ids=["queries-needed", "solved-at-start"])
+    def test_exact_oracle_refused_without_point_returns(self, tmp_path, capsys, gen_args):
+        """`ground:exact` under O-O exits 3 before any query in `solve`, `opt`
+        and `compete`, also on an instance that needs no query."""
+        inst_path, cfg_path = tmp_path / "inst.json", tmp_path / "cfg.json"
+        main(["gen", "--model", "O-O", *gen_args, "--out", str(inst_path)])
+        cfg_path.write_text(json.dumps({"algorithm": "kmin-witness", "model": "O-O",
+                                        "oracle": "ground:exact", "trials": 2, "n": 4}))
+        capsys.readouterr()
+        for argv in (["solve", "--instance", str(inst_path), "--oracle", "ground:exact"],
+                     ["opt", "--instance", str(inst_path), "--oracle", "ground:exact"],
+                     ["compete", "--config", str(cfg_path)]):
+            assert main(argv) == EXIT_INVALID_CONFIG
+            assert capsys.readouterr() == (
+                "", "error: exact responses need P in the return type set\n"), argv[0]
 
     def test_solve_with_script(self, tmp_path, capsys):
         inst = {

@@ -191,6 +191,13 @@ class TestMstPass:
 
 
 class TestUmstSolve:
+    def test_selection_instance_refused(self):
+        from uncquery.selection import SelectionProblem
+
+        inst = UncertainInstance(ModelSpec.parse("OC-OC"), (O(1, 2), O(0, 3)), SelectionProblem(k=1))
+        with pytest.raises(EngineError, match="instance problem is not an uncertain graph"):
+            umst_solve(inst, None, 10)  # refused before the oracle is asked
+
     def test_triangle_with_queries(self):
         inst = _triangle(
             [O(1, 2), O(2, 3), O(Fraction(5, 2), Fraction(7, 2))],

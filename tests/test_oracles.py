@@ -230,6 +230,13 @@ class TestMinTightAdversary:
         adv = MinTightAdversary(3)
         assert adv.respond(2, 1, Area.open(3, 7)) == Area.open(6, 7)
 
+    def test_narrow_area_queried_again_shrinks_from_below(self):
+        adv = MinTightAdversary(3)
+        first = adv.respond(1, 1, Area.open(3, 7))
+        assert first == Area.open(6, 7)
+        assert adv.respond(1, 2, first) == Area.open(Fraction(25, 4), 7)
+        assert adv.s_seen == [1] and adv.case is None
+
     def test_case2_trigger_on_last_distinct_narrow(self):
         adv = MinTightAdversary(3)
         adv.respond(1, 1, Area.open(3, 7))

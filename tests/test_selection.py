@@ -81,6 +81,17 @@ class TestKminVerifier:
         with pytest.raises(ValueError):
             kmin_verifier([O(1, 2)], 2)
 
+    def test_state_of_the_other_tie_rule_refused(self):
+        areas = [C(5, 10), C(0, 5)]
+        lex = VectorState(TieRule.LEX).update(areas)
+        stable = VectorState(TieRule.STABLE).update(areas)
+        with pytest.raises(ValueError, match="state ordered by"):
+            kmin_verifier(lex, 2, TieRule.STABLE)
+        with pytest.raises(ValueError, match="state ordered by"):
+            kmin_witness(stable, 2, TieRule.LEX)
+        with pytest.raises(ValueError, match="state ordered by"):
+            kmin_bypass_witness(lex, 1)
+
     def test_lex_prefix_touching_a_larger_index_blocks(self):
         # Area 1 closes at 5, where the answer candidate 0 opens, and comes
         # after it by index: lex needs a strict separation there, so only the
@@ -161,11 +172,15 @@ class TestStrategyRegistry:
         assert stable.verifier(vec) == 1
 
     def test_bypass_model_check(self):
-        from uncquery.models import ModelSpec
+        from uncquery.models import ModelCategory
 
-        s = make_strategy("min1-bypass", SelectionProblem(k=1))
-        assert s.model_check(ModelSpec.parse("O-O")) is not None
-        assert s.model_check(ModelSpec.parse("OP-P")) is None
+        for name in ("min1-bypass", "kmin-bypass"):
+            s = make_strategy(name, SelectionProblem(k=1))
+            assert s.categories == frozenset({ModelCategory.OP_P})
+        s = make_strategy("opop-alternate", SelectionProblem(k=1))
+        assert s.categories == frozenset({ModelCategory.OP_P, ModelCategory.OP_OP})
+        for name in ("kmin-witness", "min1-witness", "min1-lex", "kmin-lex"):
+            assert make_strategy(name, SelectionProblem(k=1)).categories is None
 
 
 # ---------------------------------------------------------------------------
