@@ -1,8 +1,9 @@
 """The generic solve loop: verify, pick a witness set, query its members,
-repeat.  Strategies plug in a verifier, a witness chooser and the order in
-which a witness set's members are queried; the engine owns budgets, response
-validation, the query counts and the query log.  Selection and the
-uncertain spanning tree (`mst.umst_solve`) both run on it.
+repeat.  Strategies plug in a verifier and a witness chooser; the engine
+owns budgets, response validation, the query counts, the query log and the
+round: a witness set's members in ascending index order, the verifier
+re-checked before each later one when the strategy's `recheck` is true.
+Selection and the uncertain spanning tree (`mst.umst_solve`) run on it.
 
 The areas a solve hands its strategy are one `core.LoggedVector`, written
 only by the engine, one entry per query.  Its `writes` list of (index,
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import Area, AreaVector, LoggedVector
 from .models import (ModelCategory, ModelSpec, UncertainInstance, classify_model,
@@ -64,7 +65,8 @@ def model_refusal(name: str, categories: Categories, spec: ModelSpec) -> Optiona
 @dataclass
 class SolverStrategy:
     """Verifier returns the answer (an area index for selection) or None;
-    witness returns a nonempty index set of at most k_bound queriable areas."""
+    witness returns a nonempty index set of at most k_bound queriable areas,
+    queried by ascending index, the verifier re-checked between them iff `recheck`."""
 
     name: str
     verifier: Callable[[AreaVector], object]
@@ -72,21 +74,7 @@ class SolverStrategy:
     k_bound: int = 2
     categories: Categories = None
 
-    def reset(self) -> None:
-        reset = getattr(self.witness, "reset", None)
-        if reset is not None:
-            reset()
-
-    def queries(self, areas: List[Area], witness: List[int]) -> Iterable[int]:
-        """The members of a witness set to query this round, in ascending
-        index order.  The engine queries each one it is handed before asking
-        for the next, so `areas` already holds the earlier responses; the
-        verifier is re-checked before each later member, and the round stops
-        as soon as a response settles the answer."""
-        for pos, idx in enumerate(witness):
-            if pos > 0 and self.verifier(areas) is not None:
-                return
-            yield idx
+    recheck = True
 
 
 @dataclass
@@ -119,8 +107,9 @@ def solve(
 ) -> RunReport:
     """Run the verify/witness/query loop until solved or out of budget.
 
-    Each round queries the members of one witness set in the order the
-    strategy's `queries` hands them out.  Point areas are never queriable.
+    Each round queries one witness set's members in ascending index order,
+    re-checking the verifier before each later one when `strategy.recheck`
+    is true.  Point areas are never queriable.
     """
     err = validate_instance(instance)
     if err is not None:
@@ -130,7 +119,6 @@ def solve(
     err = model_refusal(strategy.name, strategy.categories, instance.model)
     if err is not None:
         raise StrategyModelError(err)
-    strategy.reset()
 
     areas = LoggedVector(instance.areas)
     writes, write = areas.writes, list.__setitem__
@@ -150,7 +138,9 @@ def solve(
         for idx in witness:
             if areas[idx].is_point:
                 raise EngineError(f"witness set names unqueriable point area {idx + 1}")
-        for idx in strategy.queries(areas, witness):
+        for pos, idx in enumerate(witness):
+            if pos and strategy.recheck and (answer := strategy.verifier(areas)) is not None:
+                return RunReport(answer, writes, counts, len(writes), RunStatus.SOLVED)
             if len(writes) >= budget:
                 return RunReport(None, writes, counts, len(writes), RunStatus.BUDGET_EXCEEDED)
             counts[idx] = counts.get(idx, 0) + 1

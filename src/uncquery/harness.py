@@ -482,6 +482,8 @@ class ExperimentConfig:
                 make_strategy(self.algorithm, problem)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+        if fixture is None:  # trial 0's oracle: ConfigError on a spec no trial can build
+            build_oracle(self.oracle, trial_instance(self, 0))
         return fixture
 
 

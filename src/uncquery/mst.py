@@ -296,9 +296,11 @@ class UmstStrategy(SolverStrategy):
     of the pass; the OPT search calls only the verifier, so its passes
     never list a cycle.
 
-    Both edges of a pair are queried with no pass in between.  A pass between
-    them would about double the passes per solve and save about 1 % of the
-    queries, and it would change the query sequence."""
+    Both edges of a pair are queried with no pass in between: `recheck` is
+    off.  A pass between them would about double the passes per solve and
+    save about 1 % of the queries, and it would change the query sequence."""
+
+    recheck = False
 
     def __init__(self, graph: UncertainGraph) -> None:
         umst = MST_ALGORITHMS["umst"]
@@ -315,9 +317,6 @@ class UmstStrategy(SolverStrategy):
         u, v = log.graph.edges[e]
         pair = _witness_pair(log._forest.path(u, v) + [e], log.state.lo, log.state.hi)
         return [c for c in pair if not weights[c].is_point]
-
-    def queries(self, weights: List[Area], witness: List[int]) -> List[int]:
-        return witness
 
 
 def mst_verifier(graph: UncertainGraph):

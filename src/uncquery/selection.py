@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence
 # module because bench/tracer.py binds uncquery.selection.order_l and
 # order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    AreaVector, TieRule, VectorState, order_l, order_u,
+    AreaVector, LoggedVector, TieRule, VectorState, order_l, order_u,
 )
 from .engine import Algorithm, SolverStrategy
 from .models import ModelCategory
@@ -206,17 +206,18 @@ STRATEGY_NAMES = tuple(SELECTION_ALGORITHMS)
 
 
 class AlternatingWitness:
-    """Strictly alternates two witness choosers across engine iterations."""
+    """Strictly alternates two witness choosers across engine iterations.  A
+    solve's first call, on a new `core.LoggedVector`, restarts the turn."""
 
     def __init__(self, first, second):
         self.first = first
         self.second = second
         self.turn = 0
-
-    def reset(self) -> None:
-        self.turn = 0
+        self._log: Optional[LoggedVector] = None
 
     def __call__(self, areas: AreaVector) -> Sequence[int]:
+        if type(areas) is LoggedVector and areas is not self._log:
+            self._log, self.turn = areas, 0
         self.turn += 1
         return (self.first if self.turn % 2 else self.second)(areas)
 

@@ -79,8 +79,6 @@ def recorded_solve(instance, oracle, strategy, budget: int):
         states.append((tuple(sorted(set(chosen))), tuple(areas), dict(counts)))
         return chosen
 
-    witness.reset = getattr(choose, "reset", lambda: None)
-
     class CountingOracle:
         def respond(self, index, count, current):
             counts[index] = count

@@ -66,6 +66,27 @@ class TestSolve:
         assert report.answer == 0
         assert report.total == 1
 
+    def test_each_vector_is_verified_once(self):
+        """The verifier sees every vector of a selection solve once, also the
+        one a re-check between a pair's members settles, as in the scripted
+        solve, whose only round settles after its first member."""
+        scripted = _instance(
+            "C-C", [Area.closed(3, 17), Area.closed(14, 19), Area.closed(15, 20)],
+            tie=TieRule.LEX)
+        runs = [(scripted, "min1-lex", ScriptedOracle({0: [Area.closed(8, 10)]}))]
+        for seed in range(6):
+            inst = generate_instance(
+                GenParams(n=6, model=ModelSpec.parse("O-O"), k=1 + seed % 3), seed)
+            runs.append((inst, "kmin-witness", GroundTruthOracle.for_instance(inst)))
+        for inst, name, oracle in runs:
+            strategy = make_strategy(name, inst.problem)
+            seen = []
+            verify = strategy.verifier
+            strategy.verifier = lambda areas: (seen.append(tuple(areas)), verify(areas))[1]
+            report = solve(inst, oracle, strategy, 100)
+            assert report.status is RunStatus.SOLVED
+            assert len(seen) == len(set(seen)) == report.total + 1
+
     def test_min_tight_replay(self):
         fix = min_tight_fixture(3)
         strategy = make_strategy("min1-witness", fix.instance.problem)
@@ -208,6 +229,32 @@ class TestAlternate:
         r1 = solve(inst, fix.fresh_oracle(), strategy, 100)
         r2 = solve(inst, fix.fresh_oracle(), strategy, 100)
         assert r1.to_json() == r2.to_json()
+
+    def test_a_reused_strategy_starts_every_solve_with_the_bypass(self):
+        """A solve's first witness call hands the alternation a new logged
+        vector, so it restarts with the bypass, also after a solve of an odd
+        number of rounds."""
+        inst = generate_instance(GenParams(n=5, model=ModelSpec.parse("OP-OP"), k=1), 2)
+        strategy = make_strategy("opop-alternate", inst.problem)
+        alternation, picks = strategy.witness, []
+        for tag in ("first", "second"):
+            chooser = getattr(alternation, tag)
+            setattr(alternation, tag, lambda areas, tag=tag, chooser=chooser: (
+                picks.append(tag), chooser(areas))[1])
+        rounds = []
+        for _ in range(3):
+            picks.clear()
+            solve(inst, GroundTruthOracle.for_instance(inst), strategy, 100)
+            rounds.append(picks[:])
+        assert rounds == [["first", "second", "first"]] * 3
+
+    def test_plain_vectors_alternate_on_every_call(self):
+        """Only a new logged vector restarts the turn: plain lists, and the
+        same logged vector again, take the next one."""
+        alternate = AlternatingWitness(lambda areas: "A", lambda areas: "B")
+        plain, log, other = [Area.open(0, 1)], LoggedVector([Area.open(0, 1)]), LoggedVector()
+        calls = [plain, plain, plain, log, log, plain, other, plain]
+        assert "".join(alternate(areas) for areas in calls) == "ABAABAAB"
 
 
 def test_alternation_bound_on_opop_instances():

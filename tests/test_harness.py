@@ -896,6 +896,20 @@ class TestCli:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("oracle", [
+        "ground:bogus", "ground:exact", "ground:halve:2", "script:/nonexistent.json",
+    ], ids=["unknown-spec", "exact-without-points", "shrink-above-one", "missing-script"])
+    def test_bad_oracle_spec_exit_code_without_trials(self, tmp_path, capsys, oracle):
+        """An oracle spec no trial can build is refused before any trial, so
+        also with no trials: O-O returns no points, and a shrink lies in
+        (0, 1)."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"algorithm": "kmin-witness", "model": "O-O", "oracle": oracle, "trials": 0}))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("args", [
         ["solve", "--budget", "0"], ["solve", "--budget", "-1"], ["opt", "--max-total", "-1"],
     ], ids=["solve-budget-zero", "solve-budget-negative", "opt-max-total-negative"])
