@@ -295,12 +295,10 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
 
 def _build_fixture(name: str, n: int, k: int) -> Fixture:
     """The fixture FIXTURE_BUILDERS[name] builds for (n, k); ConfigError
-    before anything is built if n or 2k, the areas of the largest fixtures,
-    passes MAX_GENERATED_AREAS."""
-    if n > MAX_GENERATED_AREAS:
-        raise ConfigError(f"n must be at most {MAX_GENERATED_AREAS}, got {n}")
-    if 2 * k > MAX_GENERATED_AREAS:
-        raise ConfigError(f"k must be at most {MAX_GENERATED_AREAS // 2}, got {k}")
+    before anything is built if n or k is below 1, or if n or 2k, the areas
+    of the largest fixtures, passes MAX_GENERATED_AREAS."""
+    _check_limit("n", n, 1, MAX_GENERATED_AREAS)
+    _check_limit("k", k, 1, MAX_GENERATED_AREAS // 2)
     return FIXTURE_BUILDERS[name](n, k)
 
 
@@ -561,7 +559,7 @@ def run_algorithm(instance: UncertainInstance, oracle: Oracle, algorithm, budget
 def run_trial(config: ExperimentConfig, trial: int, fixture: Optional[Fixture]) -> TrialRecord:
     """One trial; `fixture` is the one `config.validate` returned."""
     if fixture is not None:
-        instance, oracle, opt = fixture.instance, fixture.fresh_oracle(), fixture.opt_value
+        instance, oracle, opt = fixture.instance, fixture.oracle, fixture.opt_value
     else:
         instance = trial_instance(config, trial)
         oracle, opt = build_oracle(config.oracle, instance), None

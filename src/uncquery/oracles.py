@@ -5,7 +5,9 @@ configuration, scripted replays, and the adversaries used by the tight
 examples.  Non-adversary oracles are update independent: the response to the
 c-th query on index i never depends on what happened to other indices.
 Adversaries may inspect the full query history and also carry a companion
-script describing what the colluding optimum is shown.
+script describing what the colluding optimum is shown.  Adversaries check
+neither index ranges nor point queries: the engine plays one only on its own
+fixture and never queries a point.
 """
 from __future__ import annotations
 
@@ -39,9 +41,6 @@ class Oracle:
 
 class ExactPolicy:
     """Reveal the hidden value itself."""
-
-    def __repr__(self) -> str:
-        return "ExactPolicy()"
 
 
 @dataclass(frozen=True)
@@ -188,15 +187,6 @@ class ScriptedOracle(Oracle):
         return response
 
 
-def _shrink_fallback(current: Area) -> Area:
-    """Generic strict refinement for repeat queries an adversary never
-    planned for: an open area that keeps the upper end and raises the lower
-    by a quarter of the length."""
-    if current.is_point:
-        raise OracleError("point areas cannot be refined")
-    return Area.open(current.lo + current.length / 4, current.hi)
-
-
 class MinTightAdversary(Oracle):
     """The 2n-query construction for 1-Min under interval returns.
 
@@ -220,8 +210,6 @@ class MinTightAdversary(Oracle):
         self.case: Optional[int] = None
 
     def respond(self, index: int, count: int, current: Area) -> Area:
-        if not 0 <= index <= self.n:
-            raise OracleError(f"index {index + 1} outside the fixed instance")
         if index == self.a0_index:
             self.a0_queries += 1
             i = self.a0_queries
@@ -230,8 +218,8 @@ class MinTightAdversary(Oracle):
             if self.case == 2 and i >= self.n:
                 return Area.open(2, 3)
             return Area.open(1 + i * self.epsilon, 5)
-        if index in self.s_seen:
-            return _shrink_fallback(current)
+        if index in self.s_seen:  # unplanned repeat: raise lo by a quarter of the length
+            return Area.open(current.lo + current.length / 4, current.hi)
         self.s_seen.append(index)
         if self.case is None and len(self.s_seen) == self.n:
             self.case = 2
@@ -259,7 +247,8 @@ class MinTightAdversary(Oracle):
 class KMinPointAdversary(Oracle):
     """The 2k-area lower bound for k-Min under point-capable inputs: the
     first k-1 distinct intervals queried resolve low, the k-th resolves high,
-    while the colluding optimum only ever needed the high one."""
+    while the colluding optimum only ever needed the high one.  Each answer
+    is a point, so no index is queried twice."""
 
     update_independent = False
 
@@ -267,23 +256,18 @@ class KMinPointAdversary(Oracle):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.seen: List[int] = []
+        self.queries = 0
 
     def respond(self, index: int, count: int, current: Area) -> Area:
-        if not 0 <= index < 2 * self.k:
-            raise OracleError(f"index {index + 1} outside the fixed instance")
-        if index >= self.k:
-            raise OracleError("point areas cannot be queried")
-        if index in self.seen:
-            return _shrink_fallback(current)
-        self.seen.append(index)
-        return Area.point(1 if len(self.seen) <= self.k - 1 else 4)
+        self.queries += 1
+        return Area.point(1 if self.queries < self.k else 4)
 
 
 class CpAnomalyAdversary(Oracle):
     """Identical closed intervals answered 2 until the last distinct index,
     which gets 1; the colluding optimum is shown 1 on the last area and
-    queries it straight away."""
+    queries it straight away.  Each answer is a point, so no index is
+    queried twice."""
 
     update_independent = False
 
@@ -291,17 +275,11 @@ class CpAnomalyAdversary(Oracle):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.seen: List[int] = []
+        self.queries = 0
 
     def respond(self, index: int, count: int, current: Area) -> Area:
-        if not 0 <= index < self.n:
-            raise OracleError(f"index {index + 1} outside the fixed instance")
-        if index in self.seen:
-            raise OracleError("point areas cannot be refined")
-        self.seen.append(index)
-        if len(self.seen) < self.n:
-            return Area.point(2)
-        return Area.point(1)
+        self.queries += 1
+        return Area.point(2 if self.queries < self.n else 1)
 
     def opt_script(self) -> ScriptedOracle:
         responses = {i: [Area.point(2)] for i in range(self.n)}
@@ -324,9 +302,7 @@ class OpoCounterOracle(Oracle):
     def respond(self, index: int, count: int, current: Area) -> Area:
         if index == 0:
             return Area.open(19 - Fraction(1, count + 1), 20)
-        if index == 1:
-            return Area.open(21 - Fraction(1, 2 * count), 21)
-        raise OracleError(f"index {index + 1} outside the fixed instance")
+        return Area.open(21 - Fraction(1, 2 * count), 21)
 
 
 # ---------------------------------------------------------------------------

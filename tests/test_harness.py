@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -45,7 +46,7 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.harness import _build_fixture, _generate, _generator, _max_total
+from uncquery.harness import _build_fixture, _generate, _generator, _max_total, _pick_hidden
 from uncquery.models import ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
@@ -84,6 +85,12 @@ class TestGenerateInstance:
             generate_instance(
                 GenParams(n=3, model=ModelSpec.parse("O-O"), point_fraction=0.5), 0
             )
+
+    def test_no_distinct_hidden_value_left_is_refused(self):
+        # A point has one grid value at every denominator; once it is used,
+        # there is nothing left to place.
+        with pytest.raises(ConfigError, match="^could not place a distinct hidden value$"):
+            _pick_hidden(random.Random(0), Area.point(0), {Fraction(0)})
 
     def test_zero_overlap_pairwise_ordered(self):
         inst = generate_instance(
@@ -191,6 +198,11 @@ class TestInstanceJson:
         assert inst.hidden == (half, half, thousand, Fraction(3), one)
         assert all(type(v) is Fraction for a in inst.areas for v in (a.lo, a.hi))
         assert validate_instance(inst) == "hidden value 1/2 outside area (1/2, 1000)"
+
+    def test_foreign_problem_object_is_refused(self):
+        inst = replace(generate_instance(GenParams(n=3, model=OPP), 0), problem=object())
+        with pytest.raises(ConfigError, match="^unknown problem object "):
+            instance_to_json(inst)
 
     def test_parsed_hidden_values_build_fractions_only_where_revealed(self):
         """Parsing and validating keep the hidden values as integer pairs;
@@ -380,6 +392,12 @@ class TestCompete:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["opt"] > 0
+
+    def test_validate_refuses_a_budget_that_is_no_integer(self):
+        # A JSON config cannot set this (from_json refuses the float); code can.
+        config = ExperimentConfig(algorithm="kmin-witness", model=OPP, budget=2.5)
+        with pytest.raises(ConfigError, match=r"^budget must be an integer, got 2\.5$"):
+            config.validate()
 
     def test_bypass_requires_opp(self):
         cfg = ExperimentConfig(algorithm="min1-bypass", model=ModelSpec.parse("O-O"))
@@ -960,6 +978,25 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"{key} must be at most "):
             _generator(replace(config, **{key: getattr(config, key) + 1}))
 
+    @staticmethod
+    def _refused_before_built(tmp_path, capsys, monkeypatch, argv, config_n) -> str:
+        """The one stderr line of `argv`, which must exit 3 without building a
+        fixture; "{cfg}" in argv names an adversary:min-tight compete config
+        of n `config_n`."""
+        def refuse(n, k):
+            raise AssertionError(f"built a fixture of n={n}, k={k}")
+
+        for name in FIXTURE_BUILDERS:
+            monkeypatch.setitem(FIXTURE_BUILDERS, name, refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithm": "min1-witness", "model": "O-O",
+                                        "oracle": "adversary:min-tight", "n": config_n}))
+        argv = [arg.format(cfg=cfg_path) for arg in argv]
+        assert main(argv) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        return err
+
     @pytest.mark.parametrize("argv, message", [
         (["fixtures", "--name", "min-tight", "--n", "1500000"], "n must be at most 1000000"),
         (["fixtures", "--name", "kmin-point", "--k", "500001"], "k must be at most 500000"),
@@ -967,18 +1004,23 @@ class TestCli:
     ], ids=["fixtures-n", "fixtures-k", "compete-n"])
     def test_oversized_fixture_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
                                                              argv, message):
-        def refuse(n, k):
-            raise AssertionError("built an oversized fixture")
+        err = self._refused_before_built(tmp_path, capsys, monkeypatch, argv, 1500000)
+        assert err.startswith(f"error: {message}, got ")
 
-        for name in FIXTURE_BUILDERS:
-            monkeypatch.setitem(FIXTURE_BUILDERS, name, refuse)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"algorithm": "min1-witness", "model": "O-O",
-                                        "oracle": "adversary:min-tight", "n": 1500000}))
-        argv = [arg.format(cfg=cfg_path) for arg in argv]
-        assert main(argv) == EXIT_INVALID_CONFIG
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+    @pytest.mark.parametrize("argv, setting", [
+        (["fixtures", "--name", "min-tight", "--n", "0"], "n"),
+        (["fixtures", "--name", "cp-anomaly", "--n", "0"], "n"),
+        (["fixtures", "--name", "opo-counter", "--n", "0"], "n"),
+        (["fixtures", "--name", "kmin-point", "--k", "0"], "k"),
+        (["compete", "--config", "{cfg}"], "n"),
+    ], ids=["fixtures-min-tight-n", "fixtures-cp-anomaly-n", "fixtures-opo-counter-n",
+            "fixtures-kmin-point-k", "compete-min-tight-n"])
+    def test_fixture_size_below_one_is_refused_before_it_is_built(self, tmp_path, capsys,
+                                                                  monkeypatch, argv, setting):
+        """Every fixture takes both settings, so each is refused below 1 on
+        every fixture, including those whose construction ignores it."""
+        err = self._refused_before_built(tmp_path, capsys, monkeypatch, argv, 0)
+        assert err == f"error: {setting} must be at least 1, got 0\n"
 
     def test_fixture_size_cap_admits_exactly_its_areas(self, monkeypatch):
         built = []
@@ -1195,6 +1237,19 @@ class TestCli:
 
 def _closed_area(data):
     data["areas"][0]["kind"] = "closed"
+
+
+def test_open_response_around_a_closed_endpoint_exits_3(tmp_path, capsys):
+    """Pinned as it stands: under C-O the generator may draw a hidden value
+    on a closed area's endpoint, and no open response holds it.  Seed 1
+    draws 7/2 on one."""
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--model", "C-O", "--n", "6", "--seed", "1",
+                 "--out", str(inst_path)]) == EXIT_OK
+    assert main(["solve", "--instance", str(inst_path)]) == EXIT_INVALID_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot build an open response around boundary value 7/2\n"
 
 
 def _drop_weight(data):

@@ -16,6 +16,7 @@ from uncquery.oracles import (
     KMinPointAdversary,
     MinTightAdversary,
     OpoCounterOracle,
+    Oracle,
     OracleError,
     ScriptedOracle,
     _halve_window,
@@ -61,6 +62,16 @@ class TestGroundTruthRespond:
             ground_truth_respond(
                 ExactPolicy(), Fraction(3), Area.point(3), TypeSet.parse("P")
             )
+
+    def test_exact_needs_point_returns(self):
+        with pytest.raises(OracleError, match="exact responses need P in the return type set"):
+            ground_truth_respond(
+                ExactPolicy(), Fraction(3), Area.open(2, 6), TypeSet.parse("O")
+            )
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(OracleError, match="unknown refinement policy"):
+            ground_truth_respond(object(), Fraction(3), Area.open(2, 6), TypeSet.parse("O"))
 
     def test_point_only_returns_force_point(self):
         out = ground_truth_respond(
@@ -220,6 +231,18 @@ class TestScriptedOracle:
         assert oracle.respond(0, 1, Area.open(0, 3)) == Area.open(1, 2)
 
 
+def test_base_oracle_has_no_responses():
+    with pytest.raises(NotImplementedError):
+        Oracle().respond(0, 1, Area.open(0, 1))
+
+
+@pytest.mark.parametrize("adversary", [MinTightAdversary, KMinPointAdversary, CpAnomalyAdversary])
+def test_adversary_refuses_a_size_below_one(adversary):
+    # The library boundary; the CLI refuses these sizes in harness._build_fixture.
+    with pytest.raises(ValueError, match="must be positive"):
+        adversary(0)
+
+
 class TestMinTightAdversary:
     def test_first_wide_query(self):
         adv = MinTightAdversary(3)
@@ -272,6 +295,10 @@ class TestMinTightAdversary:
             assert total == n == fix.opt_value
             assert kmin_verifier(areas, 1) is not None
 
+    def test_opt_script_has_two_cases(self):
+        with pytest.raises(ValueError, match="case must be 1 or 2"):
+            min_tight_fixture(2).oracle.opt_script(3)
+
 
 class TestKMinPointAdversary:
     def test_first_and_kth_interval_queries(self):
@@ -279,11 +306,6 @@ class TestKMinPointAdversary:
         assert adv.respond(0, 1, Area.open(0, 5)) == Area.point(1)
         assert adv.respond(1, 1, Area.open(0, 5)) == Area.point(1)
         assert adv.respond(2, 1, Area.open(0, 5)) == Area.point(4)
-
-    def test_point_area_query_rejected(self):
-        adv = KMinPointAdversary(2)
-        with pytest.raises(OracleError):
-            adv.respond(2, 1, Area.point(3))
 
 
 class TestCpAnomalyAdversary:

@@ -363,3 +363,14 @@ def test_no_floats_in_decisions():
                 owner = [name for name, scope in scopes if node in ast.walk(scope)]
                 found.append(f"{stem}.{'.'.join(owner) or '<module>'}: float")
     assert found == ["core._rank_values: float"], found
+
+
+def test_linecov_counts_code_lines_and_skips_main_blocks(tmp_path):
+    """tools/linecov.py counts every line some instruction carries, nested
+    code included, and leaves out the body of an `if __name__ ==
+    "__main__":` block, which only a subprocess runs."""
+    linecov = runpy.run_path(str(ROOT / "tools" / "linecov.py"))
+    module = tmp_path / "m.py"
+    module.write_text('"""Doc."""\nX = 1\n\n\ndef f():\n    return [\n        X]\n\n\n'
+                      'if __name__ == "__main__":\n    f()\n    print(X)\n')
+    assert linecov["executable_lines"](module) == {1, 2, 5, 6, 7, 10}
