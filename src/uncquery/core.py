@@ -22,10 +22,10 @@ exactness.
 
 A solve changes one area per query, so a `VectorState` keeps the images of
 the vector it last saw, with the lo ranks and the lo order read from them,
-and patches all three.  Every solve keeps them in a `LoggedVector`, whose
-writes are the solve's query log, so a state handed the same vector again
-reads the indices written since its last call instead of comparing all n
-entries.  A rebuild takes D as the exact lcm.  Between rebuilds D only
+and patches all three.  Every solve keeps its areas in a `LoggedVector`,
+whose writes are the solve's query log, so a state handed the same vector
+again reads the indices written since its last call; any other vector is
+imaged afresh.  A rebuild takes D as the exact lcm.  Between rebuilds D only
 grows: a new denominator that does not divide D rescales every image by
 D'/D, and D' takes powers of the missing factor past the lcm, up to
 HEADROOM_BITS, so that the next denominators of the same kind (a halving
@@ -34,8 +34,8 @@ rules, uMST passes and `order_l`/`order_u` all read such a state.
 
 A vector may bring its own images: an `ImagedVector` carries images taken
 over any superset of its areas, scaled or ranked, which order its own
-endpoints just as exactly.  A state rebuilt from one takes them instead of
-imaging the areas again; the OPT search hands its verifier these.
+endpoints just as exactly.  A state rebuilt from one takes them as they are
+instead of imaging the areas again; the OPT search hands its verifier these.
 
 An `Area` is a slotted immutable value.  Its constructor coerces the
 endpoints to Fraction, refuses an empty area and a flag that is not a bool,
@@ -50,8 +50,6 @@ import sys
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from operator import is_not
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -339,10 +337,6 @@ SCALE_BITS_LIMIT = 1024
 # send a vector to ranks (a patch past the limit rebuilds at the exact lcm).
 HEADROOM_BITS = SCALE_BITS_LIMIT // 4
 
-# VectorState.update patches only the changed entries while at most one in
-# this many changed; past that a rebuild costs about as much as the patch.
-REBUILD_SHARE = 4
-
 
 class LoggedVector(list):
     """A solve's areas with `writes`, its query log: the engine, their only
@@ -428,19 +422,19 @@ class VectorState:
     `update` keeps the indices whose area changed since the last vector in
     `changed`, ascending.  Handed again the `LoggedVector` it read last, it
     takes them from the solve's writes since then, each a strict refinement
-    and so a changed entry.  Handed any other vector (the OPT search's, or a
-    solve's first) it compares each entry with the last one's by identity
-    (areas are immutable, so an unchanged entry is the same object).  Only
-    the changed entries are re-imaged, taken out of the lo order and
-    inserted again by bisection.  A new denominator that does not divide D
-    rescales every image by D'/D, which keeps their order; D' is the lcm
-    times powers of the factor it adds, up to HEADROOM_BITS, so later
-    patches find more of that factor in D.  Everything is rebuilt, at the
-    exact lcm, when the length changed, when more than one entry in
-    REBUILD_SHARE changed, when D would pass SCALE_BITS_LIMIT bits, or while
-    the images are ranks, which cannot be patched.  An `ImagedVector` is
-    always rebuilt from the images it brings, scaled or ranked over whatever
-    superset they were taken from: copying them costs less than a patch.
+    and so a changed entry, and patches only those: each is re-imaged, taken
+    out of the lo order and inserted again by bisection.  A new denominator
+    that does not divide D rescales every image by D'/D, which keeps their
+    order; D' is the lcm times powers of the factor it adds, up to
+    HEADROOM_BITS, so later patches find more of that factor in D.  The
+    state is rebuilt, at the exact lcm, when D would pass SCALE_BITS_LIMIT
+    bits or while the images are ranks, which cannot be patched.  Handed any
+    other vector (a solve's first, the OPT search's, a caller's list) it
+    rebuilds with every index in `changed`.  An `ImagedVector` is rebuilt
+    from the images it brings, scaled or ranked over whatever superset they
+    were taken from, and the state holds those very lists: it patches only
+    lists it built itself on a log read, so it never writes into a vector's
+    images.
 
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area is open,
@@ -472,7 +466,6 @@ class VectorState:
 
     def update(self, areas: AreaVector) -> "VectorState":
         """Bring the state up to `areas` and return it."""
-        n = len(areas)
         if areas is self._log:
             writes, seen = areas.writes, self._seen
             self._seen = m = len(writes)
@@ -481,31 +474,19 @@ class VectorState:
                 return self
             self.changed = ([writes[seen][0]] if m == seen + 1
                             else sorted({i for i, _ in writes[seen:]}))
+            if self.scale and self._patch(areas):
+                return self
         else:
-            if type(areas) is LoggedVector:
-                self._log, self._seen = areas, len(areas.writes)
-            elif self._log is not None:
-                self._log = None
-            if n == len(self.areas):
-                self.changed = list(compress(range(n), map(is_not, areas, self.areas)))
-                if not self.changed:
-                    return self
-            else:
-                self.changed = range(n)
-        images = getattr(areas, "images", None)
-        if images is not None or not (
-            self.scale and REBUILD_SHARE * len(self.changed) <= n and self._patch(areas)
-        ):
-            self.areas = list(areas)
-            if images is None:
-                self.scale, lo, hi = endpoint_images(self.areas)
-            else:
-                self.scale, lo, hi = images[0], images[1][:], images[2][:]
-            if self.mirror:
-                lo, hi = [-v for v in hi], [-v for v in lo]
-            self._read(lo, hi)
-            # A stable sort of ascending indices breaks rank ties by index.
-            self.order = sorted(range(n), key=self.rank.__getitem__)
+            self.changed = range(len(areas))
+            self._log = areas if type(areas) is LoggedVector else None
+            self._seen = 0 if self._log is None else len(areas.writes)
+        self.areas = list(areas)
+        self.scale, lo, hi = getattr(areas, "images", None) or endpoint_images(self.areas)
+        if self.mirror:
+            lo, hi = [-v for v in hi], [-v for v in lo]
+        self._read(lo, hi)
+        # A stable sort of ascending indices breaks rank ties by index.
+        self.order = sorted(range(len(areas)), key=self.rank.__getitem__)
         return self
 
     def _read(self, lo: List[int], hi: List[int]) -> None:

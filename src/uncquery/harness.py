@@ -22,7 +22,7 @@ from .core import Area, Rationals, TieRule, format_rational, parse_rational
 from .engine import Algorithm, EngineError, RunStatus, default_budget, model_refusal, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
-from .optbrute import MAX_SEARCH_VECTORS, minimal_solutions, opt_value, search_size
+from .optbrute import MAX_SEARCH_VECTORS, opt_value, search_size
 from .oracles import (
     FIXTURE_BUILDERS,
     ExactPolicy,
@@ -260,9 +260,10 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
         if a != b:
             edges.append((min(a, b), max(a, b)))
     graph = UncertainGraph(v, tuple(edges))
-    interval_kinds = [c for c in "OC" if c in params.model.input] or ["C"]
+    interval_kinds = [c for c in "OC" if c in params.model.input]
     used: set = set()
-    drawn = [_draw(rng, *_span(rng, params.overlap, graph.n_edges), interval_kinds, used)
+    drawn = [_draw(rng, *_span(rng, params.overlap, graph.n_edges), interval_kinds, used,
+                   point=not interval_kinds)
              for _ in range(graph.n_edges)]
     return UncertainInstance(model=params.model, areas=tuple(a for a, _ in drawn),
                              problem=graph, hidden=tuple(h for _, h in drawn))
@@ -274,7 +275,8 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
 
 def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     """The oracle a `ground`, `ground:exact`, `ground:halve[:R]` or
-    `script:PATH` spec names; adversary_fixture plays `adversary:NAME`."""
+    `script:PATH` spec names.  adversary_fixture plays `adversary:NAME`;
+    only `opt` hands such a spec here, and it is refused."""
     if spec == "ground:exact":
         return GroundTruthOracle.for_instance(instance, ExactPolicy())
     if spec == "ground:halve":
@@ -290,6 +292,9 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     if spec.startswith("script:"):
         with _malformed("script"):
             return ScriptedOracle.load(spec.split(":", 1)[1], instance.model)
+    if spec.startswith("adversary:"):
+        raise ConfigError(f"oracle spec {spec!r}: an adversary's optimum is its fixture's "
+                          "value, which `fixtures` writes; `opt` does not search it")
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
@@ -650,12 +655,10 @@ def _cmd_opt(args) -> int:
             f"the OPT search could visit {size} count vectors, more than "
             f"{MAX_SEARCH_VECTORS}; lower --max-total (now {max_total})"
         )
-    minima = minimal_solutions(list(instance.areas), oracle, verifier, max_total)
-    payload = {"opt": None, "vector": None, "minimal_count": len(minima)}
-    if minima:  # the first minimal solution is the one opt_value reports
-        payload.update(opt=sum(minima[0].values()),
-                       vector={str(i + 1): c for i, c in sorted(minima[0].items())})
-    sys.stdout.write(dump_json(payload))
+    result = opt_value(list(instance.areas), oracle, verifier, max_total)
+    vector = None if result.vector is None else {
+        str(i + 1): c for i, c in sorted(result.vector.items())}
+    sys.stdout.write(dump_json({"opt": result.opt, "vector": vector}))
     return EXIT_OK
 
 

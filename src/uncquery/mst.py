@@ -31,8 +31,8 @@ state patches its order for the queried edges by bisection, sorting nothing.
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
 and the witness is the pair of the cycle that pass stopped at.  `mst_verifier`,
 the OPT search's verifier, is one more such strategy whose witness is never
-called: between its vectors weights widen as well, and the replay stops at
-the first edge that moved or changed.
+called.  A pass resumes only along a solve's areas; every other weight
+vector, an OPT search's among them, starts afresh.
 """
 from __future__ import annotations
 
@@ -252,10 +252,11 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
     walk stops at the first edge not below, and so does the pass.
 
     The pass resumes after the longest processed prefix of the log's pass
-    whose edges kept their positions and weights (by identity; areas are
-    immutable): it undoes the log forest's links past that prefix and goes
-    on from there.  The log's state is patched for the changed weights and
-    the log overwritten with this pass.  A fresh log replays nothing; the
+    whose edges kept their positions and are not in the state's `changed`,
+    which names every edge unless the weights are a solve's `LoggedVector`
+    read again: it undoes the log forest's links past that prefix and goes
+    on from there.  The log's state is brought up to the weights and the
+    log overwritten with this pass.  A fresh log replays nothing; the
     result is the same with any log of the graph.
     """
     edges = log.graph.edges
@@ -288,13 +289,13 @@ MST_ALGORITHMS = {"umst": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt)}
 
 class UmstStrategy(SolverStrategy):
     """The uncertain-MST algorithm as an engine strategy.  The verifier runs
-    one pass, resumed from the previous one, and keeps its result.  The
-    witness lists the cycle that pass stopped at from the log's forest,
-    ranks it on the log's state with `_witness_pair`, and returns the
-    queriable part of the pair.  The engine calls the witness right after
-    the verifier on the same weights, so forest and state are still those
-    of the pass; the OPT search calls only the verifier, so its passes
-    never list a cycle.
+    one pass, resumed from the previous one.  The witness lists the cycle
+    that pass stopped at, closed by the log's edge at `processed`, from the
+    log's forest, ranks it on the log's state with `_witness_pair`, and
+    returns the queriable part of the pair.  The engine calls the witness
+    right after the verifier on the same weights, so forest and state are
+    still those of the pass; the OPT search calls only the verifier, so its
+    passes never list a cycle.
 
     Both edges of a pair are queried with no pass in between: `recheck` is
     off.  A pass between them would about double the passes per solve and
@@ -306,14 +307,14 @@ class UmstStrategy(SolverStrategy):
         umst = MST_ALGORITHMS["umst"]
         super().__init__("umst", self._verify, self._pair, umst.k_bound, umst.categories)
         self.pass_log = PassLog(graph)
-        self.result: tuple = ()
 
     def _verify(self, weights: Sequence[Area]) -> Optional[MstAnswer]:
-        self.result = mst_pass(self.pass_log, weights)
-        return MstAnswer(*self.result[1:]) if self.result[0] == "done" else None
+        result = mst_pass(self.pass_log, weights)
+        return MstAnswer(*result[1:]) if result[0] == "done" else None
 
     def _pair(self, weights: Sequence[Area]) -> List[int]:
-        log, e = self.pass_log, self.result[1]
+        log = self.pass_log
+        e = log.order[log.processed]
         u, v = log.graph.edges[e]
         pair = _witness_pair(log._forest.path(u, v) + [e], log.state.lo, log.state.hi)
         return [c for c in pair if not weights[c].is_point]
@@ -322,7 +323,7 @@ class UmstStrategy(SolverStrategy):
 def mst_verifier(graph: UncertainGraph):
     """The verifier of one UmstStrategy, for the OPT search: the MstAnswer
     once a pass needs no witness queries, else None.  Its passes share one
-    log, so each replays what it can of the last."""
+    log but start afresh, since no vector of the search is a solve's."""
     return UmstStrategy(graph).verifier
 
 

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from uncquery.core import Area, TieRule, surely_leq, surely_lt
+from uncquery.core import Area, LoggedVector, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
 from uncquery.models import validate_response
 
@@ -139,11 +139,11 @@ def sub_areas(draw, area: Area):
 
 @st.composite
 def refinement_runs(draw):
-    """A vector of grid areas and the vectors after each of a few steps.  A
-    step refines one to three intervals (`sub_areas`), mostly one as a solve
-    does, or now and then swaps in an unrelated vector of the same length.
-    Vectors run to 12 areas, so that a single change stays below the share
-    past which patched state is rebuilt (core.REBUILD_SHARE)."""
+    """A vector of grid areas and the steps after it, each the vector after
+    the step and the indices it wrote, in order.  A step refines one to
+    three intervals (`sub_areas`), mostly one as a solve does, or now and
+    then swaps in an unrelated vector of the same length, whose indices are
+    None.  Vectors run to 12 areas."""
     first = draw(st.lists(grid_areas(), min_size=1, max_size=12))
     cur = list(first)
     steps = []
@@ -151,12 +151,38 @@ def refinement_runs(draw):
         intervals = [i for i, a in enumerate(cur) if not a.is_point]
         if not intervals or draw(st.integers(0, 9)) == 0:
             cur = draw(st.lists(grid_areas(), min_size=len(cur), max_size=len(cur)))
+            written = None
         else:
             count = min(len(intervals), draw(st.sampled_from((1, 1, 1, 2, 3))))
-            for i in draw(st.permutations(intervals))[:count]:
+            written = draw(st.permutations(intervals))[:count]
+            for i in written:
                 cur[i] = draw(sub_areas(cur[i]))
-        steps.append(list(cur))
+        steps.append((list(cur), written))
     return first, steps
+
+
+def logged_run(run):
+    """The vectors of a `refinement_runs` draw as a solve hands them to its
+    states, each with the indices a state reading them in turn names as
+    changed.  The first vector and the refinements after it are one
+    `LoggedVector`, written as engine.solve writes it, whose later reads
+    name the indices written since; an unrelated vector comes as a plain
+    list and the refinements after it as a new LoggedVector.  A plain list
+    and a first read of a LoggedVector name every index."""
+    first, steps = run
+    log = LoggedVector(first)
+    yield log, range(len(first))
+    fresh = False
+    for vec, written in steps:
+        if written is None:
+            log, fresh = LoggedVector(vec), True
+            yield list(vec), range(len(vec))
+            continue
+        for i in written:
+            list.__setitem__(log, i, vec[i])
+            log.writes.append((i, vec[i]))
+        yield log, range(len(vec)) if fresh else sorted(written)
+        fresh = False
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     grid_endpoints,
     grid_vectors,
+    logged_run,
     mirror,
     reference_area_error,
     reference_contains_value,
@@ -444,17 +445,16 @@ def test_orderings_match_fraction_reference(vec, tie):
 @settings(max_examples=200, deadline=None)
 @given(refinement_runs())
 def test_patched_images_order_endpoints_exactly(run):
-    """A VectorState across refinements: the changed indices are those whose
-    area object changed, and the images order exactly as the values do
-    (checked between neighbours in value order); while they are scaled, not
-    ranks, each is its value times the one scale D."""
-    first, steps = run
+    """A VectorState across refinements written to one LoggedVector: each
+    read after the first names the sorted distinct indices written since as
+    changed, and an unrelated vector, handed over as a plain list, names
+    every index.  The images order exactly as the values do (checked between
+    neighbours in value order); while they are scaled, not ranks, each is
+    its value times the one scale D."""
     state = VectorState()
-    prev = []
-    for vec in [first] + steps:
+    for vec, changed in logged_run(run):
         state.update(vec)
-        if len(prev) == len(vec):
-            assert list(state.changed) == [i for i, a in enumerate(vec) if a is not prev[i]]
+        assert list(state.changed) == list(changed)
         assert all(a is b for a, b in zip(state.areas, vec)) and len(state.areas) == len(vec)
         values = [a.lo for a in vec] + [a.hi for a in vec]
         ints = state.lo + state.hi
@@ -464,4 +464,3 @@ def test_patched_images_order_endpoints_exactly(run):
         for a, b in zip(by_value, by_value[1:]):
             assert (values[a] < values[b], values[a] == values[b]) == (
                 ints[a] < ints[b], ints[a] == ints[b])
-        prev = list(vec)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uncquery.core
-from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, LoggedVector, TieRule, VectorState
+from uncquery.core import (
+    SCALE_BITS_LIMIT, Area, ImagedVector, LoggedVector, TieRule, VectorState, endpoint_images,
+)
 from uncquery.engine import (
     EngineError,
     OracleResponseError,
@@ -296,17 +297,20 @@ def _dense(values):
     return [rank[v] for v in values]
 
 
-def _assert_matches_fresh(state, areas, prev):
-    """`state`, just brought up to `areas` from `prev`, against a state built
-    from scratch on a plain copy: the same changed indices, the same order,
-    and the same images and ranks once the fresh state is brought to the
-    patched state's scale.  Only an ImagedVector that brings ranks taken over
-    a superset leaves the patched state ranked where the fresh one scales;
-    its images then compare alike."""
+def _assert_matches_fresh(state, areas, written):
+    """`state`, just brought up to `areas`, against a state built from
+    scratch on a plain copy: `changed` names the indices of `written`, the
+    writes it read since its last read of the same LoggedVector, or every
+    index when `written` is None, as after any other vector; the order is
+    the same, and so are the images and ranks once the fresh state is
+    brought to the patched state's scale.  Only an ImagedVector that brings
+    ranks taken over a superset leaves the state ranked where the fresh one
+    scales; its images then compare alike."""
     fresh = _update(VectorState(state.tie_rule, state.mirror), list(areas))
-    if len(prev) == len(areas):
-        assert list(state.changed) == [i for i, (a, b) in enumerate(zip(areas, prev)) if a is not b]
-    assert len(state.areas) == len(areas) and all(a is b for a, b in zip(state.areas, areas))
+    n = len(areas)
+    assert list(state.changed) == (list(range(n)) if written is None
+                                   else sorted({i for i, _ in written}))
+    assert len(state.areas) == n and all(a is b for a, b in zip(state.areas, areas))
     assert state.order == fresh.order
     if state.scale and fresh.scale:
         m, rest = divmod(state.scale, fresh.scale)
@@ -327,10 +331,10 @@ def _checked_states():
     seen = {"logged": 0}
 
     def update(state, areas):
-        seen["logged"] += areas is state._log
-        prev = list(state.areas)
+        written = areas.writes[state._seen:] if areas is state._log else None
+        seen["logged"] += written is not None
         _update(state, areas)
-        _assert_matches_fresh(state, areas, prev)
+        _assert_matches_fresh(state, areas, written)
         return state
 
     with mock.patch.object(VectorState, "update", update):
@@ -404,38 +408,72 @@ def test_a_logged_vector_names_every_write_and_refuses_other_changes():
         with pytest.raises(TypeError):
             change()
     assert len(vec.writes) == 2 and vec == [Area.open(0, 1), Area.point(2), Area.point(4)]
-    # A state that read another vector in between compares entry by entry;
-    # handed the same vector again it reads one write, then several.
-    state, other = VectorState(), [Area.open(0, 1), Area.point(2), Area.point(5)]
+    # A state that read another vector in between images the log afresh,
+    # though the other vector shares two of its areas; handed the same
+    # vector again it reads one write, then several.
+    state, other = VectorState(), [vec[0], vec[1], Area.point(5)]
     for areas in (vec, other, vec):
-        prev = list(state.areas)
-        _assert_matches_fresh(state.update(areas), areas, prev)
+        _assert_matches_fresh(state.update(areas), areas, None)
     for writes, changed in (([(2, Area.point(5))], [2]),
                             ([(1, Area.open(2, 3)), (0, Area.point(1)), (1, Area.point(3))], [0, 1])):
+        read = len(vec.writes)
         for i, area in writes:
             list.__setitem__(vec, i, area)
             vec.writes.append((i, area))
-        prev = list(state.areas)
-        _assert_matches_fresh(state.update(vec), vec, prev)
+        _assert_matches_fresh(state.update(vec), vec, vec.writes[read:])
         assert state.changed == changed
+
+
+def test_a_state_patches_only_along_the_log_it_read_last(monkeypatch):
+    """A state patches a LoggedVector it reads again.  Handed a plain list
+    after that, though it differs from the log in one entry, or an
+    ImagedVector, it rebuilds with no _patch call, names every index as
+    changed, and then rebuilds on the log too.  It takes an ImagedVector's
+    images as they are and never writes into them."""
+    vec = LoggedVector([Area.open(0, 2), Area.open(1, 3), Area.point(4)])
+    patch, patched = VectorState._patch, []
+
+    def counted_patch(state, areas):
+        patched.append(areas)
+        return patch(state, areas)
+
+    def write(i, area):  # as engine.solve writes
+        list.__setitem__(vec, i, area)
+        vec.writes.append((i, area))
+
+    monkeypatch.setattr(VectorState, "_patch", counted_patch)
+    state = VectorState().update(vec)
+    write(0, Area.open(0, 1))
+    _assert_matches_fresh(state.update(vec), vec, vec.writes[-1:])
+    assert patched == [vec]
+    plain = list(vec)
+    plain[2] = Area.point(5)
+    imaged = ImagedVector(vec)
+    imaged.images = endpoint_images(vec)
+    _, lo, hi = imaged.images
+    kept = (lo[:], hi[:])
+    for areas in (plain, vec, imaged):
+        _assert_matches_fresh(state.update(areas), areas, None)
+    assert state.lo is lo and state.hi is hi and patched == [vec]
+    state.update(vec)
+    write(1, Area.point(2))
+    _assert_matches_fresh(state.update(vec), vec, vec.writes[-1:])
+    assert patched == [vec, vec] and (lo, hi) == kept
 
 
 def test_solves_read_writes_and_rescale_seldom(monkeypatch):
     """Two fixed solves: a min1-lex selection solve (OP-OP, n = 800) and a
     uMST solve (OC-OC, V = 80), both halving with shrink 1/2 at overlap 3.
-    No identity scan visits an entry: every call after the first reads the
-    logged writes.  A whole-vector rescale happens at most half as often as
-    with D kept at the exact lcm, which rescaled 17 times in the selection
-    solve and 14 times in the uMST solve.  No state is ranked while the
-    exact lcm of its denominators fits in SCALE_BITS_LIMIT bits.  Two small
-    solves, kmin-witness on OP-P with exact reveals at n = 6 and a halving
-    uMST solve on OC-OC at V = 4, read their writes just the same."""
-    counts = {"scanned": 0, "rescales": 0}
-    scan, patch = uncquery.core.compress, VectorState._patch
-
-    def counted_scan(indices, keep):
-        counts["scanned"] += len(indices)
-        return scan(indices, keep)
+    Each state reads a vector other than its solve's logged one only at its
+    first call: every later call reads the logged writes.  A whole-vector
+    rescale happens at most half as often as with D kept at the exact lcm,
+    which rescaled 17 times in the selection solve and 14 times in the uMST
+    solve.  No state is ranked while the exact lcm of its denominators fits
+    in SCALE_BITS_LIMIT bits.  Two small solves, kmin-witness on OP-P with
+    exact reveals at n = 6 and a halving uMST solve on OC-OC at V = 4, read
+    their writes just the same."""
+    counts, unlogged = {"rescales": 0}, []
+    patch = VectorState._patch
 
     def counted_patch(state, areas):
         before = state.scale
@@ -444,31 +482,38 @@ def test_solves_read_writes_and_rescale_seldom(monkeypatch):
         return patched
 
     def checked_update(state, areas):
+        if areas is not state._log:
+            unlogged.append(state)
         _update(state, areas)
         if not state.scale:
             d = math.lcm(*(x.denominator for a in areas for x in (a.lo, a.hi)))
             assert d.bit_length() > SCALE_BITS_LIMIT
         return state
 
-    monkeypatch.setattr(uncquery.core, "compress", counted_scan)
+    def first_reads_only():
+        """Whether no state read an unlogged vector twice, for the next solve."""
+        once = len(unlogged) == len(set(map(id, unlogged))) > 0
+        unlogged.clear()
+        return once
+
     monkeypatch.setattr(VectorState, "_patch", counted_patch)
     monkeypatch.setattr(VectorState, "update", checked_update)
     inst = generate_instance(GenParams(800, ModelSpec.parse("OP-OP"), overlap=3), 1)
     report = solve(inst, build_oracle("ground:halve:1/2", inst),
                    make_strategy("min1-lex", inst.problem), default_budget(800))
-    assert report.total == 278 and counts["scanned"] == 0
+    assert report.total == 278 and first_reads_only()
     assert counts["rescales"] <= 17 // 2
     counts["rescales"] = 0
     params = GraphGenParams(80, 160, ModelSpec.parse("OC-OC"), overlap=3)
     graph = generate_graph_instance(params, 1)
     report, answer = umst_solve(graph, build_oracle("ground:halve:1/2", graph), 10**5)
-    assert answer is not None and report.total == 458 and counts["scanned"] == 0
+    assert answer is not None and report.total == 458 and first_reads_only()
     assert counts["rescales"] <= 14 // 2
     small = generate_instance(GenParams(6, ModelSpec.parse("OP-P"), k=3, overlap=3), 1)
     report = solve(small, build_oracle("ground:exact", small),
                    make_strategy("kmin-witness", small.problem), default_budget(6))
-    assert report.total == 5 and counts["scanned"] == 0
+    assert report.total == 5 and first_reads_only()
     params = GraphGenParams(4, 3, ModelSpec.parse("OC-OC"), overlap=3)
     graph = generate_graph_instance(params, 1)
     report, answer = umst_solve(graph, build_oracle("ground:halve", graph), 10**3)
-    assert answer is not None and report.total == 10 and counts["scanned"] == 0
+    assert answer is not None and report.total == 10 and first_reads_only()

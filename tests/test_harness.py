@@ -480,6 +480,39 @@ class TestCli:
         ]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["opt"] <= payload["total"]
 
+    @pytest.mark.parametrize("model", ["P-P", "P-O"])
+    def test_gen_and_solve_a_graph_under_point_inputs(self, tmp_path, capsys, model):
+        """Under an input set with no interval shape every weight is drawn
+        as a point, so `solve` takes the instance and certifies a tree with
+        no query."""
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", model, "--problem", "mst", "--vertices", "4",
+                     "--seed", "1", "--out", str(inst_path)]) == EXIT_OK
+        assert main(["solve", "--instance", str(inst_path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["total"]) == ("solved", 0)
+
+    def test_compete_on_graphs_under_point_inputs(self, tmp_path, capsys):
+        out, cfg_path = tmp_path / "rep.json", tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithm": "umst", "model": "P-P",
+                                        "problem": {"type": "mst"}, "format": "json",
+                                        "out": str(out)}))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_OK
+        records = json.loads(out.read_text())["records"]
+        assert records and all((r["queries"], r["status"]) == (0, "ok") for r in records)
+
+    def test_opt_refuses_an_adversary_oracle(self, tmp_path, capsys):
+        """An adversary's optimum is its fixture's value: `opt` names that
+        in one line rather than calling the spec unknown."""
+        inst_path = tmp_path / "tight.json"
+        assert main(["fixtures", "--name", "min-tight", "--n", "3",
+                     "--out", str(inst_path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["opt", "--instance", str(inst_path), "--oracle", "adversary:min-tight"])
+        assert (code, capsys.readouterr()) == (EXIT_INVALID_CONFIG, ("", (
+            "error: oracle spec 'adversary:min-tight': an adversary's optimum is its "
+            "fixture's value, which `fixtures` writes; `opt` does not search it\n")))
+
     def test_fixtures_and_compete(self, tmp_path, capsys):
         assert main(["fixtures", "--name", "min-tight", "--n", "2"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -1081,7 +1114,7 @@ class TestCli:
             raise AssertionError("solved an instance that should have been refused")
 
         monkeypatch.setattr("uncquery.harness.solve", refuse)
-        monkeypatch.setattr("uncquery.harness.minimal_solutions", refuse)
+        monkeypatch.setattr("uncquery.harness.opt_value", refuse)
         data = instance_to_json(generate_instance(GenParams(n=4, model=OPP, k=2), 1))
         data["hidden"][1] = value
         inst_path = tmp_path / "inst.json"

@@ -20,7 +20,7 @@ from helpers import (
     sub_areas,
 )
 import uncquery.mst
-from uncquery.core import Area, ImagedVector, VectorState
+from uncquery.core import Area, ImagedVector, LoggedVector, VectorState, endpoint_images
 from uncquery.engine import EngineError, RunStatus
 from uncquery.harness import GraphGenParams, build_oracle, generate_graph_instance
 from uncquery.models import ModelSpec, UncertainInstance
@@ -400,6 +400,39 @@ def test_verifier_passes_share_one_log(monkeypatch):
     assert len(logs) > 20 and all(log is logs[0] for log in logs)
 
 
+def test_verifier_pass_on_a_second_opt_vector_links_from_position_zero(monkeypatch):
+    """mst_verifier handed a second OPT-style vector, equal to the first but
+    for one revealed edge late in the first pass's order, replays nothing of
+    the first pass: its first link is at position 0, and it links at the
+    positions a fresh pass does."""
+    inst = generate_graph_instance(
+        GraphGenParams(vertices=8, extra_edges=8, model=ModelSpec.parse("OC-OC")), 1)
+    first = ImagedVector(inst.areas)
+    first.images = endpoint_images(first)
+    verifier, positions = mst_verifier(inst.problem), []
+    link = _Forest.link
+
+    def recording(self, u, v, e, pos):
+        positions.append(pos)
+        link(self, u, v, e, pos)
+
+    monkeypatch.setattr(_Forest, "link", recording)
+    verifier(first)
+    log = PassLog(inst.problem)
+    mst_pass(log, first)
+    assert log.processed > 2
+    e = log.order[log.processed - 1]
+    second = ImagedVector(first)
+    second[e] = Area.point(inst.hidden[e])
+    second.images = endpoint_images(second)
+    positions.clear()
+    verifier(second)
+    replayed = positions[:]
+    positions.clear()
+    mst_pass(PassLog(inst.problem), second)
+    assert replayed[0] == 0 and replayed == positions
+
+
 def _forest_of(vertices, edges):
     """A forest linking each edge that joins two trees, edge i at position i."""
     forest = _Forest(vertices)
@@ -459,10 +492,11 @@ def test_is_connected_matches_breadth_first_search(data):
 def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
     """After a witness round the next pass keeps the forest of its replayed
     prefix: every edge it links lies at or past the replay point, the first
-    position where the order moved or a queried edge sits."""
+    position where the order moved or a queried edge sits.  The weights are
+    a LoggedVector with each reveal logged, as engine.solve keeps them."""
     inst = generate_graph_instance(
         GraphGenParams(vertices=60, extra_edges=120, model=ModelSpec.parse("OC-OC"), overlap=0.95), 5)
-    strategy, weights = UmstStrategy(inst.problem), list(inst.areas)
+    strategy, weights = UmstStrategy(inst.problem), LoggedVector(inst.areas)
     log, positions = strategy.pass_log, []
     link = _Forest.link
 
@@ -476,7 +510,8 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
         old_order, old_processed = log.order, log.processed
         queried = strategy.witness(weights)
         for e in queried:
-            weights[e] = Area.point(inst.hidden[e])
+            list.__setitem__(weights, e, Area.point(inst.hidden[e]))
+            weights.writes.append((e, weights[e]))
         positions.clear()
         answer = strategy.verifier(weights)
         replay = 0

@@ -557,7 +557,7 @@ def test_cli_opt_refuses_a_mixed_caps_search_up_front(tmp_path, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("searched past the size guard")
 
-    monkeypatch.setattr("uncquery.harness.minimal_solutions", refuse)
+    monkeypatch.setattr("uncquery.harness.opt_value", refuse)
     areas = [O(0, 1 + i) for i in range(8)]
     script = {0: [O(0, Fraction(1, j + 1)) for j in range(1, 33)]}
     script.update({i: [Area.point(Fraction(1, 2))] for i in range(1, 8)})

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     grid_vectors,
     kth_min_valid,
+    logged_run,
     mirror,
     realizations,
     reference_kmin_bypass_witness,
@@ -378,18 +379,19 @@ def _from_scratch_witness(name, vec, k, tie):
 @given(refinement_runs(), st.sampled_from(list(TieRule)), st.sampled_from(list(Objective)),
        st.data())
 def test_patched_strategies_match_from_scratch(run, tie, objective, data):
-    """Strategies keep their state across calls; after every refinement their
-    verdicts and witness sets equal the public functions computed from
-    scratch (on the mirrored vector for kmax), and a patched state's lo order
-    equals the Fraction reference's."""
-    first, steps = run
+    """Strategies keep their state across calls, patched along the writes
+    to a LoggedVector as in a solve; after every refinement their verdicts
+    and witness sets equal the public functions computed from scratch (on
+    the mirrored vector for kmax), and a patched state's lo order equals the
+    Fraction reference's."""
+    first, _ = run
     k = data.draw(st.integers(1, len(first)))
     problem = SelectionProblem(k=k, objective=objective, tie_rule=tie)
     names = [n for n in STRATEGY_NAMES if n != "opop-alternate"
              and not (n.startswith("min1") and k != 1)]
     strategies = {name: make_strategy(name, problem) for name in names}
     states = {t: VectorState(t, objective is Objective.KTH_MAX) for t in TieRule}
-    for vec in [first] + steps:
+    for vec, _ in logged_run(run):
         oriented = [mirror(a) for a in vec] if objective is Objective.KTH_MAX else vec
         for t, state in states.items():
             assert state.update(vec).order == reference_order_l(oriented, None, t)
