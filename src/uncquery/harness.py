@@ -275,8 +275,7 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
 
 def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     """The oracle a `ground`, `ground:exact`, `ground:halve[:R]` or
-    `script:PATH` spec names.  adversary_fixture plays `adversary:NAME`;
-    only `opt` hands such a spec here, and it is refused."""
+    `script:PATH` spec names; adversary_fixture plays `adversary:NAME`."""
     if spec == "ground:exact":
         return GroundTruthOracle.for_instance(instance, ExactPolicy())
     if spec == "ground:halve":
@@ -292,9 +291,6 @@ def build_oracle(spec: str, instance: UncertainInstance) -> Oracle:
     if spec.startswith("script:"):
         with _malformed("script"):
             return ScriptedOracle.load(spec.split(":", 1)[1], instance.model)
-    if spec.startswith("adversary:"):
-        raise ConfigError(f"oracle spec {spec!r}: an adversary's optimum is its fixture's "
-                          "value, which `fixtures` writes; `opt` does not search it")
     raise ConfigError(f"unknown oracle spec {spec!r}")
 
 
@@ -643,6 +639,9 @@ def _cmd_opt(args) -> int:
     err = validate_instance(instance)
     if err is not None:
         raise ConfigError(f"invalid instance: {err}")
+    if args.oracle.startswith("adversary:"):
+        raise ConfigError(f"oracle spec {args.oracle!r}: an adversary's optimum is its fixture's "
+                          "value, which `fixtures` writes; `opt` does not search it")
     oracle = build_oracle(args.oracle, instance)
     if isinstance(instance.problem, UncertainGraph):
         verifier = mst_verifier(instance.problem)

@@ -219,9 +219,10 @@ class _Forest:
 class PassLog:
     """What the last pass over `graph` read and how far it got, for the next
     pass to resume from: the state of its weights, whose lo order is the
-    pass's edge order (patched, not rebuilt, by the next pass), a copy of
-    that order, the number of edges processed before the witness cycle (all
-    of them when the pass finished), and the forest the pass built."""
+    pass's edge order (patched by the next pass along a solve's write log,
+    rebuilt on any other vector), a copy of that order, the number of edges
+    processed before the witness cycle (all of them when the pass finished),
+    and the forest the pass built."""
 
     graph: UncertainGraph
     state: VectorState = field(default_factory=VectorState)

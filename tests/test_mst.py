@@ -307,49 +307,81 @@ def test_resumed_passes_match_restarting_reference(inst):
         assert (answer.tree, answer.red_rule_count) == (tree, red)
 
 
-@settings(max_examples=200, deadline=None)
-@given(graph_instances(), st.data())
-def test_replayed_pass_matches_fresh_pass_after_any_change(inst, data):
-    # Changes a solve never makes (a lower bound dropping, an area swapped for
-    # another edge's) as well as ones it does (a hi shrinking at a fixed lo,
-    # a reveal, a refinement whose new denominator rescales the log's
-    # images) must all stop the replay where the fresh pass would differ.
-    graph, weights = inst.problem, list(inst.areas)
-    log = PassLog(graph)
-    for _ in range(5):
-        fresh = reference_mst_pass(graph, weights)
-        assert mst_pass(log, weights) == fresh == mst_pass(PassLog(graph), weights)
-        for e in data.draw(st.lists(st.integers(0, graph.n_edges - 1), min_size=1, max_size=2)):
-            w = weights[e]
-            changes = [
-                Area.point(w.lo), Area.point(w.hi), C(w.lo - 1, w.hi),
-                weights[data.draw(st.integers(0, graph.n_edges - 1))],
-            ]
-            if not w.is_point:
-                changes.append(data.draw(sub_areas(w)))
-            weights[e] = data.draw(st.sampled_from(changes))
+def _log_write(weights, e, area):
+    """Store `area` at `e` of a LoggedVector as engine.solve does."""
+    list.__setitem__(weights, e, area)
+    weights.writes.append((e, area))
 
 
-@settings(max_examples=100, deadline=None)
-@given(graph_instances(), st.data())
-def test_pass_on_value_ranks_matches_reference(inst, data):
+def _checked_pass(log, graph, weights):
+    """mst_pass on the log and on a fresh log both equal the reference; true
+    when the logged pass resumed, keeping its forest for a replayed prefix."""
+    forest = log._forest
+    fresh = reference_mst_pass(graph, weights)
+    assert mst_pass(log, weights) == fresh == mst_pass(PassLog(graph), weights)
+    return forest is not None and log._forest is forest
+
+
+def test_replayed_pass_matches_fresh_pass_after_any_change():
+    """The weights are a LoggedVector changed as a solve changes them: one
+    or two intervals a round, each revealed (at an endpoint it attains, or
+    inside) or refined to a sub-interval, whose new denominators rescale
+    the log's images or, repeated, take them past core.SCALE_BITS_LIMIT to
+    ranks.  Every change must stop the replay where the fresh pass would
+    differ; some passes do resume."""
+    resumed = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_instances(), st.data())
+    def check(inst, data):
+        graph, weights = inst.problem, LoggedVector(inst.areas)
+        log = PassLog(graph)
+        for _ in range(5):
+            resumed.append(_checked_pass(log, graph, weights))
+            intervals = [e for e, w in enumerate(weights) if not w.is_point]
+            if not intervals:
+                break
+            for e in data.draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=2)):
+                w = weights[e]
+                if w.is_point:
+                    continue
+                changes = sub_areas(w)
+                if w.attains:
+                    changes = st.one_of(st.sampled_from([Area.point(w.lo), Area.point(w.hi)]), changes)
+                _log_write(weights, e, data.draw(changes))
+
+    check()
+    assert any(resumed)
+
+
+def test_pass_on_value_ranks_matches_reference():
     """Grid weights, with edge 0 carrying both Mersenne-prime denominators:
     their lcm passes core.SCALE_BITS_LIMIT bits, so the pass orders and
     decides on the ranks of the values.  Fresh, and with a log carried
-    across refinements and reveals of the other edges, it agrees with the
-    Fraction reference."""
-    graph = inst.problem
-    weights = data.draw(st.lists(grid_areas(), min_size=graph.n_edges, max_size=graph.n_edges))
-    weights[0] = O(F(-1, 2**521 - 1), F(1, 2**607 - 1))
-    log = PassLog(graph)
-    for _ in range(4):
-        fresh = reference_mst_pass(graph, weights)
-        assert mst_pass(log, weights) == fresh == mst_pass(PassLog(graph), weights)
-        assert log.state.scale == 0
-        e = data.draw(st.integers(1, graph.n_edges - 1))
-        w = weights[e]
-        if not w.is_point:
-            weights[e] = data.draw(st.one_of(st.just(Area.point(w.hi)), sub_areas(w)))
+    across refinements and reveals of the other edges, logged as a solve
+    logs them, it agrees with the Fraction reference; some passes resume."""
+    resumed = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_instances(), st.data())
+    def check(inst, data):
+        graph = inst.problem
+        weights = data.draw(st.lists(grid_areas(), min_size=graph.n_edges, max_size=graph.n_edges))
+        weights[0] = O(F(-1, 2**521 - 1), F(1, 2**607 - 1))
+        weights, log = LoggedVector(weights), PassLog(graph)
+        for _ in range(4):
+            resumed.append(_checked_pass(log, graph, weights))
+            assert log.state.scale == 0
+            e = data.draw(st.integers(1, graph.n_edges - 1))
+            w = weights[e]
+            if not w.is_point:
+                changes = sub_areas(w)
+                if w.attains:
+                    changes = st.one_of(st.just(Area.point(w.hi)), changes)
+                _log_write(weights, e, data.draw(changes))
+
+    check()
+    assert any(resumed)
 
 
 def test_one_log_across_the_opt_search_order_matches_reference():
@@ -510,8 +542,7 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
         old_order, old_processed = log.order, log.processed
         queried = strategy.witness(weights)
         for e in queried:
-            list.__setitem__(weights, e, Area.point(inst.hidden[e]))
-            weights.writes.append((e, weights[e]))
+            _log_write(weights, e, Area.point(inst.hidden[e]))
         positions.clear()
         answer = strategy.verifier(weights)
         replay = 0
