@@ -175,43 +175,45 @@ class GenParams:
     point_fraction: float = 0.0
 
 
-def _pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
-    """Grid value inside the area, distinct from previously chosen values so
+def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: set) -> int:
+    """Grid value inside the area from lo2/2 to (lo2 + len2)/2, as its
+    numerator over 2048, distinct from the numerators in `used` so
     interval-return refinement always terminates."""
+    # lo + length·j/denom is (lo2·1024 + len2·j·(1024/denom))/2048 at every
+    # denominator, so distinct numerators are distinct values.
+    lo_j = 0 if attains else 1
     for denom in (16, 64, 256, 1024):
-        lo_j = 0 if area.attains else 1
-        hi_j = denom - lo_j
-        offsets = list(range(lo_j, hi_j + 1))
+        offsets = list(range(lo_j, denom - lo_j + 1))
         rng.shuffle(offsets)
+        base, step = lo2 * 1024, len2 * (1024 // denom)
         for j in offsets:
-            value = area.lo + area.length * Fraction(j, denom)
+            value = base + step * j
             if value not in used:
                 used.add(value)
                 return value
     raise ConfigError("could not place a distinct hidden value")
 
 
-def _span(rng: random.Random, overlap: float, count: int) -> Tuple[Fraction, Fraction]:
-    """The lo and length of one of `count` areas drawn to overlap with
-    density `overlap`."""
+def _span(rng: random.Random, overlap: float, count: int) -> Tuple[int, int]:
+    """Twice the lo and twice the length of one of `count` areas drawn to
+    overlap with density `overlap`."""
     # Every overlap of 1 or more draws width 1.  A large negative overlap
     # overflows the float product, so its exact integer is taken instead.
     spread = max(0, 1 - overlap)
     scaled = spread * count * SCALE
     width = max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
-    return Fraction(rng.randint(0, 2 * width), 2), Fraction(rng.randint(2, 2 * SCALE), 2)
+    return rng.randint(0, 2 * width), rng.randint(2, 2 * SCALE)
 
 
-def _draw(rng: random.Random, lo: Fraction, length: Fraction, kinds: Sequence[str], used: set,
+def _draw(rng: random.Random, lo2: int, len2: int, kinds: Sequence[str], used: set,
           point: bool = False) -> Tuple[Area, Fraction]:
-    """An area spanning lo to lo + length and its hidden value: a point, or
-    an interval of a kind drawn from `kinds`."""
+    """An area spanning lo2/2 to (lo2 + len2)/2 and its hidden value: a
+    point, or an interval of a kind drawn from `kinds`."""
+    attains = point or rng.choice(kinds) == "C"
+    hidden = Fraction(_pick_hidden(rng, lo2, len2, attains, used), 2048)
     if point:
-        value = _pick_hidden(rng, Area.closed(lo, lo + length), used)
-        return Area.point(value), value
-    kind = rng.choice(kinds)
-    area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
-    return area, _pick_hidden(rng, area, used)
+        return Area.point(hidden), hidden
+    return Area(Fraction(lo2, 2), Fraction(lo2 + len2, 2), attains), hidden
 
 
 def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
@@ -228,7 +230,7 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
         point = "P" in model.input and (
             not interval_kinds or rng.random() < params.point_fraction)
         if params.overlap <= 0:
-            span = Fraction(i * (SCALE + 2)), Fraction(rng.randint(1, SCALE))
+            span = 2 * i * (SCALE + 2), 2 * rng.randint(1, SCALE)
         else:
             span = _span(rng, params.overlap, params.n)
         drawn.append(_draw(rng, *span, interval_kinds, used, point))
@@ -661,6 +663,21 @@ def _cmd_opt(args) -> int:
     return EXIT_OK
 
 
+def _gen_seed(text: str) -> int | str:
+    """`gen --seed`: an int, or S:T, which seeds as trial T of a compete
+    config with seed S does; ArgumentTypeError for any other text."""
+    seed, colon, trial = text.partition(":")
+    try:
+        if not colon:
+            return int(seed)
+        if int(trial) >= 0:
+            return f"{int(seed)}:{int(trial)}"
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid seed {text!r}: want an integer or S:T, "
+                                     "with integers S and T >= 0")
+
+
 def _cmd_gen(args) -> int:
     args.model = ModelSpec.parse(args.model)
     _write(dump_json(instance_to_json(_generate(args, args.seed))), args.out)
@@ -689,10 +706,18 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so a bad command
+    line exits 3 with one line, as any other bad input does."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uncquery",
         description="Query-competitive computation over interval-uncertain data.",
     )
@@ -721,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-edges", type=int, dest="extra_edges")
     p.add_argument("--overlap", type=float)
     p.add_argument("--point-fraction", type=float, dest="point_fraction")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_gen_seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen, **{f.name: f.default for f in fields(ExperimentConfig)})
 
@@ -739,9 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, EngineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

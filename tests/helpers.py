@@ -3,8 +3,11 @@ witness-state recorder around the solve loop, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
 mirror of an area, the halving window, the uMST comparison operator, red
 rule and restart-from-scratch pass that the integer code is checked against,
-and the brute-force OPT search with eagerly built response chains."""
+the brute-force OPT search with eagerly built response chains, and the
+instance generators as first written, on Fractions."""
 import copy
+import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
@@ -14,7 +17,10 @@ from hypothesis import strategies as st
 
 from uncquery.core import Area, LoggedVector, TieRule, surely_leq, surely_lt
 from uncquery.engine import solve
-from uncquery.models import validate_response
+from uncquery.harness import SCALE, ConfigError
+from uncquery.models import UncertainInstance, validate_response
+from uncquery.mst import UncertainGraph
+from uncquery.selection import SelectionProblem
 
 
 def sample_values(area: Area) -> List[Fraction]:
@@ -563,3 +569,88 @@ def reference_minimal_vectors(areas, oracle, verifier, max_total: int, base_coun
                 yield vector
         if not level_open and total > 0:
             return
+
+
+def reference_pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:
+    """Grid value inside the area, distinct from previously chosen values so
+    interval-return refinement always terminates."""
+    for denom in (16, 64, 256, 1024):
+        lo_j = 0 if area.attains else 1
+        hi_j = denom - lo_j
+        offsets = list(range(lo_j, hi_j + 1))
+        rng.shuffle(offsets)
+        for j in offsets:
+            value = area.lo + area.length * Fraction(j, denom)
+            if value not in used:
+                used.add(value)
+                return value
+    raise ConfigError("could not place a distinct hidden value")
+
+
+def reference_span(rng: random.Random, overlap: float, count: int):
+    """The lo and length of one of `count` areas drawn to overlap with
+    density `overlap`."""
+    # Every overlap of 1 or more draws width 1.  A large negative overlap
+    # overflows the float product, so its exact integer is taken instead.
+    spread = max(0, 1 - overlap)
+    scaled = spread * count * SCALE
+    width = max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
+    return Fraction(rng.randint(0, 2 * width), 2), Fraction(rng.randint(2, 2 * SCALE), 2)
+
+
+def reference_draw(rng: random.Random, lo: Fraction, length: Fraction, kinds: Sequence[str],
+                   used: set, point: bool = False):
+    """An area spanning lo to lo + length and its hidden value: a point, or
+    an interval of a kind drawn from `kinds`."""
+    if point:
+        value = reference_pick_hidden(rng, Area.closed(lo, lo + length), used)
+        return Area.point(value), value
+    kind = rng.choice(kinds)
+    area = Area.open(lo, lo + length) if kind == "O" else Area.closed(lo, lo + length)
+    return area, reference_pick_hidden(rng, area, used)
+
+
+def reference_generate_instance(params, seed) -> UncertainInstance:
+    """harness.generate_instance as first written, drawing on Fractions."""
+    model = params.model
+    interval_kinds = [c for c in "OC" if c in model.input]
+    if params.point_fraction > 0 and "P" not in model.input:
+        raise ConfigError("point fraction needs P in the input type set")
+    rng = random.Random(f"uncquery-gen:{seed}")
+    used: set = set()
+    drawn = []
+    for i in range(params.n):
+        point = "P" in model.input and (
+            not interval_kinds or rng.random() < params.point_fraction)
+        if params.overlap <= 0:
+            span = Fraction(i * (SCALE + 2)), Fraction(rng.randint(1, SCALE))
+        else:
+            span = reference_span(rng, params.overlap, params.n)
+        drawn.append(reference_draw(rng, *span, interval_kinds, used, point))
+    problem = SelectionProblem(k=params.k, tie_rule=params.tie_rule)
+    problem.validate(params.n)
+    return UncertainInstance(model=model, areas=tuple(a for a, _ in drawn), problem=problem,
+                             hidden=tuple(h for _, h in drawn))
+
+
+def reference_generate_graph_instance(params, seed) -> UncertainInstance:
+    """harness.generate_graph_instance as first written, drawing on
+    Fractions."""
+    rng = random.Random(f"uncquery-graph:{seed}")
+    v = params.vertices
+    edges = []
+    for i in range(1, v):
+        edges.append((rng.randrange(i), i))
+    for _ in range(params.extra_edges):
+        a = rng.randrange(v)
+        b = rng.randrange(v)
+        if a != b:
+            edges.append((min(a, b), max(a, b)))
+    graph = UncertainGraph(v, tuple(edges))
+    interval_kinds = [c for c in "OC" if c in params.model.input]
+    used: set = set()
+    drawn = [reference_draw(rng, *reference_span(rng, params.overlap, graph.n_edges),
+                            interval_kinds, used, point=not interval_kinds)
+             for _ in range(graph.n_edges)]
+    return UncertainInstance(model=params.model, areas=tuple(a for a, _ in drawn),
+                             problem=graph, hidden=tuple(h for _, h in drawn))

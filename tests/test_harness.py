@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_umst
+from helpers import reference_generate_graph_instance, reference_generate_instance, reference_umst
 from uncquery.core import Area, TieRule, format_rational
 from uncquery.engine import default_budget, solve
 from uncquery.harness import (
@@ -47,7 +47,7 @@ from uncquery.harness import (
     trial_instance,
 )
 from uncquery.harness import _build_fixture, _generate, _generator, _max_total, _pick_hidden
-from uncquery.models import ModelSpec, UncertainInstance, validate_instance
+from uncquery.models import _CATEGORY_BY_MODEL, ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
 from uncquery.selection import Objective, SelectionProblem, make_strategy
@@ -88,9 +88,10 @@ class TestGenerateInstance:
 
     def test_no_distinct_hidden_value_left_is_refused(self):
         # A point has one grid value at every denominator; once it is used,
-        # there is nothing left to place.
+        # there is nothing left to place.  The point at 0 is lo2 = len2 = 0,
+        # and its value's numerator over 2048 is 0.
         with pytest.raises(ConfigError, match="^could not place a distinct hidden value$"):
-            _pick_hidden(random.Random(0), Area.point(0), {Fraction(0)})
+            _pick_hidden(random.Random(0), 0, 0, True, {0})
 
     def test_zero_overlap_pairwise_ordered(self):
         inst = generate_instance(
@@ -114,6 +115,49 @@ class TestGenerateGraphInstance:
     def test_deterministic(self):
         p = GraphGenParams(vertices=4, extra_edges=2, model=ModelSpec.parse("OC-OC"))
         assert generate_graph_instance(p, 5) == generate_graph_instance(p, 5)
+
+
+# Every model the category table names, plus the point-only ones, whose graph
+# instances draw point weights, and C-O, whose closed inputs take open returns.
+GENERATED_MODELS = sorted(set(_CATEGORY_BY_MODEL) | {"P-P", "P-O", "C-O"})
+GENERATED_OVERLAPS = (-1e308, -5, 0, 0.3, 0.98, 1, 2.5)
+generator_seeds = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds("{}:{}".format, st.integers(-99, 99), st.integers(0, 99)),
+)
+
+
+def _generated(generate, params, seed):
+    """The instance `generate` draws and its JSON text, or None and the text
+    of the ConfigError it raises."""
+    try:
+        inst = generate(params, seed)
+    except ConfigError as exc:
+        return None, f"ConfigError: {exc}"
+    return inst, dump_json(instance_to_json(inst))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GENERATED_MODELS), st.integers(1, 40), st.data(),
+       st.sampled_from(GENERATED_OVERLAPS), st.sampled_from((0, 0.3, 1)),
+       st.sampled_from(TieRule), generator_seeds)
+def test_integer_generator_matches_fraction_reference(model, n, data, overlap, point_fraction,
+                                                      tie_rule, seed):
+    params = GenParams(n=n, model=ModelSpec.parse(model), k=data.draw(st.integers(1, n)),
+                       tie_rule=tie_rule, overlap=overlap, point_fraction=point_fraction)
+    assert _generated(generate_instance, params, seed) == _generated(
+        reference_generate_instance, params, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GENERATED_MODELS), st.integers(2, 12), st.integers(0, 12),
+       st.sampled_from(GENERATED_OVERLAPS), generator_seeds)
+def test_integer_graph_generator_matches_fraction_reference(model, vertices, extra_edges,
+                                                            overlap, seed):
+    params = GraphGenParams(vertices=vertices, extra_edges=extra_edges,
+                            model=ModelSpec.parse(model), overlap=overlap)
+    assert _generated(generate_graph_instance, params, seed) == _generated(
+        reference_generate_graph_instance, params, seed)
 
 
 # sha256 of the instance JSON the generators write for these parameters and
@@ -462,6 +506,34 @@ class TestCli:
         assert main(["gen", "--model", "OC-OC", "--problem", problem_type]) == EXIT_OK
         config = ExperimentConfig("unused", ModelSpec.parse("OC-OC"), problem_type=problem_type)
         assert capsys.readouterr().out == dump_json(instance_to_json(_generate(config, 0)))
+
+    @pytest.mark.parametrize("args, config", [
+        (["--model", "OP-P", "--n", "5", "--point-fraction", "0.3"],
+         ExperimentConfig("kmin-witness", OPP, seed=7, n=5, point_fraction=0.3)),
+        (["--problem", "mst", "--model", "OC-OC", "--vertices", "6", "--extra-edges", "4"],
+         ExperimentConfig("umst", ModelSpec.parse("OC-OC"), seed=7, problem_type="mst",
+                          vertices=6, extra_edges=4)),
+    ], ids=["kmin", "mst"])
+    def test_gen_seed_s_t_is_compete_trial_t(self, capsys, args, config):
+        assert main(["gen", *args, "--seed", "7:3"]) == EXIT_OK
+        assert capsys.readouterr().out == dump_json(instance_to_json(trial_instance(config, 3)))
+
+    @pytest.mark.parametrize("argv", [
+        ["compete"], ["bogus"], [], ["fixtures", "--name", "nope"], ["solve", "--budget", "abc"],
+        ["gen", "--n", "abc"], ["opt", "--instance", "x.json", "--extra"],
+        *(["gen", "--model", "OP-P", "--seed", seed] for seed in ("x", "7:", "7:-1", "1.5")),
+    ], ids=["compete-no-config", "unknown-command", "no-command", "unknown-fixture",
+            "budget-not-an-int", "n-not-an-int", "unknown-argument", "seed-not-an-int",
+            "seed-no-trial", "seed-negative-trial", "seed-a-float"])
+    def test_argument_error_exit_code(self, capsys, argv):
+        assert main(argv) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == EXIT_OK and "--seed" in capsys.readouterr().out
 
     def test_gen_solve_opt(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

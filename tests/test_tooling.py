@@ -374,3 +374,58 @@ def test_linecov_counts_code_lines_and_skips_main_blocks(tmp_path):
     module.write_text('"""Doc."""\nX = 1\n\n\ndef f():\n    return [\n        X]\n\n\n'
                       'if __name__ == "__main__":\n    f()\n    print(X)\n')
     assert linecov["executable_lines"](module) == {1, 2, 5, 6, 7, 10}
+
+
+# Stands in for bench/run.py in a stub checkout: logs which side ran, then
+# prints a line of text and canned summary and result lines.
+STUB_RUN = '''import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(Path(__file__).parent.parent.parent / "order.txt", "a") as fh:
+    fh.write(f"{SIDE} {seed}\\n")
+print("stub text line")
+print(json.dumps({"fingerprint": FINGERPRINTS[seed], "queries_total": 5}))
+print(json.dumps({"correct": True, "metrics": {"setup_s": {"value": SETUP, "unit": "s"},
+                                               "ops_per_s": {"value": 100, "unit": "1/s"}}}))
+'''
+
+
+def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
+    """tools/bench_pairs.py runs each pair's sides back to back, the parent
+    first in odd pairs, keeps their lines as printed, counts the change's
+    wins by the declared direction, and flags a pair whose fingerprints
+    differ."""
+    for side, setup, fingerprints in (("parent", 2.0, {7: "a", 8: "a"}),
+                                      ("change", 1.0, {7: "a", 8: "b"})):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            f"SIDE, SETUP, FINGERPRINTS = {side!r}, {setup}, {fingerprints!r}\n" + STUB_RUN)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "stub"}],
+        "end_to_end": [{"name": "setup_s", "better": "lower"},
+                       {"name": "ops_per_s", "better": "higher"}]}))
+    bench_pairs = runpy.run_path(str(ROOT / "tools" / "bench_pairs.py"))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs["main"]([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--seed", "7", "--seed", "8", "--pairs", "3", "--seconds", "1", "--out", str(out),
+    ]) == 1
+
+    assert (tmp_path / "order.txt").read_text().split("\n")[:6] == [
+        "parent 7", "change 7", "change 7", "parent 7", "parent 7", "change 7"]
+    data = json.loads(out.read_text())
+    assert data["command"] == "python3 bench/run.py --workload W --seed S --seconds 1 --trace 0"
+    runs = data["runs"]
+    assert [(r["seed"], r["pair"], r["first"]) for r in runs] == [
+        (7, 1, "parent"), (7, 2, "change"), (7, 3, "parent"),
+        (8, 1, "parent"), (8, 2, "change"), (8, 3, "parent")]
+    assert json.loads(runs[0]["change_summary"]) == {"fingerprint": "a", "queries_total": 5}
+    assert [bool(r["flags"]) for r in runs] == [False] * 3 + [True] * 3
+    assert runs[3]["flags"] == ["fingerprint differs: parent 'a', change 'b'"]
+    setup = data["summary"]["stub"]["seed 7"]["setup_s"]
+    assert setup == {"better": "lower", "pairs": 3, "change_wins": 3,
+                     "parent": {"q1": 2.0, "median": 2.0, "q3": 2.0},
+                     "change": {"q1": 1.0, "median": 1.0, "q3": 1.0}}
+    assert data["summary"]["stub"]["all seeds"]["ops_per_s"]["change_wins"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH.json", "change", "order.txt",
+                                                          "parent"]
