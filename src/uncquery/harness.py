@@ -176,11 +176,9 @@ class GenParams:
 
 
 def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: set) -> int:
-    """Grid value inside the area from lo2/2 to (lo2 + len2)/2, as its
-    numerator over 2048, distinct from the numerators in `used` so
-    interval-return refinement always terminates."""
-    # lo + length·j/denom is (lo2·1024 + len2·j·(1024/denom))/2048 at every
-    # denominator, so distinct numerators are distinct values.
+    """Grid value inside the area from lo2/2 to (lo2 + len2)/2, as its numerator
+    over 2048, which every grid denominator divides, distinct from those in
+    `used` so interval-return refinement always terminates."""
     lo_j = 0 if attains else 1
     for denom in (16, 64, 256, 1024):
         offsets = list(range(lo_j, denom - lo_j + 1))

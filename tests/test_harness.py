@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_generate_graph_instance, reference_generate_instance, reference_umst
+from helpers import (
+    reference_generate_graph_instance,
+    reference_generate_instance,
+    reference_pick_hidden,
+    reference_umst,
+)
 from uncquery.core import Area, TieRule, format_rational
 from uncquery.engine import default_budget, solve
 from uncquery.harness import (
@@ -127,14 +132,19 @@ generator_seeds = st.one_of(
 )
 
 
-def _generated(generate, params, seed):
-    """The instance `generate` draws and its JSON text, or None and the text
-    of the ConfigError it raises."""
+def _outcome(call, *args):
+    """What `call(*args)` returns, or the text of the ConfigError it raises."""
     try:
-        inst = generate(params, seed)
+        return call(*args)
     except ConfigError as exc:
-        return None, f"ConfigError: {exc}"
-    return inst, dump_json(instance_to_json(inst))
+        return f"ConfigError: {exc}"
+
+
+def _generated(generate, params, seed):
+    """The instance `generate` draws and its JSON text, or the text of the
+    ConfigError it raises."""
+    inst = _outcome(generate, params, seed)
+    return inst, None if isinstance(inst, str) else dump_json(instance_to_json(inst))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,6 +168,31 @@ def test_integer_graph_generator_matches_fraction_reference(model, vertices, ext
                             model=ModelSpec.parse(model), overlap=overlap)
     assert _generated(generate_graph_instance, params, seed) == _generated(
         reference_generate_graph_instance, params, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 8), st.booleans(), st.integers(0, 4), st.data(),
+       st.integers(0, 2**32))
+def test_pick_hidden_matches_fraction_reference_at_every_grid_level(lo2, len2, attains, full,
+                                                                    data, seed):
+    """Generated instances seldom use up an area's 1/16 grid, so here the
+    first `full` grid levels are used up and some values of the next are
+    taken: the pick lands on each level and, with all four used up, is
+    refused."""
+    attains = attains or len2 == 0  # a point holds its value
+    lo_j = 0 if attains else 1
+    levels = [[lo2 * 1024 + len2 * j * (1024 // denom) for j in range(lo_j, denom - lo_j + 1)]
+              for denom in (16, 64, 256, 1024)]
+    used = {v for level in levels[:full] for v in level}
+    if full < 4:
+        used |= set(data.draw(st.lists(st.sampled_from(levels[full]), max_size=40)))
+    area = Area(Fraction(lo2, 2), Fraction(lo2 + len2, 2), attains)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    expected = _outcome(reference_pick_hidden, reference_rng, area,
+                        {Fraction(v, 2048) for v in used})
+    value = _outcome(_pick_hidden, rng, lo2, len2, attains, used)
+    assert (value if isinstance(value, str) else Fraction(value, 2048)) == expected
+    assert rng.getstate() == reference_rng.getstate()  # as many draws
 
 
 # sha256 of the instance JSON the generators write for these parameters and

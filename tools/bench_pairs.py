@@ -1,7 +1,7 @@
 """Run the benchmark on a parent and a change checkout in back-to-back pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload select-scale --seed 7 --seed 101 --pairs 10 --out BENCH_31.json
+        --workload select-scale --seed 7 --seed 4242 --pairs 10 --out BENCH_<pr>.json
 
 For each workload and seed, each pair runs
 
@@ -136,10 +136,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {pair}: {flag}", file=sys.stderr)
                 flagged = flagged or bool(record["flags"])
                 runs.append(record)
-                setup = {side: json.loads(record[f"{side}_result"])["metrics"]["setup_s"]["value"]
-                         for side in SIDES}
-                print(f"{workload} seed {seed} pair {pair}/{args.pairs}: setup_s parent "
-                      f"{setup['parent']:.3f}, change {setup['change']:.3f}", file=sys.stderr)
+                print(f"{workload} seed {seed}: pair {pair}/{args.pairs} done", file=sys.stderr)
 
     seconds = f"{args.seconds:g}"
     payload = {
