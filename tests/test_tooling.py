@@ -408,22 +408,22 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_pairs["main"]([
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-        "--seed", "7", "--seed", "8", "--pairs", "3", "--seconds", "1", "--out", str(out),
+        "--seed", "7", "--seed", "8", "--out", str(out),
     ]) == 1
 
     assert (tmp_path / "order.txt").read_text().split("\n")[:6] == [
         "parent 7", "change 7", "change 7", "parent 7", "parent 7", "change 7"]
     data = json.loads(out.read_text())
-    assert data["command"] == "python3 bench/run.py --workload W --seed S --seconds 1 --trace 0"
+    assert data["command"] == "python3 bench/run.py --workload W --seed S --trace 0"
     runs = data["runs"]
     assert [(r["seed"], r["pair"], r["first"]) for r in runs] == [
-        (7, 1, "parent"), (7, 2, "change"), (7, 3, "parent"),
-        (8, 1, "parent"), (8, 2, "change"), (8, 3, "parent")]
+        (seed, pair, "parent" if pair % 2 else "change")
+        for seed in (7, 8) for pair in range(1, 11)]
     assert json.loads(runs[0]["change_summary"]) == {"fingerprint": "a", "queries_total": 5}
-    assert [bool(r["flags"]) for r in runs] == [False] * 3 + [True] * 3
-    assert runs[3]["flags"] == ["fingerprint differs: parent 'a', change 'b'"]
+    assert [bool(r["flags"]) for r in runs] == [False] * 10 + [True] * 10
+    assert runs[10]["flags"] == ["fingerprint differs: parent 'a', change 'b'"]
     setup = data["summary"]["stub"]["seed 7"]["setup_s"]
-    assert setup == {"better": "lower", "pairs": 3, "change_wins": 3,
+    assert setup == {"better": "lower", "pairs": 10, "change_wins": 10,
                      "parent": {"q1": 2.0, "median": 2.0, "q3": 2.0},
                      "change": {"q1": 1.0, "median": 1.0, "q3": 1.0}}
     assert data["summary"]["stub"]["all seeds"]["ops_per_s"]["change_wins"] == 0

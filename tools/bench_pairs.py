@@ -1,16 +1,17 @@
 """Run the benchmark on a parent and a change checkout in back-to-back pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload select-scale --seed 7 --seed 4242 --pairs 10 --out BENCH_<pr>.json
+        --seed 7 --seed 4242 --out BENCH_<pr>.json
 
-For each workload and seed, each pair runs
+For every workload the change's BENCHMARK.json declares and every seed,
+each of 10 pairs runs
 
-    python3 bench/run.py --workload W --seed S --seconds 10 --trace 0
+    python3 bench/run.py --workload W --seed S --trace 0
 
 in the parent checkout and in the change checkout, one right after the
 other; the parent goes first in odd pairs and the change in even ones, so
-that a drift of the machine's speed does not favour one side.  Without
-`--workload`, every workload of the change's BENCHMARK.json runs.
+that a drift of the machine's speed does not favour one side.  Ten pairs
+are what a claimed gain is judged on, and bench/run.py sets the run length.
 
 The file `--out` holds the command, the parent's commit, the machine, how
 the pairs ran, and one record per pair with the result and summary lines
@@ -34,13 +35,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+def run_side(checkout: Path, workload: str, seed: int) -> tuple:
     """The summary and result lines one run of bench/run.py printed."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
@@ -67,8 +69,6 @@ def pair_flags(record: dict) -> list:
 
 def spread(values: list) -> dict:
     """Median and quartiles of `values`."""
-    if len(values) == 1:
-        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -110,42 +110,37 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
 
     runs = []
     flagged = False
-    for workload in workloads:
+    for workload in (w["name"] for w in declared["workloads"]):
         for seed in args.seed:
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 record = {"workload": workload, "seed": seed, "pair": pair, "first": order[0]}
                 for side in order:
                     record[f"{side}_summary"], record[f"{side}_result"] = run_side(
-                        checkouts[side], workload, seed, args.seconds)
+                        checkouts[side], workload, seed)
                 record["flags"] = pair_flags(record)
                 for flag in record["flags"]:
                     print(f"{workload} seed {seed} pair {pair}: {flag}", file=sys.stderr)
                 flagged = flagged or bool(record["flags"])
                 runs.append(record)
-                print(f"{workload} seed {seed}: pair {pair}/{args.pairs} done", file=sys.stderr)
+                print(f"{workload} seed {seed}: pair {pair}/{PAIRS} done", file=sys.stderr)
 
-    seconds = f"{args.seconds:g}"
     payload = {
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "command": "python3 bench/run.py --workload W --seed S --trace 0",
         "parent_commit": git_commit(args.parent),
         "change_commit": git_commit(args.change),
         "machine": f"{os.cpu_count()}-core {platform.system()} machine, "
                    f"Python {platform.python_version()}",
-        "pairs": f"{args.pairs} pairs per workload and seed; each pair ran the parent and the "
+        "pairs": f"{PAIRS} pairs per workload and seed; each pair ran the parent and the "
                  "change back to back, each from its own checkout, the parent first in odd "
                  "pairs and the change first in even pairs; the *_result and *_summary strings "
                  "are the result and summary lines bench/run.py printed, unmodified",
