@@ -72,9 +72,7 @@ from .mst import (
 from .optbrute import (
     OptResult,
     OptSearchError,
-    minimal_solutions,
     opt_value,
-    witness_check,
 )
 from .harness import (
     ExperimentConfig,

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -461,9 +462,10 @@ class ExperimentConfig:
                                     model=ModelSpec.parse(values.pop("model")), **values)
 
     def validate(self) -> Optional[Fixture]:
-        """ConfigError unless every trial can run; returns the fixture an
-        adversary oracle plays, which must have the configured model and
-        problem, or None for any other oracle."""
+        """ConfigError unless every trial can run and the report can be
+        written; returns the fixture an adversary oracle plays, which must
+        have the configured model and problem, or None for any other
+        oracle."""
         _check_limit("trials", self.trials, 0)
         _check_limit("budget", self.budget, 1)
         _check_limit("max_total", self.max_total, 0)
@@ -472,6 +474,10 @@ class ExperimentConfig:
         if err is not None:
             raise ConfigError(err)
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
+        # Checked without opening the file, so a refused config leaves it as it was.
+        folder = os.path.dirname(os.path.abspath(self.out or "."))
+        if self.out and (os.path.isdir(self.out) or not os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write the report to {self.out!r}")
         kmin = self.problem_type == "kmin"
         problem = SelectionProblem(self.k, tie_rule=self.tie_rule) if kmin else None
         fixture = adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
@@ -622,7 +628,7 @@ def _cmd_solve(args) -> int:
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
     fixture = adversary_fixture(args.oracle, instance.model, instance.problem, instance.areas)
-    oracle = build_oracle(args.oracle, instance) if fixture is None else fixture.fresh_oracle()
+    oracle = build_oracle(args.oracle, instance) if fixture is None else fixture.oracle.fork()
     report, answer, _ = run_algorithm(instance, oracle, args.algorithm, args.budget)
     payload = report.to_json()
     if isinstance(answer, MstAnswer):

@@ -2,10 +2,8 @@
 
 Update independence makes a per-index count vector a sufficient statistic for
 any non-adversary oracle, so the optimum is found by searching count vectors
-in order of increasing total.  The same search yields the full family of
-inclusion-minimal verifying vectors, which is what witness-set validity is
-checked against.  This module is a test oracle, not a solver: it is meant for
-n up to about 10.
+in order of increasing total and stopping at the first that verifies.  This
+module is a test oracle, not a solver: it is meant for n up to about 10.
 
 Response chains are built only as deep as the level reached: a vector of
 total t counts at most t on one index, so level t reads each chain to at most
@@ -27,8 +25,7 @@ Level 0 is the start vector alone, handed over as a plain list.  From depth
 1 on, each time the chains grow, every area they hold is imaged in one call
 to `core.endpoint_images`, the rebuild of a solve's state, and each verifier
 call gets a fresh `core.ImagedVector`: the start vector and its images,
-copied and patched at the chosen indices.  Support masks are made only once
-a solution is found, so `opt_value`, which stops at the first, makes none.
+copied and patched at the chosen indices.
 """
 from __future__ import annotations
 
@@ -80,14 +77,13 @@ class _Chains:
     each time the chains grow, from level 1 on; `scale` is their D, 0 for
     ranks."""
 
-    def __init__(self, areas, oracle, base_counts):
+    def __init__(self, areas, oracle):
         if not oracle.update_independent:
             raise OptSearchError(
                 "the brute-force search needs update independence; adversary "
                 "optima are fixture values, not searchable objects"
             )
         self.oracle = oracle.fork()
-        self.base = [0] * len(areas) if base_counts is None else list(base_counts)
         self.columns: List[List[Area]] = [[a] for a in areas]
         self.scale: Optional[int] = None  # None until the chains first grow
         self.cells: List[List[tuple]] = []
@@ -99,8 +95,7 @@ class _Chains:
         for i, column in enumerate(self.columns):
             held = len(column) - 1
             if held < depth and not column[-1].is_point:
-                base = self.base[i] + held
-                column += response_chain(self.oracle, i, column[-1], depth - held, base)
+                column += response_chain(self.oracle, i, column[-1], depth - held, held)
                 grown = True
         if grown:
             held = [a for column in self.columns for a in column]
@@ -156,81 +151,32 @@ def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
     level t, the t-subsets of the m queriable indices while no chain read to
     t entries holds two, else their t-multisets.  That is every count
     vector the search could visit, and where a chain ends at a point after
-    two or more responses also those the cap filter drops."""
-    caps = _Chains(areas, oracle, None).extend(max_total)
-    m, longest = sum(map(bool, caps)), max(caps, default=0)
-    return sum(comb(m, t) if min(longest, t) <= 1 else comb(m + t - 1, t)
-               for t in range(max_total + 1))
+    two or more responses also those the cap filter drops.
+
+    It reads each chain to one entry, as level 1 does, and no further: m
+    counts the chains with an entry, and a chain holds two by level 2 iff
+    its first entry is not a point."""
+    chains = _Chains(areas, oracle)
+    chains.extend(min(max_total, 1))
+    firsts = [column[1] for column in chains.columns if len(column) > 1]
+    m, multisets = len(firsts), not all(a.is_point for a in firsts)
+    return sum(comb(m + t - 1, t) if multisets else comb(m, t) for t in range(max_total + 1))
 
 
-def _minimal_vectors(areas, oracle, verifier, max_total, base_counts):
-    """The inclusion-minimal verifying count vectors with total <= max_total,
-    in search order.
-
-    Verifying is not monotone: a vector above a verifying one may fail, and
-    one above a failing one may verify.  The pruning is exact without it.  A
-    found vector dominates every vector with at least its count on each
-    index; those are not minimal, whatever their verdict, so they are
-    skipped, and nothing is skipped before the first is found.  Once a whole
-    level is dominated, so is every later one: a vector of total t + 1 is
-    dominated by the one of total t that counts one less on an index it
-    queries.  A found vector dominates a candidate iff its support mask lies
-    inside the candidate's and the candidate counts at least as often on
-    each index the found one counts twice or more."""
-    chains = _Chains(areas, oracle, base_counts)
+def opt_value(areas: Sequence[Area], oracle: Oracle, verifier: Callable,
+              max_total: int) -> OptResult:
+    """Smallest verifying query total and the first vector in search order
+    that reaches it, the lexicographically smallest; OptResult(None, None)
+    when nothing verifies within the budget."""
+    chains = _Chains(areas, oracle)
     # Level 0 is the start vector alone.  The verifier images it as cheaply
     # as the chains would, and the chains image it again at level 1.
     if max_total >= 0 and verifier(list(areas)) is not None:
-        yield {}
-        return
-    found: List[tuple] = []  # (support mask, (index, count) pairs with count >= 2)
+        return OptResult(0, {})
     for total in range(1, max_total + 1):
         walk = _level_walk(chains.extend(total), total)
         vector_of = chains.vectors()
-        level_open = False
         for chosen in walk:
-            if found:
-                mask = sum({1 << i for i in chosen})
-                if any(sol_mask & mask == sol_mask and all(chosen.count(i) >= c for i, c in deep)
-                       for sol_mask, deep in found):
-                    continue
-            level_open = True
             if verifier(vector_of(chosen)) is not None:
-                vector = {i: chosen.count(i) for i in chosen}
-                deep = tuple((i, c) for i, c in vector.items() if c > 1)
-                found.append((sum(1 << i for i in vector), deep))
-                yield vector
-        if not level_open:
-            return
-
-
-def opt_value(
-    areas: Sequence[Area],
-    oracle: Oracle,
-    verifier: Callable,
-    max_total: int,
-    base_counts: Optional[Sequence[int]] = None,
-) -> OptResult:
-    """Smallest verifying query total and the lexicographically smallest
-    vector achieving it, the first minimal solution; OptResult(None, None)
-    when nothing verifies within the budget."""
-    vector = next(_minimal_vectors(areas, oracle, verifier, max_total, base_counts), None)
-    return OptResult(None, None) if vector is None else OptResult(sum(vector.values()), vector)
-
-
-def minimal_solutions(
-    areas: Sequence[Area],
-    oracle: Oracle,
-    verifier: Callable,
-    max_total: int,
-    base_counts: Optional[Sequence[int]] = None,
-) -> List[Dict[int, int]]:
-    """All inclusion-minimal verifying count vectors with total <= max_total,
-    in search order."""
-    return list(_minimal_vectors(areas, oracle, verifier, max_total, base_counts))
-
-
-def witness_check(witness: Sequence[int], solutions: List[Dict[int, int]]) -> bool:
-    """True iff every minimal solution queries some member of the witness."""
-    wset = set(witness)
-    return all(any(sol.get(i, 0) > 0 for i in wset) for sol in solutions)
+                return OptResult(total, {i: chosen.count(i) for i in chosen})
+    return OptResult(None, None)

@@ -4,8 +4,7 @@ Three kinds: ground-truth oracles that refine toward a fixed hidden
 configuration, scripted replays, and the adversaries used by the tight
 examples.  Non-adversary oracles are update independent: the response to the
 c-th query on index i never depends on what happened to other indices.
-Adversaries may inspect the full query history and also carry a companion
-script describing what the colluding optimum is shown.  Adversaries check
+Adversaries may inspect the full query history.  Adversaries check
 neither index ranges nor point queries: the engine plays one only on its own
 fixture and never queries a point.
 """
@@ -226,23 +225,6 @@ class MinTightAdversary(Oracle):
             return Area.open(3, 4)
         return Area.open(6, 7)
 
-    def opt_script(self, case: int) -> ScriptedOracle:
-        """What the colluding optimum is shown in the given branch."""
-        if case == 1:
-            responses = {
-                i: [Area.open(6, 7)]
-                for i in range(self.n + 1)
-                if i != self.a0_index
-            }
-        elif case == 2:
-            chain = [
-                Area.open(1 + i * self.epsilon, 5) for i in range(1, self.n)
-            ] + [Area.open(2, 3)]
-            responses = {self.a0_index: chain}
-        else:
-            raise ValueError("case must be 1 or 2")
-        return ScriptedOracle(responses)
-
 
 class KMinPointAdversary(Oracle):
     """The 2k-area lower bound for k-Min under point-capable inputs: the
@@ -281,18 +263,6 @@ class CpAnomalyAdversary(Oracle):
         self.queries += 1
         return Area.point(2 if self.queries < self.n else 1)
 
-    def opt_script(self) -> ScriptedOracle:
-        responses = {i: [Area.point(2)] for i in range(self.n)}
-        responses[self.n - 1] = [Area.point(1)]
-        return ScriptedOracle(responses)
-
-    @property
-    def revealed_hidden(self):
-        """Configuration consistent with every response in this construction."""
-        return tuple(
-            Fraction(1) if i == self.n - 1 else Fraction(2) for i in range(self.n)
-        )
-
 
 class OpoCounterOracle(Oracle):
     """Two-interval schedule showing the 1-Min bypass diverges once queries
@@ -315,9 +285,6 @@ class Fixture:
     instance: UncertainInstance
     oracle: Oracle
     opt_value: int
-
-    def fresh_oracle(self) -> Oracle:
-        return self.oracle.fork()
 
 
 def min_tight_fixture(n: int, a0_last: bool = False) -> Fixture:

@@ -3,8 +3,10 @@ witness-state recorder around the solve loop, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
 mirror of an area, the halving window, the uMST comparison operator, red
 rule and restart-from-scratch pass that the integer code is checked against,
-the brute-force OPT search with eagerly built response chains, and the
-instance generators as first written, on Fractions."""
+the brute-force OPT search with eagerly built response chains, the
+witness-validity check built on `opt_value`, what the adversaries' colluding
+optima are shown, and the instance generators as first written, on
+Fractions."""
 import copy
 import math
 import random
@@ -20,6 +22,8 @@ from uncquery.engine import solve
 from uncquery.harness import SCALE, ConfigError
 from uncquery.models import UncertainInstance, validate_response
 from uncquery.mst import UncertainGraph
+from uncquery.optbrute import OptResult, opt_value
+from uncquery.oracles import ScriptedOracle
 from uncquery.selection import SelectionProblem
 
 
@@ -71,28 +75,21 @@ def affine_map_area(area: Area, m: Fraction, b: Fraction) -> Area:
 
 
 def recorded_solve(instance, oracle, strategy, budget: int):
-    """engine.solve, plus one (witness, areas, counts) state per witness set
-    the strategy emits: the set as the engine queries it (sorted, without
-    repeats), the areas it was chosen on, and the query count of every index
-    queried so far.  The states are taken from outside the loop, by wrapping
-    the strategy's witness chooser and the oracle."""
+    """engine.solve, plus one (witness, areas) state per witness set the
+    strategy emits: the set as the engine queries it (sorted, without
+    repeats) and the areas it was chosen on.  The states are taken from
+    outside the loop, by wrapping the strategy's witness chooser."""
     states = []
-    counts = {}
     choose = strategy.witness
 
     def witness(areas):
         chosen = choose(areas)
-        states.append((tuple(sorted(set(chosen))), tuple(areas), dict(counts)))
+        states.append((tuple(sorted(set(chosen))), tuple(areas)))
         return chosen
-
-    class CountingOracle:
-        def respond(self, index, count, current):
-            counts[index] = count
-            return oracle.respond(index, count, current)
 
     recorded = copy.copy(strategy)
     recorded.witness = witness
-    return solve(instance, CountingOracle(), recorded, budget), states
+    return solve(instance, oracle, recorded, budget), states
 
 
 # Endpoints on a small grid of coprime denominators: values repeat often
@@ -569,6 +566,59 @@ def reference_minimal_vectors(areas, oracle, verifier, max_total: int, base_coun
                 yield vector
         if not level_open and total > 0:
             return
+
+
+def witness_meets_every_solution(witness, areas, oracle, verifier, max_total: int) -> bool:
+    """True iff every inclusion-minimal verifying count vector of total at
+    most max_total queries some index of `witness`.  That holds iff no
+    verifying vector within the budget leaves the witness unqueried, although
+    verifying is not monotone: every verifying vector lies above a minimal
+    one, which queries no index that it does not.  So `opt_value` decides it,
+    with a verifier that declines every vector changing a witness index.
+
+    The search counts from 0 on every index whatever was queried before, so
+    this holds only for an oracle whose responses do not depend on the query
+    count, as a ground-truth oracle's do not."""
+    witness = set(witness)
+
+    def avoiding(vector):
+        return None if any(vector[i] is not areas[i] for i in witness) else verifier(vector)
+
+    return opt_value(areas, oracle, avoiding, max_total) == OptResult(None, None)
+
+
+def min_tight_opt_script(adversary, case: int) -> ScriptedOracle:
+    """What the colluding optimum is shown in the given branch of a
+    MinTightAdversary."""
+    if case == 1:
+        responses = {
+            i: [Area.open(6, 7)]
+            for i in range(adversary.n + 1)
+            if i != adversary.a0_index
+        }
+    elif case == 2:
+        chain = [
+            Area.open(1 + i * adversary.epsilon, 5) for i in range(1, adversary.n)
+        ] + [Area.open(2, 3)]
+        responses = {adversary.a0_index: chain}
+    else:
+        raise ValueError("case must be 1 or 2")
+    return ScriptedOracle(responses)
+
+
+def cp_anomaly_opt_script(adversary) -> ScriptedOracle:
+    """What the colluding optimum of a CpAnomalyAdversary is shown."""
+    responses = {i: [Area.point(2)] for i in range(adversary.n)}
+    responses[adversary.n - 1] = [Area.point(1)]
+    return ScriptedOracle(responses)
+
+
+def cp_anomaly_revealed_hidden(adversary) -> tuple:
+    """A hidden configuration consistent with every response of a
+    CpAnomalyAdversary."""
+    return tuple(
+        Fraction(1) if i == adversary.n - 1 else Fraction(2) for i in range(adversary.n)
+    )
 
 
 def reference_pick_hidden(rng: random.Random, area: Area, used: set) -> Fraction:

@@ -23,7 +23,10 @@ from itertools import combinations
 import pytest
 
 from conftest import record_criterion
-from helpers import affine_map_area, recorded_solve, reference_is_connected
+from helpers import (
+    affine_map_area, cp_anomaly_revealed_hidden, min_tight_opt_script, recorded_solve,
+    reference_is_connected, witness_meets_every_solution,
+)
 from uncquery.core import Area, TieRule
 from uncquery.engine import RunStatus, StrategyModelError, default_budget, solve
 from uncquery.harness import (
@@ -52,7 +55,7 @@ from uncquery.oracles import (
     min_tight_fixture,
     opo_counterexample_fixture,
 )
-from uncquery.optbrute import minimal_solutions, opt_value, witness_check
+from uncquery.optbrute import opt_value
 from uncquery.selection import SelectionProblem, kmin_verifier, make_strategy
 
 OPP = ModelSpec.parse("OP-P")
@@ -72,7 +75,7 @@ def test_criterion_1_tight_replay():
         for a0_last, want_case in ((False, 1), (True, 2)):
             fix = min_tight_fixture(n, a0_last=a0_last)
             strategy = make_strategy("min1-witness", fix.instance.problem)
-            oracle = fix.fresh_oracle()
+            oracle = fix.oracle.fork()
             report = solve(fix.instance, oracle, strategy, default_budget(n + 1))
             ratio = report.total / fix.opt_value
             if not (
@@ -85,7 +88,7 @@ def test_criterion_1_tight_replay():
                 failures.append((n, a0_last, report.total, oracle.case))
                 continue
             # The colluding optimum really does finish in n queries.
-            script = oracle.opt_script(want_case)
+            script = min_tight_opt_script(oracle, want_case)
             areas = list(fix.instance.areas)
             spent = 0
             if want_case == 1:
@@ -184,7 +187,7 @@ def test_criterion_4_kmin_lower_bound_fixture():
         for name in ("kmin-witness", "kmin-bypass"):
             report = solve(
                 fix.instance,
-                fix.fresh_oracle(),
+                fix.oracle.fork(),
                 make_strategy(name, fix.instance.problem),
                 default_budget(2 * k),
             )
@@ -201,7 +204,7 @@ def test_criterion_5_opo_counterexample():
     try:
         solve(
             fix.instance,
-            fix.fresh_oracle(),
+            fix.oracle.fork(),
             make_strategy("min1-bypass", fix.instance.problem),
             50,
         )
@@ -209,7 +212,7 @@ def test_criterion_5_opo_counterexample():
         refused = True
     report = solve(
         fix.instance,
-        fix.fresh_oracle(),
+        fix.oracle.fork(),
         make_strategy("min1-witness", fix.instance.problem),
         50,
     )
@@ -231,7 +234,7 @@ def test_criterion_6_cp_anomaly_and_lex_fix():
         plain = cp_anomaly_fixture(n)
         report = solve(
             plain.instance,
-            plain.fresh_oracle(),
+            plain.oracle.fork(),
             make_strategy("min1-witness", plain.instance.problem),
             default_budget(n),
         )
@@ -240,13 +243,13 @@ def test_criterion_6_cp_anomaly_and_lex_fix():
         lex = cp_anomaly_fixture(n, TieRule.LEX)
         lex_report = solve(
             lex.instance,
-            lex.fresh_oracle(),
+            lex.oracle.fork(),
             make_strategy("min1-lex", lex.instance.problem),
             default_budget(n),
         )
         # OPT under the lex condition, brute-forced on the configuration the
         # adversary committed to.
-        hidden = lex.oracle.revealed_hidden
+        hidden = cp_anomaly_revealed_hidden(lex.oracle)
         oracle = GroundTruthOracle(ExactPolicy(), hidden, lex.instance.model.returns)
         opt_lex = opt_value(
             list(lex.instance.areas), oracle, _kmin_v(1, TieRule.LEX), n
@@ -295,15 +298,16 @@ def test_stable_witness_pairs_exceed_twice_opt_on_closed_areas(
 
 def _check_trace_witnesses(trace, oracle, verifier, max_total):
     """Every recorded witness set must intersect every minimal solution of the
-    state it was emitted at; returns (violations, solved_states)."""
+    state it was emitted at; returns (violations, solved_states).  The
+    ground-truth oracles answer whatever the query count, so each state is
+    searched from counts of 0."""
     bad = 0
     nonempty = 0
-    for witness, areas_snap, counts_snap in trace:
-        base = [counts_snap.get(i, 0) for i in range(len(areas_snap))]
-        sols = minimal_solutions(list(areas_snap), oracle, verifier, max_total, base)
-        if sols:
+    for witness, areas_snap in trace:
+        areas = list(areas_snap)
+        if opt_value(areas, oracle, verifier, max_total).opt is not None:
             nonempty += 1
-        if not witness_check(witness, sols):
+        if not witness_meets_every_solution(witness, areas, oracle, verifier, max_total):
             bad += 1
     return bad, nonempty
 
@@ -386,9 +390,8 @@ def test_criterion_8_competitiveness_and_decrement():
         if res.opt and res.vector:
             i = min(res.vector)
             refined = list(inst.areas)
-            refined[i] = oracle.respond(i, 1, refined[i])
-            base = [1 if j == i else 0 for j in range(n)]
-            after = opt_value(refined, oracle, verifier, n, base).opt
+            refined[i] = oracle.respond(i, 1, refined[i])  # a point: its chain has ended
+            after = opt_value(refined, oracle, verifier, n).opt
             if after != res.opt - 1:
                 failures.append(("decrement", seed, res.opt, after))
     ok = not failures
@@ -472,7 +475,7 @@ def test_criterion_10_order_invariance():
         )
         base_indices = [i for i, _ in base_report.query_log]
         base_verdict = kmin_verifier(list(inst.areas), 1)
-        base_witnesses = [w for w, _, _ in base_trace]
+        base_witnesses = [w for w, _ in base_trace]
         for _ in range(10):
             m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
@@ -490,7 +493,7 @@ def test_criterion_10_order_invariance():
             m_report, m_trace = recorded_solve(mapped, m_oracle, strategy, default_budget(n))
             if [i for i, _ in m_report.query_log] != base_indices:
                 failures.append((seed, "queries", str(m), str(b)))
-            if [w for w, _, _ in m_trace] != base_witnesses:
+            if [w for w, _ in m_trace] != base_witnesses:
                 failures.append((seed, "witnesses", str(m), str(b)))
     ok = not failures
     record_criterion(

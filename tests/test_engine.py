@@ -91,13 +91,13 @@ class TestSolve:
     def test_min_tight_replay(self):
         fix = min_tight_fixture(3)
         strategy = make_strategy("min1-witness", fix.instance.problem)
-        report = solve(fix.instance, fix.fresh_oracle(), strategy, 100)
+        report = solve(fix.instance, fix.oracle.fork(), strategy, 100)
         assert report.status is RunStatus.SOLVED and report.total == 6
 
     def test_budget_exceeded(self):
         fix = min_tight_fixture(3)
         strategy = make_strategy("min1-witness", fix.instance.problem)
-        report = solve(fix.instance, fix.fresh_oracle(), strategy, 4)
+        report = solve(fix.instance, fix.oracle.fork(), strategy, 4)
         assert report.status is RunStatus.BUDGET_EXCEEDED
         assert report.answer is None and report.total == 4
 
@@ -107,7 +107,7 @@ class TestSolve:
         strategy = make_strategy("min1-witness", fix.instance.problem)
         handed, verifier = [], strategy.verifier
         strategy.verifier = lambda areas: handed.append(areas) or verifier(areas)
-        report = solve(fix.instance, fix.fresh_oracle(), strategy, 100)
+        report = solve(fix.instance, fix.oracle.fork(), strategy, 100)
         assert sum(report.counts.values()) == report.total == len(report.query_log)
         assert {type(a) for a in handed} == {LoggedVector} and len({id(a) for a in handed}) == 1
         assert handed[0].writes is report.query_log
@@ -227,8 +227,8 @@ class TestAlternate:
         inst = _instance(
             "OP-OP", list(fix.instance.areas), k=1
         )
-        r1 = solve(inst, fix.fresh_oracle(), strategy, 100)
-        r2 = solve(inst, fix.fresh_oracle(), strategy, 100)
+        r1 = solve(inst, fix.oracle.fork(), strategy, 100)
+        r2 = solve(inst, fix.oracle.fork(), strategy, 100)
         assert r1.to_json() == r2.to_json()
 
     def test_a_reused_strategy_starts_every_solve_with_the_bypass(self):

@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -1068,6 +1069,22 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("out", ["missing/r.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_is_refused_before_any_trial(self, tmp_path, capsys, monkeypatch, out):
+        """A report path in no directory, or naming a directory, is refused
+        before the first trial runs, not after the last."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a trial of a config that should have been refused")
+
+        monkeypatch.setattr("uncquery.harness.run_trial", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithm": "kmin-witness", "model": "OP-P",
+                                        "trials": 3000, "out": str(tmp_path / out)}))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write the report to "
+                                           f"{str(tmp_path / out)!r}\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("args", [
         ["solve", "--budget", "0"], ["solve", "--budget", "-1"], ["opt", "--max-total", "-1"],
     ], ids=["solve-budget-zero", "solve-budget-negative", "opt-max-total-negative"])
@@ -1450,7 +1467,10 @@ _ODD_TEXTS = ["", " ", "1/0", "0/0", "-0/1", "1/-2", "3/2/1", " 7 ", "+5", "--1"
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10**30, 10**30),
     st.floats(allow_nan=False, allow_infinity=True), st.sampled_from(_ODD_TEXTS),
-    st.text(max_size=4), st.just([]), st.just({}), st.lists(st.integers(-3, 3), max_size=3),
+    # A fresh [] and {} each draw: `st.just` would hand every draw one shared
+    # object, which a mutation could then nest inside itself.
+    st.text(max_size=4), st.builds(list), st.builds(dict),
+    st.lists(st.integers(-3, 3), max_size=3),
 )
 _SIZE_VALUES = st.sampled_from([-1, 0, 1, 2, 5, 10**9, 10**30, True, 2.0, "3", None])
 
@@ -1672,3 +1692,36 @@ def test_solve_and_opt_on_mutated_script_json_exit_cleanly(fuzz_dir, data, comma
     inst_path.write_text(dump_json(instance_to_json(inst)))
     script_path.write_text(json.dumps(data))
     _run_cleanly([command, "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
+
+
+def _readme_blocks(language: str) -> list:
+    """The fenced code blocks of README.md in this language, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.S | re.M)
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    """README's CLI block runs line by line, each `uncquery` command in
+    process with its competition config as experiment.json, and exits 0;
+    its instance JSON solves; its inline-weight MST instance reads, and
+    carrying no hidden values, its `solve` under `ground` exits 3."""
+    monkeypatch.chdir(tmp_path)
+    config, instance, inline = (json.loads(block) for block in _readme_blocks("json"))
+    Path("experiment.json").write_text(json.dumps(config))
+    cli = next(block for block in _readme_blocks("sh") if "uncquery gen" in block)
+    ran = []
+    for line in cli.splitlines():
+        words = line.partition("#")[0].split()
+        argv = words[1:] if words[:1] == ["uncquery"] else words[3:]
+        assert words[:1] == ["uncquery"] or words[:3] == ["python", "-m", "uncquery"], line
+        assert main(argv) == EXIT_OK, (line, capsys.readouterr().err)
+        ran.append((argv[0], capsys.readouterr().out))
+    assert [command for command, _ in ran] == ["gen", "solve", "opt", "fixtures", "compete",
+                                               "solve"]
+    assert json.loads(ran[-1][1])["status"] == "solved"
+    Path("instance.json").write_text(json.dumps(instance))
+    assert main(["solve", "--instance", "instance.json"]) == EXIT_OK
+    assert isinstance(instance_from_json(inline).problem, UncertainGraph)
+    Path("inline.json").write_text(json.dumps(inline))
+    assert main(["solve", "--instance", "inline.json"]) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")

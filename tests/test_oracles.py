@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_halve_window
+from helpers import (
+    cp_anomaly_opt_script, cp_anomaly_revealed_hidden, min_tight_opt_script,
+    reference_halve_window,
+)
 from uncquery.core import Area, TieRule
 from uncquery.models import ModelSpec, TypeSet
 from uncquery.oracles import (
@@ -279,7 +282,7 @@ class TestMinTightAdversary:
             n = 3
             fix = min_tight_fixture(n, a0_last=a0_last)
             adv = fix.oracle
-            script = adv.opt_script(case)
+            script = min_tight_opt_script(adv, case)
             areas = list(fix.instance.areas)
             total = 0
             if case == 1:
@@ -297,7 +300,7 @@ class TestMinTightAdversary:
 
     def test_opt_script_has_two_cases(self):
         with pytest.raises(ValueError, match="case must be 1 or 2"):
-            min_tight_fixture(2).oracle.opt_script(3)
+            min_tight_opt_script(min_tight_fixture(2).oracle, 3)
 
 
 class TestKMinPointAdversary:
@@ -318,12 +321,12 @@ class TestCpAnomalyAdversary:
 
     def test_opt_script_designated_index(self):
         adv = CpAnomalyAdversary(4)
-        script = adv.opt_script()
+        script = cp_anomaly_opt_script(adv)
         assert script.respond(3, 1, Area.closed(1, 3)) == Area.point(1)
 
     def test_revealed_hidden_consistency(self):
         adv = CpAnomalyAdversary(3)
-        hidden = adv.revealed_hidden
+        hidden = cp_anomaly_revealed_hidden(adv)
         assert hidden == (Fraction(2), Fraction(2), Fraction(1))
 
 
@@ -359,7 +362,7 @@ class TestFixtures:
 
     def test_fresh_oracle_isolation(self):
         fix = min_tight_fixture(2)
-        a = fix.fresh_oracle()
+        a = fix.oracle.fork()
         a.respond(0, 1, Area.open(1, 5))
-        b = fix.fresh_oracle()
+        b = fix.oracle.fork()
         assert b.a0_queries == 0

@@ -23,12 +23,12 @@ from helpers import (
     reference_surely_before,
     refinement_runs,
     verifier_answer_sound,
+    witness_meets_every_solution,
 )
 from uncquery.core import Area, TieRule, VectorState
 from uncquery.engine import solve
 from uncquery.harness import GenParams, build_oracle, generate_instance
 from uncquery.models import ModelSpec, TypeSet
-from uncquery.optbrute import minimal_solutions, witness_check
 from uncquery.oracles import ExactPolicy, GroundTruthOracle
 from uncquery.selection import (
     STRATEGY_NAMES,
@@ -359,9 +359,9 @@ def test_witness_pair_meets_every_minimal_solution(case):
         state = [Area.point(h) if r else a for a, h, r in zip(areas, hidden, revealed)]
         if strategy.verifier(state) is not None:
             continue
-        solutions = minimal_solutions(state, oracle, search.verifier, len(areas))
-        assert witness_check(strategy.witness(state), solutions), (
-            [str(a) for a in state], solutions)
+        witness = strategy.witness(state)
+        assert witness_meets_every_solution(witness, state, oracle, search.verifier, len(areas)), (
+            [str(a) for a in state], witness)
 
 
 def _from_scratch_witness(name, vec, k, tie):
