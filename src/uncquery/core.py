@@ -37,11 +37,15 @@ over any superset of its areas, scaled or ranked, which order its own
 endpoints just as exactly.  A state rebuilt from one takes them as they are
 instead of imaging the areas again; the OPT search hands its verifier these.
 
-An `Area` is a slotted immutable value.  Its constructor coerces the
-endpoints to Fraction, refuses an empty area and a flag that is not a bool,
-and fixes `is_point` once, so the solvers' many point checks are attribute
-loads.  Every function is pure; a `VectorState` and a solve's `LoggedVector`
-are the objects that change.
+An `Area` is a slotted immutable value that holds its endpoints as
+lowest-terms integer pairs, `ratios` = (p, q, r, s) for lo = p/q and
+hi = r/s.  Reading, validating and solving an instance compare the pairs;
+an area's `lo` and `hi` become Fractions only when read, once.
+`Area.from_ratios` is the one place that refuses an empty area and a flag
+that is not a bool, and fixes `is_point`, so the solvers' many point checks
+are attribute loads; the constructor turns what Fraction() accepts into
+pairs and goes through it.  Every function is pure; a `VectorState` and a
+solve's `LoggedVector` are the objects that change.
 """
 from __future__ import annotations
 
@@ -94,6 +98,21 @@ def parse_rational(text: str) -> Fraction:
     if digits > limit:
         raise ValueError(f"decimal past the {limit}-digit bound in {text[:40]!r}")
     return Fraction(text)
+
+
+def reduce_ratio(p: int, q: int) -> Tuple[int, int]:
+    """(p, q) in lowest terms, for q > 0."""
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
+
+
+def parse_ratio(text) -> Tuple[int, int]:
+    """parse_rational(text).as_integer_ratio(), raising as it does, with no
+    Fraction built for a plain 'p/q' or integer text with q nonzero."""
+    ratio = _plain_ratio(text)
+    if ratio is None or not ratio[1]:
+        return parse_rational(text).as_integer_ratio()
+    return reduce_ratio(*ratio)
 
 
 def format_rational(value: Fraction) -> str:
@@ -182,34 +201,70 @@ class Area:
     their endpoints, and false for an open interval, which holds neither;
     the constructor takes it as a bool, so no text or enum member can pass
     for one.  An immutable value: every assignment raises AttributeError,
-    and equal areas hash equal.  The constructor coerces the endpoints to
-    Fraction and fixes `is_point` from the sign of hi - lo that its
-    emptiness check computes anyway, so reading it is an attribute load."""
+    and equal areas hash equal.
 
-    __slots__ = ("lo", "hi", "attains", "is_point")
+    The endpoints are held as integer pairs: `ratios` is (p, q, r, s), with
+    lo = p/q and hi = r/s in lowest terms and q, s > 0, so equal values have
+    equal pairs.  `lo` and `hi` are Fractions, built together on the first
+    read of either and kept, and `length` is their difference, so an area
+    that is only compared builds none.  `is_point` is fixed from the sign of
+    hi - lo that the emptiness check computes anyway, so reading it is an
+    attribute load."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("ratios", "attains", "is_point", "_fractions")
+
+    ratios: Tuple[int, int, int, int]
     attains: bool
     is_point: bool
 
-    def __init__(self, lo, hi, attains: bool) -> None:
-        if attains.__class__ is not bool:
-            raise TypeError(f"attains must be a bool, got {attains!r}")
+    def __new__(cls, lo, hi, attains: bool) -> "Area":
         if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
             lo, hi = Fraction(lo), Fraction(hi)
-        # Denominators are positive, so p/q vs r/s is p·s vs r·q on ints.
-        p, q = lo.as_integer_ratio()
-        r, s = hi.as_integer_ratio()
-        width = r * q - p * s  # sign of hi - lo
+        return Area.from_ratios(lo.as_integer_ratio() + hi.as_integer_ratio(), attains)
+
+    @staticmethod
+    def from_ratios(ratios: Tuple[int, int, int, int], attains: bool) -> "Area":
+        """The area whose `ratios` are these: (p, q, r, s) from lo = p/q to
+        hi = r/s, each in lowest terms with a positive denominator.  The one
+        place that refuses a flag that is not a bool, an empty area and an
+        open point, and fixes `is_point`."""
+        if attains.__class__ is not bool:
+            raise TypeError(f"attains must be a bool, got {attains!r}")
+        p, q, r, s = ratios
+        width = r * q - p * s  # sign of hi - lo, the denominators being positive
         if width < 0:
-            raise ValueError(f"empty area: lo={lo} > hi={hi}")
+            raise ValueError(f"empty area: lo={Fraction(p, q)} > hi={Fraction(r, s)}")
         if width == 0 and not attains:
             raise ValueError("a degenerate area is a point and must be closed at both ends")
-        _set_lo(self, lo)
-        _set_hi(self, hi)
-        _set_attains(self, attains)
-        _set_is_point(self, width == 0)
+        area = _new(Area)
+        _set_ratios(area, ratios)
+        _set_attains(area, attains)
+        _set_is_point(area, width == 0)
+        return area
+
+    @property
+    def lo(self) -> Fraction:
+        return self._fraction_pair()[0]
+
+    @property
+    def hi(self) -> Fraction:
+        return self._fraction_pair()[1]
+
+    @property
+    def length(self) -> Fraction:
+        lo, hi = self._fraction_pair()
+        return hi - lo
+
+    def _fraction_pair(self) -> Tuple[Fraction, Fraction]:
+        """(lo, hi) as Fractions, built together on the first read of either
+        and kept in a slot, which stays unset until then."""
+        try:
+            return self._fractions
+        except AttributeError:
+            p, q, r, s = self.ratios
+            fractions = (Fraction(p, q), Fraction(r, s))
+            _set_fractions(self, fractions)
+            return fractions
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -219,18 +274,18 @@ class Area:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.lo, self.hi, self.attains) == (other.lo, other.hi, other.attains)
+            return self.ratios == other.ratios and self.attains == other.attains
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.attains))
+        return hash((self.ratios, self.attains))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
                 f"attains={self.attains!r})")
 
     def __reduce__(self):
-        return type(self), (self.lo, self.hi, self.attains)
+        return Area.from_ratios, (self.ratios, self.attains)
 
     def __copy__(self) -> "Area":
         return self
@@ -251,17 +306,12 @@ class Area:
     def closed(lo, hi) -> "Area":
         return Area(lo, hi, True)
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains_value(self, x) -> bool:
         return self.contains_ratio(*as_fraction(x).as_integer_ratio())
 
     def contains_ratio(self, a: int, b: int) -> bool:
         """contains_value of a/b, for b > 0, decided on integers."""
-        p, q = self.lo.as_integer_ratio()
-        r, s = self.hi.as_integer_ratio()
+        p, q, r, s = self.ratios
         above_lo = a * q - p * b  # sign of x - lo
         below_hi = r * b - a * s  # sign of hi - x
         if self.attains:
@@ -274,29 +324,31 @@ class Area:
         return f"[{self.lo}, {self.hi}]" if self.attains else f"({self.lo}, {self.hi})"
 
     def to_json(self) -> dict:
+        p, q, r, s = self.ratios
         if self.is_point:
-            return {"kind": "point", "value": format_rational(self.lo)}
-        return {"kind": "closed" if self.attains else "open",
-                "lo": format_rational(self.lo), "hi": format_rational(self.hi)}
+            return {"kind": "point", "value": f"{p}/{q}"}
+        return {"kind": "closed" if self.attains else "open", "lo": f"{p}/{q}", "hi": f"{r}/{s}"}
 
     @staticmethod
-    def from_json(data: dict, parse: Callable[[object], Fraction] = parse_rational) -> "Area":
+    def from_json(data: dict, ratio: Callable[[object], Tuple[int, int]] = parse_ratio) -> "Area":
         """The area a JSON object of kind "point", "open" or "closed"
-        describes.  A reader of many areas can pass a `parse` that parses
-        each distinct endpoint text once."""
+        describes, its endpoints read by `ratio`: a reader of many areas can
+        pass one that decodes each distinct endpoint text once."""
         kind = data["kind"]
         if kind == "point":
-            lo = hi = parse(data["value"])
-            return Area(lo, hi, True)
+            value = ratio(data["value"])
+            return Area.from_ratios(value + value, True)
         if kind != "open" and kind != "closed":
             raise ValueError(f"unknown area kind {kind!r}")
-        return Area(parse(data["lo"]), parse(data["hi"]), kind == "closed")
+        return Area.from_ratios(ratio(data["lo"]) + ratio(data["hi"]), kind == "closed")
 
 
-# The slots' own setters: Area.__setattr__ refuses every assignment, so its
-# constructor writes each field through the slot descriptor.
-_set_lo, _set_hi, _set_attains, _set_is_point = (
+# The slots' own setters: Area.__setattr__ refuses every assignment, so each
+# field is written through its slot descriptor.
+_set_ratios, _set_attains, _set_is_point, _set_fractions = (
     vars(Area)[name].__set__ for name in Area.__slots__)
+_new = object.__new__
+
 
 AreaVector = Sequence[Area]
 
@@ -304,9 +356,13 @@ AreaVector = Sequence[Area]
 def contains(outer: Area, inner: Area) -> bool:
     """True iff every value of `inner` is a member of `outer`: it lies within
     outer's endpoints and holds a shared endpoint only if outer does."""
-    if inner.lo < outer.lo or inner.hi > outer.hi:
+    p, q, r, s = outer.ratios
+    a, b, c, d = inner.ratios
+    above_lo = a * q - p * b  # sign of lo(inner) - lo(outer)
+    below_hi = r * d - c * s  # sign of hi(outer) - hi(inner)
+    if above_lo < 0 or below_hi < 0:
         return False
-    return outer.attains or not inner.attains or (inner.lo != outer.lo and inner.hi != outer.hi)
+    return outer.attains or not inner.attains or (above_lo != 0 and below_hi != 0)
 
 
 def surely_leq(a: Area, b: Area) -> bool:
@@ -377,12 +433,11 @@ class ImagedVector(list):
 def endpoint_images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:
     """(D, lo images, hi images) at the lcm D of the denominators, or with
     D = 0 the values' ranks once D would pass SCALE_BITS_LIMIT bits."""
-    los = [a.lo.as_integer_ratio() for a in areas]
-    his = [a.hi.as_integer_ratio() for a in areas]
-    d = _grow_scale(1, {q for _, q in los + his})
+    ratios = [a.ratios for a in areas]
+    d = _grow_scale(1, {q for _, q, _, _ in ratios} | {s for _, _, _, s in ratios})
     if not d:
         return (0, *_rank_values(areas))
-    return d, [p * (d // q) for p, q in los], [p * (d // q) for p, q in his]
+    return d, [p * (d // q) for p, q, _, _ in ratios], [r * (d // s) for _, _, r, s in ratios]
 
 
 def _grow_scale(d: int, denominators: Iterable[int]) -> int:
@@ -397,7 +452,7 @@ def _grow_scale(d: int, denominators: Iterable[int]) -> int:
 
 
 def _rank_values(areas: AreaVector) -> Tuple[List[int], List[int]]:
-    values = [a.lo for a in areas] + [a.hi for a in areas]
+    values = [v for a in areas for v in a._fraction_pair()]  # each lo, then its hi
     order = list(range(len(values)))
     try:
         # Rounding to float is monotone, so this leaves the values nearly
@@ -412,7 +467,7 @@ def _rank_values(areas: AreaVector) -> Tuple[List[int], List[int]]:
         if values[i] != values[prev]:
             r += 1
         ranks[i] = r
-    return ranks[: len(areas)], ranks[len(areas) :]
+    return ranks[0::2], ranks[1::2]
 
 
 class VectorState:
@@ -499,9 +554,8 @@ class VectorState:
 
     def _patch(self, areas: AreaVector) -> bool:
         changed = self.changed
-        los = [areas[i].lo.as_integer_ratio() for i in changed]
-        his = [areas[i].hi.as_integer_ratio() for i in changed]
-        d = _grow_scale(self.scale, [q for _, q in los + his])
+        ratios = [areas[i].ratios for i in changed]
+        d = _grow_scale(self.scale, [t for _, q, _, s in ratios for t in (q, s)])
         if not d:
             return False
         order = self.order
@@ -519,7 +573,7 @@ class VectorState:
             self.scale = d
             self._read([v * f for v in self.lo], [v * f for v in self.hi])
         lo, hi, rank = self.lo, self.hi, self.rank
-        for i, (p, q), (r, s) in zip(changed, los, his):
+        for i, (p, q, r, s) in zip(changed, ratios):
             a, b = p * (d // q), r * (d // s)
             lo[i], hi[i] = (-b, -a) if self.mirror else (a, b)
             if self.tie_rule is TieRule.LEX:

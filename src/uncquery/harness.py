@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, Rationals, TieRule, format_rational, parse_rational
+from .core import Area, Rationals, TieRule, format_rational, parse_ratio, parse_rational
 from .engine import Algorithm, EngineError, RunStatus, default_budget, model_refusal, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
@@ -119,18 +119,18 @@ def instance_from_json(data: dict) -> UncertainInstance:
 
 
 def _parse_instance(data: dict) -> UncertainInstance:
-    # Endpoint texts repeat across areas; each distinct text is parsed once
-    # and its Fraction shared, which is safe because Fractions are
-    # immutable.  Other JSON values go to parse_rational as is.  Hidden
-    # values stay integer pairs until a query reveals them.
-    parsed: dict = {}
+    # Endpoint texts repeat across areas; each distinct text is decoded once
+    # into its integer pair, which the areas share.  Other JSON values go to
+    # parse_ratio as they are.  No endpoint becomes a Fraction here, and
+    # hidden values stay integer pairs until a query reveals them.
+    decoded: dict = {}
 
-    def parse(text) -> Fraction:
+    def ratio(text) -> Tuple[int, int]:
         if type(text) is not str:
-            return parse_rational(text)
-        value = parsed.get(text)
+            return parse_ratio(text)
+        value = decoded.get(text)
         if value is None:
-            value = parsed[text] = parse_rational(text)
+            value = decoded[text] = parse_ratio(text)
         return value
 
     model = ModelSpec.from_json(data["model"])
@@ -141,15 +141,15 @@ def _parse_instance(data: dict) -> UncertainInstance:
             objective=Objective(pjson.get("objective", "kmin")),
             tie_rule=TieRule(pjson.get("tie_rule", "stable")),
         )
-        areas = tuple(Area.from_json(a, parse) for a in data["areas"])
+        areas = [Area.from_json(a, ratio) for a in data["areas"]]
     elif pjson["type"] == "mst":
         edges = tuple((_json_value("u", e["u"], int), _json_value("v", e["v"], int))
                       for e in pjson["edges"])
         problem = UncertainGraph(_json_value("problem.vertices", pjson["vertices"], int), edges)
         if "areas" in data:
-            areas = tuple(Area.from_json(a, parse) for a in data["areas"])
+            areas = [Area.from_json(a, ratio) for a in data["areas"]]
         else:  # graph-style JSON with inline weights
-            areas = tuple(Area.from_json(e["weight"], parse) for e in pjson["edges"])
+            areas = [Area.from_json(e["weight"], ratio) for e in pjson["edges"]]
     else:
         raise ConfigError(f"unknown problem type {pjson['type']!r}")
     hidden = data.get("hidden")
@@ -474,10 +474,7 @@ class ExperimentConfig:
         if err is not None:
             raise ConfigError(err)
         report_emit([], self.out_format)  # raises ConfigError on an unknown format
-        # Checked without opening the file, so a refused config leaves it as it was.
-        folder = os.path.dirname(os.path.abspath(self.out or "."))
-        if self.out and (os.path.isdir(self.out) or not os.access(folder, os.W_OK)):
-            raise ConfigError(f"cannot write the report to {self.out!r}")
+        _check_out(self.out, "the report")
         kmin = self.problem_type == "kmin"
         problem = SelectionProblem(self.k, tie_rule=self.tie_rule) if kmin else None
         fixture = adversary_fixture(self.oracle, self.model, problem, n=self.n, k=self.k)
@@ -490,6 +487,15 @@ class ExperimentConfig:
         if fixture is None:  # trial 0's oracle: ConfigError on a spec no trial can build
             build_oracle(self.oracle, trial_instance(self, 0))
         return fixture
+
+
+def _check_out(path: Optional[str], what: str) -> None:
+    """ConfigError unless `what` can be written to the file at `path`, or
+    `path` is None (stdout).  Checked without opening the file, so a refused
+    command leaves it as it was."""
+    folder = os.path.dirname(os.path.abspath(path or "."))
+    if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {what} to {path!r}")
 
 
 def _check_limit(name: str, value, least: int, most: Optional[int] = None) -> None:
@@ -625,6 +631,7 @@ def _write(text: str, path: Optional[str]) -> None:
 
 def _cmd_solve(args) -> int:
     _check_limit("--budget", args.budget, 1)
+    _check_out(args.out, "the report")
     with open(args.instance) as fh:
         instance = instance_from_json(json.load(fh))
     fixture = adversary_fixture(args.oracle, instance.model, instance.problem, instance.areas)
@@ -683,6 +690,7 @@ def _gen_seed(text: str) -> int | str:
 
 
 def _cmd_gen(args) -> int:
+    _check_out(args.out, "the instance")
     args.model = ModelSpec.parse(args.model)
     _write(dump_json(instance_to_json(_generate(args, args.seed))), args.out)
     return EXIT_OK
@@ -699,6 +707,7 @@ def _cmd_compete(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    _check_out(args.out, "the instance")
     fixture = _build_fixture(args.name, args.n, args.k)  # argparse checked the name
     payload = instance_to_json(fixture.instance)
     payload["fixture"] = {

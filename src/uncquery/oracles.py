@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .core import Area, Rationals, TieRule, as_fraction
+from .core import Area, Rationals, TieRule, as_fraction, reduce_ratio
 from .models import ModelSpec, TypeSet, UncertainInstance, validate_response
 from .selection import SelectionProblem
 
@@ -56,20 +56,19 @@ class HalvePolicy:
 
 
 def _halve_window(hidden: Fraction, current: Area, shrink: Fraction):
-    """The (lo, hi) of a window of `shrink` times the current length,
-    centered on `hidden` and shifted back inside the current area if it pokes
-    out.  A shifted window is then nudged off the shared endpoint, so the
-    response is visibly interior, by new_len/100 or by half the gap to
-    `hidden` if that is less, which keeps `hidden` inside.
+    """The `Area.ratios` (p, q, r, s) of a window from p/q to r/s of
+    `shrink` times the current length, centered on `hidden` and shifted back
+    inside the current area if it pokes out.  A shifted window is then
+    nudged off the shared endpoint, so the response is visibly interior, by
+    new_len/100 or by half the gap to `hidden` if that is less, which keeps
+    `hidden` inside.
 
     Computed on integers over one common denominator, scale = d·200·q_s,
     with d the lcm of the denominators of the area's endpoints and `hidden`
     and q_s the shrink's denominator: at that scale new_len/2, new_len/100
     and the half gaps are exact integers, so the window equals the Fraction
-    formula's (tests/helpers.reference_halve_window) value for value, and
-    only its two endpoints become Fractions."""
-    a, qa = current.lo.as_integer_ratio()
-    b, qb = current.hi.as_integer_ratio()
+    formula's (tests/helpers.reference_halve_window) value for value."""
+    a, qa, b, qb = current.ratios
     h, qh = hidden.as_integer_ratio()
     p_s, q_s = shrink.as_integer_ratio()
     d = math.lcm(qa, qb, qh)
@@ -87,32 +86,35 @@ def _halve_window(hidden: Fraction, current: Area, shrink: Fraction):
         if h < b:
             nudge = min(new_len // 100, (b - h) // 2)
             lo, hi = lo - nudge, hi - nudge
-    return Fraction(lo, scale), Fraction(hi, scale)
+    return reduce_ratio(lo, scale) + reduce_ratio(hi, scale)
 
 
 def ground_truth_respond(
     policy, hidden: Fraction, current: Area, returns: TypeSet
 ) -> Area:
-    """Deterministic refinement of `current` toward `hidden`.
+    """Deterministic refinement of `current` toward `hidden`, built from
+    integer pairs.
 
     Point-only return sets force the exact point whatever the policy says.
     """
     hidden = as_fraction(hidden)
-    if not current.contains_value(hidden):
+    ratio = hidden.as_integer_ratio()
+    if not current.contains_ratio(*ratio):
         raise OracleError(f"hidden value {hidden} not inside current area {current}")
     if current.is_point:
         raise OracleError("point areas cannot be refined")
     if returns.letters == {"P"} or isinstance(policy, ExactPolicy):
         if "P" not in returns:
             raise OracleError("exact responses need P in the return type set")
-        return Area.point(hidden)
+        return Area.from_ratios(ratio + ratio, True)
     if isinstance(policy, HalvePolicy):
-        lo, hi = _halve_window(hidden, current, policy.shrink)
-        strict_inside = lo < hidden < hi
-        if "O" in returns and strict_inside:
-            return Area.open(lo, hi)
+        window = _halve_window(hidden, current, policy.shrink)
+        if "O" in returns:
+            response = Area.from_ratios(window, False)
+            if response.contains_ratio(*ratio):  # hidden strictly inside
+                return response
         if "C" in returns:
-            return Area.closed(lo, hi)
+            return Area.from_ratios(window, True)
         # Every return set but {P} holds O or C, so this one holds O and not C.
         raise OracleError(f"cannot build an open response around boundary value {hidden}")
     raise OracleError(f"unknown refinement policy {policy!r}")

@@ -5,8 +5,8 @@ mirror of an area, the halving window, the uMST comparison operator, red
 rule and restart-from-scratch pass that the integer code is checked against,
 the brute-force OPT search with eagerly built response chains, the
 witness-validity check built on `opt_value`, what the adversaries' colluding
-optima are shown, and the instance generators as first written, on
-Fractions."""
+optima are shown, and the instance generators and the instance reader as
+first written, on Fractions."""
 import copy
 import math
 import random
@@ -17,14 +17,15 @@ from typing import List, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from uncquery.core import Area, LoggedVector, TieRule, surely_leq, surely_lt
+from uncquery.core import (Area, LoggedVector, Rationals, TieRule, format_rational,
+                           parse_rational, surely_leq, surely_lt)
 from uncquery.engine import solve
-from uncquery.harness import SCALE, ConfigError
-from uncquery.models import UncertainInstance, validate_response
+from uncquery.harness import SCALE, ConfigError, _json_value, _malformed
+from uncquery.models import ModelSpec, UncertainInstance, validate_response
 from uncquery.mst import UncertainGraph
 from uncquery.optbrute import OptResult, opt_value
 from uncquery.oracles import ScriptedOracle
-from uncquery.selection import SelectionProblem
+from uncquery.selection import Objective, SelectionProblem
 
 
 def sample_values(area: Area) -> List[Fraction]:
@@ -704,3 +705,86 @@ def reference_generate_graph_instance(params, seed) -> UncertainInstance:
              for _ in range(graph.n_edges)]
     return UncertainInstance(model=params.model, areas=tuple(a for a, _ in drawn),
                              problem=graph, hidden=tuple(h for _, h in drawn))
+
+
+# ---------------------------------------------------------------------------
+# The instance reader as it was when areas held Fractions: each distinct
+# endpoint text parsed to a Fraction once, and each area's constructor
+# coercing and checking its Fraction endpoints.
+
+
+class ReferenceArea:
+    """core.Area on Fraction endpoints, as its constructor, `from_json` and
+    `to_json` were before the endpoints became integer pairs."""
+
+    __slots__ = ("lo", "hi", "attains", "is_point")
+
+    def __init__(self, lo, hi, attains: bool) -> None:
+        if attains.__class__ is not bool:
+            raise TypeError(f"attains must be a bool, got {attains!r}")
+        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
+            lo, hi = Fraction(lo), Fraction(hi)
+        p, q = lo.as_integer_ratio()
+        r, s = hi.as_integer_ratio()
+        width = r * q - p * s  # sign of hi - lo
+        if width < 0:
+            raise ValueError(f"empty area: lo={lo} > hi={hi}")
+        if width == 0 and not attains:
+            raise ValueError("a degenerate area is a point and must be closed at both ends")
+        self.lo, self.hi, self.attains, self.is_point = lo, hi, attains, width == 0
+
+    def to_json(self) -> dict:
+        if self.is_point:
+            return {"kind": "point", "value": format_rational(self.lo)}
+        return {"kind": "closed" if self.attains else "open",
+                "lo": format_rational(self.lo), "hi": format_rational(self.hi)}
+
+    @staticmethod
+    def from_json(data: dict, parse=parse_rational) -> "ReferenceArea":
+        kind = data["kind"]
+        if kind == "point":
+            lo = hi = parse(data["value"])
+            return ReferenceArea(lo, hi, True)
+        if kind != "open" and kind != "closed":
+            raise ValueError(f"unknown area kind {kind!r}")
+        return ReferenceArea(parse(data["lo"]), parse(data["hi"]), kind == "closed")
+
+
+def reference_instance_from_json(data: dict) -> UncertainInstance:
+    """harness.instance_from_json on Fractions, its areas ReferenceAreas."""
+    with _malformed("instance"):
+        parsed: dict = {}
+
+        def parse(text) -> Fraction:
+            if type(text) is not str:
+                return parse_rational(text)
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_rational(text)
+            return value
+
+        model = ModelSpec.from_json(data["model"])
+        pjson = data["problem"]
+        if pjson["type"] == "kmin":
+            problem = SelectionProblem(
+                k=_json_value("problem.k", pjson["k"], int),
+                objective=Objective(pjson.get("objective", "kmin")),
+                tie_rule=TieRule(pjson.get("tie_rule", "stable")),
+            )
+            areas = tuple(ReferenceArea.from_json(a, parse) for a in data["areas"])
+        elif pjson["type"] == "mst":
+            edges = tuple((_json_value("u", e["u"], int), _json_value("v", e["v"], int))
+                          for e in pjson["edges"])
+            problem = UncertainGraph(_json_value("problem.vertices", pjson["vertices"], int),
+                                     edges)
+            if "areas" in data:
+                areas = tuple(ReferenceArea.from_json(a, parse) for a in data["areas"])
+            else:
+                areas = tuple(ReferenceArea.from_json(e["weight"], parse)
+                              for e in pjson["edges"])
+        else:
+            raise ConfigError(f"unknown problem type {pjson['type']!r}")
+        hidden = data.get("hidden")
+        if hidden is not None:
+            hidden = Rationals.parse(hidden)
+        return UncertainInstance(model=model, areas=areas, problem=problem, hidden=hidden)

@@ -1,5 +1,6 @@
 """Areas, the comparison algebra, and the two orderings."""
 import copy
+import math
 import pickle
 import re
 import sys
@@ -30,6 +31,7 @@ from uncquery.core import (
     format_rational,
     order_l,
     order_u,
+    parse_ratio,
     parse_rational,
     surely_leq,
     surely_lt,
@@ -77,12 +79,20 @@ def _parsed_item(text):
     return _parsed(lambda t: Rationals.parse([t])[0], text)
 
 
+def _parsed_pair(text):
+    """parse_ratio's pair for `text`, as _parsed gives parse_rational's
+    value: it must be that value's lowest-terms pair."""
+    outcome = _parsed(parse_ratio, text)
+    return outcome if type(outcome) is type else (Fraction, Fraction(*outcome[1]))
+
+
 def test_parse_rational_accepts_what_fraction_does():
     # The fast path takes plain ASCII p/q and integers; every other text,
     # including fullwidth and Arabic-Indic digits, is Fraction's to judge.
     for text in PARSE_CASES:
         assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text), text
         assert _parsed_item(text) == _parsed(parse_rational, text), text
+        assert _parsed_pair(text) == _parsed(parse_rational, text), text
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,6 +100,10 @@ def test_parse_rational_accepts_what_fraction_does():
 def test_parse_rational_matches_fraction_on_any_text(text):
     assert _parsed(parse_rational, text) == _parsed(_bounded_fraction, text)
     assert _parsed_item(text) == _parsed(parse_rational, text)
+    assert _parsed_pair(text) == _parsed(parse_rational, text)
+    if type(_parsed_pair(text)) is tuple:
+        p, q = parse_ratio(text)
+        assert q > 0 and math.gcd(p, q) == 1
 
 
 @pytest.mark.parametrize("text", ["2/4", "-0/5", "03/4", "+3/4", " 3/4", "1_000/3",
@@ -335,6 +349,10 @@ class TestAreaValue:
                  Area("1", "5/1", True), Area("1.0", 5, True)]
         assert all(b == built[0] and hash(b) == hash(built[0]) for b in built)
         assert all(type(b.lo) is Fraction and type(b.hi) is Fraction for b in built)
+        assert all(b.ratios == (1, 1, 5, 1) for b in built)
+        assert Area.from_ratios((1, 2, 3, 4), False) == Area.open(Fraction(1, 2), Fraction(3, 4))
+        with pytest.raises(ValueError, match="empty area: lo=3/4 > hi=1/2"):
+            Area.from_ratios((3, 4, 1, 2), True)
         assert len({Area.point(2), Area.point("2"), Area.point(Fraction(4, 2))}) == 1
         assert Area.open(1, 5) != Area(1, 5, True) and Area.point(1) != (1, 1)
 

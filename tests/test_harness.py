@@ -19,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ReferenceArea,
     reference_generate_graph_instance,
     reference_generate_instance,
+    reference_instance_from_json,
     reference_pick_hidden,
     reference_umst,
 )
-from uncquery.core import Area, TieRule, format_rational
+from uncquery.core import Area, TieRule, endpoint_images, format_rational
 from uncquery.engine import default_budget, solve
 from uncquery.harness import (
     BOUNDS,
@@ -228,6 +230,158 @@ def test_generated_instance_json_is_pinned(generate, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+_OC_GEN = ["--model", "OC-OC", "--n", "40", "--k", "13", "--overlap", "0.95", "--seed", "1"]
+_OCP_GEN = ["--model", "OCP-P", "--n", "40", "--k", "13", "--overlap", "0.95",
+            "--point-fraction", "0.3", "--seed", "3"]
+_UMST_GEN = ["--model", "OC-OC", "--problem", "mst", "--vertices", "12", "--extra-edges", "24",
+             "--overlap", "0.9", "--seed", "4"]
+# An instance no generator writes: endpoints in lowest terms and not, "-0/3",
+# decimals, an exponent, and a JSON int and float.
+_HAND_WRITTEN = {
+    "model": {"input": "OC", "returns": "OC"}, "problem": {"type": "kmin", "k": 2},
+    "areas": [{"kind": "open", "lo": "6/4", "hi": "5"}, {"kind": "closed", "lo": "-0/3", "hi": 2.5},
+              {"kind": "open", "lo": 1, "hi": "3e0"}, {"kind": "closed", "lo": "0.25", "hi": "12/8"}],
+    "hidden": ["4/2", "1/1", "5/2", "0.75"],
+}
+
+# sha256 of the whole `uncquery solve` stdout (query log, counts, answer and,
+# for uMST, the tree and red-rule count) on these instances: gen arguments or
+# a written instance, edits to its "problem" object, and solve arguments.  A
+# change to how instances are read, refined or reported changes a digest.
+PINNED_REPORTS = {
+    "kmin-stable": (_OC_GEN, {}, ["--algorithm", "kmin-witness", "--oracle", "ground:halve"],
+                    "af880d9abd8280978be56278815336d1906ffa2dbea4b397170ab908edd8af2f"),
+    "kmin-lex": (_OC_GEN, {}, ["--algorithm", "kmin-lex", "--oracle", "ground:halve"],
+                 "0572e579a00fa60c63d217ecfaff04a44e7821bf38a35ad12936b9dfb365837c"),
+    "kmax-stable": (_OCP_GEN, {"objective": "kmax"},
+                    ["--algorithm", "kmin-witness", "--oracle", "ground:exact"],
+                    "35d87d951b38df3aaaab2430d5b6cdc80e9f82b62f53bbe4b5fa587660b933ef"),
+    "kmax-lex": (_OCP_GEN, {"objective": "kmax"},
+                 ["--algorithm", "kmin-lex", "--oracle", "ground:exact"],
+                 "e5b51e400bfae5f923076acd774ebe7d474f25ef956e81cc58f00cbf1ae3c30a"),
+    "opop-halve": (["--model", "OP-OP", "--n", "30", "--k", "5", "--overlap", "0.9", "--seed", "8"],
+                   {}, ["--algorithm", "opop-alternate", "--oracle", "ground:halve"],
+                   "adfb996c01b8a50dd568c3b91d01135be95c133650b926d01737679b3373ad9d"),
+    "umst-halve": (_UMST_GEN, {}, ["--oracle", "ground:halve"],
+                   "c554fc955c49c70fd39c16035d7870701c7c547e48979cd284109a846d8e4586"),
+    "hand-written": (_HAND_WRITTEN, {}, ["--algorithm", "kmin-witness", "--oracle", "ground:halve"],
+                     "42a713d9419108d028fc20f3521c8aeb8ff4851c2290265981a6c1c89f55dd15"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_solve_report_bytes_are_pinned(tmp_path, capsys, name):
+    source, edit, solve_args, digest = PINNED_REPORTS[name]
+    inst_path = tmp_path / "inst.json"
+    if isinstance(source, dict):
+        data = copy.deepcopy(source)
+    else:
+        assert main(["gen", *source, "--out", str(inst_path)]) == EXIT_OK
+        data = json.loads(inst_path.read_text())
+    data["problem"].update(edit)
+    inst_path.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(inst_path), *solve_args]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if name == "umst-halve":
+        report = json.loads(out)
+        assert report["tree"] == [3, 6, 9, 10, 12, 16, 18, 20, 23, 30, 31]
+        assert report["red_rule_count"] == 22
+
+
+# Endpoint and hidden values as instance JSON may write them: canonical
+# texts, terms not in lowest terms, signed zeros, decimals and exponents,
+# JSON ints and floats, and digits other than ASCII; now and then a zero
+# denominator, a text past the interpreter's digit bound, or a value that is
+# no number at all.
+_grid = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_BAD_VALUES = ["1/0", "0/0", "x", "", "1" * 4301 + "/3", "1/" + "9" * 4301, "1e5000",
+               float("inf"), float("nan"), None, True, [1], {"p": 1}]
+
+
+@st.composite
+def json_value(draw, value):
+    """`value` as instance JSON may write it, or now and then a bad value."""
+    if draw(st.integers(0, 24)) == 0:
+        return draw(st.sampled_from(_BAD_VALUES))
+    p, q = value.as_integer_ratio()
+    m = draw(st.integers(2, 5))
+    forms = [f"{p}/{q}", f"{p * m}/{q * m}", f"-0/{m}" if p == 0 else f"{p}/{q}",
+             repr(float(value)), float(value), f"{p}/{q}".translate(_ARABIC_INDIC),
+             f" {p}/{q}", f"+{p}/{q}" if p > 0 else f"{p}/{q}"]
+    if q == 1:
+        forms += [p, str(p), f"{p * 10}e-1", f"{p}E0"]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def json_areas(draw):
+    kind = draw(st.sampled_from(["open", "closed", "point"] * 6 + ["Open", None, 3]))
+    lo, hi = draw(_grid), draw(_grid)
+    if draw(st.integers(0, 3)):  # mostly nonempty
+        lo, hi = min(lo, hi), max(lo, hi)
+    if kind == "point":
+        area = {"kind": kind, "value": draw(json_value(lo))}
+    else:
+        area = {"kind": kind, "lo": draw(json_value(lo)), "hi": draw(json_value(hi))}
+    if draw(st.integers(0, 24)) == 0:  # now and then a key goes missing
+        del area[draw(st.sampled_from(sorted(area)))]
+    return area
+
+
+@st.composite
+def json_instances(draw):
+    areas = draw(st.lists(json_areas(), min_size=1, max_size=5))
+    data = {"model": {"input": "OCP", "returns": "OCP"}}
+    if draw(st.booleans()):
+        data["problem"] = {"type": "kmin", "k": 1}
+        data["areas"] = areas
+    else:  # a graph whose edges carry their weights
+        data["problem"] = {"type": "mst", "vertices": len(areas) + 1,
+                           "edges": [{"u": i, "v": i + 1, "weight": a}
+                                     for i, a in enumerate(areas)]}
+    if draw(st.booleans()):
+        data["hidden"] = [draw(json_value(draw(_grid))) for _ in areas]
+    return data
+
+
+def _read(read, data):
+    try:
+        return read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fields(area):
+    return area.lo, area.hi, area.attains, area.is_point
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_instances())
+def test_instance_reader_matches_fraction_reference(data):
+    """The reader on integer pairs reads what the Fraction reader did: equal
+    instances writing equal JSON text, or the same exception type and
+    message."""
+    got, want = _read(instance_from_json, data), _read(reference_instance_from_json, data)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.model, got.problem, got.hidden) == (want.model, want.problem, want.hidden)
+    assert list(map(_fields, got.areas)) == list(map(_fields, want.areas))
+    assert dump_json(instance_to_json(got)) == dump_json(instance_to_json(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_areas())
+def test_area_from_json_matches_fraction_reference(data):
+    got, want = _read(Area.from_json, data), _read(ReferenceArea.from_json, data)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert _fields(got) == _fields(want) and got.to_json() == want.to_json()
+
+
 class TestInstanceJson:
     def test_kmin_round_trip(self):
         inst = generate_instance(GenParams(n=4, model=OPP, point_fraction=0.25), 9)
@@ -240,6 +394,26 @@ class TestInstanceJson:
         )
         again = instance_from_json(json.loads(dump_json(instance_to_json(inst))))
         assert again == inst
+
+    def test_reading_and_imaging_build_no_fraction(self, monkeypatch):
+        """Reading, validating and imaging an instance compare integer
+        pairs; an endpoint becomes a Fraction when it is read, once."""
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        data = json.loads(dump_json(instance_to_json(
+            generate_instance(GenParams(n=50, model=OPP, point_fraction=0.2), 3))))
+        monkeypatch.setattr("uncquery.core.Fraction", Counted)
+        inst = instance_from_json(data)
+        assert validate_instance(inst) is None
+        endpoint_images(list(inst.areas))
+        assert built == []
+        area = inst.areas[0]
+        assert area.lo is area.lo and area.hi is area.hi and len(built) == 2
 
     def test_graph_style_inline_weights_accepted(self):
         data = {
@@ -1084,6 +1258,27 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: cannot write the report to "
                                            f"{str(tmp_path / out)!r}\n")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("command, what, work", [
+        (["solve", "--instance", "no-such-instance.json"], "the report", "instance_from_json"),
+        (["gen", "--model", "OP-P", "--n", "20000"], "the instance", "_generate"),
+        (["fixtures", "--name", "min-tight"], "the instance", "_build_fixture"),
+    ], ids=["solve", "gen", "fixtures"])
+    def test_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, what, work, out):
+        """`solve`, `gen` and `fixtures` refuse an --out in no directory, or
+        naming a directory, before they read, generate or solve anything: solve
+        names the path although its instance file does not exist."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on a command that should have been refused")
+
+        monkeypatch.setattr(f"uncquery.harness.{work}", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--out", str(tmp_path / out)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write {what} to "
+                                           f"{str(tmp_path / out)!r}\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("args", [
         ["solve", "--budget", "0"], ["solve", "--budget", "-1"], ["opt", "--max-total", "-1"],
