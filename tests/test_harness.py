@@ -357,7 +357,7 @@ def _fields(area):
     return area.lo, area.hi, area.attains, area.is_point
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(json_instances())
 def test_instance_reader_matches_fraction_reference(data):
     """The reader on integer pairs reads what the Fraction reader did: equal
