@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, Rationals, TieRule, format_rational, parse_ratio, parse_rational
+from .core import (Area, Rationals, TieRule, format_rational, parse_ratio, parse_rational,
+                   reduce_ratio)
 from .engine import Algorithm, EngineError, RunStatus, default_budget, model_refusal, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
@@ -176,14 +177,29 @@ class GenParams:
     point_fraction: float = 0.0
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) as Random._randbelow_with_getrandbits draws it, so an
+    instance rests on the Mersenne Twister output, not on randint's code."""
+    if n <= 0:
+        raise ValueError(f"empty range below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: set) -> int:
     """Grid value inside the area from lo2/2 to (lo2 + len2)/2, as its numerator
     over 2048, which every grid denominator divides, distinct from those in
-    `used` so interval-return refinement always terminates."""
+    `used` so interval-return refinement always terminates.  A level's offsets
+    are first shuffled in full, by random.shuffle's swaps on `_below`."""
     lo_j = 0 if attains else 1
     for denom in (16, 64, 256, 1024):
         offsets = list(range(lo_j, denom - lo_j + 1))
-        rng.shuffle(offsets)
+        for i in range(len(offsets) - 1, 0, -1):
+            j = _below(rng, i + 1)
+            offsets[i], offsets[j] = offsets[j], offsets[i]
         base, step = lo2 * 1024, len2 * (1024 // denom)
         for j in offsets:
             value = base + step * j
@@ -194,30 +210,31 @@ def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: s
 
 
 def _span(rng: random.Random, overlap: float, count: int) -> Tuple[int, int]:
-    """Twice the lo and twice the length of one of `count` areas drawn to
-    overlap with density `overlap`."""
+    """Twice the lo and twice the length, each one `_below` draw, of one of
+    `count` areas drawn to overlap with density `overlap`."""
     # Every overlap of 1 or more draws width 1.  A large negative overlap
     # overflows the float product, so its exact integer is taken instead.
     spread = max(0, 1 - overlap)
     scaled = spread * count * SCALE
     width = max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
-    return rng.randint(0, 2 * width), rng.randint(2, 2 * SCALE)
+    return _below(rng, 2 * width + 1), 2 + _below(rng, 2 * SCALE - 1)
 
 
 def _draw(rng: random.Random, lo2: int, len2: int, kinds: Sequence[str], used: set,
           point: bool = False) -> Tuple[Area, Fraction]:
-    """An area spanning lo2/2 to (lo2 + len2)/2 and its hidden value: a
-    point, or an interval of a kind drawn from `kinds`."""
-    attains = point or rng.choice(kinds) == "C"
-    hidden = Fraction(_pick_hidden(rng, lo2, len2, attains, used), 2048)
-    if point:
-        return Area.point(hidden), hidden
-    return Area(Fraction(lo2, 2), Fraction(lo2 + len2, 2), attains), hidden
+    """An area spanning lo2/2 to (lo2 + len2)/2 and its hidden value: a point,
+    or an interval of a kind drawn from `kinds` by one `_below`."""
+    attains = point or kinds[_below(rng, len(kinds))] == "C"
+    value = _pick_hidden(rng, lo2, len2, attains, used)
+    ratios = (reduce_ratio(value, 2048) * 2 if point
+              else reduce_ratio(lo2, 2) + reduce_ratio(lo2 + len2, 2))
+    return Area.from_ratios(ratios, attains), Fraction(value, 2048)
 
 
 def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
     """Deterministic seeded instance honoring overlap density, point fraction
-    and the model's admitted input shapes."""
+    and the model's admitted input shapes.  Per area: `random()` for whether
+    it is a point, where the model admits both, then `_span` and `_draw`."""
     model = params.model
     interval_kinds = [c for c in "OC" if c in model.input]
     if params.point_fraction > 0 and "P" not in model.input:
@@ -229,7 +246,7 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
         point = "P" in model.input and (
             not interval_kinds or rng.random() < params.point_fraction)
         if params.overlap <= 0:
-            span = 2 * i * (SCALE + 2), 2 * rng.randint(1, SCALE)
+            span = 2 * i * (SCALE + 2), 2 * (1 + _below(rng, SCALE))
         else:
             span = _span(rng, params.overlap, params.n)
         drawn.append(_draw(rng, *span, interval_kinds, used, point))
@@ -249,15 +266,13 @@ class GraphGenParams:
 
 def generate_graph_instance(params: GraphGenParams, seed: int | str) -> UncertainInstance:
     """Connected graph (random spanning tree plus extras) with uncertain
-    edge weights drawn like selection areas."""
+    edge weights drawn like selection areas; every draw is one `_below`."""
     rng = random.Random(f"uncquery-graph:{seed}")
     v = params.vertices
-    edges: List[Tuple[int, int]] = []
-    for i in range(1, v):
-        edges.append((rng.randrange(i), i))
+    edges: List[Tuple[int, int]] = [(_below(rng, i), i) for i in range(1, v)]
     for _ in range(params.extra_edges):
-        a = rng.randrange(v)
-        b = rng.randrange(v)
+        a = _below(rng, v)
+        b = _below(rng, v)
         if a != b:
             edges.append((min(a, b), max(a, b)))
     graph = UncertainGraph(v, tuple(edges))

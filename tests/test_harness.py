@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,14 @@ from uncquery.harness import (
     run_trial,
     trial_instance,
 )
-from uncquery.harness import _build_fixture, _generate, _generator, _max_total, _pick_hidden
+from uncquery.harness import (
+    _below,
+    _build_fixture,
+    _generate,
+    _generator,
+    _max_total,
+    _pick_hidden,
+)
 from uncquery.models import _CATEGORY_BY_MODEL, ModelSpec, UncertainInstance, validate_instance
 from uncquery.mst import UncertainGraph
 from uncquery.oracles import FIXTURE_BUILDERS
@@ -198,6 +206,52 @@ def test_pick_hidden_matches_fraction_reference_at_every_grid_level(lo2, len2, a
     assert rng.getstate() == reference_rng.getstate()  # as many draws
 
 
+# n where the rejection loop in `_below` rejects least and most often: just
+# below, at and just above each power of two up to 2**80.
+BELOW_EDGES = sorted({1, 2, 3} | {2**e + d for e in range(1, 81) for d in (-1, 0, 1)})
+
+
+def test_below_draws_as_randrange_at_every_power_of_two():
+    for seed in range(3):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert [_below(rng, n) for n in BELOW_EDGES] == [
+            reference_rng.randrange(n) for n in BELOW_EDGES]
+        assert rng.getstate() == reference_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(BELOW_EDGES), st.integers(1, 2**81)),
+                min_size=1, max_size=20),
+       st.integers(0, 2**64))
+def test_below_draws_as_randrange(ns, seed):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert [_below(rng, n) for n in ns] == [reference_rng.randrange(n) for n in ns]
+    assert rng.getstate() == reference_rng.getstate()  # as many draws
+
+
+class _NoDraws(random.Random):
+    """A Random that fails any draw, so that a rejection loop over an empty
+    range fails the test rather than running forever."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"getrandbits({k}) drawn")
+
+
+@pytest.mark.parametrize("n", [0, -1, -2**70])
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        _below(_NoDraws(0), n)
+
+
+def test_graph_generator_refuses_an_empty_vertex_range(monkeypatch):
+    params = GraphGenParams(vertices=0, extra_edges=1, model=ModelSpec.parse("O-O"))
+    with pytest.raises(ValueError):
+        reference_generate_graph_instance(params, 1)
+    monkeypatch.setattr("uncquery.harness.random", SimpleNamespace(Random=_NoDraws))
+    with pytest.raises(ValueError):
+        generate_graph_instance(params, 1)
+
+
 # sha256 of the instance JSON the generators write for these parameters and
 # seeds.  A seed's instance must not change with the code that draws it: a
 # change in the order or the kind of any random draw changes these digests.
@@ -228,6 +282,32 @@ PINNED_INSTANCES = [
 def test_generated_instance_json_is_pinned(generate, digest):
     text = dump_json(instance_to_json(generate()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _OnlyBaseDraws(random.Random):
+    """A Random whose derived draws raise: only `random()` and `getrandbits`,
+    whose outputs the Mersenne Twister fixes, are left."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a derived random draw was made")
+
+    shuffle = randrange = randint = choice = _randbelow = _refuse
+
+
+def test_pinned_instances_draw_only_from_getrandbits_and_random(monkeypatch):
+    made = []
+
+    def only_base_draws(seed):
+        made.append(seed)
+        return _OnlyBaseDraws(seed)
+
+    monkeypatch.setattr("uncquery.harness.random", SimpleNamespace(Random=only_base_draws))
+    for generate, digest in PINNED_INSTANCES:
+        text = dump_json(instance_to_json(generate()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(made) == len(PINNED_INSTANCES)
+    with pytest.raises(AssertionError, match="derived"):
+        _OnlyBaseDraws(0).randint(0, 1)
 
 
 _OC_GEN = ["--model", "OC-OC", "--n", "40", "--k", "13", "--overlap", "0.95", "--seed", "1"]

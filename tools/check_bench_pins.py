@@ -1,15 +1,17 @@
-"""Check the benchmark's seed-7 outputs against pinned values.
+"""Check the benchmark's seed-7 and seed-4242 outputs against pinned values.
 
-For each workload this runs
+For each workload and each seed S of 7 and 4242 this runs
 
-    python3 bench/run.py --workload W --seed 7 --seconds 1 --trace 1
+    python3 bench/run.py --workload W --seed S --seconds 1 --trace 1
 
 and fails unless the query-log fingerprint of the untraced and of the traced
 pass and `queries_total` equal the pins below, every tracer target is bound
 (`unbound_targets` is empty), and the result line reads "correct": true.
 
 A change that alters a query log must update these pins and say so in
-CHANGES.md.  Run it from anywhere:
+CHANGES.md.  Seed 4242 is held out: no change is tuned on it, so its pins
+show that a change left the generated inputs as they were.  Run it from
+anywhere:
 
     python3 tools/check_bench_pins.py
 """
@@ -29,11 +31,20 @@ PINS = {
     "compete-desk": ("84a6a77e1f532396140d3db8b8fc1d7537127d42a7b59771889b7a4d712668f5", 7324),
 }
 
+# The same at the held-out seed 4242.
+HELD_OUT_PINS = {
+    "select-scale": ("d7e5c2cc8a320c9de8c99610ea5d475f4d4e962f8ff5bd3b3a8f5b6a44513b9a", 3699),
+    "mst-scale": ("91e083962ace3d77970a72b486141c19dfc02b48acc2b39182afbec2908a6393", 5203),
+    "compete-desk": ("e1839e916e44c05641ffa370788bb498c9ce5fa8c7dcbebf9cd1303821f9133c", 7364),
+}
 
-def check(workload: str, fingerprint: str, queries_total: int) -> list:
-    """The ways one workload's seed-7 run differs from its pins."""
+PINS_BY_SEED = {7: PINS, 4242: HELD_OUT_PINS}
+
+
+def check(workload: str, fingerprint: str, queries_total: int, seed: int = 7) -> list:
+    """The ways one workload's run at `seed` differs from its pins."""
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True,
     )
@@ -53,12 +64,13 @@ def check(workload: str, fingerprint: str, queries_total: int) -> list:
 
 def main() -> int:
     failed = False
-    for workload, pins in PINS.items():
-        faults = check(workload, *pins)
-        for fault in faults:
-            print(f"{workload}: {fault}", file=sys.stderr)
-        print(f"{workload}: {'FAIL' if faults else 'ok'}")
-        failed = failed or bool(faults)
+    for seed, pins_of in PINS_BY_SEED.items():
+        for workload, pins in pins_of.items():
+            faults = check(workload, *pins, seed=seed)
+            for fault in faults:
+                print(f"{workload} seed {seed}: {fault}", file=sys.stderr)
+            print(f"{workload} seed {seed}: {'FAIL' if faults else 'ok'}")
+            failed = failed or bool(faults)
     return 1 if failed else 0
 
 
