@@ -41,7 +41,7 @@ HELD_OUT_PINS = {
 PINS_BY_SEED = {7: PINS, 4242: HELD_OUT_PINS}
 
 
-def check(workload: str, fingerprint: str, queries_total: int, seed: int = 7) -> list:
+def check(workload: str, seed: int, fingerprint: str, queries_total: int) -> list:
     """The ways one workload's run at `seed` differs from its pins."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -66,7 +66,7 @@ def main() -> int:
     failed = False
     for seed, pins_of in PINS_BY_SEED.items():
         for workload, pins in pins_of.items():
-            faults = check(workload, *pins, seed=seed)
+            faults = check(workload, seed, *pins)
             for fault in faults:
                 print(f"{workload} seed {seed}: {fault}", file=sys.stderr)
             print(f"{workload} seed {seed}: {'FAIL' if faults else 'ok'}")
