@@ -491,6 +491,14 @@ class VectorState:
     lists it built itself on a log read, so it never writes into a vector's
     images.
 
+    `first_moved` is the lowest position of the old lo order that the last
+    `update` changed: the least old position of a patched index, found as
+    the patch takes it out; `len(order)` on a re-read of the log with no new
+    writes; 0 after any rebuild.  A write refines its area, so no lo rank
+    falls along a solve's log: a patched index moves later or stays, and
+    the order ahead of `first_moved` is the old one.  A uMST pass resumes
+    there.
+
     `rank[i]` is order_l's sort rank of entry i: its lo image under the
     stable tie rule; under lex twice that, plus one when the area is open,
     so an attained lo sorts first.  `order` lists the indices ascending by
@@ -503,7 +511,7 @@ class VectorState:
     """
 
     __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed",
-                 "_log", "_seen")
+                 "first_moved", "_log", "_seen")
 
     def __init__(self, tie_rule: TieRule = TieRule.STABLE, mirror: bool = False) -> None:
         self.tie_rule = tie_rule
@@ -515,6 +523,7 @@ class VectorState:
         self.rank: List[int] = []
         self.order: List[int] = []
         self.changed: Sequence[int] = ()
+        self.first_moved = 0
         # The last vector read if it was a LoggedVector, with `_seen`, how
         # many of its writes this state has read.
         self._log: Optional[LoggedVector] = None
@@ -526,6 +535,7 @@ class VectorState:
             self._seen = m = len(writes)
             if m == seen:
                 self.changed = ()
+                self.first_moved = len(self.order)
                 return self
             self.changed = ([writes[seen][0]] if m == seen + 1
                             else sorted({i for i, _ in writes[seen:]}))
@@ -536,6 +546,7 @@ class VectorState:
             self._log = areas if type(areas) is LoggedVector else None
             self._seen = 0 if self._log is None else len(areas.writes)
         self.areas = list(areas)
+        self.first_moved = 0
         self.scale, lo, hi = getattr(areas, "images", None) or endpoint_images(self.areas)
         if self.mirror:
             lo, hi = [-v for v in hi], [-v for v in lo]
@@ -559,9 +570,15 @@ class VectorState:
         if not d:
             return False
         order = self.order
+        # A deletion moves only the entries after it, so the least position
+        # seen here is the least old position of a changed index.
+        first = len(order)
         for i in changed:
-            order.remove(i)
+            p = order.index(i)
+            del order[p]
+            first = min(first, p)
             self.areas[i] = areas[i]
+        self.first_moved = first
         if d != self.scale:
             # Room for more of the new factor: D' takes powers of it until
             # its bit length doubles, never past HEADROOM_BITS.

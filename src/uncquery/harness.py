@@ -159,8 +159,51 @@ def _parse_instance(data: dict) -> UncertainInstance:
     return UncertainInstance(model=model, areas=areas, problem=problem, hidden=hidden)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+    An indent sends json.dumps to its pure-Python encoder; this writer
+    takes about half its time."""
+    out: List[str] = []
+    _encode_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode_json(value, newline: str, out: List[str]) -> None:
+    """Append the indented JSON text of `value` to `out`, with `newline`
+    the line break and indent of its own level.  Dict keys must be str.
+    Scalars other than str and int go to json.dumps by type test, not by a
+    lookup: 0 == False."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _encode_json(value[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _encode_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
+
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ step lists that cycle and ranks its witness pair.
 After a witness round the next pass resumes rather than restarts.  It keeps
 the previous pass's forest on the prefix of the edge order ahead of both
 queried edges, undoes the links made past it, and continues from there.
-This is exact: a response lies inside the queried area, so lower bounds
-never decrease and every edge ahead of the queried pair keeps its place in
-the order; processing such an edge reads only the forest built from that
-prefix and the prefix's weights, none of which changed.  A tree's label is
-its root, so an undone link re-roots the hung tree at its old root.  The
-state patches its order for the queried edges by bisection, sorting nothing.
+The state gives that prefix's end: patching its order for the queried
+edges by bisection, sorting nothing, it records in `first_moved` the
+lowest old position it took an edge from.  This is exact: a response lies
+inside the queried area, so lower bounds never decrease and every edge
+ahead of the queried pair keeps its place in the order; processing such an
+edge reads only the forest built from that prefix and the prefix's
+weights, none of which changed.  A tree's label is its root, so an undone
+link re-roots the hung tree at its old root.
 
 `umst_solve` runs the algorithm on `engine.solve`: the verifier is one pass,
 and the witness is the pair of the cycle that pass stopped at.  `mst_verifier`,
@@ -84,8 +86,9 @@ class UncertainGraph:
         if self.n_edges < self.vertices - 1:
             return False
         forest = _Forest(self.vertices)
+        label = forest.label
         for e, (u, v) in enumerate(self.edges):
-            if not forest.connected(u, v):
+            if label[u] != label[v]:
                 forest.link(u, v, e, e)
         return len(forest.links) == self.vertices - 1
 
@@ -137,9 +140,6 @@ class _Forest:
         self.label = list(range(vertices))
         self.size = [1] * vertices
         self.links: List[Tuple[int, int, int, int]] = []
-
-    def connected(self, u: int, v: int) -> bool:
-        return self.label[u] == self.label[v]
 
     def link(self, u: int, v: int, e: int, pos: int) -> None:
         label, size = self.label, self.size
@@ -220,13 +220,12 @@ class PassLog:
     """What the last pass over `graph` read and how far it got, for the next
     pass to resume from: the state of its weights, whose lo order is the
     pass's edge order (patched by the next pass along a solve's write log,
-    rebuilt on any other vector), a copy of that order, the number of edges
-    processed before the witness cycle (all of them when the pass finished),
-    and the forest the pass built."""
+    rebuilt on any other vector), the number of edges processed before the
+    witness cycle (all of them when the pass finished), and the forest the
+    pass built."""
 
     graph: UncertainGraph
     state: VectorState = field(default_factory=VectorState)
-    order: List[int] = field(default_factory=list)
     processed: int = 0
     _forest: Optional[_Forest] = field(default=None, init=False, repr=False)
 
@@ -252,30 +251,27 @@ def mst_pass(log: PassLog, weights: Sequence[Area]):
     is iff the path maximum of hi·E + c lies below lo(e)·E + e.  The path
     walk stops at the first edge not below, and so does the pass.
 
-    The pass resumes after the longest processed prefix of the log's pass
-    whose edges kept their positions and are not in the state's `changed`,
-    which names every edge unless the weights are a solve's `LoggedVector`
-    read again: it undoes the log forest's links past that prefix and goes
-    on from there.  The log's state is brought up to the weights and the
-    log overwritten with this pass.  A fresh log replays nothing; the
-    result is the same with any log of the graph.
+    The log's state is brought up to the weights, and the pass resumes at
+    the lesser of the state's `first_moved` and the log's `processed`: the
+    end of the last pass's processed prefix whose edges kept their
+    positions and weights.  `first_moved` is 0 unless the weights are a
+    solve's `LoggedVector` read again.  The pass undoes the log forest's
+    links past that point, goes on from there and overwrites the log.  A
+    fresh log replays nothing; the result is the same with any log of the
+    graph.
     """
     edges = log.graph.edges
     state = log.state.update(weights)
-    order, changed = state.order, state.changed
-    replay = 0
-    for e, old in zip(order, log.order[: log.processed]):
-        if e != old or e in changed:
-            break
-        replay += 1
-    log.order = order[:]
+    order = state.order
+    replay = min(state.first_moved, log.processed)
     forest = log._forest if replay else _Forest(log.graph.vertices)
     forest.undo_from(replay)
     log._forest = forest
-    lo, hi, n = state.lo, state.hi, len(order)
-    for i, e in enumerate(order[replay:], replay):
+    lo, hi, label, n = state.lo, state.hi, forest.label, len(order)
+    for i in range(replay, n):
+        e = order[i]
         u, v = edges[e]
-        if not forest.connected(u, v):
+        if label[u] != label[v]:
             forest.link(u, v, e, i)
         elif not forest.path_below(u, v, hi, lo[e] * n + e):
             log.processed = i
@@ -291,8 +287,8 @@ MST_ALGORITHMS = {"umst": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt)}
 class UmstStrategy(SolverStrategy):
     """The uncertain-MST algorithm as an engine strategy.  The verifier runs
     one pass, resumed from the previous one.  The witness lists the cycle
-    that pass stopped at, closed by the log's edge at `processed`, from the
-    log's forest, ranks it on the log's state with `_witness_pair`, and
+    that pass stopped at, closed by the edge at `processed` in the order of
+    the log's state, from the log's forest, ranks it on the log's state with `_witness_pair`, and
     returns the queriable part of the pair.  The engine calls the witness
     right after the verifier on the same weights, so forest and state are
     still those of the pass; the OPT search calls only the verifier, so its
@@ -315,7 +311,7 @@ class UmstStrategy(SolverStrategy):
 
     def _pair(self, weights: Sequence[Area]) -> List[int]:
         log = self.pass_log
-        e = log.order[log.processed]
+        e = log.state.order[log.processed]
         u, v = log.graph.edges[e]
         pair = _witness_pair(log._forest.path(u, v) + [e], log.state.lo, log.state.hi)
         return [c for c in pair if not weights[c].is_point]

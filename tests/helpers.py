@@ -1,7 +1,7 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
 witness-state recorder around the solve loop, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
-mirror of an area, the halving window, the uMST comparison operator, red
+scan that found a resumed uMST pass's replay point, the mirror of an area, the halving window, the uMST comparison operator, red
 rule and restart-from-scratch pass that the integer code is checked against,
 the brute-force OPT search with eagerly built response chains, the
 witness-validity check built on `opt_value`, what the adversaries' colluding
@@ -187,6 +187,19 @@ def logged_run(run):
             log.writes.append((i, vec[i]))
         yield log, range(len(vec)) if fresh else sorted(written)
         fresh = False
+
+
+def reference_replay_point(old_order: Sequence[int], new_order: Sequence[int],
+                           changed) -> int:
+    """Where a uMST pass resumed before `VectorState.first_moved`, by a scan
+    of the old and the new lo order: the length of their longest common
+    prefix that holds no index in `changed`."""
+    replay = 0
+    for new, old in zip(new_order, old_order):
+        if new != old or new in changed:
+            break
+        replay += 1
+    return replay
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from helpers import (
     reference_is_point,
     reference_order_l,
     reference_order_u,
+    reference_replay_point,
     refinement_runs,
 )
 from uncquery.core import (
     Area,
+    LoggedVector,
     Rationals,
     TieRule,
     VectorState,
@@ -482,3 +484,47 @@ def test_patched_images_order_endpoints_exactly(run):
         for a, b in zip(by_value, by_value[1:]):
             assert (values[a] < values[b], values[a] == values[b]) == (
                 ints[a] < ints[b], ints[a] == ints[b])
+
+
+def test_first_moved_is_where_the_order_scan_stops():
+    """Across refinements written to one LoggedVector, some read twice, a
+    VectorState's `first_moved` is where the scan of the old and the new lo
+    order stops (`reference_replay_point`): on a patch, at the least old
+    position of a written index; on a read with no new writes, at the
+    order's end.  Any rebuild gives 0: a plain list, a new LoggedVector, or
+    the log once its images are or become ranks.  Both tie rules, mirrored
+    or not.  Every kind of read comes up: a write that keeps its area's lo,
+    one that rescales the images, one that takes them past
+    SCALE_BITS_LIMIT to ranks, a re-read with no writes, a plain list."""
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(refinement_runs(), st.sampled_from(list(TieRule)), st.booleans(), st.data())
+    def check(run, tie, mirrored, data):
+        state, last = VectorState(tie, mirrored), None
+        for vec, _ in logged_run(run):
+            for _ in range(data.draw(st.integers(1, 2))):
+                old_order, old_areas, old_scale = state.order, list(state.areas), state.scale
+                old = list(old_order)
+                state.update(vec)
+                same_log, last = vec is last, vec
+                if type(vec) is not LoggedVector:
+                    kinds.add("plain list")
+                    assert state.first_moved == 0
+                elif state.order is old_order:
+                    assert state.first_moved == reference_replay_point(old, state.order,
+                                                                       state.changed)
+                    if not state.changed:
+                        kinds.add("no new writes")
+                        assert state.first_moved == len(old)
+                    if state.scale != old_scale:
+                        kinds.add("rescale")
+                    if any(vec[i].lo == old_areas[i].lo for i in state.changed):
+                        kinds.add("lo kept")
+                else:
+                    if same_log and old_scale and not state.scale:
+                        kinds.add("to ranks")
+                    assert state.first_moved == 0
+
+    check()
+    assert kinds == {"plain list", "no new writes", "rescale", "lo kept", "to ranks"}

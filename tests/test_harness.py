@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -460,6 +460,30 @@ def test_area_from_json_matches_fraction_reference(data):
         assert got == want
         return
     assert _fields(got) == _fields(want) and got.to_json() == want.to_json()
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([0, 1, 10**30, -(10**30)]),
+    st.floats(), st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.text(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(), json_values))
+@example({"é": ["ü\u2603\U0001f600", 10**30, -0.0, float("inf"), float("nan"), [], {}],
+          "a": {"": (0, False, 1, True, None, 1.5)}, "\u00e9\u0000": "\x7f\"\\"})
+def test_dump_json_writes_what_json_dumps_does(data):
+    """The writer's text is json.dumps's with indent=2 and sorted keys, byte
+    for byte, on nested values with non-ASCII keys and strings, ints past 64
+    bits, -0.0, inf, nan, bools beside 0 and 1, and empty lists and dicts."""
+    assert dump_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 class TestInstanceJson:

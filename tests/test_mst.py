@@ -453,7 +453,7 @@ def test_verifier_pass_on_a_second_opt_vector_links_from_position_zero(monkeypat
     log = PassLog(inst.problem)
     mst_pass(log, first)
     assert log.processed > 2
-    e = log.order[log.processed - 1]
+    e = log.state.order[log.processed - 1]
     second = ImagedVector(first)
     second[e] = Area.point(inst.hidden[e])
     second.images = endpoint_images(second)
@@ -469,7 +469,7 @@ def _forest_of(vertices, edges):
     """A forest linking each edge that joins two trees, edge i at position i."""
     forest = _Forest(vertices)
     for pos, (u, v) in enumerate(edges):
-        if not forest.connected(u, v):
+        if forest.label[u] != forest.label[v]:
             forest.link(u, v, pos, pos)
     return forest
 
@@ -499,7 +499,7 @@ def test_forest_undo_from_restores_the_forest_of_the_earlier_links(data):
         edges = edges[:cut] + data.draw(edge_lists)
         for pos in range(cut, len(edges)):
             u, v = edges[pos]
-            if not forest.connected(u, v):
+            if forest.label[u] != forest.label[v]:
                 forest.link(u, v, pos, pos)
 
 
@@ -539,14 +539,15 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
     monkeypatch.setattr(_Forest, "link", counting)
     answer, kept = strategy.verifier(weights), 0
     while answer is None:
-        old_order, old_processed = log.order, log.processed
+        # The state patches the order in place, so keep a copy of it.
+        old_order, old_processed = list(log.state.order), log.processed
         queried = strategy.witness(weights)
         for e in queried:
             _log_write(weights, e, Area.point(inst.hidden[e]))
         positions.clear()
         answer = strategy.verifier(weights)
         replay = 0
-        for new, old in zip(log.order, old_order[:old_processed]):
+        for new, old in zip(log.state.order, old_order[:old_processed]):
             if new != old or new in queried:
                 break
             replay += 1

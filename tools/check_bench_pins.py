@@ -5,11 +5,13 @@ For each workload and each seed S of 7 and 4242 this runs
     python3 bench/run.py --workload W --seed S --seconds 1 --trace 1
 
 and fails unless the query-log fingerprint of the untraced and of the traced
-pass and `queries_total` equal the pins below, every tracer target is bound
+pass and `queries_total` equal the pins below, so do the traced run's
+deterministic counts (`COUNTED`), every tracer target is bound
 (`unbound_targets` is empty), and the result line reads "correct": true.
 
 A change that alters a query log must update these pins and say so in
-CHANGES.md.  Seed 4242 is held out: no change is tuned on it, so its pins
+CHANGES.md.  The counts catch what the query logs do not: a change that adds
+verifier calls, witness rounds or uMST passes while the logs stay put.  Seed 4242 is held out: no change is tuned on it, so its pins
 show that a change left the generated inputs as they were.  Run it from
 anywhere:
 
@@ -40,8 +42,25 @@ HELD_OUT_PINS = {
 
 PINS_BY_SEED = {7: PINS, 4242: HELD_OUT_PINS}
 
+# The traced run's counts, one per name here, per seed and workload.
+COUNTED = ("engine.iterations", "oracles.respond_calls", "selection.verify_calls",
+           "selection.witness_calls", "mst.pass_calls")
+COUNT_PINS = {
+    7: {
+        "select-scale": (2347, 3616, 3798, 2347, 0),
+        "mst-scale": (0, 5223, 0, 0, 2832),
+        "compete-desk": (4044, 26078, 70452, 4044, 44447),
+    },
+    4242: {
+        "select-scale": (2386, 3699, 3881, 2386, 0),
+        "mst-scale": (0, 5203, 0, 0, 2833),
+        "compete-desk": (4052, 26124, 70549, 4052, 47910),
+    },
+}
 
-def check(workload: str, seed: int, fingerprint: str, queries_total: int) -> list:
+
+def check(workload: str, seed: int, fingerprint: str, queries_total: int,
+          counts: tuple) -> list:
     """The ways one workload's run at `seed` differs from its pins."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -57,6 +76,9 @@ def check(workload: str, seed: int, fingerprint: str, queries_total: int) -> lis
                 "queries_total": queries_total, "unbound_targets": []}
     faults = [f"{key} is {summary.get(key)!r}, pinned {want!r}"
               for key, want in expected.items() if summary.get(key) != want]
+    values = {name: m.get("value") for name, m in result.get("metrics", {}).items()}
+    faults += [f"{name} is {values.get(name)!r}, pinned {want!r}"
+               for name, want in zip(COUNTED, counts) if values.get(name) != want]
     if result.get("correct") is not True:
         faults.append(f"result reads correct={result.get('correct')!r}")
     return faults
@@ -66,7 +88,7 @@ def main() -> int:
     failed = False
     for seed, pins_of in PINS_BY_SEED.items():
         for workload, pins in pins_of.items():
-            faults = check(workload, seed, *pins)
+            faults = check(workload, seed, *pins, COUNT_PINS[seed][workload])
             for fault in faults:
                 print(f"{workload} seed {seed}: {fault}", file=sys.stderr)
             print(f"{workload} seed {seed}: {'FAIL' if faults else 'ok'}")
