@@ -576,7 +576,8 @@ class VectorState:
         for i in changed:
             p = order.index(i)
             del order[p]
-            first = min(first, p)
+            if p < first:
+                first = p
             self.areas[i] = areas[i]
         self.first_moved = first
         if d != self.scale:
