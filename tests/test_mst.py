@@ -15,6 +15,7 @@ from helpers import (
     reference_is_connected,
     reference_kruskal,
     reference_mst_pass,
+    reference_replay_point,
     reference_umst,
     reference_witness_or_delete,
     sub_areas,
@@ -546,11 +547,7 @@ def test_resumed_pass_links_nothing_ahead_of_its_replay_point(monkeypatch):
             _log_write(weights, e, Area.point(inst.hidden[e]))
         positions.clear()
         answer = strategy.verifier(weights)
-        replay = 0
-        for new, old in zip(log.state.order, old_order[:old_processed]):
-            if new != old or new in queried:
-                break
-            replay += 1
+        replay = reference_replay_point(old_order[:old_processed], log.state.order, queried)
         assert positions and all(pos >= replay for pos in positions)
         kept += replay
     assert kept > 400

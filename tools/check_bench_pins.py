@@ -11,9 +11,9 @@ deterministic counts (`COUNTED`), every tracer target is bound
 
 A change that alters a query log must update these pins and say so in
 CHANGES.md.  The counts catch what the query logs do not: a change that adds
-verifier calls, witness rounds or uMST passes while the logs stay put.  Seed 4242 is held out: no change is tuned on it, so its pins
-show that a change left the generated inputs as they were.  Run it from
-anywhere:
+verifier calls, witness rounds or uMST passes while the logs stay put.  Seed
+4242 is held out: no change is tuned on it, so its pins show that a change
+left the generated inputs as they were.  Run it from anywhere:
 
     python3 tools/check_bench_pins.py
 """
