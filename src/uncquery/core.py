@@ -474,18 +474,17 @@ class VectorState:
     """The integer images, lo ranks and lo order of the vector last seen,
     patched from one vector to the next.
 
-    `update` keeps the indices whose area changed since the last vector in
-    `changed`, ascending.  Handed again the `LoggedVector` it read last, it
-    takes them from the solve's writes since then, each a strict refinement
-    and so a changed entry, and patches only those: each is re-imaged, taken
-    out of the lo order and inserted again by bisection.  A new denominator
-    that does not divide D rescales every image by D'/D, which keeps their
-    order; D' is the lcm times powers of the factor it adds, up to
-    HEADROOM_BITS, so later patches find more of that factor in D.  The
-    state is rebuilt, at the exact lcm, when D would pass SCALE_BITS_LIMIT
-    bits or while the images are ranks, which cannot be patched.  Handed any
-    other vector (a solve's first, the OPT search's, a caller's list) it
-    rebuilds with every index in `changed`.  An `ImagedVector` is rebuilt
+    Handed again the `LoggedVector` it read last, `update` takes the indices
+    whose area changed, ascending, from the solve's writes since then, each
+    a strict refinement and so a changed entry, and hands those alone to
+    `_patch`: each is re-imaged, taken out of the lo order and inserted
+    again by bisection.  A new denominator that does not divide D rescales
+    every image by D'/D, which keeps their order; D' is the lcm times powers
+    of the factor it adds, up to HEADROOM_BITS, so later patches find more
+    of that factor in D.  The state is rebuilt, at the exact lcm, when D
+    would pass SCALE_BITS_LIMIT bits or while the images are ranks, which
+    cannot be patched.  Handed any other vector (a solve's first, the OPT
+    search's, a caller's list) it rebuilds.  An `ImagedVector` is rebuilt
     from the images it brings, scaled or ranked over whatever superset they
     were taken from, and the state holds those very lists: it patches only
     lists it built itself on a log read, so it never writes into a vector's
@@ -510,7 +509,7 @@ class VectorState:
     attains what it does and the rules read `areas[i].attains` either way.
     """
 
-    __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order", "changed",
+    __slots__ = ("tie_rule", "mirror", "areas", "scale", "lo", "hi", "rank", "order",
                  "first_moved", "_log", "_seen")
 
     def __init__(self, tie_rule: TieRule = TieRule.STABLE, mirror: bool = False) -> None:
@@ -522,7 +521,6 @@ class VectorState:
         self.hi: List[int] = []
         self.rank: List[int] = []
         self.order: List[int] = []
-        self.changed: Sequence[int] = ()
         self.first_moved = 0
         # The last vector read if it was a LoggedVector, with `_seen`, how
         # many of its writes this state has read.
@@ -534,15 +532,13 @@ class VectorState:
             writes, seen = areas.writes, self._seen
             self._seen = m = len(writes)
             if m == seen:
-                self.changed = ()
                 self.first_moved = len(self.order)
                 return self
-            self.changed = ([writes[seen][0]] if m == seen + 1
-                            else sorted({i for i, _ in writes[seen:]}))
-            if self.scale and self._patch(areas):
+            changed = ([writes[seen][0]] if m == seen + 1
+                       else sorted({i for i, _ in writes[seen:]}))
+            if self.scale and self._patch(areas, changed):
                 return self
         else:
-            self.changed = range(len(areas))
             self._log = areas if type(areas) is LoggedVector else None
             self._seen = 0 if self._log is None else len(areas.writes)
         self.areas = list(areas)
@@ -563,8 +559,7 @@ class VectorState:
         else:
             self.rank = lo
 
-    def _patch(self, areas: AreaVector) -> bool:
-        changed = self.changed
+    def _patch(self, areas: AreaVector, changed: Sequence[int]) -> bool:
         ratios = [areas[i].ratios for i in changed]
         d = _grow_scale(self.scale, [t for _, q, _, s in ratios for t in (q, s)])
         if not d:

@@ -232,16 +232,30 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
+# random.shuffle's swaps over the 1/16 grid's offsets, for an open area (15
+# offsets, 1 to 15) and for one that attains (17, 0 to 16): each swap's i and
+# the bits that `_below(rng, i + 1)` draws.
+_SHUFFLE_16 = tuple(tuple((i, (i + 1).bit_length()) for i in range(count - 1, 0, -1))
+                    for count in (15, 17))
+
+
 def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: set) -> int:
     """Grid value inside the area from lo2/2 to (lo2 + len2)/2, as its numerator
     over 2048, which every grid denominator divides, distinct from those in
     `used` so interval-return refinement always terminates.  A level's offsets
-    are first shuffled in full, by random.shuffle's swaps on `_below`."""
+    are first shuffled in full by random.shuffle's swaps, each drawn here on
+    `getrandbits` by `_below`'s rule, so the same words go to the same swaps."""
     lo_j = 0 if attains else 1
+    getrandbits = rng.getrandbits
     for denom in (16, 64, 256, 1024):
         offsets = list(range(lo_j, denom - lo_j + 1))
-        for i in range(len(offsets) - 1, 0, -1):
-            j = _below(rng, i + 1)
+        steps = (_SHUFFLE_16[attains] if denom == 16 else
+                 [(i, (i + 1).bit_length()) for i in range(len(offsets) - 1, 0, -1)])
+        for i, bits in steps:
+            # j = _below(rng, i + 1): the bits of i + 1, redrawn while past i.
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
             offsets[i], offsets[j] = offsets[j], offsets[i]
         base, step = lo2 * 1024, len2 * (1024 // denom)
         for j in offsets:
@@ -252,14 +266,19 @@ def _pick_hidden(rng: random.Random, lo2: int, len2: int, attains: bool, used: s
     raise ConfigError("could not place a distinct hidden value")
 
 
-def _span(rng: random.Random, overlap: float, count: int) -> Tuple[int, int]:
-    """Twice the lo and twice the length, each one `_below` draw, of one of
-    `count` areas drawn to overlap with density `overlap`."""
+def _span_width(overlap: float, count: int) -> int:
+    """The largest lo of one of `count` areas drawn to overlap with density
+    `overlap`, computed once per instance."""
     # Every overlap of 1 or more draws width 1.  A large negative overlap
     # overflows the float product, so its exact integer is taken instead.
     spread = max(0, 1 - overlap)
     scaled = spread * count * SCALE
-    width = max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
+    return max(1, round(scaled) if math.isfinite(scaled) else int(spread) * count * SCALE)
+
+
+def _span(rng: random.Random, width: int) -> Tuple[int, int]:
+    """Twice the lo and twice the length of one area whose lo lies at most
+    `width` from 0 (`_span_width`), each one `_below` draw."""
     return _below(rng, 2 * width + 1), 2 + _below(rng, 2 * SCALE - 1)
 
 
@@ -283,15 +302,17 @@ def generate_instance(params: GenParams, seed: int | str) -> UncertainInstance:
     if params.point_fraction > 0 and "P" not in model.input:
         raise ConfigError("point fraction needs P in the input type set")
     rng = random.Random(f"uncquery-gen:{seed}")
+    # Per instance, not per area: whether points are admitted, and the width.
+    points, point_fraction = "P" in model.input, params.point_fraction
+    width = _span_width(params.overlap, params.n) if params.overlap > 0 else 0
     used: set = set()
     drawn = []
     for i in range(params.n):
-        point = "P" in model.input and (
-            not interval_kinds or rng.random() < params.point_fraction)
-        if params.overlap <= 0:
-            span = 2 * i * (SCALE + 2), 2 * (1 + _below(rng, SCALE))
+        point = points and (not interval_kinds or rng.random() < point_fraction)
+        if width:
+            span = _span(rng, width)
         else:
-            span = _span(rng, params.overlap, params.n)
+            span = 2 * i * (SCALE + 2), 2 * (1 + _below(rng, SCALE))
         drawn.append(_draw(rng, *span, interval_kinds, used, point))
     problem = SelectionProblem(k=params.k, tie_rule=params.tie_rule)
     problem.validate(params.n)
@@ -309,7 +330,7 @@ class GraphGenParams:
 
 def generate_graph_instance(params: GraphGenParams, seed: int | str) -> UncertainInstance:
     """Connected graph (random spanning tree plus extras) with uncertain
-    edge weights drawn like selection areas; every draw is one `_below`."""
+    edge weights drawn like selection areas; every draw is on `getrandbits`."""
     rng = random.Random(f"uncquery-graph:{seed}")
     v = params.vertices
     edges: List[Tuple[int, int]] = [(_below(rng, i), i) for i in range(1, v)]
@@ -320,9 +341,11 @@ def generate_graph_instance(params: GraphGenParams, seed: int | str) -> Uncertai
             edges.append((min(a, b), max(a, b)))
     graph = UncertainGraph(v, tuple(edges))
     interval_kinds = [c for c in "OC" if c in params.model.input]
+    point = not interval_kinds
+    # An edgeless graph draws no span, so it computes no width either.
+    width = _span_width(params.overlap, graph.n_edges) if graph.n_edges else 1
     used: set = set()
-    drawn = [_draw(rng, *_span(rng, params.overlap, graph.n_edges), interval_kinds, used,
-                   point=not interval_kinds)
+    drawn = [_draw(rng, *_span(rng, width), interval_kinds, used, point)
              for _ in range(graph.n_edges)]
     return UncertainInstance(model=params.model, areas=tuple(a for a, _ in drawn),
                              problem=graph, hidden=tuple(h for _, h in drawn))

@@ -1,5 +1,6 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
-witness-state recorder around the solve loop, the Fraction-based area
+witness-state recorder around the solve loop, a recorder of the indices
+each state patch is handed, the Fraction-based area
 predicates, instance validation, orderings and selection choosers, the
 scan that found a resumed uMST pass's replay point, the mirror of an area,
 the halving window, the uMST comparison operator, red rule and
@@ -8,6 +9,7 @@ brute-force OPT search with eagerly built response chains, the
 witness-validity check built on `opt_value`, what the adversaries' colluding
 optima are shown, and the instance generators and the instance reader as
 first written, on Fractions."""
+import contextlib
 import copy
 import math
 import random
@@ -15,11 +17,12 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from uncquery.core import (Area, LoggedVector, Rationals, TieRule, format_rational,
-                           parse_rational, surely_leq, surely_lt)
+from uncquery.core import (Area, LoggedVector, Rationals, TieRule, VectorState,
+                           format_rational, parse_rational, surely_leq, surely_lt)
 from uncquery.engine import solve
 from uncquery.harness import SCALE, ConfigError, _json_value, _malformed
 from uncquery.models import ModelSpec, UncertainInstance, validate_response
@@ -168,12 +171,13 @@ def refinement_runs(draw):
 
 def logged_run(run):
     """The vectors of a `refinement_runs` draw as a solve hands them to its
-    states, each with the indices a state reading them in turn names as
-    changed.  The first vector and the refinements after it are one
+    states, each with the indices whose area changed since the vector
+    before.  The first vector and the refinements after it are one
     `LoggedVector`, written as engine.solve writes it, whose later reads
-    name the indices written since; an unrelated vector comes as a plain
-    list and the refinements after it as a new LoggedVector.  A plain list
-    and a first read of a LoggedVector name every index."""
+    bring the indices written since, ascending; an unrelated vector comes
+    as a plain list and the refinements after it as a new LoggedVector.  A
+    plain list and a first read of a LoggedVector bring every index, as a
+    range."""
     first, steps = run
     log = LoggedVector(first)
     yield log, range(len(first))
@@ -188,6 +192,20 @@ def logged_run(run):
             log.writes.append((i, vec[i]))
         yield log, range(len(vec)) if fresh else sorted(written)
         fresh = False
+
+
+@contextlib.contextmanager
+def recorded_patches():
+    """Yields the list of the indices each `VectorState._patch` call is
+    handed, one list per call, in call order."""
+    handed, patch = [], VectorState._patch
+
+    def recorded(state, areas, changed):
+        handed.append(list(changed))
+        return patch(state, areas, changed)
+
+    with mock.patch.object(VectorState, "_patch", recorded):
+        yield handed
 
 
 def reference_replay_point(old_order: Sequence[int], new_order: Sequence[int],

@@ -20,6 +20,7 @@ from helpers import (
     reference_is_point,
     reference_order_l,
     reference_order_u,
+    recorded_patches,
     reference_replay_point,
     refinement_runs,
 )
@@ -466,24 +467,28 @@ def test_orderings_match_fraction_reference(vec, tie):
 @given(refinement_runs())
 def test_patched_images_order_endpoints_exactly(run):
     """A VectorState across refinements written to one LoggedVector: each
-    read after the first names the sorted distinct indices written since as
-    changed, and an unrelated vector, handed over as a plain list, names
-    every index.  The images order exactly as the values do (checked between
-    neighbours in value order); while they are scaled, not ranks, each is
-    its value times the one scale D."""
+    read after the first, while the images are scaled, hands `_patch` the
+    sorted distinct indices written since, and an unrelated vector, handed
+    over as a plain list, is rebuilt with no patch.  The images order
+    exactly as the values do (checked between neighbours in value order);
+    while they are scaled, not ranks, each is its value times the one scale
+    D."""
     state = VectorState()
-    for vec, changed in logged_run(run):
-        state.update(vec)
-        assert list(state.changed) == list(changed)
-        assert all(a is b for a, b in zip(state.areas, vec)) and len(state.areas) == len(vec)
-        values = [a.lo for a in vec] + [a.hi for a in vec]
-        ints = state.lo + state.hi
-        if state.scale:
-            assert ints == [v * state.scale for v in values]
-        by_value = sorted(range(len(values)), key=values.__getitem__)
-        for a, b in zip(by_value, by_value[1:]):
-            assert (values[a] < values[b], values[a] == values[b]) == (
-                ints[a] < ints[b], ints[a] == ints[b])
+    with recorded_patches() as handed:
+        for vec, changed in logged_run(run):
+            patches = [list(changed)] if type(changed) is not range and state.scale else []
+            state.update(vec)
+            assert handed == patches
+            handed.clear()
+            assert all(a is b for a, b in zip(state.areas, vec)) and len(state.areas) == len(vec)
+            values = [a.lo for a in vec] + [a.hi for a in vec]
+            ints = state.lo + state.hi
+            if state.scale:
+                assert ints == [v * state.scale for v in values]
+            by_value = sorted(range(len(values)), key=values.__getitem__)
+            for a, b in zip(by_value, by_value[1:]):
+                assert (values[a] < values[b], values[a] == values[b]) == (
+                    ints[a] < ints[b], ints[a] == ints[b])
 
 
 def test_first_moved_is_where_the_order_scan_stops():
@@ -502,8 +507,9 @@ def test_first_moved_is_where_the_order_scan_stops():
     @given(refinement_runs(), st.sampled_from(list(TieRule)), st.booleans(), st.data())
     def check(run, tie, mirrored, data):
         state, last = VectorState(tie, mirrored), None
-        for vec, _ in logged_run(run):
-            for _ in range(data.draw(st.integers(1, 2))):
+        for vec, written in logged_run(run):
+            for read in range(data.draw(st.integers(1, 2))):
+                changed = () if read else written
                 old_order, old_areas, old_scale = state.order, list(state.areas), state.scale
                 old = list(old_order)
                 state.update(vec)
@@ -513,13 +519,13 @@ def test_first_moved_is_where_the_order_scan_stops():
                     assert state.first_moved == 0
                 elif state.order is old_order:
                     assert state.first_moved == reference_replay_point(old, state.order,
-                                                                       state.changed)
-                    if not state.changed:
+                                                                       changed)
+                    if not changed:
                         kinds.add("no new writes")
                         assert state.first_moved == len(old)
                     if state.scale != old_scale:
                         kinds.add("rescale")
-                    if any(vec[i].lo == old_areas[i].lo for i in state.changed):
+                    if any(vec[i].lo == old_areas[i].lo for i in changed):
                         kinds.add("lo kept")
                 else:
                     if same_log and old_scale and not state.scale:

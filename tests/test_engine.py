@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import recorded_patches
 from uncquery.core import (
     SCALE_BITS_LIMIT, Area, ImagedVector, LoggedVector, TieRule, VectorState, endpoint_images,
 )
@@ -297,20 +298,14 @@ def _dense(values):
     return [rank[v] for v in values]
 
 
-def _assert_matches_fresh(state, areas, written):
+def _assert_matches_fresh(state, areas):
     """`state`, just brought up to `areas`, against a state built from
-    scratch on a plain copy: `changed` names the indices of `written`, the
-    writes it read since its last read of the same LoggedVector, or every
-    index when `written` is None, as after any other vector; the order is
-    the same, and so are the images and ranks once the fresh state is
-    brought to the patched state's scale.  Only an ImagedVector that brings
+    scratch on a plain copy: the order is the same, and so are the images
+    and ranks once the fresh state is brought to the patched state's scale.  Only an ImagedVector that brings
     ranks taken over a superset leaves the state ranked where the fresh one
     scales; its images then compare alike."""
     fresh = _update(VectorState(state.tie_rule, state.mirror), list(areas))
-    n = len(areas)
-    assert list(state.changed) == (list(range(n)) if written is None
-                                   else sorted({i for i, _ in written}))
-    assert len(state.areas) == n and all(a is b for a, b in zip(state.areas, areas))
+    assert len(state.areas) == len(areas) and all(a is b for a, b in zip(state.areas, areas))
     assert state.order == fresh.order
     if state.scale and fresh.scale:
         m, rest = divmod(state.scale, fresh.scale)
@@ -326,18 +321,24 @@ def _assert_matches_fresh(state, areas, written):
 
 @contextlib.contextmanager
 def _checked_states():
-    """Check every VectorState update against a fresh state; yields the
-    number of updates that read a LoggedVector's writes."""
+    """Check every VectorState update against a fresh state, and check that
+    a patch, made while the images are scaled, is handed the distinct
+    indices of the writes read since the last read of the same
+    LoggedVector, ascending; yields the number of updates that read a
+    LoggedVector's writes."""
     seen = {"logged": 0}
 
     def update(state, areas):
         written = areas.writes[state._seen:] if areas is state._log else None
         seen["logged"] += written is not None
+        patches = [sorted({i for i, _ in written})] if written and state.scale else []
         _update(state, areas)
-        _assert_matches_fresh(state, areas, written)
+        assert handed == patches
+        handed.clear()
+        _assert_matches_fresh(state, areas)
         return state
 
-    with mock.patch.object(VectorState, "update", update):
+    with recorded_patches() as handed, mock.patch.object(VectorState, "update", update):
         yield seen
 
 
@@ -411,31 +412,34 @@ def test_a_logged_vector_names_every_write_and_refuses_other_changes():
     # A state that read another vector in between images the log afresh,
     # though the other vector shares two of its areas; handed the same
     # vector again it reads one write, then several.
+    # The patch is handed the written indices, each once, ascending.
     state, other = VectorState(), [vec[0], vec[1], Area.point(5)]
-    for areas in (vec, other, vec):
-        _assert_matches_fresh(state.update(areas), areas, None)
-    for writes, changed in (([(2, Area.point(5))], [2]),
-                            ([(1, Area.open(2, 3)), (0, Area.point(1)), (1, Area.point(3))], [0, 1])):
-        read = len(vec.writes)
-        for i, area in writes:
-            list.__setitem__(vec, i, area)
-            vec.writes.append((i, area))
-        _assert_matches_fresh(state.update(vec), vec, vec.writes[read:])
-        assert state.changed == changed
+    with recorded_patches() as handed:
+        for areas in (vec, other, vec):
+            _assert_matches_fresh(state.update(areas), areas)
+        assert handed == []
+        for writes, changed in (([(2, Area.point(5))], [2]),
+                                ([(1, Area.open(2, 3)), (0, Area.point(1)), (1, Area.point(3))],
+                                 [0, 1])):
+            for i, area in writes:
+                list.__setitem__(vec, i, area)
+                vec.writes.append((i, area))
+            _assert_matches_fresh(state.update(vec), vec)
+            assert handed.pop() == changed and handed == []
 
 
 def test_a_state_patches_only_along_the_log_it_read_last(monkeypatch):
     """A state patches a LoggedVector it reads again.  Handed a plain list
     after that, though it differs from the log in one entry, or an
-    ImagedVector, it rebuilds with no _patch call, names every index as
-    changed, and then rebuilds on the log too.  It takes an ImagedVector's
+    ImagedVector, it rebuilds with no _patch call, and then rebuilds on the
+    log too.  It takes an ImagedVector's
     images as they are and never writes into them."""
     vec = LoggedVector([Area.open(0, 2), Area.open(1, 3), Area.point(4)])
     patch, patched = VectorState._patch, []
 
-    def counted_patch(state, areas):
+    def counted_patch(state, areas, changed):
         patched.append(areas)
-        return patch(state, areas)
+        return patch(state, areas, changed)
 
     def write(i, area):  # as engine.solve writes
         list.__setitem__(vec, i, area)
@@ -444,7 +448,7 @@ def test_a_state_patches_only_along_the_log_it_read_last(monkeypatch):
     monkeypatch.setattr(VectorState, "_patch", counted_patch)
     state = VectorState().update(vec)
     write(0, Area.open(0, 1))
-    _assert_matches_fresh(state.update(vec), vec, vec.writes[-1:])
+    _assert_matches_fresh(state.update(vec), vec)
     assert patched == [vec]
     plain = list(vec)
     plain[2] = Area.point(5)
@@ -453,11 +457,11 @@ def test_a_state_patches_only_along_the_log_it_read_last(monkeypatch):
     _, lo, hi = imaged.images
     kept = (lo[:], hi[:])
     for areas in (plain, vec, imaged):
-        _assert_matches_fresh(state.update(areas), areas, None)
+        _assert_matches_fresh(state.update(areas), areas)
     assert state.lo is lo and state.hi is hi and patched == [vec]
     state.update(vec)
     write(1, Area.point(2))
-    _assert_matches_fresh(state.update(vec), vec, vec.writes[-1:])
+    _assert_matches_fresh(state.update(vec), vec)
     assert patched == [vec, vec] and (lo, hi) == kept
 
 
@@ -475,9 +479,9 @@ def test_solves_read_writes_and_rescale_seldom(monkeypatch):
     counts, unlogged = {"rescales": 0}, []
     patch = VectorState._patch
 
-    def counted_patch(state, areas):
+    def counted_patch(state, areas, changed):
         before = state.scale
-        patched = patch(state, areas)
+        patched = patch(state, areas, changed)
         counts["rescales"] += patched and state.scale != before
         return patched
 

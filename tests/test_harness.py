@@ -14,6 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -153,9 +154,20 @@ def _outcome(call, *args):
 
 def _generated(generate, params, seed):
     """The instance `generate` draws and its JSON text, or the text of the
-    ConfigError it raises."""
-    inst = _outcome(generate, params, seed)
-    return inst, None if isinstance(inst, str) else dump_json(instance_to_json(inst))
+    ConfigError it raises, and the state of each Random it made, after: a
+    Random that records what is made is patched into the `random` that
+    `generate`'s module reads."""
+    made = []
+
+    def recording(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(sys.modules[generate.__module__], "random",
+                           SimpleNamespace(Random=recording)):
+        inst = _outcome(generate, params, seed)
+    return (inst, None if isinstance(inst, str) else dump_json(instance_to_json(inst)),
+            [rng.getstate() for rng in made])
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,6 +176,8 @@ def _generated(generate, params, seed):
        st.sampled_from(TieRule), generator_seeds)
 def test_integer_generator_matches_fraction_reference(model, n, data, overlap, point_fraction,
                                                       tie_rule, seed):
+    """The same instance, and the Mersenne Twister left where the reference
+    leaves it: the same words drawn."""
     params = GenParams(n=n, model=ModelSpec.parse(model), k=data.draw(st.integers(1, n)),
                        tie_rule=tie_rule, overlap=overlap, point_fraction=point_fraction)
     assert _generated(generate_instance, params, seed) == _generated(
@@ -175,6 +189,7 @@ def test_integer_generator_matches_fraction_reference(model, n, data, overlap, p
        st.sampled_from(GENERATED_OVERLAPS), generator_seeds)
 def test_integer_graph_generator_matches_fraction_reference(model, vertices, extra_edges,
                                                             overlap, seed):
+    """The same graph instance, and the same words drawn."""
     params = GraphGenParams(vertices=vertices, extra_edges=extra_edges,
                             model=ModelSpec.parse(model), overlap=overlap)
     assert _generated(generate_graph_instance, params, seed) == _generated(

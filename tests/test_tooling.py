@@ -376,13 +376,15 @@ def test_linecov_counts_code_lines_and_skips_main_blocks(tmp_path):
     assert linecov["executable_lines"](module) == {1, 2, 5, 6, 7, 10}
 
 
-# Stands in for bench/run.py in a stub checkout: logs which side ran, then
-# prints a line of text and canned summary and result lines.
+# Stands in for bench/run.py in a stub checkout: logs which side ran, and
+# whether traced, then prints a line of text and canned summary and result
+# lines.
 STUB_RUN = '''import json, sys
 from pathlib import Path
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+traced = " traced" if sys.argv[sys.argv.index("--trace") + 1] == "1" else ""
 with open(Path(__file__).parent.parent.parent / "order.txt", "a") as fh:
-    fh.write(f"{SIDE} {seed}\\n")
+    fh.write(f"{SIDE} {seed}{traced}\\n")
 print("stub text line")
 print(json.dumps({"fingerprint": FINGERPRINTS[seed], "queries_total": 5}))
 print(json.dumps({"correct": True, "metrics": {"setup_s": {"value": SETUP, "unit": "s"},
@@ -394,7 +396,8 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
     """tools/bench_pairs.py runs each pair's sides back to back, the parent
     first in odd pairs, keeps their lines as printed, counts the change's
     wins by the declared direction, and flags a pair whose fingerprints
-    differ."""
+    differ.  After each seed's pairs it runs each side once traced, the
+    parent first, and keeps both sides' metric values."""
     for side, setup, fingerprints in (("parent", 2.0, {7: "a", 8: "a"}),
                                       ("change", 1.0, {7: "a", 8: "b"})):
         (tmp_path / side / "bench").mkdir(parents=True)
@@ -411,8 +414,12 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
         "--seed", "7", "--seed", "8", "--out", str(out),
     ]) == 1
 
-    assert (tmp_path / "order.txt").read_text().split("\n")[:6] == [
+    order = (tmp_path / "order.txt").read_text().split("\n")
+    assert order[:6] == [
         "parent 7", "change 7", "change 7", "parent 7", "parent 7", "change 7"]
+    assert order[18:24] == ["change 7", "parent 7", "parent 7 traced", "change 7 traced",
+                            "parent 8", "change 8"]
+    assert order[-3:] == ["parent 8 traced", "change 8 traced", ""]
     data = json.loads(out.read_text())
     assert data["command"] == "python3 bench/run.py --workload W --seed S --trace 0"
     runs = data["runs"]
@@ -427,5 +434,10 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
                      "parent": {"q1": 2.0, "median": 2.0, "q3": 2.0},
                      "change": {"q1": 1.0, "median": 1.0, "q3": 1.0}}
     assert data["summary"]["stub"]["all seeds"]["ops_per_s"]["change_wins"] == 0
+    traced = data["traced"]
+    assert [(r["seed"], bool(r["flags"])) for r in traced] == [(7, False), (8, True)]
+    assert traced[0]["layers"] == {"setup_s": {"parent": 2.0, "change": 1.0},
+                                   "ops_per_s": {"parent": 100, "change": 100}}
+    assert json.loads(traced[1]["parent_summary"]) == {"fingerprint": "a", "queries_total": 5}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH.json", "change", "order.txt",
                                                           "parent"]

@@ -12,16 +12,21 @@ in the parent checkout and in the change checkout, one right after the
 other; the parent goes first in odd pairs and the change in even ones, so
 that a drift of the machine's speed does not favour one side.  Ten pairs
 are what a claimed gain is judged on, and bench/run.py sets the run length.
+After a workload and seed's pairs, each side runs once more with
+`--trace 1`, the parent first, so that the record shows in which layer
+(`harness.gen_ms`, `engine.solve_ms`, ...) a difference sits.
 
 The file `--out` holds the command, the parent's commit, the machine, how
 the pairs ran, and one record per pair with the result and summary lines
 each side printed, unmodified.  Its `summary` gives, per workload and per
 seed and over all seeds of a workload, each end-to-end metric's median and
 quartiles on both sides and in how many pairs the change was better, by the
-direction BENCHMARK.json declares.  A pair whose sides differ in
-`fingerprint` or `queries_total`, or where a side did not report
-`"correct": true`, is flagged in its record and on stderr, and the exit
-code is 1.  Standard library only; nothing but `--out` is written.
+direction BENCHMARK.json declares.  Its `traced` holds one record per
+workload and seed with both traced runs' lines, unmodified, and each
+per-layer metric's value on both sides.  A pair or traced record whose
+sides differ in `fingerprint` or `queries_total`, or where a side did not
+report `"correct": true`, is flagged in its record and on stderr, and the
+exit code is 1.  Standard library only; nothing but `--out` is written.
 """
 from __future__ import annotations
 
@@ -38,11 +43,11 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def run_side(checkout: Path, workload: str, seed: int) -> tuple:
+def run_side(checkout: Path, workload: str, seed: int, trace: int = 0) -> tuple:
     """The summary and result lines one run of bench/run.py printed."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
@@ -65,6 +70,21 @@ def pair_flags(record: dict) -> list:
         if json.loads(record[f"{side}_result"]).get("correct") is not True:
             flags.append(f"{side} did not report correct: true")
     return flags
+
+
+def layer_values(record: dict) -> dict:
+    """Each per-layer metric of a traced record, on both sides."""
+    metrics = {side: json.loads(record[f"{side}_result"])["metrics"] for side in SIDES}
+    return {name: {side: metrics[side].get(name, {}).get("value") for side in SIDES}
+            for name in metrics["change"]}
+
+
+def flagged(record: dict, where: str) -> bool:
+    """Set the record's flags, print each on stderr, and say if there were any."""
+    record["flags"] = pair_flags(record)
+    for flag in record["flags"]:
+        print(f"{where}: {flag}", file=sys.stderr)
+    return bool(record["flags"])
 
 
 def spread(values: list) -> dict:
@@ -117,8 +137,8 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
 
-    runs = []
-    flagged = False
+    runs, traced = [], []
+    any_flags = False
     for workload in (w["name"] for w in declared["workloads"]):
         for seed in args.seed:
             for pair in range(1, PAIRS + 1):
@@ -127,12 +147,16 @@ def main(argv=None) -> int:
                 for side in order:
                     record[f"{side}_summary"], record[f"{side}_result"] = run_side(
                         checkouts[side], workload, seed)
-                record["flags"] = pair_flags(record)
-                for flag in record["flags"]:
-                    print(f"{workload} seed {seed} pair {pair}: {flag}", file=sys.stderr)
-                flagged = flagged or bool(record["flags"])
+                any_flags |= flagged(record, f"{workload} seed {seed} pair {pair}")
                 runs.append(record)
                 print(f"{workload} seed {seed}: pair {pair}/{PAIRS} done", file=sys.stderr)
+            record = {"workload": workload, "seed": seed}
+            for side in SIDES:
+                record[f"{side}_summary"], record[f"{side}_result"] = run_side(
+                    checkouts[side], workload, seed, trace=1)
+            any_flags |= flagged(record, f"{workload} seed {seed} traced")
+            record["layers"] = layer_values(record)
+            traced.append(record)
 
     payload = {
         "command": "python3 bench/run.py --workload W --seed S --trace 0",
@@ -145,10 +169,12 @@ def main(argv=None) -> int:
                  "pairs and the change first in even pairs; the *_result and *_summary strings "
                  "are the result and summary lines bench/run.py printed, unmodified",
         "summary": summarize(runs, metrics),
+        "traced_command": "python3 bench/run.py --workload W --seed S --trace 1",
+        "traced": traced,
         "runs": runs,
     }
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
-    return 1 if flagged else 0
+    return 1 if any_flags else 0
 
 
 if __name__ == "__main__":
