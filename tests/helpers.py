@@ -1,14 +1,14 @@
 """Shared test utilities: exhaustive realization checking, affine maps, a
 witness-state recorder around the solve loop, a recorder of the indices
-each state patch is handed, the Fraction-based area
-predicates, instance validation, orderings and selection choosers, the
-scan that found a resumed uMST pass's replay point, the mirror of an area,
-the halving window, the uMST comparison operator, red rule and
-restart-from-scratch pass that the integer code is checked against, the
-brute-force OPT search with eagerly built response chains, the
-witness-validity check built on `opt_value`, what the adversaries' colluding
-optima are shown, and the instance generators and the instance reader as
-first written, on Fractions."""
+each state patch is handed, the Fraction-based area predicates, instance
+validation, orderings and selection choosers, the scan that found a
+resumed uMST pass's replay point, the mirror of an area, the halving
+window, the uMST comparison operator, red rule and restart-from-scratch
+pass that the integer code is checked against, the brute-force OPT search
+with eagerly built response chains, the witness-validity check built on
+`opt_value`, what the adversaries' colluding optima are shown, and the
+instance generators and the instance reader as first written, on
+Fractions."""
 import contextlib
 import copy
 import math

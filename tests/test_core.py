@@ -15,12 +15,12 @@ from helpers import (
     grid_vectors,
     logged_run,
     mirror,
+    recorded_patches,
     reference_area_error,
     reference_contains_value,
     reference_is_point,
     reference_order_l,
     reference_order_u,
-    recorded_patches,
     reference_replay_point,
     refinement_runs,
 )

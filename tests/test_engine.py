@@ -301,9 +301,10 @@ def _dense(values):
 def _assert_matches_fresh(state, areas):
     """`state`, just brought up to `areas`, against a state built from
     scratch on a plain copy: the order is the same, and so are the images
-    and ranks once the fresh state is brought to the patched state's scale.  Only an ImagedVector that brings
-    ranks taken over a superset leaves the state ranked where the fresh one
-    scales; its images then compare alike."""
+    and ranks once the fresh state is brought to the patched state's scale.
+    Only an ImagedVector that brings ranks taken over a superset leaves the
+    state ranked where the fresh one scales; its images then compare
+    alike."""
     fresh = _update(VectorState(state.tie_rule, state.mirror), list(areas))
     assert len(state.areas) == len(areas) and all(a is b for a, b in zip(state.areas, areas))
     assert state.order == fresh.order
@@ -411,8 +412,8 @@ def test_a_logged_vector_names_every_write_and_refuses_other_changes():
     assert len(vec.writes) == 2 and vec == [Area.open(0, 1), Area.point(2), Area.point(4)]
     # A state that read another vector in between images the log afresh,
     # though the other vector shares two of its areas; handed the same
-    # vector again it reads one write, then several.
-    # The patch is handed the written indices, each once, ascending.
+    # vector again it patches one write, then several, handed the written
+    # indices each once, ascending.
     state, other = VectorState(), [vec[0], vec[1], Area.point(5)]
     with recorded_patches() as handed:
         for areas in (vec, other, vec):
