@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, compress, islice
-from math import comb
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import Area, ImagedVector, endpoint_images
@@ -125,42 +124,35 @@ class _Chains:
         return vector
 
 
+def _within(caps: Sequence[int], indices: Sequence[int], total: int):
+    """The `total`-multisets of `indices` that count no index past its cap,
+    as ascending tuples in lexicographic order: the first index as often as
+    its cap allows, then once fewer each time, down to what the caps of the
+    rest leave it, and each count followed by every tail of the rest."""
+    if not indices:
+        yield ()
+        return
+    i, rest = indices[0], indices[1:]
+    room = sum(caps[j] for j in rest)
+    for count in range(min(caps[i], total), max(total - room, 0) - 1, -1):
+        for tail in _within(caps, rest, total - count):
+            yield (i,) * count + tail
+
+
 def _level_walk(caps: Sequence[int], total: int):
     """The count vectors of level `total` under these caps, in search order:
     the `total`-subsets of the indices with a cap when no cap passes 1, else
-    their `total`-multisets less those that count an index past its cap.
-    Only a cap below `total` drops any, so only a chain that ends at a point
-    after two or more responses, as only a script's can, brings in the
-    filter: exact reveals end every chain after one, and halving none."""
+    their `total`-multisets that count no index past its cap.  Only a cap
+    below `total` rules out any multiset, so only a chain that ends at a
+    point after two or more responses, as only a script's can, brings in
+    the capped walk: exact reveals end every chain after one, and halving
+    none."""
     queriable = list(compress(range(len(caps)), caps))
     if max(caps, default=0) <= 1:
         return combinations(queriable, total)
-    walk = combinations_with_replacement(queriable, total)
     if any(caps[i] < total for i in queriable):
-        walk = (chosen for chosen in walk if all(chosen.count(i) <= caps[i] for i in chosen))
-    return walk
-
-
-# The most count vectors `uncquery opt` agrees to search; past this it asks
-# for a lower max_total instead of running for hours.
-MAX_SEARCH_VECTORS = 200_000
-
-
-def search_size(areas: Sequence[Area], oracle: Oracle, max_total: int) -> int:
-    """How many candidates the walks of levels 0 to max_total generate: at
-    level t, the t-subsets of the m queriable indices while no chain read to
-    t entries holds two, else their t-multisets.  That is every count
-    vector the search could visit, and where a chain ends at a point after
-    two or more responses also those the cap filter drops.
-
-    It reads each chain to one entry, as level 1 does, and no further: m
-    counts the chains with an entry, and a chain holds two by level 2 iff
-    its first entry is not a point."""
-    chains = _Chains(areas, oracle)
-    chains.extend(min(max_total, 1))
-    firsts = [column[1] for column in chains.columns if len(column) > 1]
-    m, multisets = len(firsts), not all(a.is_point for a in firsts)
-    return sum(comb(m + t - 1, t) if multisets else comb(m, t) for t in range(max_total + 1))
+        return _within(caps, queriable, total)
+    return combinations_with_replacement(queriable, total)
 
 
 def opt_value(areas: Sequence[Area], oracle: Oracle, verifier: Callable,

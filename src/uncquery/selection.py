@@ -165,7 +165,7 @@ def min1_bypass_witness(areas: AreaVector) -> List[int]:
 
 
 def kmin_bypass_witness(areas: AreaVector, k: int) -> List[int]:
-    """Singleton chooser for k-Min with an OPT + min{k, n-k} guarantee.
+    """Singleton k-Min chooser with an OPT + max{1, min{k, n-k}} guarantee.
 
     While the k smallest-by-lo areas are not surely below the rest, query the
     one among them with the largest u value; once they are separated, run the
@@ -196,7 +196,7 @@ SELECTION_ALGORITHMS = {
     "kmin-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "min1-witness": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "min1-bypass": Algorithm(1, OP_P, lambda q, opt, k, n: q <= opt + 1),
-    "kmin-bypass": Algorithm(1, OP_P, lambda q, opt, k, n: q <= opt + min(k, n - k)),
+    "kmin-bypass": Algorithm(1, OP_P, lambda q, opt, k, n: q <= opt + max(1, min(k, n - k))),
     "min1-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "kmin-lex": Algorithm(2, None, lambda q, opt, k, n: q <= 2 * opt),
     "opop-alternate": Algorithm(2, OP_FAMILY, lambda q, opt, k, n: q <= 2 * (opt + k)),

@@ -27,7 +27,7 @@ from uncquery.engine import solve
 from uncquery.harness import SCALE, ConfigError, _json_value, _malformed
 from uncquery.models import ModelSpec, UncertainInstance, validate_response
 from uncquery.mst import UncertainGraph
-from uncquery.optbrute import OptResult, opt_value
+from uncquery.optbrute import OptResult, _Chains, _level_walk, opt_value
 from uncquery.oracles import ScriptedOracle
 from uncquery.selection import Objective, SelectionProblem
 
@@ -563,6 +563,14 @@ def _reference_level_vectors(caps: Sequence[int], total: int):
             acc.pop(i, None)
 
     yield from rec(0, total, {})
+
+
+def walked_vectors(areas, oracle, max_total: int) -> int:
+    """How many vectors the level walks of a search to max_total yield,
+    level 0's start vector included, each level under the caps it sees: what
+    `opt_value` hands its verifier when nothing verifies."""
+    chains = _Chains(areas, oracle)
+    return 1 + sum(1 for t in range(1, max_total + 1) for _ in _level_walk(chains.extend(t), t))
 
 
 def reference_minimal_vectors(areas, oracle, verifier, max_total: int, base_counts=None):

@@ -30,7 +30,6 @@ from helpers import (
 from uncquery.core import Area, TieRule
 from uncquery.engine import RunStatus, StrategyModelError, default_budget, solve
 from uncquery.harness import (
-    EXIT_BOUND_VIOLATED,
     EXIT_OK,
     ExperimentConfig,
     GenParams,
@@ -166,18 +165,18 @@ def test_criterion_3_kmin_bypass_gap():
     assert ok, failures[:5]
 
 
-def test_kmin_bypass_declared_bound_fails_at_k_equals_n(tmp_path, capsys):
-    """Pins a known fault as it stands: at k = n the declared
-    OPT + min{k, n-k} reads OPT, but the rule there is a 1-Max bypass, whose
-    additive term is 1.  The competition below finds 20 violations of 200.
-    When the declaration or the rule is fixed, this test changes with it."""
-    config = {"algorithm": "kmin-bypass", "model": "OP-P", "oracle": "ground:exact",
-              "trials": 200, "seed": 7, "n": 3, "problem": {"k": 3}}
+def test_kmin_bypass_declared_bound_holds_at_k_equals_n(tmp_path, capsys):
+    """At k = n the rule is the 1-Max bypass, and the declaration reads
+    OPT + 1 there: for n = 2..6, 200 trials each find no violation, and
+    some trial spends exactly one query more than OPT."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["compete", "--config", str(cfg_path)]) == EXIT_BOUND_VIOLATED
-    aggregate = json.loads(capsys.readouterr().out)
-    assert (aggregate["violations"], aggregate["max_gap"]) == (20, 1)
+    for n in range(2, 7):
+        config = {"algorithm": "kmin-bypass", "model": "OP-P", "oracle": "ground:exact",
+                  "trials": 200, "seed": 7, "n": n, "problem": {"k": n}}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compete", "--config", str(cfg_path)]) == EXIT_OK, n
+        aggregate = json.loads(capsys.readouterr().out)
+        assert (aggregate["violations"], aggregate["max_gap"]) == (0, 1), n
 
 
 def test_criterion_4_kmin_lower_bound_fixture():

@@ -790,14 +790,15 @@ class TestCompete:
 
 
 # The competitive bounds as the paper states them, written out apart from the
-# package's algorithm tables.
+# package's algorithm tables; at k = n, where min{k, n-k} is 0, kmin-bypass
+# is the 1-Max bypass, whose additive term is 1.
 PAPER_BOUNDS = {
     "min1-witness": lambda q, opt, k, n: q <= 2 * opt,
     "kmin-witness": lambda q, opt, k, n: q <= 2 * opt,
     "min1-lex": lambda q, opt, k, n: q <= 2 * opt,
     "kmin-lex": lambda q, opt, k, n: q <= 2 * opt,
     "min1-bypass": lambda q, opt, k, n: q <= opt + 1,
-    "kmin-bypass": lambda q, opt, k, n: q <= opt + min(k, n - k),
+    "kmin-bypass": lambda q, opt, k, n: q <= opt + max(1, min(k, n - k)),
     "opop-alternate": lambda q, opt, k, n: q <= 2 * (opt + k),
     "umst": lambda q, opt, k, n: q <= 2 * opt,
 }
@@ -808,7 +809,7 @@ def test_bounds_are_the_papers():
     for name, bound in PAPER_BOUNDS.items():
         for q in range(12):
             for opt in range(6):
-                for k, n in ((1, 6), (2, 6), (3, 5)):
+                for k, n in ((1, 6), (2, 6), (3, 5), (3, 3)):
                     assert BOUNDS[name](q, opt, k, n) == bound(q, opt, k, n), (name, q, opt, k, n)
 
 
@@ -1055,9 +1056,21 @@ class TestCli:
         assert main(["opt", "--instance", str(inst_path), "--oracle", "ground:exact"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["opt"] == 0
 
+    def test_opt_answers_a_halving_search_that_verifies_few_vectors(self, tmp_path, capsys):
+        # Halving never ends a chain, so the levels to the default max_total
+        # of 24 hold 593,775 count vectors, but level 2 verifies: the guard
+        # counts the vectors verified, not those the levels hold.
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--model", "OP-OP", "--n", "6", "--k", "2", "--seed", "3",
+                     "--out", str(inst_path)]) == EXIT_OK
+        assert main(["opt", "--instance", str(inst_path), "--oracle", "ground:halve"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"opt": 2, "vector": {"2": 1, "6": 1}}
+
     def test_opt_refuses_a_search_past_the_limit(self, tmp_path, capsys):
         # 11 edges and the default max_total of 44 would mean about 1.2e11
-        # count vectors; the search used to run without end.
+        # count vectors; nothing verifies among the first MAX_SEARCH_VECTORS.
         inst_path = tmp_path / "inst.json"
         assert main([
             "gen", "--model", "OC-OC", "--problem", "mst", "--vertices", "6",

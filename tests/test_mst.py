@@ -19,6 +19,7 @@ from helpers import (
     reference_umst,
     reference_witness_or_delete,
     sub_areas,
+    walked_vectors,
 )
 import uncquery.mst
 from uncquery.core import Area, ImagedVector, LoggedVector, VectorState, endpoint_images
@@ -36,7 +37,7 @@ from uncquery.mst import (
     umst_solve,
 )
 from uncquery.oracles import GroundTruthOracle, HalvePolicy
-from uncquery.optbrute import OptResult, opt_value, search_size
+from uncquery.optbrute import OptResult, opt_value
 
 
 def O(lo, hi):
@@ -412,7 +413,7 @@ def test_one_log_across_the_opt_search_order_matches_reference():
                 passes.append(weights)
 
             assert opt_value(list(inst.areas), oracle, verify, max_total) == OptResult(None, None)
-            assert len(passes) == search_size(list(inst.areas), oracle, max_total) > 30
+            assert len(passes) == walked_vectors(list(inst.areas), oracle, max_total) > 30
     assert kinds == {"exact": {"plain", "scaled"}, "halve": {"plain", "scaled", "ranks"}}
 
 

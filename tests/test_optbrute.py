@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    _reference_level_vectors, reference_minimal_vectors, witness_meets_every_solution,
+    _reference_level_vectors, reference_minimal_vectors, walked_vectors,
+    witness_meets_every_solution,
 )
 from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState
 from uncquery.harness import (
-    EXIT_INVALID_CONFIG, EXIT_OK, GenParams, GraphGenParams, build_oracle,
+    EXIT_OK, GenParams, GraphGenParams, build_oracle,
     generate_graph_instance, generate_instance, instance_to_json, main,
 )
 from uncquery.models import ModelSpec, TypeSet, UncertainInstance
@@ -28,8 +29,8 @@ from uncquery.oracles import (
     OracleError,
     ScriptedOracle,
 )
-from uncquery.optbrute import OptResult, OptSearchError, opt_value, response_chain, search_size
-from uncquery.optbrute import MAX_SEARCH_VECTORS, _Chains, _level_walk
+from uncquery.optbrute import OptResult, OptSearchError, opt_value, response_chain
+from uncquery.optbrute import _Chains, _level_walk
 from uncquery.selection import (
     Objective, SelectionProblem, kmin_verifier, make_strategy, min1_witness,
 )
@@ -74,23 +75,6 @@ class TestResponseChain:
         assert tail == full[2:]
 
 
-def _walked(areas, oracle, max_total):
-    """How many vectors the level walks of a search to max_total yield,
-    level 0's start vector included, each level under the caps it sees."""
-    chains = _Chains(areas, oracle)
-    return 1 + sum(1 for t in range(1, max_total + 1) for _ in _level_walk(chains.extend(t), t))
-
-
-def test_search_size_counts_every_vector_of_every_level():
-    # Exact reveals cap an interval at one query and a point at none; halving
-    # never reaches a point, so its chains run to max_total.
-    areas = [O(1, 5), Area.point(3), O(2, 9), O(0, 4)]
-    for returns, hidden in (("P", [2, 3, 4, 1]), ("O", [2, 3, 5, 1])):
-        oracle = _oracle(areas, hidden, returns=returns)
-        for max_total in range(6):
-            assert search_size(areas, oracle, max_total) == _walked(areas, oracle, max_total)
-
-
 # Chains ending at points at depths 2 and 3, and one that never ends.
 MIXED_CAPS_AREAS = [O(1, 5), O(3, 7), O(4, 8)]
 MIXED_CAPS_SCRIPT = {
@@ -100,18 +84,16 @@ MIXED_CAPS_SCRIPT = {
 }
 
 
-def test_search_size_counts_the_candidates_the_cap_filter_reads():
+def test_level_walks_yield_only_the_vectors_within_the_caps():
     """Where chains end at points at different depths past 1, a level's walk
-    reads every multiset of the queriable indices and drops those that count
-    an index past its cap: search_size counts what the walks read, more than
-    the count vectors they yield, which are the reference's."""
+    yields only the multisets that count no index past its cap, the
+    reference's vectors, and no more: fewer than all the multisets."""
     oracle = ScriptedOracle(MIXED_CAPS_SCRIPT)
     caps = _Chains(MIXED_CAPS_AREAS, oracle).extend(6)
     assert caps == [2, 3, 6]
-    read = 1 + 3 + sum(1 for t in range(2, 7) for _ in combinations_with_replacement(range(3), t))
+    every = 1 + 3 + sum(1 for t in range(2, 7) for _ in combinations_with_replacement(range(3), t))
     valid = sum(1 for t in range(7) for _ in _reference_level_vectors(caps, t))
-    assert search_size(MIXED_CAPS_AREAS, oracle, 6) == read == 84
-    assert _walked(MIXED_CAPS_AREAS, oracle, 6) == valid < read
+    assert walked_vectors(MIXED_CAPS_AREAS, oracle, 6) == valid < every == 84
 
 
 def test_level_walk_matches_the_recursive_reference():
@@ -580,9 +562,9 @@ def test_short_script_fails_at_the_level_that_needs_more():
 ], ids=["three-areas", "two-areas"])
 def test_cli_opt_reads_a_short_script_only_as_deep_as_it_searches(tmp_path, capsys, areas,
                                                                  script, argv):
-    """`uncquery opt` sizes the search from each chain's first response,
-    which level 1 reads anyway, so a script with one response per index is
-    enough when one query verifies, whatever --max-total is."""
+    """`uncquery opt` asks a script only for the responses of the levels it
+    visits, so a script with one response per index is enough when one
+    query verifies, whatever --max-total is."""
     inst = UncertainInstance(
         model=ModelSpec.parse("O-O"),
         areas=tuple(areas),
@@ -599,22 +581,18 @@ def test_cli_opt_reads_a_short_script_only_as_deep_as_it_searches(tmp_path, caps
     assert json.loads(captured.out) == {"opt": 1, "vector": {"1": 1}}
 
 
-def test_cli_opt_refuses_a_mixed_caps_search_up_front(tmp_path, capsys, monkeypatch):
+def test_cli_opt_answers_a_mixed_caps_script(tmp_path, capsys, monkeypatch):
     """One index with a long chain and seven that end at a point after one
-    response: the count vectors to the default --max-total of 4n = 32 are
-    few, but each level's walk reads every multiset of the eight indices,
-    comb(40, 32) in all.  `uncquery opt` counts those, and refuses with
-    exit 3 and one line before any verifier call."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("searched past the size guard")
-
-    monkeypatch.setattr("uncquery.harness.opt_value", refuse)
+    response: to the default --max-total of 4n = 32 the levels' walks yield
+    a few thousand count vectors, not the comb(40, 32) multisets of the
+    eight indices at level 32 alone, and `uncquery opt` answers as the
+    search does when its walk is the recursive reference."""
     areas = [O(0, 1 + i) for i in range(8)]
     script = {0: [O(0, Fraction(1, j + 1)) for j in range(1, 33)]}
     script.update({i: [Area.point(Fraction(1, 2))] for i in range(1, 8)})
     caps = _Chains(areas, ScriptedOracle(script)).extend(32)
     assert caps == [32] + [1] * 7
-    assert sum(1 for t in range(33) for _ in _reference_level_vectors(caps, t)) < MAX_SEARCH_VECTORS
+    assert sum(1 for t in range(33) for _ in _level_walk(caps, t)) == 3776 < comb(40, 32)
     inst = UncertainInstance(model=ModelSpec.parse("O-OP"), areas=tuple(areas),
                              problem=SelectionProblem(k=1))
     inst_path, script_path = tmp_path / "inst.json", tmp_path / "script.json"
@@ -623,6 +601,16 @@ def test_cli_opt_refuses_a_mixed_caps_search_up_front(tmp_path, capsys, monkeypa
         str(i + 1): [a.to_json() for a in rs] for i, rs in script.items()
     }}))
     code = main(["opt", "--instance", str(inst_path), "--oracle", f"script:{script_path}"])
-    assert (code, capsys.readouterr()) == (EXIT_INVALID_CONFIG, ("", (
-        f"error: the OPT search could visit {comb(40, 32)} count vectors, more than "
-        f"{MAX_SEARCH_VECTORS}; lower --max-total (now 32)\n")))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+
+    def reference_walk(caps, total):
+        return (tuple(i for i, c in v.items() for _ in range(c))
+                for v in _reference_level_vectors(caps, total))
+
+    monkeypatch.setattr("uncquery.optbrute._level_walk", reference_walk)
+    verifier = make_strategy("kmin-witness", inst.problem).verifier
+    want = opt_value(areas, ScriptedOracle(script), verifier, 32)
+    assert want.opt == 8
+    assert json.loads(captured.out) == {
+        "opt": want.opt, "vector": {str(i + 1): c for i, c in sorted(want.vector.items())}}

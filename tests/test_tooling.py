@@ -397,12 +397,17 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
     first in odd pairs, keeps their lines as printed, counts the change's
     wins by the declared direction, and flags a pair whose fingerprints
     differ.  After each seed's pairs it runs each side once traced, the
-    parent first, and keeps both sides' metric values."""
+    parent first, and keeps both sides' metric values.  It records each
+    side's line count per `src/uncquery` module and in total."""
     for side, setup, fingerprints in (("parent", 2.0, {7: "a", 8: "a"}),
                                       ("change", 1.0, {7: "a", 8: "b"})):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(
             f"SIDE, SETUP, FINGERPRINTS = {side!r}, {setup}, {fingerprints!r}\n" + STUB_RUN)
+        (tmp_path / side / "src" / "uncquery").mkdir(parents=True)
+        (tmp_path / side / "src" / "uncquery" / "core.py").write_text("a = 1\nb = 2\n")
+        (tmp_path / side / "src" / "uncquery" / "mst.py").write_text(
+            "c = 3\n" * (4 if side == "parent" else 1))
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "stub"}],
         "end_to_end": [{"name": "setup_s", "better": "lower"},
@@ -439,5 +444,8 @@ def test_bench_pairs_alternates_sides_and_flags_differing_query_logs(tmp_path):
     assert traced[0]["layers"] == {"setup_s": {"parent": 2.0, "change": 1.0},
                                    "ops_per_s": {"parent": 100, "change": 100}}
     assert json.loads(traced[1]["parent_summary"]) == {"fingerprint": "a", "queries_total": 5}
+    assert data["source_lines"] == {
+        "parent": {"modules": {"core.py": 2, "mst.py": 4}, "total": 6},
+        "change": {"modules": {"core.py": 2, "mst.py": 1}, "total": 3}}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH.json", "change", "order.txt",
                                                           "parent"]

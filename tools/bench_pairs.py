@@ -23,10 +23,11 @@ seed and over all seeds of a workload, each end-to-end metric's median and
 quartiles on both sides and in how many pairs the change was better, by the
 direction BENCHMARK.json declares.  Its `traced` holds one record per
 workload and seed with both traced runs' lines, unmodified, and each
-per-layer metric's value on both sides.  A pair or traced record whose
-sides differ in `fingerprint` or `queries_total`, or where a side did not
-report `"correct": true`, is flagged in its record and on stderr, and the
-exit code is 1.  Standard library only; nothing but `--out` is written.
+per-layer metric's value on both sides.  Its `source_lines` gives each
+side's line count of every `src/uncquery/*.py` module and their total.  A
+pair or traced record whose sides differ in `fingerprint` or
+`queries_total`, or where a side did not report `"correct": true`, is
+flagged in its record and on stderr, and the exit code is 1.  Standard library only; nothing but `--out` is written.
 """
 from __future__ import annotations
 
@@ -119,6 +120,13 @@ def summarize(runs: list, metrics: dict) -> dict:
     return out
 
 
+def source_lines(checkout: Path) -> dict:
+    """The line count of each `src/uncquery` module in `checkout`, and their total."""
+    modules = {path.name: len(path.read_text().splitlines())
+               for path in sorted((checkout / "src" / "uncquery").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def git_commit(checkout: Path):
     """The commit checked out at `checkout`, or None outside a git clone."""
     run = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
@@ -169,6 +177,7 @@ def main(argv=None) -> int:
                  "pairs and the change first in even pairs; the *_result and *_summary strings "
                  "are the result and summary lines bench/run.py printed, unmodified",
         "summary": summarize(runs, metrics),
+        "source_lines": {side: source_lines(checkouts[side]) for side in SIDES},
         "traced_command": "python3 bench/run.py --workload W --seed S --trace 1",
         "traced": traced,
         "runs": runs,
