@@ -35,7 +35,8 @@ rules, uMST passes and `order_l`/`order_u` all read such a state.
 A vector may bring its own images: an `ImagedVector` carries images taken
 over any superset of its areas, scaled or ranked, which order its own
 endpoints just as exactly.  A state rebuilt from one takes them as they are
-instead of imaging the areas again; the OPT search hands its verifier these.
+instead of imaging the areas again; the OPT search hands its verifier these,
+and a verifier that declines one may leave a certificate on it (`settled`).
 
 An `Area` is a slotted immutable value that holds its endpoints as
 lowest-terms integer pairs, `ratios` = (p, q, r, s) for lo = p/q and
@@ -425,9 +426,16 @@ class ImagedVector(list):
     """A list of areas carrying `images` = (D, lo images, hi images), set
     after construction: `endpoint_images` of any superset of the areas, read
     at the vector's entries.  Scaled (D > 0) or ranked (D = 0), they order
-    the vector's endpoints exactly as their values."""
+    the vector's endpoints exactly as their values.
 
-    __slots__ = ("images",)
+    `settled` is a declining verifier's certificate, a bitmask of indices,
+    set to 0 with `images` (a slot has no default, and an `__init__` would
+    cost every vector of the OPT search a Python call) and then by a
+    verifier that declines the vector: refining any of those indices
+    further, alone or together, provably leaves the verdict at declined.
+    The OPT search reads it to skip such vectors unverified."""
+
+    __slots__ = ("images", "settled")
 
 
 def endpoint_images(areas: AreaVector) -> Tuple[int, List[int], List[int]]:

@@ -24,7 +24,7 @@ from .core import (Area, Rationals, TieRule, format_rational, parse_ratio, parse
 from .engine import Algorithm, EngineError, RunStatus, default_budget, model_refusal, solve
 from .models import ModelSpec, UncertainInstance, validate_instance
 from .mst import MST_ALGORITHMS, MstAnswer, UncertainGraph, mst_verifier, umst_solve
-from .optbrute import opt_value
+from .optbrute import OptSearchError, opt_value
 from .oracles import (
     FIXTURE_BUILDERS,
     ExactPolicy,
@@ -592,8 +592,8 @@ def _check_limit(name: str, value, least: int, most: Optional[int] = None) -> No
         raise ConfigError(f"{name} must be at most {most}, got {value}")
 
 
-# The most count vectors `uncquery opt` verifies without an answer; past this
-# it asks for a lower max_total instead of running for hours.
+# The most count vectors `uncquery opt` visits without an answer, verified or
+# skipped; past this it asks for a lower max_total instead of running for hours.
 MAX_SEARCH_VECTORS = 200_000
 
 
@@ -747,15 +747,11 @@ def _cmd_opt(args) -> int:
     else:
         verifier = make_strategy("kmin-witness", instance.problem).verifier
     max_total = _max_total(instance, args.max_total)
-    allowed = iter(range(MAX_SEARCH_VECTORS))
-
-    def counted(vector):
-        if next(allowed, None) is None:
-            raise ConfigError(f"the OPT search verified {MAX_SEARCH_VECTORS} count vectors "
-                              f"without an answer; lower --max-total (now {max_total})")
-        return verifier(vector)
-
-    result = opt_value(list(instance.areas), oracle, counted, max_total)
+    try:
+        result = opt_value(list(instance.areas), oracle, verifier, max_total,
+                           MAX_SEARCH_VECTORS)
+    except OptSearchError as exc:  # only the limit: an adversary was refused above
+        raise ConfigError(f"{exc}; lower --max-total (now {max_total})") from None
     vector = None if result.vector is None else {
         str(i + 1): c for i, c in sorted(result.vector.items())}
     sys.stdout.write(dump_json({"opt": result.opt, "vector": vector}))

@@ -34,14 +34,17 @@ link re-roots the hung tree at its old root.
 and the witness is the pair of the cycle that pass stopped at.  `mst_verifier`,
 the OPT search's verifier, is one more such strategy whose witness is never
 called.  A pass resumes only along a solve's areas; every other weight
-vector, an OPT search's among them, starts afresh.
+vector, an OPT search's among them, starts afresh.  A pass that stops on an
+OPT search's vector certifies the edges past the stop (`core.ImagedVector`'s
+`settled`): a refinement only moves an edge later, so refining those edges
+leaves the pass up to the stop, and the stop, as they were.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Area, VectorState
+from .core import Area, ImagedVector, VectorState
 from .engine import Algorithm, EngineError, RunReport, SolverStrategy, solve
 from .models import UncertainInstance
 # Nothing here calls validate_response; engine.solve validates every
@@ -306,8 +309,17 @@ class UmstStrategy(SolverStrategy):
         self.pass_log = PassLog(graph)
 
     def _verify(self, weights: Sequence[Area]) -> Optional[MstAnswer]:
-        result = mst_pass(self.pass_log, weights)
-        return MstAnswer(*result[1:]) if result[0] == "done" else None
+        log = self.pass_log
+        result = mst_pass(log, weights)
+        if result[0] == "done":
+            return MstAnswer(*result[1:])
+        if type(weights) is ImagedVector:
+            # The certificate: the edges past the stop (see the module).
+            settled = 0
+            for e in log.state.order[log.processed + 1:]:
+                settled |= 1 << e
+            weights.settled = settled
+        return None
 
     def _pair(self, weights: Sequence[Area]) -> List[int]:
         log = self.pass_log
@@ -319,8 +331,9 @@ class UmstStrategy(SolverStrategy):
 
 def mst_verifier(graph: UncertainGraph):
     """The verifier of one UmstStrategy, for the OPT search: the MstAnswer
-    once a pass needs no witness queries, else None.  Its passes share one
-    log but start afresh, since no vector of the search is a solve's."""
+    once a pass needs no witness queries, else None, with the edges past
+    the stop as the certificate.  Its passes share one log but start
+    afresh, since no vector of the search is a solve's."""
     return UmstStrategy(graph).verifier
 
 

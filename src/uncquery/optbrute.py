@@ -20,15 +20,30 @@ count more on smaller indices first, so `opt_value` reports the vector that
 does.  At the first position where tuple A has index a below B's b, A counts
 a once more than B does and every smaller index as often.
 
-The verifier calls are the search's real work, so the rest is kept lean.
-Level 0 is the start vector alone, handed over as a plain list.  From depth
-1 on, each time the chains grow, every area they hold is imaged in one call
-to `core.endpoint_images`, the rebuild of a solve's state, and each verifier
-call gets a fresh `core.ImagedVector`: the start vector and its images,
-copied and patched at the chosen indices.
+The verifier calls are the search's real work, so the search skips those
+whose verdict is known and keeps the rest lean.  A verifier that declines an
+`core.ImagedVector` may leave a certificate on it, `settled`: indices whose
+further refinement, alone or together, provably leaves the verdict at
+declined.  A vector's parents are the vectors of the level before that it
+refines by one query, on some index x.  When a parent's certificate holds
+x, the vector is skipped unverified and inherits that certificate, since
+every refinement of the vector on those indices refines the parent on them;
+the search keeps the certificates of one level.  Nothing skipped could
+verify, so the first vector in search order that verifies is the one an
+eager search finds.  So a verifier that wraps another and may accept a
+vector its inner verifier declines must not hand the inner verifier the
+search's vector: the inner certificate would then skip vectors the wrapper
+accepts.
+
+Each vector the search verifies is a fresh `core.ImagedVector`.  Level 0 is
+the start vector imaged by `core.endpoint_images`.  From depth 1 on, each
+time the chains grow, every area they hold is imaged in one call to
+`endpoint_images`, the rebuild of a solve's state, and a vector is the start
+vector and its images, copied and patched at the chosen indices.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, compress, islice
 from typing import Callable, Dict, List, Optional, Sequence
@@ -118,7 +133,7 @@ class _Chains:
                 count = count + 1 if i == last else 1
                 areas[i], lo[i], hi[i] = cells[i][count]
                 last = i
-            areas.images = (scale, lo, hi)
+            areas.images, areas.settled = (scale, lo, hi), 0
             return areas
 
         return vector
@@ -155,20 +170,50 @@ def _level_walk(caps: Sequence[int], total: int):
     return combinations_with_replacement(queriable, total)
 
 
+def _inherited(certified: Dict[int, int], weight: List[int], key: int, chosen) -> int:
+    """The certificate the vector `chosen`, keyed `key`, inherits: that of
+    its first parent, `chosen` less one query on an index x, whose
+    certificate holds x; 0 if none."""
+    for x in chosen:
+        settled = certified.get(key - weight[x], 0)
+        if settled >> x & 1:
+            return settled
+    return 0
+
+
 def opt_value(areas: Sequence[Area], oracle: Oracle, verifier: Callable,
-              max_total: int) -> OptResult:
+              max_total: int, max_vectors: int = sys.maxsize) -> OptResult:
     """Smallest verifying query total and the first vector in search order
     that reaches it, the lexicographically smallest; OptResult(None, None)
-    when nothing verifies within the budget."""
+    when nothing verifies within the budget.  Past `max_vectors` vectors
+    visited, verified or skipped, OptSearchError instead."""
     chains = _Chains(areas, oracle)
-    # Level 0 is the start vector alone.  The verifier images it as cheaply
-    # as the chains would, and the chains image it again at level 1.
-    if max_total >= 0 and verifier(list(areas)) is not None:
+    start = ImagedVector(areas)
+    start.images, start.settled = endpoint_images(start), 0
+    if max_total >= 0 and verifier(start) is not None:
         return OptResult(0, {})
+    # A vector's key is the sum of weight[i] over its queries: its counts as
+    # the digits of a number in base max_total + 1, so a parent's key is the
+    # vector's less one weight.
+    weight = [(max_total + 1) ** i for i in range(len(areas))]
+    certified = {0: start.settled} if start.settled else {}
+    visited = 1
     for total in range(1, max_total + 1):
         walk = _level_walk(chains.extend(total), total)
         vector_of = chains.vectors()
-        for chosen in walk:
-            if verifier(vector_of(chosen)) is not None:
-                return OptResult(total, {i: chosen.count(i) for i in chosen})
+        level: Dict[int, int] = {}
+        for visited, chosen in enumerate(walk, visited + 1):
+            if visited > max_vectors:
+                raise OptSearchError(f"the OPT search visited {max_vectors} count vectors "
+                                     "without an answer")
+            key = sum(map(weight.__getitem__, chosen))
+            settled = certified and _inherited(certified, weight, key, chosen)
+            if not settled:
+                vector = vector_of(chosen)
+                if verifier(vector) is not None:
+                    return OptResult(total, {i: chosen.count(i) for i in chosen})
+                settled = vector.settled
+            if settled:
+                level[key] = settled
+        certified = level
     return OptResult(None, None)

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence
 # module because bench/tracer.py binds uncquery.selection.order_l and
 # order_u (tests/test_tooling.py checks that every tracer target resolves).
 from .core import (  # noqa: F401
-    AreaVector, LoggedVector, TieRule, VectorState, order_l, order_u,
+    AreaVector, ImagedVector, LoggedVector, TieRule, VectorState, order_l, order_u,
 )
 from .engine import Algorithm, SolverStrategy
 from .models import ModelCategory
@@ -55,9 +55,11 @@ def kmin_verifier(
     Under the lex tie rule a determined answer is the lex-first valid one:
     competitors with a smaller index need only a non-strict separation, those
     with a larger index a strict one.
+
+    Declining an `ImagedVector`, it leaves the certificate `_settled` on it.
     """
     s = _state(areas, tie_rule)
-    order, lo, hi, areas = s.order, s.lo, s.hi, s.areas
+    order, lo, hi = s.order, s.lo, s.hi
     n = len(order)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -71,13 +73,36 @@ def kmin_verifier(
     if prefix:
         top = max(map(hi.__getitem__, prefix))
         if top > lo_pk or (lex and top == lo_pk and _lex_blocked(s, prefix, pk)):
-            return None
+            return _decline(areas, s, k)
     for j in islice(order, k, None):
         if lo[j] > hi_pk:
             break  # the tail is sorted by lo, so the rest lies strictly above
-        if lo[j] < hi_pk or (lex and j < pk and areas[pk].attains and areas[j].attains):
-            return None
+        if lo[j] < hi_pk or (lex and j < pk and s.areas[pk].attains and s.areas[j].attains):
+            return _decline(areas, s, k)
     return pk
+
+
+def _decline(areas, s: VectorState, k: int) -> None:
+    """The declined verdict; an `ImagedVector` gets its certificate."""
+    if type(areas) is ImagedVector:
+        areas.settled = _settled(s, k)
+
+
+def _settled(s: VectorState, k: int) -> int:
+    """The certificate of a declined k-th-min verdict on state s: the
+    bitmask of the indices x strictly on one side of the k-th head pk,
+    hi(x) < lo(pk) or lo(x) > hi(pk).  A refinement only raises lo and
+    lowers hi, so each such x keeps its side and pk stays the k-th head,
+    whatever the tie rule; and whatever blocked pk, no such x, blocks it
+    still."""
+    lo, hi = s.lo, s.hi
+    pk = s.order[k - 1]
+    lo_pk, hi_pk = lo[pk], hi[pk]
+    settled = 0
+    for x in range(len(lo)):
+        if hi[x] < lo_pk or lo[x] > hi_pk:
+            settled |= 1 << x
+    return settled
 
 
 def _lex_blocked(s: VectorState, prefix: Sequence[int], pk: int) -> bool:
@@ -246,7 +271,10 @@ def make_strategy(name: str, problem: SelectionProblem) -> SolverStrategy:
     def bypass(areas):
         return kmin_bypass_witness(stable.update(areas), k)
 
+    def verify(areas):  # an OPT search's vector gets the certificate of a decline
+        answer = kmin_verifier(state.update(areas), k, tie)
+        return _decline(areas, state, k) if answer is None else answer
+
     witness = (bypass if name.endswith("-bypass")
                else AlternatingWitness(bypass, pair) if name == "opop-alternate" else pair)
-    return SolverStrategy(name, lambda areas: kmin_verifier(state.update(areas), k, tie),
-                          witness, algorithm.k_bound, algorithm.categories)
+    return SolverStrategy(name, verify, witness, algorithm.k_bound, algorithm.categories)

@@ -615,15 +615,21 @@ def witness_meets_every_solution(witness, areas, oracle, verifier, max_total: in
     verifying vector within the budget leaves the witness unqueried, although
     verifying is not monotone: every verifying vector lies above a minimal
     one, which queries no index that it does not.  So `opt_value` decides it,
-    with a verifier that declines every vector changing a witness index.
+    with a verifier that declines every vector changing a witness index and
+    settles every index of it, since each refinement changes that index too.
 
     The search counts from 0 on every index whatever was queried before, so
     this holds only for an oracle whose responses do not depend on the query
     count, as a ground-truth oracle's do not."""
     witness = set(witness)
+    every = (1 << len(areas)) - 1
 
     def avoiding(vector):
-        return None if any(vector[i] is not areas[i] for i in witness) else verifier(vector)
+        if any(vector[i] is not areas[i] for i in witness):
+            # Every refinement changes that index too: all indices settled.
+            vector.settled = every
+            return None
+        return verifier(vector)
 
     return opt_value(areas, oracle, avoiding, max_total) == OptResult(None, None)
 

@@ -1059,7 +1059,7 @@ class TestCli:
     def test_opt_answers_a_halving_search_that_verifies_few_vectors(self, tmp_path, capsys):
         # Halving never ends a chain, so the levels to the default max_total
         # of 24 hold 593,775 count vectors, but level 2 verifies: the guard
-        # counts the vectors verified, not those the levels hold.
+        # counts the vectors the search visits, not those the levels hold.
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--model", "OP-OP", "--n", "6", "--k", "2", "--seed", "3",
                      "--out", str(inst_path)]) == EXIT_OK

@@ -390,7 +390,7 @@ def test_one_log_across_the_opt_search_order_matches_reference():
     """One PassLog carried across every vector an OPT search hands its
     verifier, in its order; the verifier accepts none, so the search visits
     every vector up to its budget.  Between two vectors counts fall as well
-    as rise, so weights widen as well as narrow.  Level 0 is a plain list.
+    as rise, so weights widen as well as narrow.  Level 0 comes imaged too.
     Exact reveals give start vectors patched at index subsets; halving
     gives vectors assembled from chains imaged at a scale, or by rank (a
     shrink with a 521-bit prime denominator).  Every pass equals the
@@ -407,21 +407,21 @@ def test_one_log_across_the_opt_search_order_matches_reference():
             seen = kinds.setdefault(spec.split(":")[1], set())
 
             def verify(weights):
-                seen.add("plain" if not isinstance(weights, ImagedVector)
-                         else "scaled" if weights.images[0] else "ranks")
+                seen.add("scaled" if weights.images[0] else "ranks")
                 assert mst_pass(log, weights) == reference_mst_pass(inst.problem, list(weights))
                 passes.append(weights)
 
             assert opt_value(list(inst.areas), oracle, verify, max_total) == OptResult(None, None)
             assert len(passes) == walked_vectors(list(inst.areas), oracle, max_total) > 30
-    assert kinds == {"exact": {"plain", "scaled"}, "halve": {"plain", "scaled", "ranks"}}
+    assert kinds == {"exact": {"scaled"}, "halve": {"scaled", "ranks"}}
 
 
 def test_verifier_passes_share_one_log(monkeypatch):
     """mst_verifier is one UmstStrategy's verifier: every pass of an OPT
-    search goes through that strategy's one PassLog."""
+    search goes through that strategy's one PassLog.  At seed 9 the search
+    still makes 26 passes with the certificates' skips (OPT = 3)."""
     inst = generate_graph_instance(
-        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 3)
+        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 9)
     logs = []
 
     def recording(log, weights):
@@ -619,7 +619,9 @@ def _criterion_9_instance(seed):
 
 def test_the_opt_search_never_chooses_and_a_solve_chooses_once_per_round(monkeypatch):
     """The OPT search's passes list no cycle and rank no pair; a solve lists
-    one cycle and ranks one pair per witness round."""
+    one cycle and ranks one pair per witness round.  The twelve searches
+    make 306 passes, the rest of the eager search's 1,111 being skipped by
+    the certificates."""
     calls = {"path": 0, "pair": 0, "witness passes": 0, "passes": 0}
     path, pair = _Forest.path, uncquery.mst._witness_pair
 
@@ -651,7 +653,7 @@ def test_the_opt_search_never_chooses_and_a_solve_chooses_once_per_round(monkeyp
         assert report.status is RunStatus.SOLVED and calls["passes"] == calls["witness passes"] + 1
         assert calls["path"] == calls["pair"] == calls["witness passes"]
         rounds += calls["witness passes"]
-    assert stopped > 1000 and rounds > 5
+    assert stopped > 250 and rounds > 5
 
 
 @settings(max_examples=200, deadline=None)

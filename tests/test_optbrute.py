@@ -19,7 +19,7 @@ from uncquery.harness import (
     generate_graph_instance, generate_instance, instance_to_json, main,
 )
 from uncquery.models import ModelSpec, TypeSet, UncertainInstance
-from uncquery.mst import mst_verifier
+from uncquery.mst import UncertainGraph, mst_verifier
 from uncquery.oracles import (
     ExactPolicy,
     GroundTruthOracle,
@@ -262,6 +262,109 @@ def test_witness_check_agrees_with_every_minimal_solution(case):
             assert got == want, (witness, [str(a) for a in areas], solutions)
 
 
+def _assert_pruned(got, want):
+    """`got`, a search's verifier calls, is a subsequence of `want`, the
+    eager reference's, and every call of `want` that it omits was
+    declined: the search skips only vectors that cannot verify."""
+    pending = iter(got)
+    expected = next(pending, None)
+    for call in want:
+        if call == expected:
+            expected = next(pending, None)
+        else:
+            assert call[1] is None, call
+    assert expected is None, expected
+
+
+def _withheld(verifier):
+    """The verifier, handed a copy of each vector, so that no certificate
+    it leaves reaches the search."""
+    return lambda vector: verifier(list(vector))
+
+
+# Deep enough that a halving chain by 2^-521 passes SCALE_BITS_LIMIT and
+# the chains image by rank.
+CERTIFICATE_DEPTH = 3
+
+
+@st.composite
+def certificate_cases(draw):
+    """A declined-or-not vector of an OPT search and the verifier it is
+    handed: one to six grid areas with tied endpoints and hidden values on
+    the half-grid, or a connected graph of at most seven such edge weights;
+    chains revealed exactly, halved, or shrunk by a 521-bit prime
+    denominator, which images by rank; and a bare `kmin_verifier` (stable
+    or lex), a strategy's (either rule, k-th min or max) or `mst_verifier`.
+    Returns the areas, the oracle, the verifier and a count per index."""
+    graph = None
+    if draw(st.booleans()):
+        vertices = draw(st.integers(2, 5))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, vertices)]
+        pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+        edges += draw(st.lists(pair.filter(lambda p: p[0] != p[1]),
+                               max_size=7 - len(edges)))
+        graph = UncertainGraph(vertices, tuple(edges))
+        n = len(edges)
+    else:
+        n = draw(st.integers(1, 6))
+    areas, hidden = [], []
+    for _ in range(n):
+        kind, lo = draw(st.sampled_from(("open", "closed", "point"))), draw(st.integers(0, 3))
+        hi = lo if kind == "point" else draw(st.integers(lo + 1, 4))
+        area = Area.point(lo) if kind == "point" else Area(lo, hi, kind == "closed")
+        areas.append(area)
+        hidden.append(draw(st.sampled_from(
+            [v for v in (Fraction(h, 2) for h in range(2 * lo, 2 * hi + 1))
+             if area.contains_value(v)])))
+    prime = 2**521 - 1
+    policy, returns = draw(st.sampled_from([
+        (ExactPolicy(), "P"), (HalvePolicy(Fraction(1, 2)), "OC"),
+        (HalvePolicy(Fraction(prime // 2, prime)), "OC")]))
+    oracle = GroundTruthOracle(policy, hidden, TypeSet.parse(returns))
+    if graph is not None:
+        verifier = mst_verifier(graph)
+    else:
+        k, tie_rule = draw(st.integers(1, n)), draw(st.sampled_from(list(TieRule)))
+        if draw(st.booleans()):
+            verifier = lambda vector: kmin_verifier(vector, k, tie_rule)  # noqa: E731
+        else:
+            problem = SelectionProblem(k, draw(st.sampled_from(list(Objective))), tie_rule)
+            verifier = make_strategy("kmin-witness", problem).verifier
+    counts = draw(st.lists(st.integers(0, CERTIFICATE_DEPTH), min_size=n, max_size=n))
+    return areas, oracle, verifier, counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_cases(), st.data())
+def test_certificates_hold_for_every_refinement_of_a_settled_index(case, data):
+    """A declined vector's certificate is sound, whatever OPT search uses
+    it: replacing a settled index by any later entry of its chain leaves
+    the verdict at declined, and so does replacing every settled index at
+    once by later entries."""
+    areas, oracle, verifier, counts = case
+    chains = _Chains(areas, oracle)
+    caps = chains.extend(CERTIFICATE_DEPTH)
+    if not any(caps):  # all points: nothing to refine, and no chain imaged
+        return
+    vector_of = chains.vectors()
+
+    def vector(counts):
+        return vector_of(tuple(i for i, c in enumerate(counts) for _ in range(c)))
+
+    counts = [min(c, cap) for c, cap in zip(counts, caps)]
+    declined = vector(counts)
+    if verifier(declined) is not None:
+        return
+    settled = [x for x in range(len(areas)) if declined.settled >> x & 1]
+    for x in settled:
+        for later in range(counts[x] + 1, caps[x] + 1):
+            assert verifier(vector(counts[:x] + [later] + counts[x + 1:])) is None, (x, later)
+    joint = counts[:]
+    for x in settled:
+        joint[x] = data.draw(st.integers(counts[x], caps[x]))
+    assert verifier(vector(joint)) is None, joint
+
+
 def _recording(verifier, calls):
     """The verifier, recording every input and the answer it gave."""
     def verify(areas):
@@ -290,9 +393,9 @@ class _CountingOracle(Oracle):
 @pytest.mark.parametrize("oracle_spec", ["ground:exact", "ground:halve"])
 @pytest.mark.parametrize("problem", ["kmin", "mst"])
 def test_opt_value_is_the_first_minimal_solution(problem, oracle_spec):
-    """opt_value makes the eager reference's verifier calls, in the same
-    order, up to and including its first minimal vector, and reports that
-    vector."""
+    """opt_value makes some of the eager reference's verifier calls, in the
+    same order, up to and including its first minimal vector, omitting only
+    vectors the reference saw declined, and reports that vector."""
     model = ModelSpec.parse("OC-P" if oracle_spec == "ground:exact" else "OC-OC")
     for seed in range(6):
         if problem == "mst":
@@ -311,14 +414,13 @@ def test_opt_value_is_the_first_minimal_solution(problem, oracle_spec):
             result = opt_value(list(inst.areas), oracle, _recording(verifier, opt_calls), max_total)
             minima = list(reference_minimal_vectors(
                 list(inst.areas), oracle, _recording(verifier, all_calls), max_total))
-            assert opt_calls == all_calls[: len(opt_calls)]
             hits = [i for i, (_areas, answer) in enumerate(all_calls) if answer is not None]
             if minima:
-                assert len(opt_calls) == hits[0] + 1
+                _assert_pruned(opt_calls, all_calls[: hits[0] + 1])
                 assert (result.opt, result.vector) == (sum(minima[0].values()), minima[0])
             else:
-                assert opt_calls == all_calls and not hits
-                assert (result.opt, result.vector) == (None, None)
+                _assert_pruned(opt_calls, all_calls)
+                assert not hits and (result.opt, result.vector) == (None, None)
 
 
 def _chain_asks(areas, oracle, max_total, result):
@@ -332,21 +434,25 @@ def _chain_asks(areas, oracle, max_total, result):
 
 
 def _assert_same_search(areas, oracle, verifier, max_total):
-    """opt_value calls the verifier on the inputs the eager reference calls
-    it on up to its first minimal vector, in the same order, returns that
-    vector, and asks the oracle for each chain only as deep as the level it
-    returns at.  Returns the number of verifier calls and of the minimal
-    vectors the reference finds."""
+    """opt_value calls the verifier on some of the inputs the eager
+    reference calls it on up to its first minimal vector, in the same
+    order, and omits only inputs the reference saw declined; it returns
+    that vector, as it does with the certificates withheld, and asks the
+    oracle for each chain only as deep as the level it returns at.  Returns
+    the number of vectors so checked, the reference's calls up to its first
+    minimal vector, and of the minimal vectors the reference finds."""
     got, want, asked = [], [], []
     result = opt_value(areas, _CountingOracle(oracle, asked), _recording(verifier, got), max_total)
     reference = reference_minimal_vectors(areas, oracle, _recording(verifier, want), max_total)
     first = next(reference, None)
-    assert got == want
+    _assert_pruned(got, want)
     assert result == (OptResult(None, None) if first is None
                       else OptResult(sum(first.values()), first))
+    assert result == opt_value(areas, oracle, _withheld(verifier), max_total)
     assert list(result.vector or ()) == sorted(result.vector or ())  # keys in index order
     assert asked == _chain_asks(areas, oracle, max_total, result)
-    return len(got), (first is not None) + sum(1 for _ in reference)
+    checked = len(want)
+    return checked, (first is not None) + sum(1 for _ in reference)
 
 
 def _resumed(areas, oracle, max_total, seed):
@@ -434,8 +540,9 @@ def test_chains_past_the_scale_limit_image_by_rank(bits, depths):
     imaged at growing scales; with b = 521 at depth 2, the level after they
     first image.  From then on the chains image by rank (scale 0), and every
     vector still comes as an ImagedVector whose ranks, taken over all the
-    areas held, order its own endpoints exactly.  Level 0 gets a plain
-    vector.  The search makes the eager reference's calls throughout."""
+    areas held, order its own endpoints exactly, as does level 0's start
+    vector.  The search makes the eager reference's calls throughout, less
+    those its certificates skip."""
     prime = 2**bits - 1  # a Mersenne prime
     model = ModelSpec.parse("OC-OC")
     kinds, solutions = set(), 0
@@ -456,9 +563,10 @@ def test_chains_past_the_scale_limit_image_by_rank(bits, depths):
             vector = vector_of(chosen)
             assert type(vector) is ImagedVector and vector.images[0] == 0
             assert _orders_exactly(vector)
-        verifier = _kinds(make_strategy("kmin-witness", inst.problem).verifier, kinds)
+        verifier = make_strategy("kmin-witness", inst.problem).verifier
         solutions += _assert_same_search(areas, oracle, verifier, 9)[1]
-    assert kinds == {True, False} and solutions > 4
+        opt_value(areas, oracle, _kinds(verifier, kinds), 9)
+    assert kinds == {True} and solutions > 4
 
 
 @pytest.mark.parametrize("objective,tie_rule", [
