@@ -15,8 +15,9 @@ grows: tree labels tell whether an edge closes a cycle, and only then is the
 forest path walked.  The red rule then reads on the path maximum: the closing
 edge e is deleted iff the largest upper bound on the forest path between its
 ends precedes lo(e).  The walk stops at the first path edge whose upper bound
-does not, and the pass stops there without choosing: only a solve's witness
-step lists that cycle and ranks its witness pair.
+does not, and the pass stops there without choosing: a solve's witness
+step lists that cycle and ranks its witness pair, and a declined pass on an
+OPT search's vector lists it for its certificate, but ranks no pair.
 
 After a witness round the next pass resumes rather than restarts.  It keeps
 the previous pass's forest on the prefix of the edge order ahead of both
@@ -35,9 +36,14 @@ and the witness is the pair of the cycle that pass stopped at.  `mst_verifier`,
 the OPT search's verifier, is one more such strategy whose witness is never
 called.  A pass resumes only along a solve's areas; every other weight
 vector, an OPT search's among them, starts afresh.  A pass that stops on an
-OPT search's vector certifies the edges past the stop (`core.ImagedVector`'s
-`settled`): a refinement only moves an edge later, so refining those edges
-leaves the pass up to the stop, and the stop, as they were.
+OPT search's vector at edge e certifies every edge off its stopping cycle,
+the forest path between e's ends and e (`core.ImagedVector`'s `settled`).
+Refining those edges, alone or together, leaves the pass stopped: a
+refinement only moves an edge later, so the edges ahead of an unrefined
+edge are some of those ahead of it before, and join no more vertices.  So
+each path edge still links when the pass reaches it, e still closes the
+same path, and the path edge that failed the red rule against e still
+fails it, unless the pass stops earlier.
 """
 from __future__ import annotations
 
@@ -295,7 +301,7 @@ class UmstStrategy(SolverStrategy):
     returns the queriable part of the pair.  The engine calls the witness
     right after the verifier on the same weights, so forest and state are
     still those of the pass; the OPT search calls only the verifier, so its
-    passes never list a cycle.
+    passes rank no pair.
 
     Both edges of a pair are queried with no pass in between: `recheck` is
     off.  A pass between them would about double the passes per solve and
@@ -314,11 +320,13 @@ class UmstStrategy(SolverStrategy):
         if result[0] == "done":
             return MstAnswer(*result[1:])
         if type(weights) is ImagedVector:
-            # The certificate: the edges past the stop (see the module).
-            settled = 0
-            for e in log.state.order[log.processed + 1:]:
-                settled |= 1 << e
-            weights.settled = settled
+            # The certificate: every edge off the stopping cycle (see the
+            # module).
+            e = log.state.order[log.processed]
+            kept = 1 << e
+            for c in log._forest.path(*log.graph.edges[e]):
+                kept |= 1 << c
+            weights.settled = ((1 << len(weights)) - 1) ^ kept
         return None
 
     def _pair(self, weights: Sequence[Area]) -> List[int]:
@@ -331,9 +339,9 @@ class UmstStrategy(SolverStrategy):
 
 def mst_verifier(graph: UncertainGraph):
     """The verifier of one UmstStrategy, for the OPT search: the MstAnswer
-    once a pass needs no witness queries, else None, with the edges past
-    the stop as the certificate.  Its passes share one log but start
-    afresh, since no vector of the search is a solve's."""
+    once a pass needs no witness queries, else None, with the edges off
+    the stopping cycle as the certificate.  Its passes share one log but
+    start afresh, since no vector of the search is a solve's."""
     return UmstStrategy(graph).verifier
 
 

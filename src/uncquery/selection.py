@@ -90,19 +90,36 @@ def _decline(areas, s: VectorState, k: int) -> None:
 
 def _settled(s: VectorState, k: int) -> int:
     """The certificate of a declined k-th-min verdict on state s: the
-    bitmask of the indices x strictly on one side of the k-th head pk,
-    hi(x) < lo(pk) or lo(x) > hi(pk).  A refinement only raises lo and
-    lowers hi, so each such x keeps its side and pk stays the k-th head,
-    whatever the tie rule; and whatever blocked pk, no such x, blocks it
-    still."""
-    lo, hi = s.lo, s.hi
-    pk = s.order[k - 1]
+    bitmask of every index but the k-th head pk and what blocks it.  When
+    the prefix test failed, that is every blocking prefix member: hi above
+    lo(pk), or under lex a strict-tie blocker (`_lex_blocked`'s).  Else it
+    is the first blocking tail member, the one the verifier stopped at.
+
+    Sound for any refinement of the settled indices, alone or together.  A
+    refinement raises lo and lowers hi, so a refined index only moves later
+    in lo order and pk only earlier; every tail member stays behind pk.  A
+    settled prefix member x does not block, so hi(x) <= lo(pk): it can pass
+    pk only as the point lo(pk), and only under the stable rule (under lex
+    it would be a strict-tie blocker).  While nothing passes pk, pk stays
+    the head, and what it kept blocks it still: a prefix blocker ahead of
+    it, a tail one behind.  When something passes, the new head has lo(pk)
+    as its lo, as everything that passed has.  A kept prefix blocker, ahead
+    of pk, blocks it; without one, pk, now in its prefix, does, since a
+    tail member blocks pk only when lo(pk) < hi(pk)."""
+    order, lo, hi, areas = s.order, s.lo, s.hi, s.areas
+    pk = order[k - 1]
     lo_pk, hi_pk = lo[pk], hi[pk]
-    settled = 0
-    for x in range(len(lo)):
-        if hi[x] < lo_pk or lo[x] > hi_pk:
-            settled |= 1 << x
-    return settled
+    tie = s.tie_rule is TieRule.LEX and areas[pk].attains
+    kept = 1 << pk
+    for i in islice(order, k - 1):
+        if hi[i] > lo_pk or (tie and i > pk and hi[i] == lo_pk and areas[i].attains):
+            kept |= 1 << i
+    if kept == 1 << pk:
+        # The tail is sorted by lo, so its first blocking member lies at or
+        # below hi(pk), where the verifier's walk stopped.
+        kept |= 1 << next(j for j in islice(order, k, None) if lo[j] < hi_pk or (
+            tie and j < pk and lo[j] == hi_pk and areas[j].attains))
+    return ((1 << len(order)) - 1) ^ kept
 
 
 def _lex_blocked(s: VectorState, prefix: Sequence[int], pk: int) -> bool:

@@ -418,10 +418,10 @@ def test_one_log_across_the_opt_search_order_matches_reference():
 
 def test_verifier_passes_share_one_log(monkeypatch):
     """mst_verifier is one UmstStrategy's verifier: every pass of an OPT
-    search goes through that strategy's one PassLog.  At seed 9 the search
-    still makes 26 passes with the certificates' skips (OPT = 3)."""
+    search goes through that strategy's one PassLog.  At seed 22 the search
+    still makes 28 passes with the certificates' skips (OPT = 4)."""
     inst = generate_graph_instance(
-        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 9)
+        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 22)
     logs = []
 
     def recording(log, weights):
@@ -618,10 +618,11 @@ def _criterion_9_instance(seed):
 
 
 def test_the_opt_search_never_chooses_and_a_solve_chooses_once_per_round(monkeypatch):
-    """The OPT search's passes list no cycle and rank no pair; a solve lists
-    one cycle and ranks one pair per witness round.  The twelve searches
-    make 306 passes, the rest of the eager search's 1,111 being skipped by
-    the certificates."""
+    """The OPT search's passes rank no pair, and each pass that stops lists
+    its cycle once, for the certificate; a solve lists one cycle and ranks
+    one pair per witness round.  The twelve searches make 143 passes, 131
+    of them stopping, the rest of the eager search's 1,111 being skipped
+    by the certificates."""
     calls = {"path": 0, "pair": 0, "witness passes": 0, "passes": 0}
     path, pair = _Forest.path, uncquery.mst._witness_pair
 
@@ -646,14 +647,14 @@ def test_the_opt_search_never_chooses_and_a_solve_chooses_once_per_round(monkeyp
         oracle = GroundTruthOracle.for_instance(inst, HalvePolicy(F(1, 2)))
         calls.update(dict.fromkeys(calls, 0))
         assert opt_value(list(inst.areas), oracle, mst_verifier(inst.problem), 14).opt is not None
-        assert calls["path"] == calls["pair"] == 0
+        assert calls["pair"] == 0 and calls["path"] == calls["witness passes"]
         stopped += calls["witness passes"]
         calls.update(dict.fromkeys(calls, 0))
         report, _ = umst_solve(inst, oracle.fork(), 4000)
         assert report.status is RunStatus.SOLVED and calls["passes"] == calls["witness passes"] + 1
         assert calls["path"] == calls["pair"] == calls["witness passes"]
         rounds += calls["witness passes"]
-    assert stopped > 250 and rounds > 5
+    assert stopped > 100 and rounds > 5
 
 
 @settings(max_examples=200, deadline=None)

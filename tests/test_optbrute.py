@@ -13,7 +13,9 @@ from helpers import (
     _reference_level_vectors, reference_minimal_vectors, walked_vectors,
     witness_meets_every_solution,
 )
-from uncquery.core import SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState
+from uncquery.core import (
+    SCALE_BITS_LIMIT, Area, ImagedVector, TieRule, VectorState, endpoint_images,
+)
 from uncquery.harness import (
     EXIT_OK, GenParams, GraphGenParams, build_oracle,
     generate_graph_instance, generate_instance, instance_to_json, main,
@@ -38,6 +40,10 @@ from uncquery.selection import (
 
 def O(lo, hi):
     return Area.open(lo, hi)
+
+
+def C(lo, hi):
+    return Area.closed(lo, hi)
 
 
 def _oracle(areas, hidden, returns="P", policy=None):
@@ -363,6 +369,68 @@ def test_certificates_hold_for_every_refinement_of_a_settled_index(case, data):
     for x in settled:
         joint[x] = data.draw(st.integers(counts[x], caps[x]))
     assert verifier(vector(joint)) is None, joint
+
+
+def _imaged(areas):
+    """An OPT search's kind of vector: the areas with their own images."""
+    vector = ImagedVector(areas)
+    vector.images, vector.settled = endpoint_images(vector), 0
+    return vector
+
+
+def _refined(areas, points):
+    """The areas with each index of `points` refined to that point."""
+    return [Area.point(points[i]) if i in points else a for i, a in enumerate(areas)]
+
+
+def test_selection_certificate_keeps_every_prefix_blocker():
+    """Stable kmin at k = 5 on (1/2, 3), [0, 3], [0, 3], (0, 2), (0, 3/2):
+    the head is area 0 and all four prefix members block it, so nothing is
+    settled.  A rule that kept one blocker would be unsound, whichever it
+    kept: refining another [0, 3] to the point 3 makes that area the head,
+    with no prefix member above it.  So does refining area 2 to 3 and area
+    3 to 3/2 together, and refining the head itself to 3."""
+    areas = [O(Fraction(1, 2), 3), C(0, 3), C(0, 3), O(0, 2), O(0, Fraction(3, 2))]
+    declined = _imaged(areas)
+    assert kmin_verifier(declined, 5) is None and declined.settled == 0
+    for kept in (1, 2, 3, 4):
+        other = 2 if kept == 1 else 1
+        assert kmin_verifier(_refined(areas, {other: 3}), 5) == other
+    assert kmin_verifier(_refined(areas, {2: 3, 3: Fraction(3, 2)}), 5) == 2
+    assert kmin_verifier(_refined(areas, {0: 3}), 5) == 0
+
+
+def test_selection_certificate_keeps_the_head_and_its_first_tail_blocker():
+    """Stable kmin at k = 1 on [0, 2], (1, 3), (1, 4): nothing precedes the
+    head, area 0, and both tail members block it.  The certificate keeps
+    the head and the first blocker, area 1, and settles area 2.  Neither
+    kept index may be settled with area 2: refining the head to the point
+    1 makes the vector verify, and so does refining area 1 to 2 and area 2
+    to 3."""
+    areas = [C(0, 2), O(1, 3), O(1, 4)]
+    declined = _imaged(areas)
+    assert kmin_verifier(declined, 1) is None and declined.settled == 1 << 2
+    assert kmin_verifier(_refined(areas, {0: 1}), 1) == 0
+    assert kmin_verifier(_refined(areas, {1: 2, 2: 3}), 1) == 0
+
+
+def test_umst_certificate_settles_only_the_edges_off_the_stopping_cycle():
+    """Edges (0, 1), (2, 3), (1, 2) and (0, 2) weighing (0, 2), (0, 4),
+    (1/2, 1) and [3/2, 4]: the pass links the first three and stops at
+    edge 3, since path edge 0 may weigh more than 3/2.  Only edge 1, off
+    that cycle, is settled, though edge 3 is the last in the order, past
+    which nothing lies.  Refining edge 1 leaves the pass stopped; refining
+    path edge 0 to (0, 1), or the stop edge 3 to the point 3, lets it
+    finish."""
+    graph = UncertainGraph(4, ((0, 1), (2, 3), (1, 2), (0, 2)))
+    areas = [O(0, 2), O(0, 4), O(Fraction(1, 2), 1), C(Fraction(3, 2), 4)]
+    verifier = mst_verifier(graph)
+    declined = _imaged(areas)
+    assert verifier(declined) is None and declined.settled == 1 << 1
+    for value in (Fraction(1, 2), 1, 2, 3):
+        assert verifier(_refined(areas, {1: value})) is None
+    assert verifier([O(0, 1)] + areas[1:]) is not None
+    assert verifier(_refined(areas, {3: 3})) is not None
 
 
 def _recording(verifier, calls):

@@ -264,6 +264,30 @@ def test_stable_verifier_complete_with_distinct_lower_bounds():
             ), (k, [str(a) for a in vec])
 
 
+def test_stable_verifier_is_not_monotone():
+    """Refining an area can turn a stable answer into a decline, while the
+    answer stays valid in every realization (standing finding 10).  kmax at
+    k = 1 on (1/2, 3/2) and [3/2, 2] answers index 1, and declines once
+    [3/2, 2] is the point 3/2: the tie at 3/2 makes index 0 the lo-order
+    head of the mirror.  kmin at k = 3 on [5/2, 4], [2, 5/2] and (0, 5/2)
+    answers index 0, and declines once [2, 5/2] is the point 5/2, which then
+    follows index 0 and is the head.  So a lower bound on OPT that counts
+    queries "mandatory" because every refinement of the rest declines
+    would be unsound here."""
+    half = Fraction(1, 2)
+    cases = [
+        (Objective.KTH_MAX, 1, [O(half, 3 * half), C(3 * half, 2)], 1, 3 * half, 1),
+        (Objective.KTH_MIN, 3, [C(5 * half, 4), C(2, 5 * half), O(0, 5 * half)], 1, 5 * half, 0),
+    ]
+    for objective, k, areas, x, point, answer in cases:
+        verify = make_strategy("kmin-witness", SelectionProblem(k, objective)).verifier
+        refined = areas[:x] + [Area.point(point)] + areas[x + 1:]
+        assert verify(areas) == answer and verify(refined) is None
+        sign = -1 if objective is Objective.KTH_MAX else 1
+        assert all(kth_min_valid([sign * v for v in values], answer, k, TieRule.STABLE)
+                   for values in realizations(refined))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_areas, min_size=1, max_size=5))
 def test_witness_subsets_are_queriable(vec):

@@ -309,12 +309,13 @@ def test_tracer_sees_every_verifier_call_of_the_opt_search():
     `mst.pass` span directly under `optbrute.opt`, whether the verifier is
     a bare `kmin_verifier`, a strategy's patched one or `mst_verifier`: the
     benchmark's `optbrute.vectors_visited` counts these spans."""
-    # Selection seed 3 and graph seed 9 give OPT = 3 on both, so the search
-    # walks level 1 as index subsets and levels 2 and 3 as count vectors, all
-    # with their images, and verifies 24 and 26 of them past the skips.
-    sel = generate_instance(GenParams(n=6, model=ModelSpec.parse("OC-OC"), k=2), 3)
+    # Selection seed 2 (n = 7, k = 3) and graph seed 22 give OPT = 5 and 4,
+    # so the search walks level 1 as index subsets and the levels past it as
+    # count vectors, all with their images, and verifies 39 and 28 of them
+    # past the skips.
+    sel = generate_instance(GenParams(n=7, model=ModelSpec.parse("OC-OC"), k=3), 2)
     graph = generate_graph_instance(
-        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 9
+        GraphGenParams(vertices=4, extra_edges=3, model=ModelSpec.parse("OC-OC")), 22
     )
     k = sel.problem.k
     cases = [

@@ -49,12 +49,12 @@ COUNT_PINS = {
     7: {
         "select-scale": (2347, 3616, 3798, 2347, 0),
         "mst-scale": (0, 5223, 0, 0, 2832),
-        "compete-desk": (4044, 26078, 32543, 4044, 17557),
+        "compete-desk": (4044, 26078, 21201, 4044, 7426),
     },
     4242: {
         "select-scale": (2386, 3699, 3881, 2386, 0),
         "mst-scale": (0, 5203, 0, 0, 2833),
-        "compete-desk": (4052, 26124, 33280, 4052, 18695),
+        "compete-desk": (4052, 26124, 21316, 4052, 8424),
     },
 }
 
